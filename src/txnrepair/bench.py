@@ -137,12 +137,14 @@ def gen_counter_chain(cfg: WorkloadConfig) -> Workload:
 
 def gen_random_rules(cfg: WorkloadConfig) -> Workload:
     """Mixed random transactions: bumps, guarded transfers, read-only
-    probes. Bounded key space and predicate count."""
+    probes over 1-4 predicates of cfg.n keys each."""
     import random
 
+    if cfg.n < 2:
+        raise ValueError(f"random_rules needs n >= 2 keys for a transfer pair, got {cfg.n}")
     rnd = random.Random(cfg.seed)
     npreds = rnd.randint(1, 4)
-    nkeys = min(cfg.n, 64)
+    nkeys = cfg.n
     sigs = [PredicateSig(f"p{i}", i, (INT64,), (INT64,)) for i in range(npreds)]
     schema = Schema.from_sigs(sigs)
     db = DbVersion()
@@ -150,7 +152,7 @@ def gen_random_rules(cfg: WorkloadConfig) -> Workload:
         for k in range(nkeys):
             db = store_upsert(db, s, (k,), (rnd.randrange(0, 100),))
     txns, locksets = [], []
-    for _ in range(min(cfg.txns, 32)):
+    for _ in range(cfg.txns):
         pred = rnd.choice(sigs).name
         pid = schema.sig(pred).pred_id
         kind = rnd.random()
@@ -274,8 +276,8 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
                      txn_refreshes=len(wl.txns))
 
 
-def run_repair(wl: Workload, workers=1, height=5, commit_strategy="padded",
-               priority_mode="earliest", seed=0, randomize_ties=False) -> RunReport:
+def run_repair(wl: Workload, workers=1, height=5, priority_mode="earliest", seed=0,
+               randomize_ties=False) -> RunReport:
     t0 = time.perf_counter()
     eng = Engine(
         wl.schema,
@@ -283,7 +285,6 @@ def run_repair(wl: Workload, workers=1, height=5, commit_strategy="padded",
         EngineConfig(
             workers=workers,
             height=height,
-            commit_strategy=commit_strategy,
             priority_mode=priority_mode,
             seed=seed,
             randomize_ties=randomize_ties,
@@ -327,7 +328,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--variant", default="shared", help="counter_chain: shared|shift")
-    ap.add_argument("--commit-strategy", choices=["simple", "padded"], default="padded")
     ap.add_argument("--priority-mode", choices=["earliest", "inverted"], default="earliest")
     ap.add_argument("--height", type=int, default=5, help="circuit tree height")
     ap.add_argument("--modes", default="serial,lock,repair",
@@ -354,7 +354,6 @@ def main(argv=None) -> int:
         elif mode == "repair":
             reports[mode] = run_repair(
                 wl, workers=args.workers, height=args.height,
-                commit_strategy=args.commit_strategy,
                 priority_mode=args.priority_mode, seed=args.seed,
             )
         else:

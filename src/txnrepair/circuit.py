@@ -21,18 +21,16 @@ volume.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .domain import DomainDecomposition, DomainPoint
 from .inclftj import IntervalIndex
 from .lftj import SensEntry
-from .pstore import DbVersion, Schema
+from .pstore import DbVersion
 from .signal import (
     CORR,
     DELTA,
     SENS,
-    DeltaRecord,
     SensitivityRecord,
     SignalCursor,
     VersionedSignal,
@@ -51,9 +49,7 @@ class TreeNode:
         self.height = height
         self.left: Optional[TreeNode] = None
         self.right: Optional[TreeNode] = None
-        self.parent: Optional[TreeNode] = None
         self.txn: Optional[TxnExec] = None
-        self.frozen = False  # committed leaf: signals stay, content is final
         self.delta = {d: VersionedSignal(DELTA, label, d) for d in labels(height)}
         self.sens = {d: VersionedSignal(SENS, label, d) for d in labels(height)}
         # corrections INTO this node, produced by the parent's corr ops
@@ -84,8 +80,6 @@ def build_tree(height: int, label: str = "") -> TreeNode:
     if height > 0:
         node.left = build_tree(height - 1, label + "0")
         node.right = build_tree(height - 1, label + "1")
-        node.left.parent = node
-        node.right.parent = node
     return node
 
 
@@ -126,32 +120,19 @@ class Op:
 
     def __init__(self, node_label: str, domain_label: str):
         self.node_label = node_label
-        self.domain_label = domain_label
         self.op_id = f"{self.kind}:{node_label or 'root'}:{domain_label or '*'}"
         self.cursors: list = []
         self.output_signals: list = []
-        self._pending: list = []
-        self.refreshes = 0
 
     @property
     def input_signals(self):
-        return [c.signal for c in self.cursors if c.signal is not None]
+        return [c.signal for c in self.cursors]
 
-    def _cursor(self, signal) -> SignalCursor:
+    def _cursor(self, signal: VersionedSignal) -> SignalCursor:
         cur = SignalCursor(signal)
         self.cursors.append(cur)
-        if signal is not None:
-            signal.readers.append(self)
+        signal.readers.append(self)
         return cur
-
-    def rewire_signal(self, old: VersionedSignal, new: Optional[VersionedSignal]):
-        for cur in self.cursors:
-            if cur.signal is old:
-                self._pending.extend(cur.rewire(new))
-                if new is not None and self not in new.readers:
-                    new.readers.append(self)
-        if self in old.readers:
-            old.readers.remove(self)
 
     def refresh(self) -> bool:
         raise NotImplementedError
@@ -174,9 +155,7 @@ class DeltaMergeOp(Op):
         self.output_signals = [self.out]
 
     def refresh(self) -> bool:
-        self.refreshes += 1
-        changes = self.cur_l.pull() + self.cur_r.pull() + self._pending
-        self._pending = []
+        changes = self.cur_l.pull() + self.cur_r.pull()
         lo_pt, hi_pt = self.interval
         idents = []
         seen = set()
@@ -216,14 +195,10 @@ class SensMergeOp(Op):
         self.output_signals = [self.out]
 
     def refresh(self) -> bool:
-        self.refreshes += 1
-        changes = self.cur_l.pull() + self.cur_r.pull() + self._pending
-        self._pending = []
+        changes = self.cur_l.pull() + self.cur_r.pull()
         lo_pt, hi_pt = self.interval
         inserts = []
-        for rec, ins in changes:
-            if not ins:
-                continue  # sensitivity is monotone; drops only occur on rewires
+        for rec, _ins in changes:  # sensitivity only grows: every change inserts
             clipped = clip_sens(rec, lo_pt, hi_pt)
             if clipped is None:
                 continue
@@ -242,11 +217,9 @@ class CorrOp(Op):
 
     def __init__(self, group: TreeNode, child: TreeNode, e: str, with_delta: bool):
         super().__init__(child.label, e)
-        self.child = child
         self.out = child.corr[e]
-        self.cur_c0 = self._cursor(group.corr.get(e + "0"))
-        self.cur_c1 = self._cursor(group.corr.get(e + "1"))
-        self.with_delta = with_delta
+        self.cur_c0 = self._cursor(group.corr[e + "0"])
+        self.cur_c1 = self._cursor(group.corr[e + "1"])
         self.cur_delta = self._cursor(group.left.delta[e]) if with_delta else None
         self.cur_sens = self._cursor(child.sens[e])
         self._sens_index = IntervalIndex()
@@ -256,34 +229,22 @@ class CorrOp(Op):
         return bool(self._sens_index.stab((pred_id, tuple(key))))
 
     def _winner(self, pred_id: int, key: tuple):
-        if self.cur_delta is not None and self.cur_delta.signal is not None:
+        if self.cur_delta is not None:
             rec = self.cur_delta.signal.get(pred_id, key)
             if rec is not None:
                 return rec
         for cur in (self.cur_c0, self.cur_c1):
-            if cur.signal is not None:
-                rec = cur.signal.get(pred_id, key)
-                if rec is not None:
-                    return rec
+            rec = cur.signal.get(pred_id, key)
+            if rec is not None:
+                return rec
         return None
 
     def refresh(self) -> bool:
-        self.refreshes += 1
-        delta_changes = list(self._pending)
-        self._pending = []
-        sens_changes = []
-        for rec, ins in self.cur_sens.pull():
-            if ins:
-                sens_changes.append(rec)
+        sens_changes = [rec for rec, _ins in self.cur_sens.pull()]
+        idents = set()
         for cur in (self.cur_c0, self.cur_c1, self.cur_delta):
             if cur is not None:
-                delta_changes.extend(cur.pull())
-        # rewire leftovers may mix record kinds; split them out
-        for rec in [r for r, _ in delta_changes if isinstance(r, SensitivityRecord)]:
-            sens_changes.append(rec)
-        delta_changes = [(r, i) for r, i in delta_changes if isinstance(r, DeltaRecord)]
-
-        idents = {rec.identity() for rec, _ in delta_changes}
+                idents.update(rec.identity() for rec, _ins in cur.pull())
         for rec in sens_changes:
             self._sens_index.insert(
                 SensEntry("", (rec.pred_id, rec.lo), (rec.pred_id, rec.hi), (), 0)
@@ -292,7 +253,7 @@ class CorrOp(Op):
             lo_ident = (rec.pred_id, rec.lo)
             hi_ident = (rec.pred_id, rec.hi)
             for cur in (self.cur_c0, self.cur_c1, self.cur_delta):
-                if cur is not None and cur.signal is not None:
+                if cur is not None:
                     for r in cur.signal.range_records(lo_ident, hi_ident):
                         idents.add(r.identity())
         inserts, removes = [], []
@@ -325,10 +286,8 @@ class TxnOp(Op):
         self.output_signals = [self.out_delta, self.out_sens]
 
     def refresh(self) -> bool:
-        self.refreshes += 1
         txn = self.leaf.txn
-        changes = self._pending + self.cur_corr.pull()
-        self._pending = []
+        changes = self.cur_corr.pull()
         if txn is None:
             return False
         if txn.status == UNEVALUATED:
@@ -370,19 +329,3 @@ def wire_tree(root: TreeNode, decomp: DomainDecomposition):
         ops.extend(wire_group(node, decomp))
     return ops
 
-
-def dump_dot(root: TreeNode, ops) -> str:
-    """Graphviz rendering of nodes, signals and operator wiring."""
-    lines = ["digraph circuit {", "  rankdir=BT;"]
-    for node in root.internal():
-        lines.append(f'  "n{node.label or "root"}" [shape=box];')
-    for op in ops:
-        lines.append(f'  "{op.op_id}" [shape=ellipse];')
-        for sig in op.input_signals:
-            lines.append(f'  "s{id(sig)}" [label="{sig.kind}:{sig.group}:{sig.subdomain}"];')
-            lines.append(f'  "s{id(sig)}" -> "{op.op_id}";')
-        for sig in op.output_signals:
-            lines.append(f'  "s{id(sig)}" [label="{sig.kind}:{sig.group}:{sig.subdomain}"];')
-            lines.append(f'  "{op.op_id}" -> "s{id(sig)}";')
-    lines.append("}")
-    return "\n".join(lines)

@@ -2,11 +2,14 @@
 
 Transactions are admitted in serial order to the leaves of a circuit
 tree (one epoch per tree filling). Workers pull refresh work off a
-priority queue; an operator's priority is (m, d) where m is the latest
-transaction position that can influence it and d its depth downstream of
-transaction outputs, so work for earlier transactions drains first.
-Priority mode "inverted" reverses the transaction component, which is
-the pathological schedule for long dependency chains.
+priority queue; an operator's priority is (m, d): m is the earliest
+transaction its output serves, so work for earlier transactions drains
+first, and d its depth downstream of transaction outputs. Both are read
+off the tree position: a transaction at leaf i has m = i, a correction
+into node X the first leaf under X, a delta merge the first leaf after
+its subtree. Priority mode "inverted" keys on the latest transaction
+feeding an operator instead, which is the pathological schedule for
+long dependency chains.
 
 The fixpoint of the circuit is schedule independent, so the committed
 state is identical for any worker count or tie-breaking choice.
@@ -18,27 +21,27 @@ import heapq
 import itertools
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .circuit import TreeNode, TxnOp, build_tree, wire_tree
+from .circuit import CorrOp, DeltaMergeOp, TxnOp, build_tree, wire_tree
 from .domain import build_decomposition, point
 from .pstore import DbVersion, Schema, apply_deltas, full_scan
-from .txn import EVALUATED, FAILED, TxnExec
+from .txn import EVALUATED, TxnExec
 
 EARLIEST = "earliest"
 INVERTED = "inverted"
+FAR = 1 << 30  # priority of ops that serve no admitted transaction
+DECOMP_SAMPLES = 256  # store points sampled per epoch to split the domain
 
 
 @dataclass
 class EngineConfig:
     workers: int = 1
     height: int = 5  # leaf capacity per epoch = 2**height
-    commit_strategy: str = "padded"  # "padded" publishes finalized prefixes early
     priority_mode: str = EARLIEST
     randomize_ties: bool = False
     seed: int = 0
-    decomp_samples: int = 256
 
 
 @dataclass
@@ -48,7 +51,6 @@ class EngineMetrics:
     epochs: int = 0
     txn_refreshes: int = 0
     op_refreshes: int = 0
-    prefix_commits: int = 0
 
     def as_dict(self):
         return dict(self.__dict__)
@@ -118,79 +120,48 @@ class _Queue:
             self._cv.notify_all()
 
 
-def _op_priorities(ops, leaf_index, mode):
-    """(m, d) per op. m is the earliest transaction position the op's
-    output (transitively) serves: settling transaction g requires exactly
-    the ops with m <= g, so draining by ascending m finishes one
-    transaction's corrections before starting the next and each
-    transaction repairs at most once. d orders producers before consumers
-    within the same m (depth downstream of transaction outputs, with the
-    correction->transaction back edges cut to keep the graph acyclic)."""
-    producer = {}
-    for op in ops:
-        for sig in op.output_signals:
-            producer[id(sig)] = op
-    FAR = 1 << 30
+def _op_priorities(ops, height, n, mode):
+    """(m, d) per op, read off its node's position in the tree. lo(X) and
+    hi(X) are the first and last leaves under node X; leaves 0..n-1 hold
+    the epoch's transactions.
 
-    m_memo: dict = {}
+    m is the earliest transaction the op's output (transitively) serves:
+    settling transaction g requires exactly the ops with m <= g, so
+    draining by ascending m finishes one transaction's corrections before
+    starting the next and each transaction repairs at most once. A
+    correction into X serves lo(X), a delta merge at X serves hi(X)+1
+    through its right sibling's corrections, and a sensitivity merge the
+    corrections into its root half; an m >= n serves no transaction.
+    Inverted mode keys on the latest transaction feeding the op instead
+    (serving the newest first maximizes churn). d orders producers before
+    consumers within one m: a merge's height, or height+t-1 for a
+    correction into a node at depth t."""
 
-    def m_of(op):
-        if op in m_memo:
-            return m_memo[op]
-        if isinstance(op, TxnOp):
-            m_memo[op] = leaf_index[op.leaf.label]
-            return m_memo[op]
-        m_memo[op] = FAR  # breaks cycles conservatively
-        m = FAR
-        for sig in op.output_signals:
-            for reader in sig.readers:
-                m = min(m, m_of(reader))
-        m_memo[op] = m
-        return m
+    def lo(label):
+        return int(label or "0", 2) << (height - len(label))
 
-    d_memo: dict = {}
+    def hi(label):
+        return lo(label) + (1 << (height - len(label))) - 1
 
-    def d_of(op):
-        if op in d_memo:
-            return d_memo[op]
-        if isinstance(op, TxnOp):
-            d_memo[op] = 0
-            return 0
-        d_memo[op] = 0
-        d = 0
-        for sig in op.input_signals:
-            p = producer.get(id(sig))
-            if p is not None:
-                d = max(d, (0 if isinstance(p, TxnOp) else d_of(p)) + 1)
-        d_memo[op] = d
-        return d
-
-    mp_memo: dict = {}
-
-    def m_prod(op):
-        """Latest transaction position feeding the op (inverted mode keys
-        on this: serving the newest transactions first maximizes churn)."""
-        if op in mp_memo:
-            return mp_memo[op]
-        if isinstance(op, TxnOp):
-            mp_memo[op] = leaf_index[op.leaf.label]
-            return mp_memo[op]
-        mp_memo[op] = 0
-        m = 0
-        for sig in op.input_signals:
-            p = producer.get(id(sig))
-            if p is not None:
-                m = max(m, m_prod(p))
-        mp_memo[op] = m
-        return m
-
+    inverted = mode == INVERTED
     out = {}
     for op in ops:
-        d = d_of(op)
-        if mode == INVERTED:
-            out[op] = (-m_prod(op), d)
+        x = op.node_label
+        if isinstance(op, TxnOp):
+            out[op] = (-lo(x) if inverted else lo(x), 0)
+            continue
+        if isinstance(op, CorrOp):
+            d = height + len(x) - 1
+            m = -min(hi(x[:1]), n - 1) if inverted else lo(x)
         else:
-            out[op] = (m_of(op), d)
+            d = height - len(x)
+            if inverted:
+                m = -min(hi(x), n - 1)
+            elif isinstance(op, DeltaMergeOp):
+                m = hi(x) + 1
+            else:
+                m = lo(x[:1]) if x else FAR
+        out[op] = (FAR if m >= n else m, d)
     return out
 
 
@@ -205,9 +176,9 @@ class Engine:
         pts = []
         for pred_id, key, _value in full_scan(self.db, self.schema):
             pts.append(point(pred_id, key))
-        if len(pts) > self.config.decomp_samples:
-            stride = len(pts) / self.config.decomp_samples
-            pts = [pts[int(i * stride)] for i in range(self.config.decomp_samples)]
+        if len(pts) > DECOMP_SAMPLES:
+            stride = len(pts) / DECOMP_SAMPLES
+            pts = [pts[int(i * stride)] for i in range(DECOMP_SAMPLES)]
         return build_decomposition(pts, self.config.height)
 
     def run(self, txns) -> EngineReport:
@@ -230,7 +201,6 @@ class Engine:
         root = build_tree(cfg.height)
         ops = list(wire_tree(root, decomp))
         leaves = list(root.leaves())
-        leaf_index = {leaf.label: i for i, leaf in enumerate(leaves)}
         txn_ops = []
         for i, rules in enumerate(chunk):
             leaf = leaves[i]
@@ -239,7 +209,7 @@ class Engine:
             ops.append(op)
             txn_ops.append(op)
 
-        prio = _op_priorities(ops, leaf_index, cfg.priority_mode)
+        prio = _op_priorities(ops, cfg.height, len(chunk), cfg.priority_mode)
         seq = itertools.count()
         if cfg.randomize_ties:
             rng = random.Random(cfg.seed * 1_000_003 + first_id)
@@ -248,25 +218,25 @@ class Engine:
             tie = lambda: (0.0, next(seq))
         queue = _Queue(prio, tie)
 
-        committed_prefix = [0]
         errors: list = []
+        counts: list = []  # (op refreshes, txn refreshes) per worker
 
         def work():
+            op_refreshes = txn_refreshes = 0
             while True:
                 op = queue.pop()
                 if op is None:
+                    counts.append((op_refreshes, txn_refreshes))
                     return
                 try:
                     changed = op.refresh()
-                    self.metrics.op_refreshes += 1
+                    op_refreshes += 1
                     if isinstance(op, TxnOp):
-                        self.metrics.txn_refreshes += 1
+                        txn_refreshes += 1
                     if changed:
                         for sig in op.output_signals:
                             for reader in list(sig.readers):
                                 queue.push(reader)
-                    if cfg.commit_strategy == "padded":
-                        self._note_prefix(txn_ops, queue, committed_prefix)
                 except BaseException as exc:  # keep done() paired with pop()
                     errors.append(exc)
                     queue.stop()
@@ -283,6 +253,9 @@ class Engine:
                 t.start()
             for t in threads:
                 t.join()
+        for op_refreshes, txn_refreshes in counts:
+            self.metrics.op_refreshes += op_refreshes
+            self.metrics.txn_refreshes += txn_refreshes
         if errors:
             raise errors[0]
 
@@ -296,23 +269,3 @@ class Engine:
             if out.status == EVALUATED:
                 self.db = apply_deltas(self.db, self.schema, out.deltas)
         return statuses
-
-    def _note_prefix(self, txn_ops, queue, committed_prefix):
-        """Track how far the finalized prefix has advanced (metrics only;
-        the committed state is published at epoch end either way)."""
-        with queue._lock:
-            pending_m = None
-            for entry in queue._heap:
-                m = entry[0][0]
-                pending_m = m if pending_m is None else min(pending_m, m)
-        n = committed_prefix[0]
-        while n < len(txn_ops):
-            op = txn_ops[n]
-            if op.leaf.txn is None or op.leaf.txn.status == "unevaluated":
-                break
-            if pending_m is not None and abs(pending_m) <= n:
-                break
-            n += 1
-        if n > committed_prefix[0]:
-            self.metrics.prefix_commits += n - committed_prefix[0]
-            committed_prefix[0] = n

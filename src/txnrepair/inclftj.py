@@ -148,13 +148,6 @@ class RuleMaintainer:
             self.index.setdefault(e.vertex, IntervalIndex(len(self.index))).insert(e)
             self.entry_log.append(e)
 
-    def result(self):
-        from .lftj import RuleResult
-
-        res = RuleResult(head_counts=[dict(h) for h in self.head_counts])
-        res.constraint_hits = self.constraint_hits
-        return res
-
     def changed_contexts(self, changed_points: dict):
         """changed_points: vertex -> iterable of full tuples touched."""
         hits = []

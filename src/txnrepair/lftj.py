@@ -19,7 +19,6 @@ from .rulelang import (
     ARITH_OPS,
     AT_START,
     Const,
-    FunAtom,
     NegAtom,
     PrimAtom,
     RelAtom,
@@ -270,22 +269,6 @@ class RuleResult:
     # per head atom: full head tuple -> number of supporting bindings
     head_counts: list
     constraint_hits: int = 0
-
-    def fd_conflicts(self, compiled: CompiledRule):
-        """Head function atoms mapping one key to several values."""
-        out = []
-        for h, counts in zip(compiled.rule.head, self.head_counts):
-            if not isinstance(h.atom, FunAtom):
-                continue
-            karity = len(h.atom.key_args)
-            by_key = {}
-            for t in counts:
-                by_key.setdefault(t[:karity], set()).add(t[karity:])
-            for key, vals in sorted(by_key.items()):
-                if len(vals) > 1:
-                    out.append((h.atom.pred, key, tuple(sorted(vals))))
-        return out
-
 
 def eval_rule(
     compiled: CompiledRule,

@@ -163,36 +163,6 @@ def items_from(node: Optional[Node], key) -> Iterator[tuple]:
             node = node.left
 
 
-def diff(old: Optional[Node], new: Optional[Node]):
-    """Yield (key, old_val, new_val) for keys whose mapping differs.
-
-    old_val / new_val are ABSENT where the key is missing on that side.
-    """
-    it_a, it_b = items(old), items(new)
-    a = next(it_a, None)
-    b = next(it_b, None)
-    while a is not None or b is not None:
-        if b is None or (a is not None and a[0] < b[0]):
-            yield a[0], a[1], ABSENT
-            a = next(it_a, None)
-        elif a is None or b[0] < a[0]:
-            yield b[0], ABSENT, b[1]
-            b = next(it_b, None)
-        else:
-            if a[1] != b[1]:
-                yield a[0], a[1], b[1]
-            a = next(it_a, None)
-            b = next(it_b, None)
-
-
-class _Absent:
-    def __repr__(self):
-        return "ABSENT"
-
-
-ABSENT = _Absent()
-
-
 class Cursor:
     """Seekable forward cursor with a finger.
 

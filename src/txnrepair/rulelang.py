@@ -695,13 +695,6 @@ def choose_variable_order(rule: Rule):
 
 # ---- rewrites toward execution-graph form ----
 
-DELTA_PREFIX = "δ"  # delta predicate names: δ<pred>
-
-
-def delta_pred_name(name: str) -> str:
-    return DELTA_PREFIX + name
-
-
 @dataclass(frozen=True)
 class RewrittenRule:
     rule: Rule

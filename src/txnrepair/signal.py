@@ -8,7 +8,6 @@ signals are monotone: publishing a removal on one is a contract error.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -106,12 +105,10 @@ class VersionedSignal:
         self.kind = kind
         self.group = group
         self.subdomain = subdomain
-        self.signal_id = (kind, group, subdomain)
         self._roots = [None]
         self._changes = [[]]  # _changes[v]: list of (record, inserted) producing v
         self._lock = threading.Lock()
         self.readers = []  # operators enqueued when this signal changes
-        self.producer = None
 
     def __repr__(self):
         return f"<signal {self.kind} t={self.group!r} d={self.subdomain!r} v{self.latest}>"
@@ -205,71 +202,24 @@ class VersionedSignal:
         out.sort(key=lambda e: (_identity(e[0]), order[e[0]]))
         return out
 
-    def dump(self, version: Optional[int] = None) -> str:
-        """Ordered JSON-lines dump of a version (debug/golden tests)."""
-        lines = []
-        for rec in self.records(version):
-            lines.append(json.dumps(_record_to_json(rec), sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _enc(v):
-    if v is MINK:
-        return "MINK"
-    if v is TOP:
-        return "TOP"
-    return v
-
-
-def _record_to_json(rec):
-    if isinstance(rec, DeltaRecord):
-        return {
-            "pred_id": rec.pred_id,
-            "key": [_enc(k) for k in rec.key],
-            "value": None if rec.value is None else list(rec.value),
-            "sign": "+" if rec.sign == UPSERT else "-",
-        }
-    return {
-        "pred_id": rec.pred_id,
-        "lo": [_enc(k) for k in rec.lo],
-        "hi": [_enc(k) for k in rec.hi],
-    }
-
 
 class SignalCursor:
     """Net-change cache for one (reader, signal) pair.
 
     pull() returns the net changes since the last pull, so refresh cost
-    tracks the change volume, not signal size. Rewiring a reader to a
-    different signal object is handled by diffing contents.
+    tracks the change volume, not signal size.
     """
 
-    def __init__(self, signal: Optional[VersionedSignal]):
+    def __init__(self, signal: VersionedSignal):
         self.signal = signal
         self.version = 0
 
     def pull(self):
-        if self.signal is None:
-            return []
         latest = self.signal.latest
         if latest == self.version:
             return []
         out = self.signal.changes(self.version, latest)
         self.version = latest
-        return out
-
-    def rewire(self, new_signal: Optional[VersionedSignal]):
-        """Swap the underlying signal; returns content-level net changes."""
-        old_root = self.signal.content(self.version) if self.signal is not None else None
-        self.signal = new_signal
-        self.version = new_signal.latest if new_signal is not None else 0
-        new_root = new_signal.content() if new_signal is not None else None
-        out = []
-        for _ident, old_rec, new_rec in ptree.diff(old_root, new_root):
-            if old_rec is not ptree.ABSENT:
-                out.append((old_rec, False))
-            if new_rec is not ptree.ABSENT:
-                out.append((new_rec, True))
         return out
 
 

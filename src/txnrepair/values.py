@@ -8,8 +8,6 @@ interval endpoints to full arity (MINK below every value, TOP above).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 INT64 = "int64"
 STRING = "string"
 BOOL = "bool"
@@ -73,43 +71,6 @@ def _check_tag(tag: str, payload) -> None:
         raise SchemaError(f"unknown type tag {tag!r}")
     if not ok:
         raise SchemaError(f"value {payload!r} is not of type {tag}")
-
-
-@dataclass(frozen=True)
-class TypedValue:
-    """A tagged scalar with a total order within its tag.
-
-    Comparing values of different tags is a schema error, never a silent
-    ordering.
-    """
-
-    tag: str
-    payload: object
-
-    def __post_init__(self):
-        _check_tag(self.tag, self.payload)
-
-    def _require_same_tag(self, other: "TypedValue") -> None:
-        if not isinstance(other, TypedValue):
-            raise SchemaError(f"cannot compare TypedValue with {type(other).__name__}")
-        if self.tag != other.tag:
-            raise SchemaError(f"cannot compare {self.tag} with {other.tag}")
-
-    def __lt__(self, other):
-        self._require_same_tag(other)
-        return self.payload < other.payload
-
-    def __le__(self, other):
-        self._require_same_tag(other)
-        return self.payload <= other.payload
-
-    def __gt__(self, other):
-        self._require_same_tag(other)
-        return self.payload > other.payload
-
-    def __ge__(self, other):
-        self._require_same_tag(other)
-        return self.payload >= other.payload
 
 
 def validate_tuple(tags, values, what: str) -> tuple:

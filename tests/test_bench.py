@@ -28,6 +28,14 @@ def test_generators_deterministic():
         assert a.locksets == b.locksets
 
 
+def test_random_rules_honours_txns_and_keys():
+    wl = make_workload(WorkloadConfig(name="random_rules", n=200, txns=64, seed=0))
+    assert len(wl.txns) == 64
+    assert any(key[0] >= 64 for ls in wl.locksets for _pid, key in ls)
+    with pytest.raises(ValueError):
+        make_workload(WorkloadConfig(name="random_rules", n=1, txns=4))
+
+
 def test_locksets_sorted():
     wl = make_workload(WorkloadConfig(name="random_rules", txns=16, seed=1))
     for ls in wl.locksets:

@@ -1,6 +1,10 @@
 """Engine scheduling: determinism, priority behaviour, epoch commit."""
 
+import dataclasses
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -11,7 +15,9 @@ from txnrepair.bench import (
     run_serial,
     state_hash,
 )
-from txnrepair.engine import EARLIEST, INVERTED, Engine, EngineConfig
+from txnrepair.circuit import CorrOp, DeltaMergeOp, SensMergeOp, TxnOp, build_tree, wire_tree
+from txnrepair.domain import build_decomposition
+from txnrepair.engine import EARLIEST, FAR, INVERTED, Engine, EngineConfig, _op_priorities
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_lookup, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED
@@ -106,3 +112,94 @@ def test_empty_run():
     eng = Engine(SCHEMA, base_db(), EngineConfig(height=2))
     rep = eng.run([])
     assert rep.statuses == [] and rep.metrics.txns == 0
+
+
+@pytest.mark.parametrize("mode", [EARLIEST, INVERTED])
+@pytest.mark.parametrize("height", [1, 2, 3, 4, 5])
+def test_priorities_solve_the_walk_equations(height, mode):
+    """The closed-form (m, d) satisfies the equations of a walk over the
+    wired circuit, at every fill of the tree. Merges over empty subtrees
+    are never queued, so they are left out."""
+    for n in range(1, 2**height + 1):
+        root = build_tree(height)
+        ops = list(wire_tree(root, build_decomposition([], height)))
+        txn_ops = [TxnOp(leaf, DbVersion()) for leaf in list(root.leaves())[:n]]
+        ops += txn_ops
+        prio = _op_priorities(ops, height, n, mode)
+        producer = {id(sig): op for op in ops for sig in op.output_signals}
+        for i, op in enumerate(txn_ops):
+            assert prio[op] == ((-i if mode == INVERTED else i), 0)
+        for op in ops:
+            if isinstance(op, TxnOp):
+                continue
+            if not isinstance(op, CorrOp) and int(op.node_label.ljust(height, "0"), 2) >= n:
+                continue
+            m, d = prio[op]
+            producers = [producer[id(s)] for s in op.input_signals if id(s) in producer]
+            assert d == max((prio[p][1] + 1 for p in producers), default=0), (n, op)
+            if mode == EARLIEST:
+                readers = [r for sig in op.output_signals for r in sig.readers]
+                assert m == min((prio[r][0] for r in readers), default=FAR), (n, op)
+            else:
+                assert m == min((prio[p][0] for p in producers), default=0), (n, op)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_refresh_metrics_count_every_refresh(monkeypatch, workers):
+    """Refresh counters lose no increment to concurrent workers and keep
+    accumulating across run() calls."""
+    counts = Counter()
+    lock = threading.Lock()
+    for cls in (TxnOp, DeltaMergeOp, SensMergeOp, CorrOp):
+
+        def counted(op, _refresh=cls.refresh):
+            changed = _refresh(op)
+            with lock:
+                counts[op.kind] += 1
+            return changed
+
+        monkeypatch.setattr(cls, "refresh", counted)
+    wl = make_workload(WorkloadConfig(name="random_rules", n=64, txns=32, seed=7))
+    eng = Engine(wl.schema, wl.db, EngineConfig(workers=workers))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            eng.run(wl.txns)
+    finally:
+        sys.setswitchinterval(interval)
+    assert eng.metrics.op_refreshes == sum(counts.values())
+    assert eng.metrics.txn_refreshes == counts["txn"]
+
+
+class Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_exception_keeps_last_committed_epoch(monkeypatch, workers):
+    """A refresh that raises in the second of three epochs fails the run
+    and leaves the first epoch committed; the engine stays usable."""
+    wl = make_workload(WorkloadConfig(name="random_rules", n=64, txns=20, seed=3))
+    failing, fresh = wl.txns[:12], wl.txns[12:]  # 3 epochs of 4, then 8 more
+    refresh = TxnOp.refresh
+    raised = []
+
+    def flaky(op):
+        if op.leaf.txn.txn_id == 6 and not raised:
+            raised.append(op)
+            raise Boom(op.op_id)
+        return refresh(op)
+
+    monkeypatch.setattr(TxnOp, "refresh", flaky)
+    eng = Engine(wl.schema, wl.db, EngineConfig(workers=workers, height=2))
+    with pytest.raises(Boom):
+        eng.run(failing)
+    first_epoch = run_serial(dataclasses.replace(wl, txns=wl.txns[:4]))
+    assert state_hash(eng.db, wl.schema) == first_epoch.hash(wl.schema)
+
+    monkeypatch.setattr(TxnOp, "refresh", refresh)
+    rep = eng.run(fresh)
+    want = run_serial(dataclasses.replace(wl, db=first_epoch.db, txns=fresh))
+    assert state_hash(rep.db, wl.schema) == want.hash(wl.schema)
+    assert rep.statuses == want.statuses

@@ -80,34 +80,6 @@ def test_from_sorted(ks):
     check_balance(root)
 
 
-@given(st.lists(st.tuples(keys, st.integers(0, 3)), max_size=30),
-       st.lists(st.tuples(keys, st.integers(0, 3)), max_size=30))
-def test_diff(a, b):
-    ra, rb = build(a), build(b)
-    ma, mb = dict(a), dict(b)
-    got = {}
-    for k, old, new in ptree.diff(ra, rb):
-        got[k] = (
-            None if old is ptree.ABSENT else old,
-            None if new is ptree.ABSENT else new,
-        )
-    want = {
-        k: (ma.get(k), mb.get(k))
-        for k in set(ma) | set(mb)
-        if ma.get(k, object()) != mb.get(k, object()) and ma.get(k) != mb.get(k)
-    }
-    # diff only reports keys whose payload differs
-    want = {k: v for k, v in want.items() if v[0] != v[1]}
-    assert got == want
-
-
-def test_diff_shares_subtrees():
-    root = ptree.from_sorted([(k, ()) for k in range(1000)])
-    root2 = ptree.insert(root, 500, "x")
-    changed = list(ptree.diff(root, root2))
-    assert changed == [(500, (), "x")]
-
-
 class TestCursor:
     @given(st.sets(keys, min_size=1, max_size=40), st.lists(keys, max_size=10))
     def test_seek_lands_on_lower_bound(self, ks, seeks):

@@ -139,19 +139,6 @@ class TestCursor:
         sig.publish(inserts=[upsert(0, (2,), (5,))])
         assert cur.pull() == [(upsert(0, (2,), (5,)), True)]
 
-    def test_rewire_diffs_content(self):
-        a = VersionedSignal("delta")
-        b = VersionedSignal("delta")
-        a.publish(inserts=[upsert(0, (1,), (10,)), upsert(0, (2,), (5,))])
-        b.publish(inserts=[upsert(0, (1,), (10,)), upsert(0, (3,), (7,))])
-        cur = SignalCursor(a)
-        cur.pull()
-        net = cur.rewire(b)
-        assert (upsert(0, (2,), (5,)), False) in net
-        assert (upsert(0, (3,), (7,)), True) in net
-        assert all(rec.key != (1,) for rec, _ in net)
-
-
 @given(st.lists(sens_recs, max_size=15), st.integers(0, 2), st.integers(0, 20))
 @settings(max_examples=300)
 def test_coalesce_preserves_membership(recs, pred_id, k):
