@@ -11,6 +11,9 @@ deltas and sensitivities merge upward; corrections flow downward:
     by the left sibling's deltas (later writes supersede), filtered to
     the child's sensitivity.
 
+Nothing precedes the root's transactions, so the root has no correction
+signals and its correction operators read only deltas and sensitivity.
+
 Signals at a node of height h are partitioned into 2^h subdomains of the
 global domain decomposition, so independent key regions refresh in
 parallel. Every operator pulls per-signal change lists and republishes
@@ -52,8 +55,9 @@ class TreeNode:
         self.txn: Optional[TxnExec] = None
         self.delta = {d: VersionedSignal(DELTA, label, d) for d in labels(height)}
         self.sens = {d: VersionedSignal(SENS, label, d) for d in labels(height)}
-        # corrections INTO this node, produced by the parent's corr ops
-        self.corr = {d: VersionedSignal(CORR, label, d) for d in labels(height)}
+        # corrections INTO this node, produced by the parent's corr ops;
+        # nothing precedes the root's (label "") transactions: it has none
+        self.corr = {d: VersionedSignal(CORR, label, d) for d in labels(height) if label}
 
     def __repr__(self):
         return f"<node {self.label!r} h={self.height}>"
@@ -218,10 +222,11 @@ class CorrOp(Op):
     def __init__(self, group: TreeNode, child: TreeNode, e: str, with_delta: bool):
         super().__init__(child.label, e)
         self.out = child.corr[e]
-        self.cur_c0 = self._cursor(group.corr[e + "0"])
-        self.cur_c1 = self._cursor(group.corr[e + "1"])
-        self.cur_delta = self._cursor(group.left.delta[e]) if with_delta else None
+        parents = [self._cursor(group.corr[e + b]) for b in "01"] if group.corr else []
+        delta = [self._cursor(group.left.delta[e])] if with_delta else []
         self.cur_sens = self._cursor(child.sens[e])
+        self._inputs = parents + delta
+        self._by_precedence = delta + parents  # the left sibling's writes are later
         self._sens_index = IntervalIndex()
         self.output_signals = [self.out]
 
@@ -229,11 +234,7 @@ class CorrOp(Op):
         return bool(self._sens_index.stab((pred_id, tuple(key))))
 
     def _winner(self, pred_id: int, key: tuple):
-        if self.cur_delta is not None:
-            rec = self.cur_delta.signal.get(pred_id, key)
-            if rec is not None:
-                return rec
-        for cur in (self.cur_c0, self.cur_c1):
+        for cur in self._by_precedence:
             rec = cur.signal.get(pred_id, key)
             if rec is not None:
                 return rec
@@ -242,9 +243,8 @@ class CorrOp(Op):
     def refresh(self) -> bool:
         sens_changes = [rec for rec, _ins in self.cur_sens.pull()]
         idents = set()
-        for cur in (self.cur_c0, self.cur_c1, self.cur_delta):
-            if cur is not None:
-                idents.update(rec.identity() for rec, _ins in cur.pull())
+        for cur in self._inputs:
+            idents.update(rec.identity() for rec, _ins in cur.pull())
         for rec in sens_changes:
             self._sens_index.insert(
                 SensEntry("", (rec.pred_id, rec.lo), (rec.pred_id, rec.hi), (), 0)
@@ -252,10 +252,9 @@ class CorrOp(Op):
             # candidates already present in the inputs inside the new interval
             lo_ident = (rec.pred_id, rec.lo)
             hi_ident = (rec.pred_id, rec.hi)
-            for cur in (self.cur_c0, self.cur_c1, self.cur_delta):
-                if cur is not None:
-                    for r in cur.signal.range_records(lo_ident, hi_ident):
-                        idents.add(r.identity())
+            for cur in self._inputs:
+                for r in cur.signal.range_records(lo_ident, hi_ident):
+                    idents.add(r.identity())
         inserts, removes = [], []
         for pred_id, key in idents:
             winner = self._winner(pred_id, key) if self._covered(pred_id, key) else None
@@ -280,14 +279,15 @@ class TxnOp(Op):
         super().__init__(leaf.label, "")
         self.leaf = leaf
         self.base = base
-        self.cur_corr = self._cursor(leaf.corr[""])
+        # a leaf that is the whole tree receives no corrections
+        self.cur_corr = self._cursor(leaf.corr[""]) if leaf.corr else None
         self.out_delta = leaf.delta[""]
         self.out_sens = leaf.sens[""]
         self.output_signals = [self.out_delta, self.out_sens]
 
     def refresh(self) -> bool:
         txn = self.leaf.txn
-        changes = self.cur_corr.pull()
+        changes = self.cur_corr.pull() if self.cur_corr is not None else []
         if txn is None:
             return False
         if txn.status == UNEVALUATED:

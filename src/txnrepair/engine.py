@@ -190,8 +190,8 @@ class Engine:
             if not chunk and lo > 0:
                 break
             statuses.extend(self._run_epoch(chunk, first_id=lo))
-        self.metrics.txns = len(txns)
-        self.metrics.failed_txns = sum(1 for s in statuses if s != EVALUATED)
+        self.metrics.txns += len(txns)
+        self.metrics.failed_txns += sum(1 for s in statuses if s != EVALUATED)
         return EngineReport(db=self.db, statuses=statuses, metrics=self.metrics)
 
     def _run_epoch(self, chunk, first_id=0):

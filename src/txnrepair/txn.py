@@ -6,10 +6,19 @@ underneath it). Evaluation materializes every rule; repair applies
 correction changes through the per-rule sensitivity indexes, so the cost
 tracks how much of the transaction's reads actually changed.
 
-Failure (violated constraint or conflicting upserts) empties the
-requested-delta output but keeps the sensitivity output, which stays
-monotone: a failed transaction can recover when later corrections
-restore consistency.
+Rules read persistent overlays: per predicate, one patch tree of
+corrections over the snapshot, one of the transaction's own upserts
+(`end:`) over that, and one tuple set per derived predicate (`out:`).
+The support counts are the source of truth; each overlay root is derived
+from them and path-copied by one insert or remove when its content
+changes, so building a rule's views costs O(predicates) and a view a
+maintainer keeps as its old inputs stays a true snapshot.
+
+Failure (violated constraint, conflicting upserts, or an upserted tuple
+whose key or value fails its predicate's signature, such as int64
+arithmetic overflow) empties the requested-delta output but keeps the
+sensitivity output, which stays monotone: a failed transaction can
+recover when later corrections restore consistency.
 """
 
 from __future__ import annotations
@@ -20,10 +29,11 @@ from typing import Optional
 from . import ptree
 from .inclftj import RuleMaintainer
 from .lftj import Stats, compile_rule
-from .pstore import DbVersion, Schema
-from .rulelang import FunAtom, Rule, rewrite_for_txn
-from .signal import DeltaRecord, SensitivityRecord, retract, sens_interval, upsert
-from .views import OverlayView, TreeView, View, patch_tree, view_lookup
+from .pstore import DbVersion, PredicateSig, Schema
+from .rulelang import FunAtom, rewrite_for_txn
+from .signal import DeltaRecord, SensitivityRecord, upsert
+from .values import SchemaError
+from .views import UPSERT, OverlayView, TreeView, View, patch_tree, view_lookup
 
 UNEVALUATED = "unevaluated"
 EVALUATED = "evaluated"
@@ -72,6 +82,12 @@ class TxnExec:
         self._delta_support: dict = {}
         # out predicate support: pred name -> {tuple: count}
         self._out_support: dict = {}
+        # overlay roots derived from the three dicts above, per pred name:
+        # corrections, single-live-value own upserts, live out: tuples
+        self._corr_root: dict = {}
+        self._end_root: dict = {}
+        self._out_root: dict = {}
+        self._out_of_range = 0  # live upserted tuples failing their signature
         self.maintainers: list = [None] * len(self.rules)
         self._topo = self.skeleton.topo_order()
         self._read_preds = sorted(
@@ -92,19 +108,10 @@ class TxnExec:
             sig.arity,
             len(sig.value_types),
         )
-        patches = self.corr.get(pred)
-        if patches:
-            return OverlayView(base_view, patch_tree(patches))
+        patch_root = self._corr_root.get(pred)
+        if patch_root is not None:
+            return OverlayView(base_view, patch_root)
         return base_view
-
-    def _delta_content(self, pred: str) -> dict:
-        out = {}
-        for key, vals in self._delta_support.get(pred, {}).items():
-            live = [v for v, c in vals.items() if c > 0]
-            if len(live) == 1:
-                out[key] = (1, live[0])
-            # conflicting keys contribute nothing; the conflict fails the txn
-        return out
 
     def _build_views(self) -> dict:
         views: dict = {}
@@ -114,12 +121,9 @@ class TxnExec:
             base = views.get(f"db:{pred}")
             if base is None:
                 base = self._db_view(pred)
-            views[f"end:{pred}"] = OverlayView(base, patch_tree(self._delta_content(pred)))
-        for pred, support in self._out_support.items():
-            tuples = sorted(t for t, c in support.items() if c > 0)
-            views[f"out:{pred}"] = TreeView(
-                ptree.from_sorted([(t, ()) for t in tuples]), self._derived_karity[pred], 0
-            )
+            views[f"end:{pred}"] = OverlayView(base, self._end_root.get(pred))
+        for pred, root in self._out_root.items():
+            views[f"out:{pred}"] = TreeView(root, self._derived_karity[pred], 0)
         return views
 
     # ---- evaluation ----
@@ -128,10 +132,18 @@ class TxnExec:
         """Full evaluation on a snapshot plus initial corrections."""
         self.base = base
         self.corr = {}
+        self._corr_root = {}  # no overlay built yet: records only fill corr
         for rec, inserted in corrections:
             self._apply_corr_record(rec, inserted)
+        self._corr_root = {
+            pred: patch_tree(self.corr.get(pred, {}))
+            for pred in sorted(set(self._read_preds) | set(self.upserted))
+        }
         self._delta_support = {}
         self._out_support = {}
+        self._end_root = {}
+        self._out_root = {}
+        self._out_of_range = 0
         for vertex in self._topo:
             if not vertex.startswith("rule"):
                 continue
@@ -149,42 +161,73 @@ class TxnExec:
         ]
 
     def _apply_corr_record(self, rec: DeltaRecord, inserted: bool):
+        """Fold one correction change into `corr` and, once the overlay of
+        its predicate is built, path-copy that overlay's root."""
         pred = self.schema.sig_by_id(rec.pred_id).name
         patches = self.corr.setdefault(pred, {})
+        entry = (rec.sign, rec.value if rec.sign > 0 else None)
         if inserted:
-            patches[rec.key] = (rec.sign, rec.value if rec.sign > 0 else None)
+            patches[rec.key] = entry
+        elif patches.get(rec.key) == entry:
+            del patches[rec.key]
         else:
-            cur = patches.get(rec.key)
-            if cur == (rec.sign, rec.value if rec.sign > 0 else None):
-                del patches[rec.key]
+            return
+        if pred in self._corr_root:
+            root = self._corr_root[pred]
+            self._corr_root[pred] = (
+                ptree.insert(root, rec.key, entry) if inserted else ptree.remove(root, rec.key)
+            )
 
     def _apply_rule_output(self, rule_idx: int, head_diffs) -> dict:
         """Fold one rule's head-count transitions into the shared vertex
-        contents; returns pending changed points per downstream vertex."""
+        contents and their overlay roots; returns pending changed points
+        per downstream vertex."""
         pending: dict = {}
-        rr = self.rewritten[rule_idx]
         rule = self.rules[rule_idx]
         for h, diffs in zip(rule.head, head_diffs):
             pred = h.atom.pred
             if h.is_upsert:
-                karity = self.schema.sig(pred).arity
+                sig = self.schema.sig(pred)
+                karity = sig.arity
                 support = self._delta_support.setdefault(pred, {})
+                root = self._end_root.get(pred)
                 touched = pending.setdefault(f"end:{pred}", [])
                 for t, (old_c, new_c) in diffs.items():
                     key, value = t[:karity], t[karity:]
                     vals = support.setdefault(key, {})
+                    before = next(iter(vals)) if len(vals) == 1 else None
+                    was_live = value in vals
                     vals[value] = vals.get(value, 0) + (new_c - old_c)
                     if vals[value] <= 0:
                         del vals[value]
+                    if was_live != (value in vals) and not _in_signature(sig, key, value):
+                        self._out_of_range += 1 if not was_live else -1
+                    # conflicting keys stay out of the overlay; the conflict
+                    # fails the txn
+                    after = next(iter(vals)) if len(vals) == 1 else None
+                    if after != before:
+                        root = (
+                            ptree.remove(root, key)
+                            if after is None
+                            else ptree.insert(root, key, (UPSERT, after))
+                        )
                     touched.append(t)
+                self._end_root[pred] = root
             else:
                 support = self._out_support.setdefault(pred, {})
+                root = self._out_root.get(pred)
                 touched = pending.setdefault(f"out:{pred}", [])
                 for t, (old_c, new_c) in diffs.items():
+                    was_live = t in support
                     support[t] = support.get(t, 0) + (new_c - old_c)
                     if support[t] <= 0:
                         del support[t]
+                        if was_live:
+                            root = ptree.remove(root, t)
+                    elif not was_live:
+                        root = ptree.insert(root, t, ())
                     touched.append(t)
+                self._out_root[pred] = root
         return pending
 
     # ---- repair ----
@@ -239,16 +282,17 @@ class TxnExec:
         hits = sum(
             m.constraint_hits for m in self.maintainers if m is not None
         )
-        self.status = FAILED if (hits > 0 or self._conflicts()) else EVALUATED
+        failed = hits > 0 or self._out_of_range > 0 or self._conflicts()
+        self.status = FAILED if failed else EVALUATED
 
     def delta_records(self):
         if self.status != EVALUATED:
             return []
         out = []
-        for pred in sorted(self._delta_support):
-            sig = self.schema.sig(pred)
-            for key, (sign, value) in sorted(self._delta_content(pred).items()):
-                out.append(upsert(sig.pred_id, key, value))
+        for pred, root in sorted(self._end_root.items()):
+            pred_id = self.schema.sig(pred).pred_id
+            for key, (_sign, value) in ptree.items(root):
+                out.append(upsert(pred_id, key, value))
         return out
 
     def sens_records(self):
@@ -280,6 +324,15 @@ class TxnExec:
                 m.constraint_hits for m in self.maintainers if m is not None
             ),
         )
+
+
+def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:
+    try:
+        sig.check_key(key)
+        sig.check_value(value)
+    except SchemaError:
+        return False
+    return True
 
 
 def make_null_txn(schema: Schema, txn_id=0) -> TxnExec:

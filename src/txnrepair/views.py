@@ -5,6 +5,11 @@ A view exposes one predicate's records as sorted full tuples
 base view with signed records (upserts/retractions keyed by key) without
 touching it; overlays nest, so `base + corrections + own-deltas` is two
 stacked overlays over the same immutable snapshot.
+
+Patch trees are persistent `ptree` roots: a holder bulk-builds one once
+and then path-copies it with one insert or remove per changed key. A
+view captures the root it was built with, so it stays a snapshot while
+its holder moves on.
 """
 
 from __future__ import annotations
@@ -92,11 +97,8 @@ RETRACT = -1
 
 
 def patch_tree(entries):
-    """Build a patch tree from {key: (sign, value_tuple_or_None)}."""
-    root = None
-    for key in sorted(entries):
-        root = ptree.insert(root, tuple(key), entries[key])
-    return root
+    """Bulk-build a patch tree from {key: (sign, value_tuple_or_None)}."""
+    return ptree.from_sorted((tuple(k), entries[k]) for k in sorted(entries))
 
 
 class OverlayView(View):

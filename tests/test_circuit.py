@@ -137,7 +137,7 @@ corr_recs = st.lists(
 def test_corr_filtering_and_idempotence(sens, corr0, corr1):
     """Corrections reach a child only inside its sensitivity; redelivery
     of identical upstream content leaves the output version unchanged."""
-    group = build_tree(1)
+    group = build_tree(1, label="0")  # below the root: it receives corrections
     child = group.left
     op = CorrOp(group, child, "", with_delta=False)
     child.sens[""].publish(inserts=sens)
@@ -164,7 +164,7 @@ def test_corr_filtering_and_idempotence(sens, corr0, corr1):
 
 
 def test_corr_delta_supersedes_parent():
-    group = build_tree(1)
+    group = build_tree(1, label="0")  # below the root: it receives corrections
     child = group.right
     op = CorrOp(group, child, "", with_delta=True)
     child.sens[""].publish(inserts=[sens_interval(0, (0,), (99,))])
@@ -176,7 +176,7 @@ def test_corr_delta_supersedes_parent():
 
 
 def test_sens_growth_pulls_existing_corrections():
-    group = build_tree(1)
+    group = build_tree(1, label="0")  # below the root: it receives corrections
     child = group.left
     op = CorrOp(group, child, "", with_delta=False)
     group.corr["0"].publish(inserts=[upsert(0, (5,), (1,))])
@@ -269,3 +269,16 @@ def test_fixpoint_matches_serial_oracle_under_random_schedules():
         got_db, got_statuses = run_fixpoint(base, txn_rules, 2, rnd)
         assert got_statuses == want_statuses, seed
         assert snapshot(got_db) == snapshot(want_db), seed
+
+
+def test_every_input_signal_has_a_producer():
+    """No operator pulls on a signal that nothing publishes; in particular
+    the root has no correction signals for its corrections to read."""
+    for height in range(1, 5):
+        root = build_tree(height)
+        assert root.corr == {}
+        ops = list(wire_tree(root, build_decomposition([point(0, (k,)) for k in range(8)], height)))
+        ops += [TxnOp(leaf, DbVersion()) for leaf in root.leaves()]
+        produced = {id(sig) for op in ops for sig in op.output_signals}
+        unproduced = [(op, s) for op in ops for s in op.input_signals if id(s) not in produced]
+        assert unproduced == [], height

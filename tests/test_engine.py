@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from txnrepair.bench import (
+    Workload,
     WorkloadConfig,
     make_workload,
     run_repair,
@@ -20,7 +21,7 @@ from txnrepair.domain import build_decomposition
 from txnrepair.engine import EARLIEST, FAR, INVERTED, Engine, EngineConfig, _op_priorities
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_lookup, store_upsert
 from txnrepair.rulelang import parse_rules
-from txnrepair.txn import EVALUATED, FAILED
+from txnrepair.txn import EVALUATED, FAILED, TxnExec
 from txnrepair.values import INT64
 
 SCHEMA = Schema.from_sigs([PredicateSig("cnt", 0, (INT64,), (INT64,))])
@@ -65,6 +66,62 @@ def test_failed_txn_skipped():
     assert rep.statuses == [EVALUATED, FAILED, EVALUATED]
     assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (2,)
     assert eng.metrics.failed_txns == 1
+
+
+def test_metrics_accumulate_across_runs():
+    rules_bad = parse_rules(
+        "^cnt[$k] = v <- v = cnt@start[$k] - 5.\nfalse <- cnt[$k] = v, v < 0.",
+        SCHEMA,
+        params={"k": 0},
+    )
+    eng = Engine(SCHEMA, base_db(), EngineConfig(height=2))
+    eng.run([bump(0), rules_bad, bump(0)])
+    rep = eng.run([rules_bad, bump(0)])
+    assert rep.statuses == [FAILED, EVALUATED]
+    assert (eng.metrics.txns, eng.metrics.failed_txns, eng.metrics.epochs) == (5, 2, 2)
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])  # 0: run_serial
+def test_overflow_fails_and_commits_nothing(workers):
+    db = store_upsert(base_db(2), SCHEMA.sig("cnt"), (1,), (INT64_MAX,))
+    txns = [bump(1), bump(0)]
+    if workers == 0:
+        rep = run_serial(Workload(SCHEMA, db, txns, []))
+    else:
+        rep = Engine(SCHEMA, db, EngineConfig(workers=workers, height=1)).run(txns)
+    assert rep.statuses == [FAILED, EVALUATED]
+    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (1,)) == (INT64_MAX,)
+    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (1,)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflow_recovers_when_repaired_into_range(monkeypatch, workers):
+    """T1 first evaluates against INT64_MAX and fails; the correction
+    carrying T0's write brings its bump back into range."""
+    db = store_upsert(base_db(2), SCHEMA.sig("cnt"), (1,), (INT64_MAX,))
+    txns = [parse_rules("^cnt[1] = v <- v = 0.", SCHEMA), bump(1)]
+    first = {}
+    evaluate = TxnExec.evaluate
+
+    def recording(txn, *args):
+        out = evaluate(txn, *args)
+        first[txn.txn_id] = out.status
+        return out
+
+    monkeypatch.setattr(TxnExec, "evaluate", recording)
+    eng = Engine(SCHEMA, db, EngineConfig(workers=workers, height=1))
+    rep = eng.run(txns)
+    monkeypatch.setattr(TxnExec, "evaluate", evaluate)
+    want = run_serial(Workload(SCHEMA, db, txns, []))
+    assert rep.statuses == want.statuses == [EVALUATED, EVALUATED]
+    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (1,)) == (1,)
+    assert state_hash(rep.db, SCHEMA) == want.hash(SCHEMA)
+    if workers == 1:  # the earliest-first schedule evaluates T1 before correcting it
+        assert first == {0: EVALUATED, 1: FAILED}
+        assert eng.metrics.txn_refreshes == 3
 
 
 def test_counter_chain_refresh_bounds():

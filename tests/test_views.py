@@ -105,3 +105,18 @@ def test_overlay_cursor_seek_monotone(base_entries, patch_entries, seeks):
             assert cur.current() == expect[0]
         else:
             assert cur.at_end
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 15), st.integers(0, 3)),
+                       st.one_of(st.tuples(st.just(1), st.tuples(st.integers(0, 9))),
+                                 st.just((-1, None))),
+                       max_size=30))
+@settings(max_examples=200)
+def test_patch_tree_bulk_build_matches_insert_loop(entries):
+    """The bulk-built patch tree holds what inserting key by key would."""
+    loop = None
+    for key in sorted(entries):
+        loop = ptree.insert(loop, key, entries[key])
+    bulk = patch_tree(entries)
+    assert list(ptree.items(bulk)) == list(ptree.items(loop))
+    assert ptree.size(bulk) == len(entries)
