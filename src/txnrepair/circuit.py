@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .domain import DomainDecomposition, DomainPoint
+from .domain import DomainDecomposition
 from .inclftj import IntervalIndex
 from .lftj import SensEntry
 from .pstore import DbVersion
@@ -87,31 +87,22 @@ def build_tree(height: int, label: str = "") -> TreeNode:
     return node
 
 
-def _in_interval(lo_pt: DomainPoint, hi_pt: DomainPoint, pred_id: int, key: tuple) -> bool:
-    p = (1, pred_id, tuple(key))
-    return lo_pt.sort_key() <= p < hi_pt.sort_key()
+def _in_interval(lo_pt: tuple, hi_pt: tuple, pred_id: int, key: tuple) -> bool:
+    return lo_pt <= (pred_id, tuple(key)) < hi_pt
 
 
-def clip_sens(rec: SensitivityRecord, lo_pt: DomainPoint, hi_pt: DomainPoint):
+def clip_sens(rec: SensitivityRecord, lo_pt: tuple, hi_pt: tuple):
     """Closed clip of a key interval to a subdomain; both subdomains keep
     the boundary point, which preserves covering."""
     arity = len(rec.lo)
-    a = (1, rec.pred_id, rec.lo)
-    b = (1, rec.pred_id, rec.hi)
-    nlo = max(a, lo_pt.sort_key())
-    nhi = min(b, hi_pt.sort_key())
+    a = (rec.pred_id, rec.lo)
+    b = (rec.pred_id, rec.hi)
+    nlo = max(a, lo_pt)
+    nhi = min(b, hi_pt)
     if nlo > nhi:
         return None
-    if nlo == a:
-        lo = rec.lo
-    else:
-        key = tuple(nlo[2])
-        lo = (key + (MINK,) * arity)[:arity]
-    if nhi == b:
-        hi = rec.hi
-    else:
-        key = tuple(nhi[2])
-        hi = (key + (TOP,) * arity)[:arity]
+    lo = rec.lo if nlo == a else (nlo[1] + (MINK,) * arity)[:arity]
+    hi = rec.hi if nhi == b else (nhi[1] + (TOP,) * arity)[:arity]
     if not lo <= hi:
         return None
     return SensitivityRecord(rec.pred_id, lo, hi)

@@ -1,72 +1,31 @@
 """The global total order over (predicate, key) points and its decomposition.
 
-Every record in the database lives at a point (pred_id, key) of a single
-ordered domain with -inf/+inf endpoints. A domain decomposition is a
-binary tree of split points; the node at path d (a binary string) owns
-the half-open interval reached by halving at each split.
+Every record in the database lives at the point (pred_id, key): the same
+tuple as its delta record's identity, ordered by plain tuple comparison.
+The domain's ends are (MINK,) and (TOP,), which compare below and above
+every point. A domain decomposition is a binary tree of split points;
+the node at path d (a binary string) owns the half-open interval reached
+by halving at each split.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .values import MINK, TOP
 
-NEG_INF = "neg_inf"
-POS_INF = "pos_inf"
-POINT = "point"
+BOTTOM_POINT = (MINK,)
+TOP_POINT = (TOP,)
 
 
-@dataclass(frozen=True)
-class DomainPoint:
-    kind: str = POINT
-    pred_id: int = 0
-    key: tuple = ()
-
-    def sort_key(self):
-        if self.kind == NEG_INF:
-            return (0,)
-        if self.kind == POS_INF:
-            return (2,)
-        return (1, self.pred_id, self.key)
-
-
-BOTTOM_POINT = DomainPoint(NEG_INF)
-TOP_POINT = DomainPoint(POS_INF)
-
-
-def point(pred_id: int, key) -> DomainPoint:
-    return DomainPoint(POINT, pred_id, tuple(key))
-
-
-def cmp_domain(a: DomainPoint, b: DomainPoint) -> int:
-    """Total order: -inf < (pred_id, key) lexicographic < +inf."""
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
-def point_below(split: DomainPoint, pred_id: int, key) -> bool:
-    """True when the record point (pred_id, key) falls below the split."""
-    if split.kind == POS_INF:
-        return True
-    if split.kind == NEG_INF:
-        return False
-    return (pred_id, tuple(key)) < (split.pred_id, split.key)
-
-
-class InvalidPath(ValueError):
-    pass
+def point(pred_id: int, key) -> tuple:
+    return (pred_id, tuple(key))
 
 
 @dataclass(frozen=True)
 class _DecompNode:
-    split: DomainPoint
+    split: tuple
     left: Optional["_DecompNode"]
     right: Optional["_DecompNode"]
 
@@ -77,108 +36,37 @@ class DomainDecomposition:
     height: int
 
     def subdomain_interval(self, d: str):
-        """Half-open interval [lo, hi) of the node at path d; "" is the root."""
+        """Half-open interval [lo, hi) of the node at path d; "" is the root.
+        d is at most `height` long, so every node on the path exists."""
         lo, hi = BOTTOM_POINT, TOP_POINT
         node = self.root
         for ch in d:
-            split = self._split_of(node, lo, hi)
             if ch == "0":
-                hi = split
-                node = node.left if node is not None else None
+                hi, node = node.split, node.left
             elif ch == "1":
-                lo = split
-                node = node.right if node is not None else None
+                lo, node = node.split, node.right
             else:
-                raise InvalidPath(f"invalid path character {ch!r} in {d!r}")
+                raise ValueError(f"invalid path character {ch!r} in {d!r}")
         return lo, hi
 
-    def split_for_path(self, d: str) -> DomainPoint:
-        """Split point dividing the interval at path d into d0 and d1."""
-        lo, hi = BOTTOM_POINT, TOP_POINT
-        node = self.root
-        for ch in d:
-            split = self._split_of(node, lo, hi)
-            if ch == "0":
-                hi = split
-                node = node.left if node is not None else None
-            else:
-                lo = split
-                node = node.right if node is not None else None
-        return self._split_of(node, lo, hi)
 
-    @staticmethod
-    def _split_of(node: Optional[_DecompNode], lo: DomainPoint, hi: DomainPoint) -> DomainPoint:
-        if node is not None:
-            return node.split
-        # Beyond the built height: degenerate split producing one empty half.
-        # Any s with lo <= s <= hi keeps the partition invariant.
-        if lo.kind == POINT:
-            return lo
-        if hi.kind == POINT:
-            return hi
-        # interval is the whole domain: split at the lowest predicate boundary
-        return DomainPoint(POINT, 0, (MINK,))
-
-    def to_json(self) -> str:
-        def enc_point(p: DomainPoint):
-            if p.kind != POINT:
-                return {"kind": p.kind}
-            key = [("MINK" if k is MINK else "TOP" if k is TOP else k) for k in p.key]
-            return {"kind": POINT, "pred_id": p.pred_id, "key": key}
-
-        def enc(node):
-            if node is None:
-                return None
-            return {
-                "split": enc_point(node.split),
-                "left": enc(node.left),
-                "right": enc(node.right),
-            }
-
-        return json.dumps({"height": self.height, "tree": enc(self.root)}, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "DomainDecomposition":
-        doc = json.loads(text)
-
-        def dec_point(p):
-            if p["kind"] != POINT:
-                return DomainPoint(p["kind"])
-            key = tuple(MINK if k == "MINK" else TOP if k == "TOP" else k for k in p["key"])
-            return DomainPoint(POINT, p["pred_id"], key)
-
-        def dec(node):
-            if node is None:
-                return None
-            return _DecompNode(dec_point(node["split"]), dec(node["left"]), dec(node["right"]))
-
-        return DomainDecomposition(dec(doc["tree"]), doc["height"])
-
-
-def build_decomposition(samples: Iterable[DomainPoint], height: int) -> DomainDecomposition:
+def build_decomposition(samples: Iterable[tuple], height: int) -> DomainDecomposition:
     """Choose splits at sample quantiles so leaves carry roughly equal mass.
 
-    Degenerate samples are fine; ties just produce empty subdomains.
+    Degenerate samples are fine; ties just produce empty subdomains. A node
+    with no samples splits off an empty half at its lower end when that is
+    a point, else at its upper end, else (the whole domain) at the lowest
+    point of predicate 0.
     """
-    pts = sorted((s for s in samples if s.kind == POINT), key=DomainPoint.sort_key)
-
-    def degenerate(lo, hi):
-        if lo.kind == POINT:
-            return lo
-        if hi.kind == POINT:
-            return hi
-        return DomainPoint(POINT, 0, (MINK,))
 
     def build(points, h, lo, hi):
         if h <= 0:
             return None
         if points:
             mid = len(points) // 2
-            split = points[mid]
-            left_pts = points[:mid]
-            right_pts = points[mid:]
+            split, left_pts, right_pts = points[mid], points[:mid], points[mid:]
         else:
-            split = degenerate(lo, hi)
+            split = lo if lo != BOTTOM_POINT else hi if hi != TOP_POINT else (0, (MINK,))
             left_pts = right_pts = []
         return _DecompNode(
             split,
@@ -186,4 +74,4 @@ def build_decomposition(samples: Iterable[DomainPoint], height: int) -> DomainDe
             build(right_pts, h - 1, split, hi),
         )
 
-    return DomainDecomposition(build(pts, height, BOTTOM_POINT, TOP_POINT), height)
+    return DomainDecomposition(build(sorted(samples), height, BOTTOM_POINT, TOP_POINT), height)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .circuit import CorrOp, DeltaMergeOp, TxnOp, build_tree, wire_tree
-from .domain import build_decomposition, point
+from .domain import build_decomposition
 from .pstore import DbVersion, Schema, apply_deltas, full_scan
 from .txn import EVALUATED, TxnExec
 
@@ -173,9 +173,7 @@ class Engine:
         self.metrics = EngineMetrics()
 
     def _decomposition(self):
-        pts = []
-        for pred_id, key, _value in full_scan(self.db, self.schema):
-            pts.append(point(pred_id, key))
+        pts = [(pred_id, key) for pred_id, key, _value in full_scan(self.db, self.schema)]
         if len(pts) > DECOMP_SAMPLES:
             stride = len(pts) / DECOMP_SAMPLES
             pts = [pts[int(i * stride)] for i in range(DECOMP_SAMPLES)]

@@ -51,10 +51,8 @@ class IntervalIndex:
     def __init__(self, seed: int = 0):
         self.root = None
         self._rng = random.Random(seed)
-        self.size = 0
 
     def insert(self, entry: SensEntry):
-        self.size += 1
         node = _INode(entry.lo, entry.hi, entry, self._rng.random())
         self.root = self._insert(self.root, node)
 
@@ -206,22 +204,3 @@ class RuleMaintainer:
         report.constraint_delta = cdelta
         self.views = dict(new_views)
         return report
-
-
-def changed_points_from_deltas(vertex: str, old_view, records) -> dict:
-    """Full-tuple touch points for delta records against one view.
-
-    For an upsert that replaces an existing value both the old and the
-    new full tuple are touched; for retractions, the old tuple.
-    """
-    from .views import view_lookup
-
-    points = []
-    for rec in records:
-        key = tuple(rec.key)
-        old_val = view_lookup(old_view, key)
-        if old_val is not None:
-            points.append(key + old_val)
-        if rec.sign > 0:
-            points.append(key + tuple(rec.value or ()))
-    return {vertex: points}

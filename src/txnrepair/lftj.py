@@ -17,13 +17,13 @@ from typing import Optional
 
 from .rulelang import (
     ARITH_OPS,
-    AT_START,
     Const,
     NegAtom,
     PrimAtom,
     RelAtom,
     Rule,
     Var,
+    atom_vertex,
     choose_variable_order,
 )
 from .values import SchemaError
@@ -80,24 +80,12 @@ class CompiledRule:
     neg_atoms: tuple  # negated CompiledAtoms
     plans: tuple  # _LevelPlan per var
     pre_checks: tuple  # checks with no free variables
-    head_vertices: tuple  # vertex per head atom ("delta:P" / "out:P")
 
 
 def _terms_of(atom):
     if isinstance(atom, RelAtom):
         return atom.args
     return atom.key_args + atom.value_args
-
-
-def atom_vertex(atom, schema, upserted) -> str:
-    """Vertex naming mirrors rulelang.rewrite_for_txn."""
-    if atom.pred in schema:
-        if atom.stage == AT_START:
-            return f"db:{atom.pred}"
-        if atom.pred in upserted:
-            return f"end:{atom.pred}"
-        return f"db:{atom.pred}"
-    return f"out:{atom.pred}"
 
 
 def compile_rule(rule: Rule, schema, upserted=frozenset(), derived_karity=None) -> CompiledRule:
@@ -200,13 +188,6 @@ def compile_rule(rule: Rule, schema, upserted=frozenset(), derived_karity=None) 
                     continue
         plans[lvl].checks.append(("prim", p))
 
-    head_vertices = []
-    for h in rule.head:
-        if h.is_upsert:
-            head_vertices.append(f"delta:{h.atom.pred}")
-        else:
-            head_vertices.append(f"out:{h.atom.pred}")
-
     return CompiledRule(
         rule=rule,
         var_order=var_order,
@@ -214,7 +195,6 @@ def compile_rule(rule: Rule, schema, upserted=frozenset(), derived_karity=None) 
         neg_atoms=tuple(neg_atoms),
         plans=tuple(plans),
         pre_checks=tuple(pre_checks),
-        head_vertices=tuple(head_vertices),
     )
 
 

@@ -106,9 +106,6 @@ class Schema:
         )
 
 
-_EMPTY_ROOTS: dict = {}
-
-
 @dataclass(frozen=True)
 class DbVersion:
     """Immutable database snapshot; safe to share across workers."""

@@ -9,7 +9,7 @@ O(m log(n/m)) bound for visiting m of n records via seeks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 # Weight-balance parameters (delta, gamma) = (3, 2): a classic valid pair.
 _DELTA = 3
@@ -170,14 +170,13 @@ class Cursor:
     top, below it every ancestor whose key (and right subtree) is still
     ahead of the cursor. seek(k) advances to the least key >= k and never
     moves backward; its cost is proportional to the log of the distance
-    travelled. `touches` counts node visits for the complexity check.
+    travelled.
     """
 
-    __slots__ = ("_stack", "touches", "at_end")
+    __slots__ = ("_stack", "at_end")
 
     def __init__(self, root: Optional[Node]):
         self._stack: list = []
-        self.touches = 0
         self._push_left(root)
         self.at_end = not self._stack
 
@@ -191,7 +190,6 @@ class Cursor:
 
     def _push_left(self, node):
         while node is not None:
-            self.touches += 1
             self._stack.append(node)
             node = node.left
 
@@ -214,12 +212,9 @@ class Cursor:
         # entry (its key and right subtree) is < key too, so drop it.
         while len(s) >= 2 and s[-2].key < key:
             s.pop()
-            self.touches += 1
         node = s.pop()  # node.key < key; answer may be in its right subtree
-        self.touches += 1
         sub = node.right
         while sub is not None:
-            self.touches += 1
             if sub.key < key:
                 sub = sub.right
             else:

@@ -17,11 +17,11 @@ over fresh temporaries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .pstore import PredicateSig, Schema
-from .values import BOOL, INT64, SchemaError, STRING, literal_tag
+from .pstore import Schema
+from .values import INT64, SchemaError, literal_tag
 
 AT_START = "start"
 AT_END = "end"
@@ -698,11 +698,19 @@ def choose_variable_order(rule: Rule):
 @dataclass(frozen=True)
 class RewrittenRule:
     rule: Rule
-    var_order: tuple
     # predicates this rule reads, by vertex name (see vertex naming below)
     reads: tuple = ()
     # vertex names this rule writes (delta predicates or temporaries)
     writes: tuple = ()
+
+
+def atom_vertex(atom, schema: Schema, upserted) -> str:
+    """The vertex a body atom reads (naming in rewrite_for_txn)."""
+    if atom.pred in schema:
+        if atom.stage == AT_START or atom.pred not in upserted:
+            return f"db:{atom.pred}"
+        return f"end:{atom.pred}"
+    return f"out:{atom.pred}"
 
 
 def rewrite_for_txn(rules, schema: Schema):
@@ -727,26 +735,18 @@ def rewrite_for_txn(rules, schema: Schema):
 
     rewritten = []
     edges = set()  # (src vertex, dst vertex) through rules
-    rule_ids = []
+    for pred in upserted:
+        edges.add((f"db:{pred}", f"end:{pred}"))
+        edges.add((f"delta:{pred}", f"end:{pred}"))
     for idx, rule in enumerate(rules):
         rid = f"rule{idx}"
-        rule_ids.append(rid)
         reads = []
         writes = []
         for atom in rule.body:
             target = atom.atom if isinstance(atom, NegAtom) else atom
             if not isinstance(target, (RelAtom, FunAtom)):
                 continue
-            pred = target.pred
-            if pred in schema:
-                if target.stage == AT_START:
-                    v = f"db:{pred}"
-                elif pred in upserted:
-                    v = f"end:{pred}"
-                else:
-                    v = f"db:{pred}"
-            else:
-                v = f"out:{pred}"
+            v = atom_vertex(target, schema, upserted)
             reads.append(v)
             edges.add((v, rid))
         if rule.is_constraint:
@@ -760,20 +760,15 @@ def rewrite_for_txn(rules, schema: Schema):
                 v = f"out:{pred}"
             writes.append(v)
             edges.add((rid, v))
-        for pred in upserted:
-            edges.add((f"db:{pred}", f"end:{pred}"))
-            edges.add((f"delta:{pred}", f"end:{pred}"))
-        var_order = choose_variable_order(rule)
         rewritten.append(
             RewrittenRule(
                 rule=rule,
-                var_order=tuple(var_order),
                 reads=tuple(dict.fromkeys(reads)),
                 writes=tuple(dict.fromkeys(writes)),
             )
         )
 
-    skeleton = GraphSkeleton(edges=frozenset(edges), rule_ids=tuple(rule_ids))
+    skeleton = GraphSkeleton(edges=frozenset(edges))
     skeleton.check_acyclic()
     return rewritten, skeleton
 
@@ -781,7 +776,6 @@ def rewrite_for_txn(rules, schema: Schema):
 @dataclass(frozen=True)
 class GraphSkeleton:
     edges: frozenset
-    rule_ids: tuple
 
     def vertices(self):
         vs = set()

@@ -221,30 +221,3 @@ class SignalCursor:
         out = self.signal.changes(self.version, latest)
         self.version = latest
         return out
-
-
-def sens_coalesce(records):
-    """Merge overlapping sensitivity intervals; membership is preserved.
-
-    Intervals are merged only when they overlap (closed endpoints), so
-    the point-membership function is unchanged.
-    """
-    by_pred: dict = {}
-    for rec in records:
-        by_pred.setdefault(rec.pred_id, []).append(rec)
-    out = []
-    for pred_id in sorted(by_pred):
-        ivals = sorted(by_pred[pred_id], key=lambda r: (r.lo, r.hi))
-        cur_lo, cur_hi = None, None
-        for r in ivals:
-            if cur_lo is None:
-                cur_lo, cur_hi = r.lo, r.hi
-            elif r.lo <= cur_hi:
-                if r.hi > cur_hi:
-                    cur_hi = r.hi
-            else:
-                out.append(SensitivityRecord(pred_id, cur_lo, cur_hi))
-                cur_lo, cur_hi = r.lo, r.hi
-        if cur_lo is not None:
-            out.append(SensitivityRecord(pred_id, cur_lo, cur_hi))
-    return out

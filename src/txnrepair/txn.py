@@ -333,8 +333,3 @@ def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:
     except SchemaError:
         return False
     return True
-
-
-def make_null_txn(schema: Schema, txn_id=0) -> TxnExec:
-    """A transaction with no rules: evaluates trivially, never fails."""
-    return TxnExec(schema, [], txn_id=txn_id)

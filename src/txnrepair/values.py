@@ -12,8 +12,6 @@ INT64 = "int64"
 STRING = "string"
 BOOL = "bool"
 
-TYPE_TAGS = (INT64, STRING, BOOL)
-
 
 class SchemaError(Exception):
     """Arity or type mismatch against a predicate signature."""

@@ -14,6 +14,7 @@ from txnrepair.circuit import (
     _in_interval,
     build_tree,
     clip_sens,
+    labels,
     wire_tree,
 )
 from txnrepair.domain import build_decomposition, point
@@ -27,7 +28,7 @@ from txnrepair.pstore import (
 from txnrepair.rulelang import parse_rules
 from txnrepair.signal import sens_interval, upsert
 from txnrepair.txn import EVALUATED, TxnExec
-from txnrepair.values import INT64
+from txnrepair.values import INT64, MINK, TOP
 
 keys = st.integers(0, 30)
 
@@ -124,6 +125,53 @@ def test_clip_covering(rec, split_key, probe):
     before = rec.contains((probe,))
     after = any(c is not None and c.contains((probe,)) for c in (left, right))
     assert before == after
+
+
+ends = st.one_of(st.just(MINK), keys, st.just(TOP))
+any_ivals = st.tuples(st.integers(0, 3), ends, ends).map(
+    lambda t: sens_interval(t[0], (min(t[1:]),), (max(t[1:]),))
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), keys), max_size=10), st.integers(1, 3),
+       any_ivals, st.lists(st.tuples(st.integers(0, 3), ends), min_size=1, max_size=8))
+@settings(max_examples=250)
+def test_interval_ops_across_predicates_and_ends(samples, height, rec, probes):
+    """With splits on predicates 0-2, or none at all (one split at
+    (0, (MINK,))): every point, the domain's ends included, lies in exactly
+    one leaf, and a sensitivity interval on any predicate clips to pieces
+    inside their closed leaves that cover the keys it covers, each in the
+    piece of its own leaf."""
+    decomp = build_decomposition([point(p, (k,)) for p, k in samples], height)
+    leaves = [decomp.subdomain_interval(d) for d in labels(height)]
+    pieces = [clip_sens(rec, lo, hi) for lo, hi in leaves]
+    for (lo, hi), c in zip(leaves, pieces):
+        if c is not None:
+            assert c.pred_id == rec.pred_id
+            assert rec.lo <= c.lo <= c.hi <= rec.hi
+            assert lo <= (c.pred_id, c.lo) and (c.pred_id, c.hi) <= hi
+    for pred_id, k in probes:
+        key = (k,)
+        owners = [i for i, (lo, hi) in enumerate(leaves) if _in_interval(lo, hi, pred_id, key)]
+        assert len(owners) == 1, (pred_id, key, owners)
+        if pred_id == rec.pred_id:
+            covered = any(c is not None and c.contains(key) for c in pieces)
+            assert covered == rec.contains(key)
+            if covered:
+                assert pieces[owners[0]].contains(key)
+
+
+def test_clip_pads_short_split_keys():
+    """A split point shorter than the key arity, such as the empty-sample
+    split (0, (MINK,)), pads a clipped lo with MINK and a clipped hi with
+    TOP, so both pieces keep every key that extends the split."""
+    rec = sens_interval(0, (1, MINK), (5, TOP))
+    split = point(0, (3,))
+    left = clip_sens(rec, point(0, (MINK,)), split)
+    right = clip_sens(rec, split, point(1, (MINK,)))
+    assert (left.lo, left.hi) == ((1, MINK), (3, TOP))
+    assert (right.lo, right.hi) == ((3, MINK), (5, TOP))
+    assert left.contains((3, 0)) and right.contains((3, 0))
 
 
 corr_recs = st.lists(

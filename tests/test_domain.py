@@ -1,39 +1,27 @@
 """Domain order and decomposition partition properties."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txnrepair.domain import (
-    BOTTOM_POINT,
-    TOP_POINT,
-    DomainDecomposition,
-    build_decomposition,
-    cmp_domain,
-    point,
-    point_below,
-)
+from txnrepair.circuit import labels
+from txnrepair.domain import BOTTOM_POINT, TOP_POINT, build_decomposition, point
+from txnrepair.values import MINK, TOP
 
 pts = st.tuples(st.integers(0, 3), st.integers(0, 40))
 
 
 def _contains(decomp, d, pred_id, key):
     lo, hi = decomp.subdomain_interval(d)
-    p = (1, pred_id, key)
-    return lo.sort_key() <= p < hi.sort_key()
+    return lo <= point(pred_id, key) < hi
 
 
 def test_total_order():
-    assert cmp_domain(BOTTOM_POINT, point(0, (0,))) == -1
-    assert cmp_domain(point(0, (99,)), point(1, (0,))) == -1
-    assert cmp_domain(point(2, (5,)), TOP_POINT) == -1
-    assert cmp_domain(point(1, (5,)), point(1, (5,))) == 0
-
-
-def test_point_below():
-    assert point_below(TOP_POINT, 9, (9,))
-    assert not point_below(BOTTOM_POINT, 0, (0,))
-    assert point_below(point(1, (5,)), 1, (4,))
-    assert not point_below(point(1, (5,)), 1, (5,))
+    assert BOTTOM_POINT < point(0, (MINK,)) < point(0, (0,))
+    assert point(0, (99,)) < point(1, (0,))
+    assert point(2, (5,)) < point(2, (TOP,)) < TOP_POINT
+    assert point(1, (5,)) == (1, (5,))
+    assert not point(1, (5,)) < point(1, (5,))
 
 
 @given(
@@ -49,31 +37,42 @@ def test_leaf_partition(samples, height, probes):
     for pred_id, k in probes:
         key = (k,)
         for h in range(height + 1):
-            labels = ["".join(b) for b in __import__("itertools").product("01", repeat=h)]
-            owners = [d for d in labels if _contains(decomp, d, pred_id, key)]
+            owners = [d for d in labels(h) if _contains(decomp, d, pred_id, key)]
             assert len(owners) == 1, (pred_id, key, h, owners)
 
 
 @given(st.lists(pts, max_size=30), st.integers(1, 4))
 @settings(max_examples=250)
 def test_split_nests_children(samples, height):
-    """The split of node d is the shared endpoint of d0 and d1."""
-    import itertools
-
+    """Node d's interval is the union of d0's and d1's, which meet at one
+    split point inside it."""
     decomp = build_decomposition([point(p, (k,)) for p, k in samples], height)
     for h in range(height):
-        for d in ("".join(b) for b in itertools.product("01", repeat=h)):
+        for d in labels(h):
             lo, hi = decomp.subdomain_interval(d)
-            split = decomp.split_for_path(d)
-            assert lo.sort_key() <= split.sort_key() <= hi.sort_key()
             l0, h0 = decomp.subdomain_interval(d + "0")
             l1, h1 = decomp.subdomain_interval(d + "1")
-            assert (l0, h0) == (lo, split)
-            assert (l1, h1) == (split, hi)
+            assert l0 == lo and h1 == hi and h0 == l1
+            assert lo <= h0 <= hi
 
 
-def test_json_round_trip():
+def test_empty_halves_split_at_a_point_end():
+    """A node without samples splits at its lower end if that is a point,
+    else at its upper end, else (the whole domain) at (0, (MINK,))."""
+    low = point(0, (MINK,))
+    empty = build_decomposition([], 2)
+    assert empty.subdomain_interval("0") == (BOTTOM_POINT, low)
+    assert empty.subdomain_interval("00") == (BOTTOM_POINT, low)
+    assert empty.subdomain_interval("01") == (low, low)
+    assert empty.subdomain_interval("10") == (low, low)
+    assert empty.subdomain_interval("11") == (low, TOP_POINT)
+    one = build_decomposition([point(1, (7,))], 2)
+    assert one.subdomain_interval("0") == (BOTTOM_POINT, point(1, (7,)))
+    assert one.subdomain_interval("01") == (point(1, (7,)), point(1, (7,)))
+    assert one.subdomain_interval("11") == (point(1, (7,)), TOP_POINT)
+
+
+def test_invalid_path_character():
     decomp = build_decomposition([point(0, (i,)) for i in range(10)], 3)
-    back = DomainDecomposition.from_json(decomp.to_json())
-    for d in ("", "0", "01", "110"):
-        assert back.subdomain_interval(d) == decomp.subdomain_interval(d)
+    with pytest.raises(ValueError):
+        decomp.subdomain_interval("02")

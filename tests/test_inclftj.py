@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from txnrepair.inclftj import (
     IntervalIndex,
     RuleMaintainer,
-    changed_points_from_deltas,
     minimal_contexts,
 )
 from txnrepair.lftj import SensEntry, compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
-from txnrepair.signal import retract, upsert
 from txnrepair.views import TreeView
 
 ival = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
@@ -120,9 +118,3 @@ def test_constraint_delta_tracks_hits():
     assert rep.constraint_delta == 1 and m.constraint_hits == 1
     rep = m.apply_changes(views({1: 2}), {"db:F": [(1, -3), (1, 2)]})
     assert rep.constraint_delta == -1 and m.constraint_hits == 0
-
-
-def test_changed_points_from_deltas():
-    views = make_views((), (), (3,))
-    pts = changed_points_from_deltas("db:C", views["db:C"], [retract(2, (3,)), upsert(2, (5,))])
-    assert pts == {"db:C": [(3,), (5,)]}

@@ -80,6 +80,28 @@ def test_from_sorted(ks):
     check_balance(root)
 
 
+class _CountingKey(int):
+    """An int key that counts the order comparisons made on it."""
+
+    compares = 0
+
+    def __lt__(self, other):
+        _CountingKey.compares += 1
+        return int.__lt__(self, other)
+
+    def __le__(self, other):
+        _CountingKey.compares += 1
+        return int.__le__(self, other)
+
+    def __gt__(self, other):
+        _CountingKey.compares += 1
+        return int.__gt__(self, other)
+
+    def __ge__(self, other):
+        _CountingKey.compares += 1
+        return int.__ge__(self, other)
+
+
 class TestCursor:
     @given(st.sets(keys, min_size=1, max_size=40), st.lists(keys, max_size=10))
     def test_seek_lands_on_lower_bound(self, ks, seeks):
@@ -105,9 +127,12 @@ class TestCursor:
         assert seen == [1, 3, 5, 9]
 
     def test_seek_cost_is_local(self):
-        root = ptree.from_sorted([(k, ()) for k in range(4096)])
+        root = ptree.from_sorted([(_CountingKey(k), ()) for k in range(4096)])
         cur = ptree.Cursor(root)
-        cur.seek(1000)
-        t0 = cur.touches
-        cur.seek(1001)
-        assert cur.touches - t0 < 16  # short hop: logarithmic in distance
+        for k in range(1000, 1100):
+            cur.seek(_CountingKey(k))
+            c0 = _CountingKey.compares
+            cur.seek(_CountingKey(k + 1))
+            # short hop: logarithmic in distance
+            assert _CountingKey.compares - c0 < 16
+            assert cur.key == k + 1

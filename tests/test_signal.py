@@ -9,7 +9,6 @@ from txnrepair.signal import (
     SignalCursor,
     VersionedSignal,
     retract,
-    sens_coalesce,
     sens_interval,
     upsert,
 )
@@ -138,15 +137,6 @@ class TestCursor:
         assert cur.pull() == []
         sig.publish(inserts=[upsert(0, (2,), (5,))])
         assert cur.pull() == [(upsert(0, (2,), (5,)), True)]
-
-@given(st.lists(sens_recs, max_size=15), st.integers(0, 2), st.integers(0, 20))
-@settings(max_examples=300)
-def test_coalesce_preserves_membership(recs, pred_id, k):
-    merged = sens_coalesce(recs)
-    key = (k,)
-    before = any(r.pred_id == pred_id and r.contains(key) for r in recs)
-    after = any(r.pred_id == pred_id and r.contains(key) for r in merged)
-    assert before == after
 
 
 def test_range_records():

@@ -10,7 +10,7 @@ from txnrepair import ptree
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.signal import retract, upsert
-from txnrepair.txn import EVALUATED, FAILED, TxnExec, make_null_txn
+from txnrepair.txn import EVALUATED, FAILED, TxnExec
 from txnrepair.values import INT64
 from txnrepair.views import OverlayView, TreeView, patch_tree, view_scan
 
@@ -104,7 +104,7 @@ def test_repair_can_fail_and_recover():
 
 
 def test_null_txn():
-    out = make_null_txn(SCHEMA).evaluate(make_db({}))
+    out = TxnExec(SCHEMA, []).evaluate(make_db({}))
     assert out.status == EVALUATED and out.deltas == [] and out.sens == []
 
 
