@@ -229,16 +229,20 @@ def run_serial(wl: Workload) -> RunReport:
 def run_lock(wl: Workload, workers: int = 1) -> RunReport:
     """Two-phase row locking over the workload's declared key sets.
 
-    Locks are acquired in global key order (no deadlocks). Transactions
-    still execute in admission order per key, because each waits for its
-    whole lock set; the committed state matches the serial oracle for
-    the key-local workloads this baseline supports.
+    A worker takes the next transaction index and then that transaction's
+    key locks, in global key order, all under one admission lock, so each
+    key's lock goes to its transactions in admission order. A running
+    transaction never takes the admission lock, so waiting for a key lock
+    while holding it cannot deadlock. The committed state matches the
+    serial oracle for workloads whose lock sets cover every key a
+    transaction reads or writes.
     """
     t0 = time.perf_counter()
     locks = {}
     for ls in wl.locksets:
         for key in ls:
             locks.setdefault(key, threading.Lock())
+    admit_lock = threading.Lock()
     state_lock = threading.Lock()
     shared = {"db": wl.db}
     statuses = [None] * len(wl.txns)
@@ -246,14 +250,14 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
 
     def work():
         while True:
-            with state_lock:
+            with admit_lock:
                 i = next_txn[0]
                 if i >= len(wl.txns):
                     return
                 next_txn[0] += 1
-            held = [locks[k] for k in wl.locksets[i]]
-            for lk in held:
-                lk.acquire()
+                held = [locks[k] for k in wl.locksets[i]]
+                for lk in held:
+                    lk.acquire()
             try:
                 with state_lock:
                     db = shared["db"]

@@ -16,9 +16,9 @@ signals and its correction operators read only deltas and sensitivity.
 
 Signals at a node of height h are partitioned into 2^h subdomains of the
 global domain decomposition, so independent key regions refresh in
-parallel. Every operator pulls per-signal change lists and republishes
-only what changed, which keeps refresh cost proportional to change
-volume.
+parallel. Every operator pulls, per input signal, the identities whose
+records changed since its last pull, and republishes only what changed,
+which keeps refresh cost proportional to change volume.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Optional
 
 from .domain import DomainDecomposition
 from .inclftj import IntervalIndex
-from .lftj import SensEntry
 from .pstore import DbVersion
 from .signal import (
     CORR,
@@ -53,11 +52,11 @@ class TreeNode:
         self.left: Optional[TreeNode] = None
         self.right: Optional[TreeNode] = None
         self.txn: Optional[TxnExec] = None
-        self.delta = {d: VersionedSignal(DELTA, label, d) for d in labels(height)}
-        self.sens = {d: VersionedSignal(SENS, label, d) for d in labels(height)}
+        self.delta = {d: VersionedSignal(DELTA) for d in labels(height)}
+        self.sens = {d: VersionedSignal(SENS) for d in labels(height)}
         # corrections INTO this node, produced by the parent's corr ops;
         # nothing precedes the root's (label "") transactions: it has none
-        self.corr = {d: VersionedSignal(CORR, label, d) for d in labels(height) if label}
+        self.corr = {d: VersionedSignal(CORR) for d in labels(height) if label}
 
     def __repr__(self):
         return f"<node {self.label!r} h={self.height}>"
@@ -108,6 +107,32 @@ def clip_sens(rec: SensitivityRecord, lo_pt: tuple, hi_pt: tuple):
     return SensitivityRecord(rec.pred_id, lo, hi)
 
 
+def _first(signals, ident: tuple):
+    """The record at `ident` in the first of `signals` that holds one."""
+    for sig in signals:
+        rec = sig.get(ident)
+        if rec is not None:
+            return rec
+    return None
+
+
+def _publish_winners(out: VersionedSignal, winners) -> bool:
+    """Make `out` hold each winning record, None meaning no record, at its
+    identity; True when that changed `out`."""
+    inserts, removes = [], []
+    for ident, winner in winners:
+        cur = out.get(ident)
+        if winner is None:
+            if cur is not None:
+                removes.append(cur)
+        elif winner != cur:
+            inserts.append(winner)
+    if not inserts and not removes:
+        return False
+    v0 = out.latest
+    return out.publish(inserts, removes) != v0
+
+
 class Op:
     """A circuit operator: pulls input changes, republishes outputs."""
 
@@ -142,40 +167,23 @@ class DeltaMergeOp(Op):
     def __init__(self, group: TreeNode, d: str, decomp: DomainDecomposition):
         super().__init__(group.label, d)
         self.interval = decomp.subdomain_interval(d)
-        self.left_sig = group.left.delta[d[:-1]]
-        self.right_sig = group.right.delta[d[:-1]]
         self.out = group.delta[d]
-        self.cur_l = self._cursor(self.left_sig)
-        self.cur_r = self._cursor(self.right_sig)
+        self.cur_l = self._cursor(group.left.delta[d[:-1]])
+        self.cur_r = self._cursor(group.right.delta[d[:-1]])
+        self._by_precedence = (self.cur_r.signal, self.cur_l.signal)  # later wins
         self.output_signals = [self.out]
 
     def refresh(self) -> bool:
-        changes = self.cur_l.pull() + self.cur_r.pull()
         lo_pt, hi_pt = self.interval
-        idents = []
-        seen = set()
-        for rec, _ins in changes:
-            ident = rec.identity()
-            if ident in seen:
-                continue
-            seen.add(ident)
-            if _in_interval(lo_pt, hi_pt, rec.pred_id, rec.key):
-                idents.append(ident)
-        inserts, removes = [], []
-        for pred_id, key in idents:
-            winner = self.right_sig.get(pred_id, key)
-            if winner is None:
-                winner = self.left_sig.get(pred_id, key)
-            cur = self.out.get(pred_id, key)
-            if winner is None:
-                if cur is not None:
-                    removes.append(cur)
-            elif winner != cur:
-                inserts.append(winner)
-        if not inserts and not removes:
-            return False
-        v0 = self.out.latest
-        return self.out.publish(inserts, removes) != v0
+        idents = dict.fromkeys(
+            ident
+            for cur in (self.cur_l, self.cur_r)
+            for ident, _rec in cur.pull()
+            if _in_interval(lo_pt, hi_pt, *ident)
+        )
+        return _publish_winners(
+            self.out, ((i, _first(self._by_precedence, i)) for i in idents)
+        )
 
 
 class SensMergeOp(Op):
@@ -193,11 +201,11 @@ class SensMergeOp(Op):
         changes = self.cur_l.pull() + self.cur_r.pull()
         lo_pt, hi_pt = self.interval
         inserts = []
-        for rec, _ins in changes:  # sensitivity only grows: every change inserts
+        for _ident, rec in changes:  # sensitivity only grows: every record is present
             clipped = clip_sens(rec, lo_pt, hi_pt)
             if clipped is None:
                 continue
-            if self.out.get_record(clipped) is None:
+            if self.out.get(clipped.identity()) is None:
                 inserts.append(clipped)
         if not inserts:
             return False
@@ -217,48 +225,26 @@ class CorrOp(Op):
         delta = [self._cursor(group.left.delta[e])] if with_delta else []
         self.cur_sens = self._cursor(child.sens[e])
         self._inputs = parents + delta
-        self._by_precedence = delta + parents  # the left sibling's writes are later
+        # the left sibling's writes are later than the parent's corrections
+        self._by_precedence = [cur.signal for cur in delta + parents]
         self._sens_index = IntervalIndex()
         self.output_signals = [self.out]
 
-    def _covered(self, pred_id: int, key: tuple) -> bool:
-        return bool(self._sens_index.stab((pred_id, tuple(key))))
-
-    def _winner(self, pred_id: int, key: tuple):
-        for cur in self._by_precedence:
-            rec = cur.signal.get(pred_id, key)
-            if rec is not None:
-                return rec
-        return None
-
     def refresh(self) -> bool:
-        sens_changes = [rec for rec, _ins in self.cur_sens.pull()]
-        idents = set()
-        for cur in self._inputs:
-            idents.update(rec.identity() for rec, _ins in cur.pull())
+        sens_changes = [rec for _ident, rec in self.cur_sens.pull()]
+        idents = {ident for cur in self._inputs for ident, _rec in cur.pull()}
         for rec in sens_changes:
-            self._sens_index.insert(
-                SensEntry("", (rec.pred_id, rec.lo), (rec.pred_id, rec.hi), (), 0)
-            )
-            # candidates already present in the inputs inside the new interval
             lo_ident = (rec.pred_id, rec.lo)
             hi_ident = (rec.pred_id, rec.hi)
+            self._sens_index.insert(lo_ident, hi_ident, rec)
+            # candidates already present in the inputs inside the new interval
             for cur in self._inputs:
                 for r in cur.signal.range_records(lo_ident, hi_ident):
                     idents.add(r.identity())
-        inserts, removes = [], []
-        for pred_id, key in idents:
-            winner = self._winner(pred_id, key) if self._covered(pred_id, key) else None
-            cur = self.out.get(pred_id, key)
-            if winner is None:
-                if cur is not None:
-                    removes.append(cur)
-            elif winner != cur:
-                inserts.append(winner)
-        if not inserts and not removes:
-            return False
-        v0 = self.out.latest
-        return self.out.publish(inserts, removes) != v0
+        return _publish_winners(self.out, (
+            (i, _first(self._by_precedence, i) if self._sens_index.stab(i) else None)
+            for i in idents
+        ))
 
 
 class TxnOp(Op):
@@ -281,7 +267,7 @@ class TxnOp(Op):
         changes = self.cur_corr.pull() if self.cur_corr is not None else []
         if txn is None:
             return False
-        if txn.status == UNEVALUATED:
+        if txn.status == UNEVALUATED:  # first pull: from an empty root, all present
             out = txn.evaluate(self.base, changes)
         elif changes:
             out = txn.repair(changes)
@@ -295,7 +281,7 @@ class TxnOp(Op):
         if inserts or removes:
             v0 = self.out_delta.latest
             changed |= self.out_delta.publish(inserts, removes) != v0
-        new_sens = [r for r in out.sens if self.out_sens.get_record(r) is None]
+        new_sens = [r for r in out.sens if self.out_sens.get(r.identity()) is None]
         if new_sens:
             v0 = self.out_sens.latest
             changed |= self.out_sens.publish(new_sens) != v0

@@ -16,16 +16,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .lftj import CompiledRule, SensCollector, SensEntry, Stats, eval_rule
+from .lftj import CompiledRule, SensCollector, Stats, eval_rule
 
 
 class _INode:
-    __slots__ = ("lo", "hi", "entry", "prio", "left", "right", "max_hi")
+    __slots__ = ("lo", "hi", "payload", "prio", "left", "right", "max_hi")
 
-    def __init__(self, lo, hi, entry, prio):
+    def __init__(self, lo, hi, payload, prio):
         self.lo = lo
         self.hi = hi
-        self.entry = entry
+        self.payload = payload
         self.prio = prio
         self.left = None
         self.right = None
@@ -41,7 +41,8 @@ class _INode:
 
 
 class IntervalIndex:
-    """Insert-only interval set with stabbing queries.
+    """Insert-only set of intervals, each with a payload; a stabbing
+    query returns the payloads of the intervals that contain a point.
 
     Treap keyed by interval low endpoint, augmented with subtree max
     high endpoint, so a stab visits only subtrees that can contain the
@@ -52,8 +53,8 @@ class IntervalIndex:
         self.root = None
         self._rng = random.Random(seed)
 
-    def insert(self, entry: SensEntry):
-        node = _INode(entry.lo, entry.hi, entry, self._rng.random())
+    def insert(self, lo: tuple, hi: tuple, payload):
+        node = _INode(lo, hi, payload, self._rng.random())
         self.root = self._insert(self.root, node)
 
     def _insert(self, t, node):
@@ -89,7 +90,7 @@ class IntervalIndex:
         return r
 
     def stab(self, point: tuple):
-        """All entries whose [lo, hi] contains the point tuple."""
+        """Payloads of all intervals [lo, hi] that contain the point tuple."""
         out = []
         stack = [self.root]
         while stack:
@@ -99,7 +100,7 @@ class IntervalIndex:
             stack.append(t.left)
             if t.lo <= point:
                 if point <= t.hi:
-                    out.append(t.entry)
+                    out.append(t.payload)
                 stack.append(t.right)
         return out
 
@@ -143,7 +144,7 @@ class RuleMaintainer:
 
     def _absorb(self, col: SensCollector):
         for e in col.entries:
-            self.index.setdefault(e.vertex, IntervalIndex(len(self.index))).insert(e)
+            self.index.setdefault(e.vertex, IntervalIndex(len(self.index))).insert(e.lo, e.hi, e)
             self.entry_log.append(e)
 
     def changed_contexts(self, changed_points: dict):

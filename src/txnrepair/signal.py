@@ -1,9 +1,13 @@
-"""Signal record types and the versioned, change-enumerable container.
+"""Signal record types and the signal container that circuit operators share.
 
-Signals connect circuit operators. Each publish creates a new immutable
-version; readers can enumerate the exact multiset of record insertions
-and removals between any two versions they have seen. Sensitivity
-signals are monotone: publishing a removal on one is a contract error.
+Signals connect circuit operators. A signal holds its current content as
+one persistent tree keyed by record identity, plus a log of the
+identities each publish changed. A reader keeps its offset into the log
+and the root it saw last; a pull compares that root with the current one
+at each identity logged since, and returns each identity whose record
+changed with its current record, or None when it is gone. Sensitivity
+signals are monotone: publishing a removal or a replacement on one is a
+contract error.
 """
 
 from __future__ import annotations
@@ -88,136 +92,110 @@ def sens_interval(pred_id: int, lo, hi, arity: Optional[int] = None) -> Sensitiv
     return SensitivityRecord(pred_id, lo, hi)
 
 
-def _identity(record):
-    return record.identity()
-
-
 class VersionedSignal:
-    """Append-revisable ordered record set with version-ids.
+    """Ordered record set with a change log.
 
-    Content per version is a persistent tree keyed by record identity, so
-    snapshots are O(1) and iteration is ordered. Version 0 is empty.
+    The content is one persistent tree keyed by record identity, so a
+    reader's snapshot is just the root it saw. Each publish that changes
+    the content appends the identities it changed to the log; `latest`
+    is the log length, which moves exactly when the content changes.
     """
 
-    def __init__(self, kind: str, group: str = "", subdomain: str = ""):
+    def __init__(self, kind: str):
         if kind not in (DELTA, SENS, CORR):
             raise ValueError(f"unknown signal kind {kind!r}")
         self.kind = kind
-        self.group = group
-        self.subdomain = subdomain
-        self._roots = [None]
-        self._changes = [[]]  # _changes[v]: list of (record, inserted) producing v
+        self._root = None
+        self._log = []  # identities changed, publish after publish
         self._lock = threading.Lock()
         self.readers = []  # operators enqueued when this signal changes
 
     def __repr__(self):
-        return f"<signal {self.kind} t={self.group!r} d={self.subdomain!r} v{self.latest}>"
+        return f"<signal {self.kind} v{self.latest}>"
 
     @property
     def latest(self) -> int:
-        return len(self._roots) - 1
+        return len(self._log)
 
     def publish(self, inserts=(), removes=()) -> int:
-        """Atomically apply record insertions/removals; returns new version-id.
+        """Atomically apply record insertions/removals; returns `latest`.
 
         Inserting a record whose identity is present with a different
-        payload replaces it (recorded as removal + insertion).
+        payload replaces it.
         """
-        inserts = list(inserts)
-        removes = list(removes)
         if self.kind == SENS and removes:
             raise SignalContractError("sensitivity signals are monotone; cannot remove records")
         with self._lock:
-            root = self._roots[-1]
-            change_list = []
+            root = self._root
+            before = {}  # identity -> record held before its first change
             for rec in removes:
-                ident = _identity(rec)
+                ident = rec.identity()
                 present = ptree.get(root, ident)
                 if present is None:
                     continue
                 if present != rec:
-                    raise SignalContractError(
-                        f"remove of {rec} but signal holds {present}"
-                    )
+                    raise SignalContractError(f"remove of {rec} but signal holds {present}")
+                before.setdefault(ident, present)
                 root = ptree.remove(root, ident)
-                change_list.append((rec, False))
             for rec in inserts:
-                ident = _identity(rec)
+                ident = rec.identity()
                 present = ptree.get(root, ident)
                 if present == rec:
                     continue
-                if present is not None:
-                    if self.kind == SENS:
-                        raise SignalContractError(
-                            "sensitivity signals are monotone; cannot replace records"
-                        )
-                    root = ptree.remove(root, ident)
-                    change_list.append((present, False))
+                if present is not None and self.kind == SENS:
+                    raise SignalContractError(
+                        "sensitivity signals are monotone; cannot replace records"
+                    )
+                before.setdefault(ident, present)
                 root = ptree.insert(root, ident, rec)
-                change_list.append((rec, True))
-            if not change_list:
-                return self.latest
-            self._roots.append(root)
-            self._changes.append(change_list)
-            return self.latest
+            changed = [i for i, rec in before.items() if ptree.get(root, i) != rec]
+            if changed:
+                self._root = root
+                self._log.extend(changed)
+            return len(self._log)
 
-    def content(self, version: Optional[int] = None):
-        v = self.latest if version is None else version
-        if not 0 <= v < len(self._roots):
-            raise SignalContractError(f"unknown version {v}")
-        return self._roots[v]
+    def get(self, ident: tuple):
+        """Stored record with this identity, or None."""
+        return ptree.get(self._root, ident)
 
-    def get(self, pred_id: int, key: tuple, version: Optional[int] = None):
-        return ptree.get(self.content(version), (pred_id, tuple(key)))
-
-    def get_record(self, rec, version: Optional[int] = None):
-        """Stored record with the same identity as rec, or None."""
-        return ptree.get(self.content(version), _identity(rec))
-
-    def records(self, version: Optional[int] = None) -> Iterator:
-        for _ident, rec in ptree.items(self.content(version)):
+    def records(self) -> Iterator:
+        for _ident, rec in ptree.items(self._root):
             yield rec
 
-    def range_records(self, lo_ident, hi_ident, version: Optional[int] = None):
+    def range_records(self, lo_ident, hi_ident):
         """Records with identity in [lo_ident, hi_ident], in order."""
-        for ident, rec in ptree.items_from(self.content(version), lo_ident):
+        for ident, rec in ptree.items_from(self._root, lo_ident):
             if ident > hi_ident:
                 break
             yield rec
 
-    def changes(self, frm: int, to: int):
-        """Exact ordered net change list [(record, inserted)] between versions."""
-        if not (0 <= frm <= to <= self.latest):
-            raise SignalContractError(f"bad version range {frm}..{to} (latest {self.latest})")
-        net: dict = {}
-        order: dict = {}
-        n = 0
-        for v in range(frm + 1, to + 1):
-            for rec, inserted in self._changes[v]:
-                net[rec] = net.get(rec, 0) + (1 if inserted else -1)
-                if rec not in order:
-                    order[rec] = n
-                    n += 1
-        out = [(rec, cnt > 0) for rec, cnt in net.items() if cnt != 0]
-        out.sort(key=lambda e: (_identity(e[0]), order[e[0]]))
-        return out
-
 
 class SignalCursor:
-    """Net-change cache for one (reader, signal) pair.
+    """One reader's position in a signal: a log offset and the root it
+    saw at its last pull.
 
-    pull() returns the net changes since the last pull, so refresh cost
-    tracks the change volume, not signal size.
+    pull() returns each identity whose record differs from that root,
+    paired with its current record (None when absent), in identity
+    order, so refresh cost tracks the change volume, not signal size.
     """
 
     def __init__(self, signal: VersionedSignal):
         self.signal = signal
-        self.version = 0
+        self.offset = 0
+        self.root = None
 
     def pull(self):
-        latest = self.signal.latest
-        if latest == self.version:
+        sig = self.signal
+        if len(sig._log) == self.offset:
             return []
-        out = self.signal.changes(self.version, latest)
-        self.version = latest
+        with sig._lock:  # a new offset must never pair with an old root
+            root = sig._root
+            idents = set(sig._log[self.offset :])
+            self.offset = len(sig._log)
+        old, self.root = self.root, root
+        out = []
+        for ident in sorted(idents):
+            rec = ptree.get(root, ident)
+            if rec != ptree.get(old, ident):
+                out.append((ident, rec))
         return out

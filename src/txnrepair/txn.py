@@ -2,15 +2,19 @@
 
 A transaction is a set of rules evaluated against an immutable database
 snapshot overlaid with corrections (records other transactions changed
-underneath it). Evaluation materializes every rule; repair applies
-correction changes through the per-rule sensitivity indexes, so the cost
-tracks how much of the transaction's reads actually changed.
+underneath it). Corrections arrive as a signal pull: each changed record
+identity `(pred_id, key)` with its current record, or None when the
+correction is withdrawn. Evaluation materializes every rule; repair
+applies correction changes through the per-rule sensitivity indexes, so
+the cost tracks how much of the transaction's reads actually changed.
 
 Rules read persistent overlays: per predicate, one patch tree of
 corrections over the snapshot, one of the transaction's own upserts
 (`end:`) over that, and one tuple set per derived predicate (`out:`).
-The support counts are the source of truth; each overlay root is derived
-from them and path-copied by one insert or remove when its content
+The correction overlays, one per predicate some rule reads or upserts,
+are the transaction's only copy of its corrections (corrections to other
+predicates are dropped); the other two are derived from support counts.
+Each root is path-copied by one insert or remove when its content
 changes, so building a rule's views costs O(predicates) and a view a
 maintainer keeps as its old inputs stays a true snapshot.
 
@@ -31,7 +35,7 @@ from .inclftj import RuleMaintainer
 from .lftj import Stats, compile_rule
 from .pstore import DbVersion, PredicateSig, Schema
 from .rulelang import FunAtom, rewrite_for_txn
-from .signal import DeltaRecord, SensitivityRecord, upsert
+from .signal import SensitivityRecord, upsert
 from .values import SchemaError
 from .views import UPSERT, OverlayView, TreeView, View, patch_tree, view_lookup
 
@@ -77,13 +81,12 @@ class TxnExec:
         ]
         self._derived_karity = derived_karity
         self.base: Optional[DbVersion] = None
-        self.corr: dict = {}  # pred name -> {key: (sign, value)}
         # delta support: pred name -> {key: {value: count}}
         self._delta_support: dict = {}
         # out predicate support: pred name -> {tuple: count}
         self._out_support: dict = {}
-        # overlay roots derived from the three dicts above, per pred name:
-        # corrections, single-live-value own upserts, live out: tuples
+        # overlay roots per pred name: corrections, and, derived from the
+        # two dicts above, single-live-value own upserts and live out: tuples
         self._corr_root: dict = {}
         self._end_root: dict = {}
         self._out_root: dict = {}
@@ -129,14 +132,14 @@ class TxnExec:
     # ---- evaluation ----
 
     def evaluate(self, base: DbVersion, corrections=()) -> TxnOutputs:
-        """Full evaluation on a snapshot plus initial corrections."""
+        """Full evaluation on a snapshot plus initial corrections, a pull
+        [((pred_id, key), DeltaRecord)] from an empty start."""
         self.base = base
-        self.corr = {}
-        self._corr_root = {}  # no overlay built yet: records only fill corr
-        for rec, inserted in corrections:
-            self._apply_corr_record(rec, inserted)
+        patches: dict = {}  # pred_id -> {key: (sign, value)}
+        for (pred_id, key), rec in corrections:
+            patches.setdefault(pred_id, {})[key] = (rec.sign, rec.value)
         self._corr_root = {
-            pred: patch_tree(self.corr.get(pred, {}))
+            pred: patch_tree(patches.get(self.schema.sig(pred).pred_id, {}))
             for pred in sorted(set(self._read_preds) | set(self.upserted))
         }
         self._delta_support = {}
@@ -159,24 +162,6 @@ class TxnExec:
         return [
             {t: (0, c) for t, c in counts.items()} for counts in m.head_counts
         ]
-
-    def _apply_corr_record(self, rec: DeltaRecord, inserted: bool):
-        """Fold one correction change into `corr` and, once the overlay of
-        its predicate is built, path-copy that overlay's root."""
-        pred = self.schema.sig_by_id(rec.pred_id).name
-        patches = self.corr.setdefault(pred, {})
-        entry = (rec.sign, rec.value if rec.sign > 0 else None)
-        if inserted:
-            patches[rec.key] = entry
-        elif patches.get(rec.key) == entry:
-            del patches[rec.key]
-        else:
-            return
-        if pred in self._corr_root:
-            root = self._corr_root[pred]
-            self._corr_root[pred] = (
-                ptree.insert(root, rec.key, entry) if inserted else ptree.remove(root, rec.key)
-            )
 
     def _apply_rule_output(self, rule_idx: int, head_diffs) -> dict:
         """Fold one rule's head-count transitions into the shared vertex
@@ -233,22 +218,28 @@ class TxnExec:
     # ---- repair ----
 
     def repair(self, corr_changes) -> TxnOutputs:
-        """Apply correction signal changes [(DeltaRecord, inserted)]."""
+        """Apply a correction pull [((pred_id, key), DeltaRecord or None)]:
+        path-copy the predicate's overlay with one insert, or one remove
+        when the correction is withdrawn."""
         if self.status == UNEVALUATED:
             raise RuntimeError("repair before evaluate")
         pending: dict = {}
-        for rec, inserted in corr_changes:
-            pred = self.schema.sig_by_id(rec.pred_id).name
+        for (pred_id, key), rec in corr_changes:
+            pred = self.schema.sig_by_id(pred_id).name
+            if pred not in self._corr_root:
+                continue  # no rule reads or upserts pred
             pts = pending.setdefault(f"db:{pred}", [])
-            old_view = self._db_view(pred)
-            old_val = view_lookup(old_view, rec.key)
+            old_val = view_lookup(self._db_view(pred), key)
             if old_val is not None:
-                pts.append(rec.key + old_val)
-            self._apply_corr_record(rec, inserted)
-            new_view = self._db_view(pred)
-            new_val = view_lookup(new_view, rec.key)
+                pts.append(key + old_val)
+            root = self._corr_root[pred]
+            self._corr_root[pred] = (
+                ptree.remove(root, key) if rec is None
+                else ptree.insert(root, key, (rec.sign, rec.value))
+            )
+            new_val = view_lookup(self._db_view(pred), key)
             if new_val is not None:
-                pts.append(rec.key + new_val)
+                pts.append(key + new_val)
             if pred in self.upserted:
                 pending.setdefault(f"end:{pred}", []).extend(pts)
         for vertex in self._topo:

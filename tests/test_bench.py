@@ -68,6 +68,21 @@ def test_three_executors_agree():
     assert first_divergence(serial.db, repair.db, wl.schema) is None
 
 
+@pytest.mark.parametrize("name, extra", [
+    ("counter_chain", {"variant": "shift"}),
+    ("random_rules", {"n": 4}),
+])
+def test_lock_baseline_keeps_admission_order(name, extra):
+    """At 4 workers each key's lock still goes to its transactions in
+    admission order: statuses and state equal the serial oracle's."""
+    for seed in range(8):
+        wl = make_workload(WorkloadConfig(name=name, txns=64, seed=seed, **extra))
+        serial = run_serial(wl)
+        lock = run_lock(wl, workers=4)
+        assert lock.statuses == serial.statuses, seed
+        assert lock.hash(wl.schema) == serial.hash(wl.schema), seed
+
+
 def test_first_divergence_reports_smallest_key():
     wl = make_workload(WorkloadConfig(name="counter_chain", txns=1))
     other = store_upsert(wl.db, wl.schema.sig("cnt"), (0,), (9,))

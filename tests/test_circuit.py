@@ -253,6 +253,28 @@ false <- bal[$a] = v, v < 0.
     )
 
 
+def test_txn_op_skips_repair_when_corrections_net_out(monkeypatch):
+    """A correction replaced and then restored between two refreshes
+    reaches the transaction as no change at all."""
+    leaf = build_tree(1).left  # below the root: it receives corrections
+    base = DbVersion()
+    for k, v in ((1, 100), (2, 5)):
+        base = store_upsert(base, SCHEMA.sig("bal"), (k,), (v,))
+    leaf.txn = TxnExec(SCHEMA, transfer(1, 2, 30))
+    op = TxnOp(leaf, base)
+    assert op.refresh() is True  # evaluated: deltas and sensitivity published
+    leaf.corr[""].publish(inserts=[upsert(0, (1,), (50,))])
+    assert op.refresh() is True  # repaired: bal[1] reads 50
+    assert {r.key: r.value for r in leaf.delta[""].records()} == {(1,): (20,), (2,): (35,)}
+    repairs = []
+    repair = leaf.txn.repair
+    monkeypatch.setattr(leaf.txn, "repair", lambda changes: repairs.append(changes) or repair(changes))
+    leaf.corr[""].publish(inserts=[upsert(0, (1,), (60,))])
+    leaf.corr[""].publish(inserts=[upsert(0, (1,), (50,))])
+    assert op.refresh() is False
+    assert repairs == []
+
+
 def run_fixpoint(base, txn_rules, height, rnd):
     decomp = build_decomposition(
         [point(0, (k,)) for k in range(8)], height

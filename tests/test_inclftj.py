@@ -24,14 +24,11 @@ ival = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
 @settings(max_examples=300)
 def test_interval_index_vs_linear(ivals, probes):
     idx = IntervalIndex()
-    entries = []
     for i, (lo, hi) in enumerate(ivals):
-        e = SensEntry(f"v{i}", (lo,), (hi,), (), 0)
-        entries.append(e)
-        idx.insert(e)
+        idx.insert((lo,), (hi,), i)  # the payload is the interval's index
     for p in probes:
-        got = {id(e) for e in idx.stab((p,))}
-        want = {id(e) for e in entries if e.lo <= (p,) <= e.hi}
+        got = sorted(idx.stab((p,)))
+        want = [i for i, (lo, hi) in enumerate(ivals) if lo <= p <= hi]
         assert got == want
 
 

@@ -1,4 +1,7 @@
-"""Versioned signal properties: change composition and monotonicity."""
+"""Signal properties: pull composition and monotonicity."""
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -20,52 +23,97 @@ delta_recs = st.builds(
     st.integers(0, 4),
     st.booleans(),
 )
-publish_batches = st.lists(st.lists(delta_recs, max_size=5), min_size=1, max_size=10)
+# each batch: records to insert, and keys whose current records to remove
+publish_batches = st.lists(
+    st.tuples(st.lists(delta_recs, max_size=5), st.lists(st.integers(0, 8), max_size=3)),
+    min_size=1,
+    max_size=10,
+)
 
 
-def _apply(content, changes):
-    content = dict(content)
-    for rec, inserted in changes:
-        if inserted:
-            content[rec.identity()] = rec
+def _content(sig):
+    return {rec.identity(): rec for rec in sig.records()}
+
+
+def _apply(replay, pulled):
+    for ident, rec in pulled:
+        if rec is None:
+            del replay[ident]
         else:
-            assert content.get(rec.identity()) == rec
-            del content[rec.identity()]
-    return content
+            replay[ident] = rec
 
 
-def _publish_all(sig, batches):
-    versions = [0]
-    for batch in batches:
-        versions.append(sig.publish(inserts=batch))
-    return versions
+def _replay_pull(cur, replay):
+    """Apply one pull to `replay`, checking that it holds, in identity
+    order, exactly the identities whose record changed since `replay`."""
+    now = _content(cur.signal)
+    pulled = cur.pull()
+    idents = [ident for ident, _rec in pulled]
+    assert idents == sorted(set(idents))
+    assert set(idents) == {i for i in set(replay) | set(now) if replay.get(i) != now.get(i)}
+    _apply(replay, pulled)
+    assert replay == now
 
 
 @given(publish_batches, st.data())
 @settings(max_examples=300)
 def test_change_composition(batches, data):
-    """changes(a,b) then changes(b,c) replays to the same content as
-    changes(a,c) — deltas compose across any intermediate version."""
+    """Pulls compose: a cursor that pulls at arbitrary points between
+    publishes and one that pulls only at the end both replay, from empty,
+    to the signal's content; `latest` moves exactly when content does."""
     sig = VersionedSignal("delta")
-    versions = _publish_all(sig, batches)
-    a = data.draw(st.sampled_from(versions))
-    later = [v for v in versions if v >= a]
-    b = data.draw(st.sampled_from(later))
-    c = data.draw(st.sampled_from([v for v in versions if v >= b]))
-    start = {rec.identity(): rec for rec in sig.records(a)}
-    via_b = _apply(_apply(start, sig.changes(a, b)), sig.changes(b, c))
-    direct = _apply(start, sig.changes(a, c))
-    assert via_b == direct
-    assert direct == {rec.identity(): rec for rec in sig.records(c)}
+    often, once = SignalCursor(sig), SignalCursor(sig)
+    replay = {}
+    for inserts, drop in batches:
+        removes = [rec for rec in sig.records() if rec.key[0] in drop]
+        before, v0 = _content(sig), sig.latest
+        assert (sig.publish(inserts, removes) != v0) == (_content(sig) != before)
+        if data.draw(st.booleans()):
+            _replay_pull(often, replay)
+    _replay_pull(often, replay)
+    _replay_pull(once, {})
+    assert often.pull() == once.pull() == []
 
 
-@given(publish_batches)
-@settings(max_examples=200)
-def test_replay_from_empty(batches):
+def test_concurrent_pulls_replay_to_content():
+    """Readers pulling while writers publish never skip a change, which
+    no later change would mend here: each reader's replay ends equal to
+    the signal's content."""
     sig = VersionedSignal("delta")
-    _publish_all(sig, batches)
-    replay = _apply({}, sig.changes(0, sig.latest))
-    assert replay == {rec.identity(): rec for rec in sig.records()}
+    readers = [SignalCursor(sig) for _ in range(3)]
+    replays = [{} for _ in readers]
+    done = threading.Event()
+
+    def write(parity):  # keys change once or twice, so no change mends a skipped one
+        for k in range(parity, 8000, 2):
+            sig.publish(inserts=[upsert(0, (k,), (k % 7,))])
+            if k % 5 == 0:
+                sig.publish(removes=[upsert(0, (k,), (k % 7,))])
+
+    def read(cur, replay):
+        while True:
+            finished = done.is_set()
+            _apply(replay, cur.pull())
+            if finished:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writers = [threading.Thread(target=write, args=(i,)) for i in range(2)]
+        pullers = [threading.Thread(target=read, args=rr) for rr in zip(readers, replays)]
+        for t in writers + pullers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        done.set()
+        for t in pullers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers + pullers)
+    for replay in replays:
+        assert replay == _content(sig)
 
 
 sens_recs = st.builds(
@@ -100,14 +148,18 @@ def test_sens_remove_rejected():
 
 def test_delta_replace_nets_out():
     sig = VersionedSignal("delta")
-    v1 = sig.publish(inserts=[upsert(0, (1,), (10,))])
-    v2 = sig.publish(inserts=[upsert(0, (1,), (20,))])
-    ch = sig.changes(v1, v2)
-    assert (upsert(0, (1,), (10,)), False) in ch
-    assert (upsert(0, (1,), (20,)), True) in ch
-    # replaced then restored: nets to nothing
-    v3 = sig.publish(inserts=[upsert(0, (1,), (10,))])
-    assert sig.changes(v1, v3) == []
+    cur = SignalCursor(sig)
+    sig.publish(inserts=[upsert(0, (1,), (10,))])
+    cur.pull()
+    sig.publish(inserts=[upsert(0, (1,), (20,))])
+    # a replacement is one change: the identity with its current record
+    assert cur.pull() == [((0, (1,)), upsert(0, (1,), (20,)))]
+    # replaced then restored between two pulls: nets to nothing
+    sig.publish(inserts=[upsert(0, (1,), (30,))])
+    sig.publish(inserts=[upsert(0, (1,), (20,))])
+    assert cur.pull() == []
+    sig.publish(removes=[upsert(0, (1,), (20,))])
+    assert cur.pull() == [((0, (1,)), None)]
 
 
 def test_noop_publish_keeps_version():
@@ -133,10 +185,10 @@ class TestCursor:
         sig = VersionedSignal("delta")
         cur = SignalCursor(sig)
         sig.publish(inserts=[upsert(0, (1,), (10,))])
-        assert cur.pull() == [(upsert(0, (1,), (10,)), True)]
+        assert cur.pull() == [((0, (1,)), upsert(0, (1,), (10,)))]
         assert cur.pull() == []
         sig.publish(inserts=[upsert(0, (2,), (5,))])
-        assert cur.pull() == [(upsert(0, (2,), (5,)), True)]
+        assert cur.pull() == [((0, (2,)), upsert(0, (2,), (5,)))]
 
 
 def test_range_records():

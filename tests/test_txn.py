@@ -40,6 +40,16 @@ def deltas_as_dict(out):
     return {rec.key: rec.value for rec in out.deltas}
 
 
+def pulled(rec):
+    """The correction pull that delivers `rec`."""
+    return [(rec.identity(), rec)]
+
+
+def withdrawn(rec):
+    """The correction pull that withdraws `rec`."""
+    return [(rec.identity(), None)]
+
+
 def test_transfer_succeeds():
     txn = TxnExec(SCHEMA, transfer(1, 2, 30))
     out = txn.evaluate(make_db({1: 100, 2: 5}))
@@ -86,7 +96,7 @@ def test_repair_tracks_correction():
     out = txn.evaluate(make_db({1: 100, 2: 5}))
     assert deltas_as_dict(out) == {(1,): (70,), (2,): (35,)}
     # another transaction changed bal[1] underneath us
-    out = txn.repair([(upsert(0, (1,), (50,)), True)])
+    out = txn.repair(pulled(upsert(0, (1,), (50,))))
     assert out.status == EVALUATED
     assert deltas_as_dict(out) == {(1,): (20,), (2,): (35,)}
 
@@ -95,10 +105,10 @@ def test_repair_can_fail_and_recover():
     txn = TxnExec(SCHEMA, transfer(1, 2, 30))
     txn.evaluate(make_db({1: 100, 2: 5}))
     corr = upsert(0, (1,), (10,))
-    out = txn.repair([(corr, True)])
+    out = txn.repair(pulled(corr))
     assert out.status == FAILED and out.deltas == []
     # correction withdrawn: back to the snapshot value
-    out = txn.repair([(corr, False)])
+    out = txn.repair(withdrawn(corr))
     assert out.status == EVALUATED
     assert deltas_as_dict(out) == {(1,): (70,), (2,): (35,)}
 
@@ -116,25 +126,26 @@ def test_sens_covers_read_keys():
 
 
 class _CorrModel:
-    """Oracle-side view of a correction signal: identity -> record, with
-    replacement emitting the removal/insertion pair the signal would."""
+    """Oracle-side view of a correction signal: identity -> record."""
 
     def __init__(self):
         self.content = {}
 
-    def set(self, rec):
-        changes = []
-        old = self.content.get(rec.identity())
-        if old == rec:
-            return changes
-        if old is not None:
-            changes.append((old, False))
-        self.content[rec.identity()] = rec
-        changes.append((rec, True))
-        return changes
+    def publish(self, recs, withdraw=()):
+        """Set `recs`, then withdraw the identities in `withdraw`; returns
+        the pull a reader of the signal would see: each changed identity,
+        in order, with its current record or None."""
+        before = dict(self.content)
+        for rec in recs:
+            self.content[rec.identity()] = rec
+        for ident in withdraw:
+            self.content.pop(ident, None)
+        idents = sorted(set(before) | set(self.content))
+        return [(i, self.content.get(i)) for i in idents
+                if before.get(i) != self.content.get(i)]
 
     def all_changes(self):
-        return [(rec, True) for rec in self.content.values()]
+        return sorted(self.content.items())
 
 
 def test_repair_matches_fresh_eval_fuzz():
@@ -151,7 +162,7 @@ def test_repair_matches_fresh_eval_fuzz():
             key = (rnd.randrange(6),)
             rec = (retract(0, key) if rnd.random() < 0.2
                    else upsert(0, key, (rnd.randrange(0, 120),)))
-            changes = model.set(rec)
+            changes = model.publish([rec])
             if changes:
                 txn.repair(changes)
         fresh = TxnExec(SCHEMA, list(txn.rules))
@@ -167,10 +178,10 @@ def test_out_of_range_upsert_fails_until_repaired_into_range():
     out = txn.evaluate(make_db({1: 2**63 - 1}))
     assert out.status == FAILED and out.deltas == []
     corr = upsert(0, (1,), (0,))
-    out = txn.repair([(corr, True)])
+    out = txn.repair(pulled(corr))
     assert out.status == EVALUATED
     assert deltas_as_dict(out) == {(1,): (1,)}
-    out = txn.repair([(corr, False)])
+    out = txn.repair(withdrawn(corr))
     assert out.status == FAILED and out.deltas == []
 
 
@@ -205,17 +216,23 @@ fragments = st.one_of(
         preds, small_keys, preds, small_keys, amounts,
     ),
 )
-# (pred, key, value); value None retracts the key
-corrections = st.lists(st.tuples(preds, small_keys, st.one_of(st.none(), values)), max_size=6)
+# (pred, key, value); value None retracts the key, WITHDRAW withdraws the
+# correction of the key
+WITHDRAW = "withdraw"
+corrections = st.lists(
+    st.tuples(preds, small_keys, st.one_of(st.none(), st.just(WITHDRAW), values)), max_size=6
+)
 
 
-def scratch_views(txn):
-    """Every view of `txn` rebuilt from its support counts."""
+def scratch_views(txn, model):
+    """Every view of `txn` rebuilt from the correction model's content and
+    the transaction's support counts."""
 
     def db_view(pred):
         sig = txn.schema.sig(pred)
         base = TreeView(txn.base.root(sig.pred_id), sig.arity, len(sig.value_types))
-        patches = txn.corr.get(pred)
+        patches = {key: (rec.sign, rec.value)
+                   for (pid, key), rec in model.content.items() if pid == sig.pred_id}
         return OverlayView(base, patch_tree(patches)) if patches else base
 
     views = {f"db:{pred}": db_view(pred) for pred in txn._read_preds}
@@ -257,12 +274,14 @@ def test_overlays_match_views_built_from_scratch(frags, base_vals, initial, stre
     model = _CorrModel()
 
     def changes_for(batch):
-        out = []
+        recs, withdraw = [], []
         for pred, key, val in batch:
             pid = OVERLAY_SCHEMA.sig(pred).pred_id
-            rec = retract(pid, (key,)) if val is None else upsert(pid, (key,), (val,))
-            out.extend(model.set(rec))
-        return out
+            if val == WITHDRAW:
+                withdraw.append((pid, (key,)))
+            else:
+                recs.append(retract(pid, (key,)) if val is None else upsert(pid, (key,), (val,)))
+        return model.publish(recs, withdraw)
 
     txn = TxnExec(OVERLAY_SCHEMA, rules)
     txn.evaluate(base, changes_for(initial))
@@ -274,7 +293,7 @@ def test_overlays_match_views_built_from_scratch(frags, base_vals, initial, stre
                 continue
             txn.repair(changes)
         views = txn._build_views()
-        assert scans(views) == scans(scratch_views(txn))
+        assert scans(views) == scans(scratch_views(txn, model))
         held.append((views, scans(views)))
         fresh = TxnExec(OVERLAY_SCHEMA, rules).evaluate(base, model.all_changes())
         got = txn.outputs()
