@@ -75,6 +75,19 @@ def test_change_composition(batches, data):
     assert often.pull() == once.pull() == []
 
 
+@given(publish_batches)
+@settings(max_examples=200)
+def test_replay_from_empty(batches):
+    """A cursor that first pulls after every publish replays, from an
+    empty map, to exactly the signal's content."""
+    sig = VersionedSignal("delta")
+    for inserts, drop in batches:
+        sig.publish(inserts, [rec for rec in sig.records() if rec.key[0] in drop])
+    replay = {}
+    _apply(replay, SignalCursor(sig).pull())
+    assert replay == _content(sig)
+
+
 def test_concurrent_pulls_replay_to_content():
     """Readers pulling while writers publish never skip a change, which
     no later change would mend here: each reader's replay ends equal to
