@@ -221,7 +221,7 @@ def run_serial(wl: Workload) -> RunReport:
         out = txn.evaluate(db)
         statuses.append(out.status)
         if out.status == EVALUATED:
-            db = apply_deltas(db, wl.schema, out.deltas)
+            db = apply_deltas(db, wl.schema, [rec for _ident, rec in out.deltas])
     return RunReport("serial", db, statuses, time.perf_counter() - t0,
                      txn_refreshes=len(wl.txns))
 
@@ -266,7 +266,9 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
                 statuses[i] = out.status
                 if out.status == EVALUATED:
                     with state_lock:
-                        shared["db"] = apply_deltas(shared["db"], wl.schema, out.deltas)
+                        shared["db"] = apply_deltas(
+                            shared["db"], wl.schema, [rec for _ident, rec in out.deltas]
+                        )
             finally:
                 for lk in reversed(held):
                     lk.release()

@@ -13,6 +13,9 @@ deltas and sensitivities merge upward; corrections flow downward:
 
 Nothing precedes the root's transactions, so the root has no correction
 signals and its correction operators read only deltas and sensitivity.
+At the fixpoint, the root's delta merge holds, per key, the write of the
+latest transaction that committed: the net effect of running the
+transactions serially. Those records are the epoch's commit.
 
 Signals at a node of height h are partitioned into 2^h subdomains of the
 global domain decomposition, so independent key regions refresh in
@@ -248,7 +251,8 @@ class CorrOp(Op):
 
 
 class TxnOp(Op):
-    """Leaf operator: evaluates/repairs the transaction at a leaf."""
+    """Leaf operator: evaluates/repairs the transaction at a leaf and
+    publishes the changes to its outputs."""
 
     kind = "txn"
 
@@ -273,18 +277,10 @@ class TxnOp(Op):
             out = txn.repair(changes)
         else:
             return False
-        changed = False
-        desired = {rec.identity(): rec for rec in out.deltas}
-        current = {rec.identity(): rec for rec in self.out_delta.records()}
-        removes = [current[i] for i in current if i not in desired]
-        inserts = [rec for i, rec in desired.items() if current.get(i) != rec]
-        if inserts or removes:
-            v0 = self.out_delta.latest
-            changed |= self.out_delta.publish(inserts, removes) != v0
-        new_sens = [r for r in out.sens if self.out_sens.get(r.identity()) is None]
-        if new_sens:
+        changed = _publish_winners(self.out_delta, out.deltas)
+        if out.sens:  # only records not reported before
             v0 = self.out_sens.latest
-            changed |= self.out_sens.publish(new_sens) != v0
+            changed |= self.out_sens.publish(out.sens) != v0
         return changed
 
 

@@ -12,7 +12,10 @@ feeding an operator instead, which is the pathological schedule for
 long dependency chains.
 
 The fixpoint of the circuit is schedule independent, so the committed
-state is identical for any worker count or tie-breaking choice.
+state is identical for any worker count or tie-breaking choice. At the
+fixpoint, the root's delta merge holds the net writes of the epoch's
+committed transactions in serial order; the engine commits them with one
+`apply_deltas` call per epoch and reads each status off its transaction.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuit import CorrOp, DeltaMergeOp, TxnOp, build_tree, wire_tree
+from .circuit import CorrOp, DeltaMergeOp, TxnOp, build_tree, labels, wire_tree
 from .domain import build_decomposition
 from .pstore import DbVersion, Schema, apply_deltas, full_scan
 from .txn import EVALUATED, TxnExec
@@ -257,13 +260,8 @@ class Engine:
         if errors:
             raise errors[0]
 
-        # fixpoint reached: finalize every leaf in serial order and commit
-        statuses = []
-        for leaf in leaves:
-            if leaf.txn is None:
-                continue
-            out = leaf.txn.outputs()
-            statuses.append(out.status)
-            if out.status == EVALUATED:
-                self.db = apply_deltas(self.db, self.schema, out.deltas)
-        return statuses
+        # fixpoint reached: the root's delta merge is the epoch's net write
+        # set, committed in one call
+        records = [rec for d in labels(cfg.height) for rec in root.delta[d].records()]
+        self.db = apply_deltas(self.db, self.schema, records)
+        return [leaf.txn.status for leaf in leaves if leaf.txn is not None]

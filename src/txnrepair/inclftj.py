@@ -12,11 +12,21 @@ re-evaluation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .lftj import CompiledRule, SensCollector, Stats, eval_rule
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _priority(n: int) -> int:
+    """splitmix64 of n: well-spread treap priorities from a plain counter."""
+    z = (n * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class _INode:
@@ -46,15 +56,17 @@ class IntervalIndex:
 
     Treap keyed by interval low endpoint, augmented with subtree max
     high endpoint, so a stab visits only subtrees that can contain the
-    point.
+    point. Priorities mix the insert count, so repeated intervals still
+    get distinct ones.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.root = None
-        self._rng = random.Random(seed)
+        self._inserts = 0
 
     def insert(self, lo: tuple, hi: tuple, payload):
-        node = _INode(lo, hi, payload, self._rng.random())
+        self._inserts += 1
+        node = _INode(lo, hi, payload, _priority(self._inserts))
         self.root = self._insert(self.root, node)
 
     def _insert(self, t, node):
@@ -144,7 +156,7 @@ class RuleMaintainer:
 
     def _absorb(self, col: SensCollector):
         for e in col.entries:
-            self.index.setdefault(e.vertex, IntervalIndex(len(self.index))).insert(e.lo, e.hi, e)
+            self.index.setdefault(e.vertex, IntervalIndex()).insert(e.lo, e.hi, e)
             self.entry_log.append(e)
 
     def changed_contexts(self, changed_points: dict):

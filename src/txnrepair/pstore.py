@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from . import ptree
 from .values import SchemaError, validate_tuple
@@ -74,84 +74,27 @@ class Schema:
     def from_sigs(sigs: Iterable[PredicateSig]) -> "Schema":
         return Schema(tuple(sigs))
 
-    @staticmethod
-    def from_json(text: str) -> "Schema":
-        doc = json.loads(text)
-        sigs = []
-        for i, p in enumerate(doc["predicates"]):
-            sigs.append(
-                PredicateSig(
-                    name=p["name"],
-                    pred_id=p.get("pred_id", i),
-                    key_types=tuple(p.get("key_types", ())),
-                    value_types=tuple(p.get("value_types", ())),
-                )
-            )
-        return Schema(tuple(sigs))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "predicates": [
-                    {
-                        "name": s.name,
-                        "pred_id": s.pred_id,
-                        "key_types": list(s.key_types),
-                        "value_types": list(s.value_types),
-                    }
-                    for s in self.predicates
-                ]
-            },
-            indent=2,
-        )
-
 
 @dataclass(frozen=True)
 class DbVersion:
     """Immutable database snapshot; safe to share across workers."""
 
-    version_id: int = 0
     roots: dict = field(default_factory=dict)  # pred_id -> ptree root
 
     def root(self, pred_id: int):
         return self.roots.get(pred_id)
 
-    def _with_root(self, pred_id: int, root) -> "DbVersion":
-        new_roots = dict(self.roots)
-        if root is None:
-            new_roots.pop(pred_id, None)
-        else:
-            new_roots[pred_id] = root
-        return DbVersion(self.version_id + 1, new_roots)
-
 
 def store_upsert(db: DbVersion, sig: PredicateSig, key, value=()) -> DbVersion:
     key = sig.check_key(key)
     value = sig.check_value(value)
-    return db._with_root(sig.pred_id, ptree.insert(db.root(sig.pred_id), key, value))
-
-
-def store_retract(db: DbVersion, sig: PredicateSig, key) -> DbVersion:
-    key = sig.check_key(key)
-    root = db.root(sig.pred_id)
-    new_root = ptree.remove(root, key)
-    if new_root is root:
-        return db
-    return db._with_root(sig.pred_id, new_root)
+    return DbVersion({**db.roots, sig.pred_id: ptree.insert(db.root(sig.pred_id), key, value)})
 
 
 def store_lookup(db: DbVersion, sig: PredicateSig, key):
     """Value tuple for key, or None if absent. Relations return () when present."""
     key = sig.check_key(key)
     return ptree.get(db.root(sig.pred_id), key)
-
-
-def store_iter(db: DbVersion, sig: PredicateSig, from_key=None) -> ptree.Cursor:
-    """Ordered seekable cursor over records with key >= from_key."""
-    cur = ptree.Cursor(db.root(sig.pred_id))
-    if from_key is not None:
-        cur.seek(tuple(from_key))
-    return cur
 
 
 def store_scan(db: DbVersion, sig: PredicateSig) -> Iterator[tuple]:
@@ -166,20 +109,13 @@ def full_scan(db: DbVersion, schema: Schema) -> Iterator[tuple]:
 
 
 def apply_deltas(db: DbVersion, schema: Schema, records) -> DbVersion:
-    """Apply delta records (pred_id, key, value, sign) to a branch of db."""
+    """Apply upsert records (pred_id, key, value) to a branch of db."""
     roots = dict(db.roots)
     for rec in records:
-        pred_id, key, value, sign = rec.pred_id, rec.key, rec.value, rec.sign
-        root = roots.get(pred_id)
-        if sign > 0:
-            roots[pred_id] = ptree.insert(root, key, value if value is not None else ())
-        else:
-            new_root = ptree.remove(root, key)
-            if new_root is None:
-                roots.pop(pred_id, None)
-            else:
-                roots[pred_id] = new_root
-    return DbVersion(db.version_id + 1, roots)
+        if rec.sign <= 0:
+            raise ValueError(f"apply_deltas takes upserts only, got {rec}")
+        roots[rec.pred_id] = ptree.insert(roots.get(rec.pred_id), rec.key, rec.value)
+    return DbVersion(roots)
 
 
 def export_snapshot(db: DbVersion, schema: Schema) -> str:
@@ -190,13 +126,3 @@ def export_snapshot(db: DbVersion, schema: Schema) -> str:
         lines.append(f"{sig.name}\t{json.dumps(list(key))}\t{json.dumps(list(value))}")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def import_snapshot(text: str, schema: Schema, base: Optional[DbVersion] = None) -> DbVersion:
-    db = base if base is not None else DbVersion()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        name, key_json, value_json = line.split("\t")
-        sig = schema.sig(name)
-        db = store_upsert(db, sig, tuple(json.loads(key_json)), tuple(json.loads(value_json)))
-    return db

@@ -18,16 +18,21 @@ Each root is path-copied by one insert or remove when its content
 changes, so building a rule's views costs O(predicates) and a view a
 maintainer keeps as its old inputs stays a true snapshot.
 
+Outputs are changes: each `outputs()` call, which `evaluate` and
+`repair` end with, drains what changed since the previous one, the
+requested deltas as `(identity, record or None)` pairs, the format
+signal pulls use, and the sensitivity records not reported before.
+
 Failure (violated constraint, conflicting upserts, or an upserted tuple
 whose key or value fails its predicate's signature, such as int64
-arithmetic overflow) empties the requested-delta output but keeps the
+arithmetic overflow) withdraws its published deltas but keeps the
 sensitivity output, which stays monotone: a failed transaction can
 recover when later corrections restore consistency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import ptree
@@ -46,11 +51,14 @@ FAILED = "failed"
 
 @dataclass
 class TxnOutputs:
+    """What changed in a transaction's outputs since the previous drain."""
+
     status: str
-    deltas: list  # DeltaRecord upserts this txn requests (empty when failed)
-    sens: list  # cumulative SensitivityRecords over db predicate keys
-    conflicts: list = field(default_factory=list)
-    constraint_hits: int = 0
+    # [((pred_id, key), DeltaRecord upsert, or None when withdrawn)], in
+    # identity order; folded in order, they give the requested deltas,
+    # which are empty unless the status is EVALUATED
+    deltas: list
+    sens: list  # SensitivityRecords over db predicate keys not reported before
 
 
 class TxnExec:
@@ -66,6 +74,7 @@ class TxnExec:
         self.upserted = sorted(
             {h.atom.pred for r in self.rules for h in r.head if h.is_upsert}
         )
+        self._upserted_ids = sorted((schema.sig(p).pred_id, p) for p in self.upserted)
         derived_karity = {}
         for r in self.rules:
             for h in r.head:
@@ -91,7 +100,16 @@ class TxnExec:
         self._end_root: dict = {}
         self._out_root: dict = {}
         self._out_of_range = 0  # live upserted tuples failing their signature
+        self._conflicted = 0  # upserted keys with more than one live value
+        self._hits = 0  # live constraint violations, summed over the rules
         self.maintainers: list = [None] * len(self.rules)
+        # drain state: identities whose end: overlay entry moved, the end:
+        # roots the last drain reported (None when it reported no deltas),
+        # and per maintainer the entry_log offset reported so far
+        self._moved: set = set()
+        self._reported: Optional[dict] = None
+        self._sens_offsets = [0] * len(self.rules)
+        self._sens_seen: set = set()
         self._topo = self.skeleton.topo_order()
         self._read_preds = sorted(
             {
@@ -132,8 +150,10 @@ class TxnExec:
     # ---- evaluation ----
 
     def evaluate(self, base: DbVersion, corrections=()) -> TxnOutputs:
-        """Full evaluation on a snapshot plus initial corrections, a pull
-        [((pred_id, key), DeltaRecord)] from an empty start."""
+        """Full evaluation, once, on a snapshot plus initial corrections, a
+        pull [((pred_id, key), DeltaRecord)] from an empty start."""
+        if self.status != UNEVALUATED:
+            raise RuntimeError("evaluate twice")
         self.base = base
         patches: dict = {}  # pred_id -> {key: (sign, value)}
         for (pred_id, key), rec in corrections:
@@ -142,11 +162,6 @@ class TxnExec:
             pred: patch_tree(patches.get(self.schema.sig(pred).pred_id, {}))
             for pred in sorted(set(self._read_preds) | set(self.upserted))
         }
-        self._delta_support = {}
-        self._out_support = {}
-        self._end_root = {}
-        self._out_root = {}
-        self._out_of_range = 0
         for vertex in self._topo:
             if not vertex.startswith("rule"):
                 continue
@@ -154,6 +169,7 @@ class TxnExec:
             views = self._build_views()
             m = RuleMaintainer(self.compiled[i], views, stats=self.stats)
             self.maintainers[i] = m
+            self._hits += m.constraint_hits
             self._apply_rule_output(i, self._full_diffs(m))
         self._refresh_status()
         return self.outputs()
@@ -182,11 +198,13 @@ class TxnExec:
                     vals = support.setdefault(key, {})
                     before = next(iter(vals)) if len(vals) == 1 else None
                     was_live = value in vals
+                    conflicted = len(vals) > 1
                     vals[value] = vals.get(value, 0) + (new_c - old_c)
                     if vals[value] <= 0:
                         del vals[value]
                     if was_live != (value in vals) and not _in_signature(sig, key, value):
                         self._out_of_range += 1 if not was_live else -1
+                    self._conflicted += (len(vals) > 1) - conflicted
                     # conflicting keys stay out of the overlay; the conflict
                     # fails the txn
                     after = next(iter(vals)) if len(vals) == 1 else None
@@ -196,6 +214,7 @@ class TxnExec:
                             if after is None
                             else ptree.insert(root, key, (UPSERT, after))
                         )
+                        self._moved.add((sig.pred_id, key))
                     touched.append(t)
                 self._end_root[pred] = root
             else:
@@ -252,6 +271,7 @@ class TxnExec:
                 continue
             views = self._build_views()
             report = self.maintainers[i].apply_changes(views, touched, stats=self.stats)
+            self._hits += report.constraint_delta
             downstream = self._apply_rule_output(i, report.head_diffs)
             for v, pts in downstream.items():
                 pending.setdefault(v, []).extend(pts)
@@ -260,61 +280,57 @@ class TxnExec:
 
     # ---- outputs ----
 
-    def _conflicts(self):
-        out = []
-        for pred, keys in sorted(self._delta_support.items()):
-            for key, vals in sorted(keys.items()):
-                live = sorted(v for v, c in vals.items() if c > 0)
-                if len(live) > 1:
-                    out.append((pred, key, tuple(live)))
-        return out
-
     def _refresh_status(self):
-        hits = sum(
-            m.constraint_hits for m in self.maintainers if m is not None
-        )
-        failed = hits > 0 or self._out_of_range > 0 or self._conflicts()
+        failed = self._hits or self._out_of_range or self._conflicted
         self.status = FAILED if failed else EVALUATED
 
-    def delta_records(self):
-        if self.status != EVALUATED:
-            return []
+    def outputs(self) -> TxnOutputs:
+        """Drain what changed since the previous call (since evaluate,
+        for the first call)."""
+        return TxnOutputs(self.status, self._delta_changes(), self._sens_changes())
+
+    def _delta_changes(self):
+        old = self._reported
+        new = dict(self._end_root) if self.status == EVALUATED else None
+        self._reported = new
+        moved, self._moved = self._moved, set()
         out = []
-        for pred, root in sorted(self._end_root.items()):
-            pred_id = self.schema.sig(pred).pred_id
-            for key, (_sign, value) in ptree.items(root):
-                out.append(upsert(pred_id, key, value))
+        if old is None or new is None:
+            # first drain or a status flip: every key of the side that
+            # holds deltas changes; walk its roots in identity order
+            live = new is not None
+            roots = new if live else old or {}
+            for pred_id, pred in self._upserted_ids:
+                for key, (_sign, value) in ptree.items(roots.get(pred)):
+                    out.append(((pred_id, key), upsert(pred_id, key, value) if live else None))
+            return out
+        for pred_id, key in sorted(moved):
+            pred = self.schema.sig_by_id(pred_id).name
+            cur = ptree.get(new.get(pred), key)
+            if cur != ptree.get(old.get(pred), key):
+                rec = None if cur is None else upsert(pred_id, key, cur[1])
+                out.append(((pred_id, key), rec))
         return out
 
-    def sens_records(self):
-        """Cumulative key-space sensitivity over database predicates."""
-        seen = set()
+    def _sens_changes(self):
+        """Key-space sensitivity over database predicates absorbed since
+        the last drain."""
         out = []
-        for m in self.maintainers:
+        for i, m in enumerate(self.maintainers):
             if m is None:
                 continue
-            for e in m.entry_log:
+            for e in m.entry_log[self._sens_offsets[i]:]:
                 kind, _, pred = e.vertex.partition(":")
                 if kind not in ("db", "end"):
                     continue
                 sig = self.schema.sig(pred)
                 karity = sig.arity
                 rec = SensitivityRecord(sig.pred_id, e.lo[:karity], e.hi[:karity])
-                if rec.identity() not in seen:
-                    seen.add(rec.identity())
+                if rec.identity() not in self._sens_seen:
+                    self._sens_seen.add(rec.identity())
                     out.append(rec)
+            self._sens_offsets[i] = len(m.entry_log)
         return out
-
-    def outputs(self) -> TxnOutputs:
-        return TxnOutputs(
-            status=self.status,
-            deltas=self.delta_records(),
-            sens=self.sens_records(),
-            conflicts=self._conflicts(),
-            constraint_hits=sum(
-                m.constraint_hits for m in self.maintainers if m is not None
-            ),
-        )
 
 
 def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:

@@ -296,16 +296,10 @@ def run_fixpoint(base, txn_rules, height, rnd):
                 for reader in sig.readers:
                     if reader not in dirty:
                         dirty.append(reader)
-    db = base
-    statuses = []
-    for leaf in leaves:
-        if leaf.txn is None:
-            continue
-        out = leaf.txn.outputs()
-        statuses.append(out.status)
-        if out.status == EVALUATED:
-            db = apply_deltas(db, SCHEMA, out.deltas)
-    return db, statuses
+    # the root's delta merge is the commit
+    records = [rec for d in labels(height) for rec in root.delta[d].records()]
+    db = apply_deltas(base, SCHEMA, records)
+    return db, [leaf.txn.status for leaf in leaves if leaf.txn is not None]
 
 
 def serial_oracle(base, txn_rules):
@@ -315,7 +309,7 @@ def serial_oracle(base, txn_rules):
         out = TxnExec(SCHEMA, rules, txn_id=i).evaluate(db)
         statuses.append(out.status)
         if out.status == EVALUATED:
-            db = apply_deltas(db, SCHEMA, out.deltas)
+            db = apply_deltas(db, SCHEMA, [rec for _ident, rec in out.deltas])
     return db, statuses
 
 

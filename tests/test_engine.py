@@ -18,8 +18,16 @@ from txnrepair.bench import (
 )
 from txnrepair.circuit import CorrOp, DeltaMergeOp, SensMergeOp, TxnOp, build_tree, wire_tree
 from txnrepair.domain import build_decomposition
+from txnrepair import engine
 from txnrepair.engine import EARLIEST, FAR, INVERTED, Engine, EngineConfig, _op_priorities
-from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_lookup, store_upsert
+from txnrepair.pstore import (
+    DbVersion,
+    PredicateSig,
+    Schema,
+    full_scan,
+    store_lookup,
+    store_upsert,
+)
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED, TxnExec
 from txnrepair.values import INT64
@@ -66,6 +74,29 @@ def test_failed_txn_skipped():
     assert rep.statuses == [EVALUATED, FAILED, EVALUATED]
     assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (2,)
     assert eng.metrics.failed_txns == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_all_failed_epoch_commits_no_records(monkeypatch, workers):
+    """The epoch commits its root's delta merge in one call, also when
+    every transaction failed and that merge holds nothing."""
+    calls = []
+    commit = engine.apply_deltas
+    monkeypatch.setattr(
+        engine, "apply_deltas",
+        lambda db, schema, records: calls.append(list(records)) or commit(db, schema, records),
+    )
+    overdraw = [parse_rules(
+        "^cnt[$k] = v <- v = cnt@start[$k] - 5.\nfalse <- cnt[$k] = v, v < 0.",
+        SCHEMA,
+        params={"k": k},
+    ) for k in (0, 1, 0)]
+    db = base_db(nkeys=2)
+    eng = Engine(SCHEMA, db, EngineConfig(workers=workers, height=2))
+    rep = eng.run(overdraw)
+    assert rep.statuses == [FAILED] * 3
+    assert calls == [[]]
+    assert list(full_scan(eng.db, SCHEMA)) == list(full_scan(db, SCHEMA))
 
 
 def test_metrics_accumulate_across_runs():

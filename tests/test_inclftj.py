@@ -1,5 +1,6 @@
 """Interval index and incremental rule maintenance vs full re-evaluation."""
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -30,6 +31,22 @@ def test_interval_index_vs_linear(ivals, probes):
         got = sorted(idx.stab((p,)))
         want = [i for i, (lo, hi) in enumerate(ivals) if lo <= p <= hi]
         assert got == want
+
+
+def _depth(t):
+    return 0 if t is None else 1 + max(_depth(t.left), _depth(t.right))
+
+
+def test_interval_index_stays_shallow():
+    """Sorted inserts and repeats of one interval still build a treap of
+    logarithmic depth: priorities do not follow the intervals."""
+    n = 4096
+    for ivals in ([((i,), (i + 1,)) for i in range(n)], [((5,), (9,))] * n):
+        idx = IntervalIndex()
+        for i, (lo, hi) in enumerate(ivals):
+            idx.insert(lo, hi, i)
+        assert _depth(idx.root) < 4 * math.log2(n)
+    assert len(idx.stab((7,))) == n
 
 
 def test_minimal_contexts_drops_extensions():

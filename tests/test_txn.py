@@ -36,8 +36,36 @@ false <- bal[$a] = v, v < 0.
     )
 
 
-def deltas_as_dict(out):
-    return {rec.key: rec.value for rec in out.deltas}
+class Folded:
+    """A consumer of one transaction's change outputs: folds each drain
+    into the current status, requested deltas and sensitivity, checking
+    the change contract on the way."""
+
+    def __init__(self, out=None):
+        self.status = None
+        self.deltas = {}  # identity -> DeltaRecord
+        self.sens = set()  # sensitivity record identities
+        if out is not None:
+            self.fold(out)
+
+    def fold(self, out):
+        idents = [ident for ident, _rec in out.deltas]
+        assert idents == sorted(set(idents)), "changes out of order or repeated"
+        for ident, rec in out.deltas:
+            assert self.deltas.get(ident) != rec, f"no-op change at {ident}"
+            if rec is None:
+                del self.deltas[ident]
+            else:
+                self.deltas[ident] = rec
+        for rec in out.sens:
+            assert rec.identity() not in self.sens, f"{rec} reported twice"
+            self.sens.add(rec.identity())
+        self.status = out.status
+        return self
+
+    def values(self):
+        """{key: value} of the requested deltas."""
+        return {key: rec.value for (_pid, key), rec in self.deltas.items()}
 
 
 def pulled(rec):
@@ -52,9 +80,9 @@ def withdrawn(rec):
 
 def test_transfer_succeeds():
     txn = TxnExec(SCHEMA, transfer(1, 2, 30))
-    out = txn.evaluate(make_db({1: 100, 2: 5}))
-    assert out.status == EVALUATED
-    assert deltas_as_dict(out) == {(1,): (70,), (2,): (35,)}
+    got = Folded(txn.evaluate(make_db({1: 100, 2: 5})))
+    assert got.status == EVALUATED
+    assert got.values() == {(1,): (70,), (2,): (35,)}
 
 
 def test_overdraft_fails_with_empty_deltas():
@@ -62,7 +90,7 @@ def test_overdraft_fails_with_empty_deltas():
     out = txn.evaluate(make_db({1: 10, 2: 5}))
     assert out.status == FAILED
     assert out.deltas == []
-    assert out.constraint_hits == 1
+    assert sum(m.constraint_hits for m in txn.maintainers) == 1
     assert out.sens  # sensitivity output survives failure
 
 
@@ -76,7 +104,7 @@ def test_conflicting_upserts_fail():
     txn = TxnExec(SCHEMA, rules)
     out = txn.evaluate(make_db({1: 0}))
     assert out.status == FAILED
-    assert out.conflicts == [("bal", (1,), ((1,), (2,)))]
+    assert out.deltas == []
 
 
 def test_agreeing_upserts_are_fine():
@@ -86,31 +114,35 @@ def test_agreeing_upserts_are_fine():
         SCHEMA,
         params={"k": 1},
     )
-    out = TxnExec(SCHEMA, rules).evaluate(make_db({1: 0}))
-    assert out.status == EVALUATED
-    assert deltas_as_dict(out) == {(1,): (1,)}
+    got = Folded(TxnExec(SCHEMA, rules).evaluate(make_db({1: 0})))
+    assert got.status == EVALUATED
+    assert got.values() == {(1,): (1,)}
 
 
 def test_repair_tracks_correction():
     txn = TxnExec(SCHEMA, transfer(1, 2, 30))
-    out = txn.evaluate(make_db({1: 100, 2: 5}))
-    assert deltas_as_dict(out) == {(1,): (70,), (2,): (35,)}
+    got = Folded(txn.evaluate(make_db({1: 100, 2: 5})))
+    assert got.values() == {(1,): (70,), (2,): (35,)}
+    assert txn.outputs().deltas == txn.outputs().sens == []  # drained
+    with pytest.raises(RuntimeError):  # evaluation happens once
+        txn.evaluate(make_db({1: 100, 2: 5}))
     # another transaction changed bal[1] underneath us
     out = txn.repair(pulled(upsert(0, (1,), (50,))))
-    assert out.status == EVALUATED
-    assert deltas_as_dict(out) == {(1,): (20,), (2,): (35,)}
+    assert out.deltas == [((0, (1,)), upsert(0, (1,), (20,)))]  # only the change
+    assert got.fold(out).status == EVALUATED
+    assert got.values() == {(1,): (20,), (2,): (35,)}
 
 
 def test_repair_can_fail_and_recover():
     txn = TxnExec(SCHEMA, transfer(1, 2, 30))
-    txn.evaluate(make_db({1: 100, 2: 5}))
+    got = Folded(txn.evaluate(make_db({1: 100, 2: 5})))
     corr = upsert(0, (1,), (10,))
-    out = txn.repair(pulled(corr))
-    assert out.status == FAILED and out.deltas == []
+    got.fold(txn.repair(pulled(corr)))
+    assert got.status == FAILED and got.deltas == {}  # both deltas withdrawn
     # correction withdrawn: back to the snapshot value
-    out = txn.repair(withdrawn(corr))
-    assert out.status == EVALUATED
-    assert deltas_as_dict(out) == {(1,): (70,), (2,): (35,)}
+    got.fold(txn.repair(withdrawn(corr)))
+    assert got.status == EVALUATED
+    assert got.values() == {(1,): (70,), (2,): (35,)}
 
 
 def test_null_txn():
@@ -156,7 +188,7 @@ def test_repair_matches_fresh_eval_fuzz():
         base = make_db({k: rnd.randrange(0, 120) for k in range(6)})
         a, b = rnd.sample(range(6), 2)
         txn = TxnExec(SCHEMA, transfer(a, b, rnd.randrange(0, 100)))
-        txn.evaluate(base)
+        got = Folded(txn.evaluate(base))
         model = _CorrModel()
         for _ in range(rnd.randint(1, 5)):
             key = (rnd.randrange(6),)
@@ -164,25 +196,23 @@ def test_repair_matches_fresh_eval_fuzz():
                    else upsert(0, key, (rnd.randrange(0, 120),)))
             changes = model.publish([rec])
             if changes:
-                txn.repair(changes)
-        fresh = TxnExec(SCHEMA, list(txn.rules))
-        want = fresh.evaluate(base, model.all_changes())
-        got = txn.outputs()
+                got.fold(txn.repair(changes))
+        want = Folded(TxnExec(SCHEMA, list(txn.rules)).evaluate(base, model.all_changes()))
         assert got.status == want.status, seed
-        assert deltas_as_dict(got) == deltas_as_dict(want), seed
+        assert got.deltas == want.deltas, seed
 
 
 def test_out_of_range_upsert_fails_until_repaired_into_range():
     bump = parse_rules("^bal[1] = v <- v = bal@start[1] + 1.", SCHEMA)
     txn = TxnExec(SCHEMA, bump)
-    out = txn.evaluate(make_db({1: 2**63 - 1}))
-    assert out.status == FAILED and out.deltas == []
+    got = Folded(txn.evaluate(make_db({1: 2**63 - 1})))
+    assert got.status == FAILED and got.deltas == {}
     corr = upsert(0, (1,), (0,))
-    out = txn.repair(pulled(corr))
-    assert out.status == EVALUATED
-    assert deltas_as_dict(out) == {(1,): (1,)}
-    out = txn.repair(withdrawn(corr))
-    assert out.status == FAILED and out.deltas == []
+    got.fold(txn.repair(pulled(corr)))
+    assert got.status == EVALUATED
+    assert got.values() == {(1,): (1,)}
+    got.fold(txn.repair(withdrawn(corr)))
+    assert got.status == FAILED and got.deltas == {}
 
 
 # ---- persistent overlays against views built from scratch ----
@@ -265,7 +295,8 @@ def scans(views):
 def test_overlays_match_views_built_from_scratch(frags, base_vals, initial, stream):
     """After evaluate and after every repair, each view equals one rebuilt
     from the support counts, views built earlier still scan as they did,
-    and the outputs equal a fresh evaluation under the same corrections."""
+    and the folded change outputs hold a fresh evaluation's deltas (none
+    when failed) and at least its sensitivity."""
     base = DbVersion()
     for i, val in enumerate(base_vals):
         sig = OVERLAY_SCHEMA.predicates[i // 4]
@@ -284,19 +315,21 @@ def test_overlays_match_views_built_from_scratch(frags, base_vals, initial, stre
         return model.publish(recs, withdraw)
 
     txn = TxnExec(OVERLAY_SCHEMA, rules)
-    txn.evaluate(base, changes_for(initial))
+    got = Folded(txn.evaluate(base, changes_for(initial)))
     held = []  # (views, their scans when built)
     for batch in [None] + stream:
         if batch is not None:
             changes = changes_for(batch)
             if not changes:
                 continue
-            txn.repair(changes)
+            got.fold(txn.repair(changes))
         views = txn._build_views()
         assert scans(views) == scans(scratch_views(txn, model))
         held.append((views, scans(views)))
-        fresh = TxnExec(OVERLAY_SCHEMA, rules).evaluate(base, model.all_changes())
-        got = txn.outputs()
-        assert (got.status, got.deltas) == (fresh.status, fresh.deltas)
+        fresh = Folded(TxnExec(OVERLAY_SCHEMA, rules).evaluate(base, model.all_changes()))
+        assert got.status == fresh.status
+        assert got.deltas == fresh.deltas
+        assert got.status == EVALUATED or got.deltas == {}
+        assert got.sens >= fresh.sens
     for views, seen in held:
         assert scans(views) == seen
