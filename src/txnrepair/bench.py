@@ -21,7 +21,7 @@ import json
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,6 @@ class Workload:
     db: DbVersion
     txns: list  # parsed rule lists
     locksets: list  # per txn: sorted tuple of (pred_id, key) it may touch
-    key_sets: list = field(default_factory=list)  # sku: raw sku ids per txn
 
 
 def state_hash(db: DbVersion, schema: Schema) -> str:
@@ -95,7 +94,7 @@ def gen_sku(cfg: WorkloadConfig) -> Workload:
     for s in range(cfg.n):
         db = store_upsert(db, sig, (s,), (int(rng.integers(0, 1000)),))
     p = min(1.0, cfg.alpha / cfg.n**0.5)
-    txns, locksets, key_sets = [], [], []
+    txns, locksets = [], []
     for _ in range(cfg.txns):
         count = int(rng.binomial(cfg.n, p))
         skus = sorted(int(s) for s in rng.choice(cfg.n, size=count, replace=False))
@@ -105,8 +104,7 @@ def gen_sku(cfg: WorkloadConfig) -> Workload:
             rules.extend(_bump_rules(schema, "inventory", s, d))
         txns.append(rules)
         locksets.append(tuple((0, (s,)) for s in skus))
-        key_sets.append(skus)
-    return Workload(schema, db, txns, locksets, key_sets)
+    return Workload(schema, db, txns, locksets)
 
 
 def gen_counter_chain(cfg: WorkloadConfig) -> Workload:
@@ -221,7 +219,7 @@ def run_serial(wl: Workload) -> RunReport:
         out = txn.evaluate(db)
         statuses.append(out.status)
         if out.status == EVALUATED:
-            db = apply_deltas(db, wl.schema, [rec for _ident, rec in out.deltas])
+            db = apply_deltas(db, wl.schema, out.deltas)
     return RunReport("serial", db, statuses, time.perf_counter() - t0,
                      txn_refreshes=len(wl.txns))
 
@@ -266,9 +264,7 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
                 statuses[i] = out.status
                 if out.status == EVALUATED:
                     with state_lock:
-                        shared["db"] = apply_deltas(
-                            shared["db"], wl.schema, [rec for _ident, rec in out.deltas]
-                        )
+                        shared["db"] = apply_deltas(shared["db"], wl.schema, out.deltas)
             finally:
                 for lk in reversed(held):
                     lk.release()

@@ -19,9 +19,12 @@ transactions serially. Those records are the epoch's commit.
 
 Signals at a node of height h are partitioned into 2^h subdomains of the
 global domain decomposition, so independent key regions refresh in
-parallel. Every operator pulls, per input signal, the identities whose
-records changed since its last pull, and republishes only what changed,
-which keeps refresh cost proportional to change volume.
+parallel. Each signal maps an identity to a value: a record identity
+`(pred_id, key)` to its value for deltas and corrections, a key interval
+`(pred_id, lo, hi)` to `()` for sensitivity. Every operator pulls, per
+input signal, the identities whose values changed since its last pull,
+and republishes only what changed, which keeps refresh cost proportional
+to change volume.
 """
 
 from __future__ import annotations
@@ -32,14 +35,7 @@ from typing import Optional
 from .domain import DomainDecomposition
 from .inclftj import IntervalIndex
 from .pstore import DbVersion
-from .signal import (
-    CORR,
-    DELTA,
-    SENS,
-    SensitivityRecord,
-    SignalCursor,
-    VersionedSignal,
-)
+from .signal import CORR, DELTA, SENS, SignalCursor, VersionedSignal
 from .txn import UNEVALUATED, TxnExec
 from .values import MINK, TOP
 
@@ -93,43 +89,47 @@ def _in_interval(lo_pt: tuple, hi_pt: tuple, pred_id: int, key: tuple) -> bool:
     return lo_pt <= (pred_id, tuple(key)) < hi_pt
 
 
-def clip_sens(rec: SensitivityRecord, lo_pt: tuple, hi_pt: tuple):
-    """Closed clip of a key interval to a subdomain; both subdomains keep
-    the boundary point, which preserves covering."""
-    arity = len(rec.lo)
-    a = (rec.pred_id, rec.lo)
-    b = (rec.pred_id, rec.hi)
+def clip_sens(interval: tuple, lo_pt: tuple, hi_pt: tuple):
+    """Closed clip of a key interval (pred_id, lo, hi) to a subdomain, or
+    None when they do not meet; both subdomains keep the boundary point,
+    which preserves covering."""
+    pred_id, lo, hi = interval
+    arity = len(lo)
+    a = (pred_id, lo)
+    b = (pred_id, hi)
     nlo = max(a, lo_pt)
     nhi = min(b, hi_pt)
     if nlo > nhi:
         return None
-    lo = rec.lo if nlo == a else (nlo[1] + (MINK,) * arity)[:arity]
-    hi = rec.hi if nhi == b else (nhi[1] + (TOP,) * arity)[:arity]
+    if nlo != a:
+        lo = (nlo[1] + (MINK,) * arity)[:arity]
+    if nhi != b:
+        hi = (nhi[1] + (TOP,) * arity)[:arity]
     if not lo <= hi:
         return None
-    return SensitivityRecord(rec.pred_id, lo, hi)
+    return (pred_id, lo, hi)
 
 
 def _first(signals, ident: tuple):
-    """The record at `ident` in the first of `signals` that holds one."""
+    """The value at `ident` in the first of `signals` that holds one."""
     for sig in signals:
-        rec = sig.get(ident)
-        if rec is not None:
-            return rec
+        value = sig.get(ident)
+        if value is not None:
+            return value
     return None
 
 
 def _publish_winners(out: VersionedSignal, winners) -> bool:
-    """Make `out` hold each winning record, None meaning no record, at its
+    """Make `out` hold each winning value, None meaning no value, at its
     identity; True when that changed `out`."""
     inserts, removes = [], []
     for ident, winner in winners:
         cur = out.get(ident)
         if winner is None:
             if cur is not None:
-                removes.append(cur)
+                removes.append(ident)
         elif winner != cur:
-            inserts.append(winner)
+            inserts.append((ident, winner))
     if not inserts and not removes:
         return False
     v0 = out.latest
@@ -181,7 +181,7 @@ class DeltaMergeOp(Op):
         idents = dict.fromkeys(
             ident
             for cur in (self.cur_l, self.cur_r)
-            for ident, _rec in cur.pull()
+            for ident, _value in cur.pull()
             if _in_interval(lo_pt, hi_pt, *ident)
         )
         return _publish_winners(
@@ -204,12 +204,10 @@ class SensMergeOp(Op):
         changes = self.cur_l.pull() + self.cur_r.pull()
         lo_pt, hi_pt = self.interval
         inserts = []
-        for _ident, rec in changes:  # sensitivity only grows: every record is present
-            clipped = clip_sens(rec, lo_pt, hi_pt)
-            if clipped is None:
-                continue
-            if self.out.get(clipped.identity()) is None:
-                inserts.append(clipped)
+        for interval, _unit in changes:  # sensitivity only grows: all present
+            clipped = clip_sens(interval, lo_pt, hi_pt)
+            if clipped is not None and self.out.get(clipped) is None:
+                inserts.append((clipped, ()))
         if not inserts:
             return False
         v0 = self.out.latest
@@ -234,16 +232,15 @@ class CorrOp(Op):
         self.output_signals = [self.out]
 
     def refresh(self) -> bool:
-        sens_changes = [rec for _ident, rec in self.cur_sens.pull()]
-        idents = {ident for cur in self._inputs for ident, _rec in cur.pull()}
-        for rec in sens_changes:
-            lo_ident = (rec.pred_id, rec.lo)
-            hi_ident = (rec.pred_id, rec.hi)
-            self._sens_index.insert(lo_ident, hi_ident, rec)
+        sens_changes = self.cur_sens.pull()
+        idents = {ident for cur in self._inputs for ident, _value in cur.pull()}
+        for interval, _unit in sens_changes:
+            pred_id, lo, hi = interval
+            lo_ident, hi_ident = (pred_id, lo), (pred_id, hi)
+            self._sens_index.insert(lo_ident, hi_ident, interval)
             # candidates already present in the inputs inside the new interval
             for cur in self._inputs:
-                for r in cur.signal.range_records(lo_ident, hi_ident):
-                    idents.add(r.identity())
+                idents.update(cur.signal.range_idents(lo_ident, hi_ident))
         return _publish_winners(self.out, (
             (i, _first(self._by_precedence, i) if self._sens_index.stab(i) else None)
             for i in idents
@@ -278,9 +275,9 @@ class TxnOp(Op):
         else:
             return False
         changed = _publish_winners(self.out_delta, out.deltas)
-        if out.sens:  # only records not reported before
+        if out.sens:  # only intervals not reported before
             v0 = self.out_sens.latest
-            changed |= self.out_sens.publish(out.sens) != v0
+            changed |= self.out_sens.publish([(i, ()) for i in out.sens]) != v0
         return changed
 
 

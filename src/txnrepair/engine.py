@@ -262,6 +262,6 @@ class Engine:
 
         # fixpoint reached: the root's delta merge is the epoch's net write
         # set, committed in one call
-        records = [rec for d in labels(cfg.height) for rec in root.delta[d].records()]
-        self.db = apply_deltas(self.db, self.schema, records)
+        changes = [item for d in labels(cfg.height) for item in root.delta[d].items()]
+        self.db = apply_deltas(self.db, self.schema, changes)
         return [leaf.txn.status for leaf in leaves if leaf.txn is not None]

@@ -137,7 +137,6 @@ class MaintainReport:
     # per head atom: {tuple: (old_count, new_count)} for counts that changed
     head_diffs: list = field(default_factory=list)
     constraint_delta: int = 0
-    stats: Optional[Stats] = None
 
 
 class RuleMaintainer:
@@ -180,7 +179,7 @@ class RuleMaintainer:
         harmless). Returns the head-tuple count transitions.
         """
         contexts = self.changed_contexts(changed_points)
-        report = MaintainReport(contexts=tuple(contexts), stats=stats)
+        report = MaintainReport(contexts=tuple(contexts))
         order = self.compiled.var_order
         n_heads = len(self.head_counts)
         deltas = [dict() for _ in range(n_heads)]

@@ -39,16 +39,15 @@ class SensEntry:
     vertex: str
     lo: tuple
     hi: tuple
-    ctx: tuple  # values of var_order[:level]
-    level: int
+    ctx: tuple  # values of a prefix of var_order
 
 
 class SensCollector:
     def __init__(self):
         self.entries: list = []
 
-    def record(self, vertex, lo, hi, ctx, level):
-        self.entries.append(SensEntry(vertex, tuple(lo), tuple(hi), tuple(ctx), level))
+    def record(self, vertex, lo, hi, ctx):
+        self.entries.append(SensEntry(vertex, tuple(lo), tuple(hi), tuple(ctx)))
 
 
 @dataclass
@@ -279,7 +278,7 @@ def eval_rule(
         if collector is None:
             return lambda lo, hi: None
         c = ctx(level)
-        return lambda lo, hi: collector.record(vertex, lo, hi, c, level)
+        return lambda lo, hi: collector.record(vertex, lo, hi, c)
 
     def probe(ca: CompiledAtom, level) -> bool:
         """Exact-presence test with point sensitivity."""
@@ -289,7 +288,7 @@ def eval_rule(
         stats.seeks += 1
         cur.seek(t)
         if collector is not None:
-            collector.record(ca.vertex, t, t, ctx(level), level)
+            collector.record(ca.vertex, t, t, ctx(level))
         return (not cur.at_end) and cur.current() == t
 
     def prim_holds(p: PrimAtom) -> bool:

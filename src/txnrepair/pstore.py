@@ -1,9 +1,12 @@
 """Persistent, versioned predicate storage.
 
 A DbVersion is an immutable snapshot mapping each predicate to the root
-of a persistent ordered tree. Branching is O(1) (reuse the snapshot);
-updates path-copy and return a new DbVersion, so any previously obtained
-version replays to identical scans forever.
+of a persistent ordered tree from key tuple to value tuple (`()` for a
+relation). Branching is O(1) (reuse the snapshot); updates path-copy and
+return a new DbVersion, so any previously obtained version replays to
+identical scans forever. The commit, `apply_deltas`, takes changes in
+the signal format, `((pred_id, key), value)`, and checks each against
+its predicate's signature.
 """
 
 from __future__ import annotations
@@ -108,13 +111,17 @@ def full_scan(db: DbVersion, schema: Schema) -> Iterator[tuple]:
             yield sig.pred_id, key, value
 
 
-def apply_deltas(db: DbVersion, schema: Schema, records) -> DbVersion:
-    """Apply upsert records (pred_id, key, value) to a branch of db."""
+def apply_deltas(db: DbVersion, schema: Schema, changes) -> DbVersion:
+    """Upsert each `((pred_id, key), value)` of `changes` into a branch of
+    db, checking key and value against the predicate's signature."""
     roots = dict(db.roots)
-    for rec in records:
-        if rec.sign <= 0:
-            raise ValueError(f"apply_deltas takes upserts only, got {rec}")
-        roots[rec.pred_id] = ptree.insert(roots.get(rec.pred_id), rec.key, rec.value)
+    for (pred_id, key), value in changes:
+        if value is None:
+            raise ValueError(f"apply_deltas takes upserts only, got a removal of {key}")
+        sig = schema.sig_by_id(pred_id)
+        sig.check_key(key)
+        sig.check_value(value)
+        roots[pred_id] = ptree.insert(roots.get(pred_id), key, value)
     return DbVersion(roots)
 
 

@@ -118,7 +118,8 @@ def remove(node: Optional[Node], key) -> Optional[Node]:
     return _balance(k, v, node.left, new_right)
 
 
-def get(node: Optional[Node], key, default=None):
+def get(node: Optional[Node], key):
+    """Value at key, or None when absent."""
     while node is not None:
         if key < node.key:
             node = node.left
@@ -126,12 +127,7 @@ def get(node: Optional[Node], key, default=None):
             node = node.right
         else:
             return node.val
-    return default
-
-
-def contains(node: Optional[Node], key) -> bool:
-    sentinel = object()
-    return get(node, key, sentinel) is not sentinel
+    return None
 
 
 def items(node: Optional[Node]) -> Iterator[tuple]:

@@ -25,6 +25,7 @@ from .values import INT64, SchemaError, literal_tag
 
 AT_START = "start"
 AT_END = "end"
+_ARITH_SYMBOLS = {"+": "add", "-": "sub", "*": "mul"}
 
 
 class ParseError(Exception):
@@ -71,9 +72,9 @@ class FunAtom:
     stage: str = AT_END
 
 
-# primitive ops: ternary arithmetic (a, b, out) and binary comparisons (a, b)
+# primitive ops: ternary arithmetic (a, b, out); the others are binary
+# comparisons (a, b): eq, ne, lt, le, gt, ge
 ARITH_OPS = ("add", "sub", "mul")
-CMP_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,6 @@ class Rule:
     is_constraint: bool = False
     exists_vars: tuple = ()
     span: tuple = (0, 0)  # (line, col) of the rule start
-
-    def all_atoms(self):
-        for h in self.head:
-            yield h.atom
-        for a in self.body:
-            yield a.atom if isinstance(a, NegAtom) else a
 
 
 _TOKEN_RE = re.compile(
@@ -213,18 +208,17 @@ class _Parser:
         return out
 
     def parse_head_atom(self):
-        is_upsert = False
-        if self.at("^"):
+        is_upsert = self.at("^")
+        if is_upsert:
             self.take()
-            is_upsert = True
-        atom, extra = self.parse_db_atom(allow_expr_value=False)
-        if extra:
-            tok = self.peek()
-            raise ParseError("head atoms must be simple", tok[2], tok[3])
-        if atom.stage == AT_START:
-            tok = self.peek()
+        tok = self.peek()
+        name, stage, bracket, terms = self.parse_atom()
+        if stage == AT_START:
             raise ParseError("@start cannot decorate a head atom", tok[2], tok[3])
-        return HeadAtom(atom=atom, is_upsert=is_upsert)
+        if bracket == "(":
+            return HeadAtom(RelAtom(name, terms), is_upsert)
+        self.take("punct", "=")
+        return HeadAtom(FunAtom(name, terms, (self.parse_simple_term(),)), is_upsert)
 
     def parse_body_disjunction(self):
         disjuncts = [self.parse_conj()]
@@ -278,22 +272,20 @@ class _Parser:
 
     def parse_positive(self):
         """One body conjunct; may expand to several atoms via lowering."""
-        # relation / function atom?
-        if self.peek()[0] == "ident" and self.peek()[1] not in ("true", "false", "exists"):
-            nxt = self.peek(1)[1]
-            if nxt == "(":
-                atom, extra = self.parse_db_atom(allow_expr_value=True)
-                return extra + [atom]
-            if nxt == "[" or nxt == "@":
-                name, stage, keys = self._parse_fun_head()
-                if self.at("="):
-                    self.take()
-                    val, pre = self.parse_expr()
-                    return pre + [FunAtom(name, tuple(keys), (val,), stage)]
-                # value used in a comparison / larger expression
-                out = self.fresh_var()
-                lhs, pre = self._continue_expr(out, [FunAtom(name, tuple(keys), (out,), stage)])
-                return self._finish_comparison(lhs, pre)
+        tok = self.peek()
+        if (tok[0] == "ident" and tok[1] not in ("true", "false", "exists")
+                and self.peek(1)[1] in ("(", "[", "@")):
+            name, stage, bracket, terms = self.parse_atom()
+            if bracket == "(":
+                return [RelAtom(name, terms, stage)]
+            if self.at("="):
+                self.take()
+                val, pre = self.parse_expr()
+                return pre + [FunAtom(name, terms, (val,), stage)]
+            # value used in a comparison / larger expression
+            out = self.fresh_var()
+            lhs, pre = self.parse_expr((out, [FunAtom(name, terms, (out,), stage)]))
+            return self._finish_comparison(lhs, pre)
         # otherwise: comparison or assignment over expressions
         lhs, pre = self.parse_expr()
         return self._finish_comparison(lhs, pre)
@@ -328,25 +320,10 @@ class _Parser:
             return pre + pre2 + [PrimAtom(op, (lhs, rhs))]
         raise ParseError(f"expected comparison, got {tok[1]!r}", tok[2], tok[3])
 
-    def _continue_expr(self, term, pre):
-        """Finish a mul chain then an add chain whose first factor is term."""
-        while self.at("*"):
-            self.take()
-            rhs, p2 = self.parse_factor()
-            out = self.fresh_var()
-            pre = pre + p2 + [PrimAtom("mul", (term, rhs, out))]
-            term = out
-        while self.at("+") or self.at("-"):
-            op = "add" if self.take()[1] == "+" else "sub"
-            rhs, p2 = self.parse_mul()
-            out = self.fresh_var()
-            pre = pre + p2 + [PrimAtom(op, (term, rhs, out))]
-            term = out
-        return term, pre
-
-    def parse_db_atom(self, allow_expr_value):
-        name_tok = self.take("ident")
-        name = name_tok[1]
+    def parse_atom(self):
+        """`name`, an optional `@start`, then `(terms)` or `[terms]`:
+        returns (name, stage, opening bracket, terms)."""
+        name = self.take("ident")[1]
         stage = AT_END
         if self.at("@"):
             self.take()
@@ -356,33 +333,19 @@ class _Parser:
                     f"unknown stage decoration @{stage_tok[1]}", stage_tok[2], stage_tok[3]
                 )
             stage = AT_START
-        if self.at("("):
-            self.take()
-            args = []
-            if not self.at(")"):
-                args.append(self.parse_simple_term())
-                while self.at(","):
-                    self.take()
-                    args.append(self.parse_simple_term())
-            self.take("punct", ")")
-            return RelAtom(name, tuple(args), stage), []
-        if self.at("["):
-            self.take()
-            keys = []
-            if not self.at("]"):
-                keys.append(self.parse_simple_term())
-                while self.at(","):
-                    self.take()
-                    keys.append(self.parse_simple_term())
-            self.take("punct", "]")
-            self.take("punct", "=")
-            if allow_expr_value:
-                val, pre = self.parse_expr()
-                return FunAtom(name, tuple(keys), (val,)), pre
-            val = self.parse_simple_term()
-            return FunAtom(name, tuple(keys), (val,)), []
         tok = self.peek()
-        raise ParseError(f"expected '(' or '[' after {name}", tok[2], tok[3])
+        if not (self.at("(") or self.at("[")):
+            raise ParseError(f"expected '(' or '[' after {name}", tok[2], tok[3])
+        self.take()
+        close = ")" if tok[1] == "(" else "]"
+        terms = []
+        if not self.at(close):
+            terms.append(self.parse_simple_term())
+            while self.at(","):
+                self.take()
+                terms.append(self.parse_simple_term())
+        self.take("punct", close)
+        return name, stage, tok[1], tuple(terms)
 
     # ---- expressions, lowered to primitive atoms ----
 
@@ -393,23 +356,16 @@ class _Parser:
             raise ParseError("nested atoms are not allowed here", tok[2], tok[3])
         return term
 
-    def parse_expr(self):
-        term, pre = self.parse_mul()
-        while self.at("+") or self.at("-"):
-            op = "add" if self.take()[1] == "+" else "sub"
-            rhs, pre2 = self.parse_mul()
+    def parse_expr(self, first=None, sums=True):
+        """A sum of products (only a product when not `sums`), lowered to
+        primitive atoms over fresh temporaries; `first` is its first
+        factor as (term, pre) when the caller parsed it already."""
+        term, pre = first or self.parse_factor()
+        while self.at("*") or (sums and (self.at("+") or self.at("-"))):
+            op = _ARITH_SYMBOLS[self.take()[1]]
+            rhs, pre2 = self.parse_factor() if op == "mul" else self.parse_expr(sums=False)
             out = self.fresh_var()
             pre = pre + pre2 + [PrimAtom(op, (term, rhs, out))]
-            term = out
-        return term, pre
-
-    def parse_mul(self):
-        term, pre = self.parse_factor()
-        while self.at("*"):
-            self.take()
-            rhs, pre2 = self.parse_factor()
-            out = self.fresh_var()
-            pre = pre + pre2 + [PrimAtom("mul", (term, rhs, out))]
             term = out
         return term, pre
 
@@ -439,40 +395,16 @@ class _Parser:
             if tok[1] == "false":
                 self.take()
                 return Const(False), []
-            nxt = self.peek(1)[1]
-            if nxt == "[" or nxt == "@":
+            if self.peek(1)[1] in ("[", "@"):
                 # function access in expression position: F[k] or F@start[k]
                 out = self.fresh_var()
-                atom, pre = self._parse_fun_access(out)
-                return out, pre + [atom]
+                name, stage, bracket, keys = self.parse_atom()
+                if bracket != "[":
+                    raise ParseError(f"expected '[' after {name}", tok[2], tok[3])
+                return out, [FunAtom(name, keys, (out,), stage)]
             self.take()
             return Var(tok[1]), []
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
-
-    def _parse_fun_head(self):
-        name = self.take("ident")[1]
-        stage = AT_END
-        if self.at("@"):
-            self.take()
-            stage_tok = self.take("ident")
-            if stage_tok[1] != "start":
-                raise ParseError(
-                    f"unknown stage decoration @{stage_tok[1]}", stage_tok[2], stage_tok[3]
-                )
-            stage = AT_START
-        self.take("punct", "[")
-        keys = []
-        if not self.at("]"):
-            keys.append(self.parse_simple_term())
-            while self.at(","):
-                self.take()
-                keys.append(self.parse_simple_term())
-        self.take("punct", "]")
-        return name, stage, keys
-
-    def _parse_fun_access(self, out_var):
-        name, stage, keys = self._parse_fun_head()
-        return FunAtom(name, tuple(keys), (out_var,), stage), []
 
 
 def parse_rules(text: str, schema: Optional[Schema] = None, params=None):
@@ -769,7 +701,7 @@ def rewrite_for_txn(rules, schema: Schema):
         )
 
     skeleton = GraphSkeleton(edges=frozenset(edges))
-    skeleton.check_acyclic()
+    skeleton.topo_order()  # rejects cyclic rules
     return rewritten, skeleton
 
 
@@ -804,6 +736,3 @@ class GraphSkeleton:
         if len(order) != len(vs):
             raise SchemaError("cyclic rule dependencies: recursion is not supported")
         return order
-
-    def check_acyclic(self):
-        self.topo_order()

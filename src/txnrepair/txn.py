@@ -3,13 +3,13 @@
 A transaction is a set of rules evaluated against an immutable database
 snapshot overlaid with corrections (records other transactions changed
 underneath it). Corrections arrive as a signal pull: each changed record
-identity `(pred_id, key)` with its current record, or None when the
+identity `(pred_id, key)` with its current value tuple, or None when the
 correction is withdrawn. Evaluation materializes every rule; repair
 applies correction changes through the per-rule sensitivity indexes, so
 the cost tracks how much of the transaction's reads actually changed.
 
 Rules read persistent overlays: per predicate, one patch tree of
-corrections over the snapshot, one of the transaction's own upserts
+corrected values over the snapshot, one of the transaction's own upserts
 (`end:`) over that, and one tuple set per derived predicate (`out:`).
 The correction overlays, one per predicate some rule reads or upserts,
 are the transaction's only copy of its corrections (corrections to other
@@ -20,8 +20,10 @@ maintainer keeps as its old inputs stays a true snapshot.
 
 Outputs are changes: each `outputs()` call, which `evaluate` and
 `repair` end with, drains what changed since the previous one, the
-requested deltas as `(identity, record or None)` pairs, the format
-signal pulls use, and the sensitivity records not reported before.
+requested deltas as `(identity, value or None)` pairs, the format
+signal pulls use, and the sensitivity intervals `(pred_id, lo, hi)` not
+reported before. A relation's value is `()`, so absence is tested with
+`is None`.
 
 Failure (violated constraint, conflicting upserts, or an upserted tuple
 whose key or value fails its predicate's signature, such as int64
@@ -40,9 +42,8 @@ from .inclftj import RuleMaintainer
 from .lftj import Stats, compile_rule
 from .pstore import DbVersion, PredicateSig, Schema
 from .rulelang import FunAtom, rewrite_for_txn
-from .signal import SensitivityRecord, upsert
 from .values import SchemaError
-from .views import UPSERT, OverlayView, TreeView, View, patch_tree, view_lookup
+from .views import OverlayView, TreeView, View, patch_tree, view_lookup
 
 UNEVALUATED = "unevaluated"
 EVALUATED = "evaluated"
@@ -54,11 +55,11 @@ class TxnOutputs:
     """What changed in a transaction's outputs since the previous drain."""
 
     status: str
-    # [((pred_id, key), DeltaRecord upsert, or None when withdrawn)], in
-    # identity order; folded in order, they give the requested deltas,
-    # which are empty unless the status is EVALUATED
+    # [((pred_id, key), value, or None when withdrawn)], in identity
+    # order; folded in order, they give the requested deltas, which are
+    # empty unless the status is EVALUATED
     deltas: list
-    sens: list  # SensitivityRecords over db predicate keys not reported before
+    sens: list  # (pred_id, lo, hi) intervals of db keys not reported before
 
 
 class TxnExec:
@@ -151,13 +152,13 @@ class TxnExec:
 
     def evaluate(self, base: DbVersion, corrections=()) -> TxnOutputs:
         """Full evaluation, once, on a snapshot plus initial corrections, a
-        pull [((pred_id, key), DeltaRecord)] from an empty start."""
+        pull [((pred_id, key), value)] from an empty start."""
         if self.status != UNEVALUATED:
             raise RuntimeError("evaluate twice")
         self.base = base
-        patches: dict = {}  # pred_id -> {key: (sign, value)}
-        for (pred_id, key), rec in corrections:
-            patches.setdefault(pred_id, {})[key] = (rec.sign, rec.value)
+        patches: dict = {}  # pred_id -> {key: value}
+        for (pred_id, key), value in corrections:
+            patches.setdefault(pred_id, {})[key] = value
         self._corr_root = {
             pred: patch_tree(patches.get(self.schema.sig(pred).pred_id, {}))
             for pred in sorted(set(self._read_preds) | set(self.upserted))
@@ -212,7 +213,7 @@ class TxnExec:
                         root = (
                             ptree.remove(root, key)
                             if after is None
-                            else ptree.insert(root, key, (UPSERT, after))
+                            else ptree.insert(root, key, after)
                         )
                         self._moved.add((sig.pred_id, key))
                     touched.append(t)
@@ -237,13 +238,13 @@ class TxnExec:
     # ---- repair ----
 
     def repair(self, corr_changes) -> TxnOutputs:
-        """Apply a correction pull [((pred_id, key), DeltaRecord or None)]:
+        """Apply a correction pull [((pred_id, key), value or None)]:
         path-copy the predicate's overlay with one insert, or one remove
         when the correction is withdrawn."""
         if self.status == UNEVALUATED:
             raise RuntimeError("repair before evaluate")
         pending: dict = {}
-        for (pred_id, key), rec in corr_changes:
+        for (pred_id, key), value in corr_changes:
             pred = self.schema.sig_by_id(pred_id).name
             if pred not in self._corr_root:
                 continue  # no rule reads or upserts pred
@@ -253,8 +254,8 @@ class TxnExec:
                 pts.append(key + old_val)
             root = self._corr_root[pred]
             self._corr_root[pred] = (
-                ptree.remove(root, key) if rec is None
-                else ptree.insert(root, key, (rec.sign, rec.value))
+                ptree.remove(root, key) if value is None
+                else ptree.insert(root, key, value)
             )
             new_val = view_lookup(self._db_view(pred), key)
             if new_val is not None:
@@ -301,15 +302,14 @@ class TxnExec:
             live = new is not None
             roots = new if live else old or {}
             for pred_id, pred in self._upserted_ids:
-                for key, (_sign, value) in ptree.items(roots.get(pred)):
-                    out.append(((pred_id, key), upsert(pred_id, key, value) if live else None))
+                for key, value in ptree.items(roots.get(pred)):
+                    out.append(((pred_id, key), value if live else None))
             return out
         for pred_id, key in sorted(moved):
             pred = self.schema.sig_by_id(pred_id).name
             cur = ptree.get(new.get(pred), key)
             if cur != ptree.get(old.get(pred), key):
-                rec = None if cur is None else upsert(pred_id, key, cur[1])
-                out.append(((pred_id, key), rec))
+                out.append(((pred_id, key), cur))
         return out
 
     def _sens_changes(self):
@@ -325,10 +325,10 @@ class TxnExec:
                     continue
                 sig = self.schema.sig(pred)
                 karity = sig.arity
-                rec = SensitivityRecord(sig.pred_id, e.lo[:karity], e.hi[:karity])
-                if rec.identity() not in self._sens_seen:
-                    self._sens_seen.add(rec.identity())
-                    out.append(rec)
+                ident = (sig.pred_id, e.lo[:karity], e.hi[:karity])
+                if ident not in self._sens_seen:
+                    self._sens_seen.add(ident)
+                    out.append(ident)
             self._sens_offsets[i] = len(m.entry_log)
         return out
 

@@ -2,9 +2,10 @@
 
 A view exposes one predicate's records as sorted full tuples
 (key components followed by value components). Overlay views patch a
-base view with signed records (upserts/retractions keyed by key) without
-touching it; overlays nest, so `base + corrections + own-deltas` is two
-stacked overlays over the same immutable snapshot.
+base view with a tree mapping keys to value tuples without touching it:
+a patched key takes the patch value. Overlays nest, so `base +
+corrections + own-deltas` is two stacked overlays over the same
+immutable snapshot.
 
 Patch trees are persistent `ptree` roots: a holder bulk-builds one once
 and then path-copies it with one insert or remove per changed key. A
@@ -92,18 +93,14 @@ class TreeTupleCursor(TupleCursor):
         self.at_end = self._cur.at_end
 
 
-UPSERT = 1
-RETRACT = -1
-
-
 def patch_tree(entries):
-    """Bulk-build a patch tree from {key: (sign, value_tuple_or_None)}."""
+    """Bulk-build a patch tree from {key: value_tuple}."""
     return ptree.from_sorted((tuple(k), entries[k]) for k in sorted(entries))
 
 
 class OverlayView(View):
-    """base view patched by signed records; retracted keys disappear,
-    upserted keys take the patch value."""
+    """base view patched by a key -> value tree; a patched key takes the
+    patch value."""
 
     def __init__(self, base: View, patch_root):
         self.base = base
@@ -127,34 +124,20 @@ class OverlayTupleCursor(TupleCursor):
         self._settle()
 
     def _settle(self) -> None:
-        while True:
-            base_end = self._base.at_end
-            if self._pcur.at_end:
-                self.at_end = base_end
-                self._mode = "base"
-                return
-            pk = self._pcur.key
-            sign, value = self._pcur.val
-            bk = None if base_end else self._base.current()[: self._view.karity]
-            if base_end or pk <= bk:
-                both = (pk == bk)
-                if sign == RETRACT:
-                    self._pcur.next()
-                    if both:
-                        self._base.next()
-                    continue
-                self._mode = "both" if both else "patch"
-                self.at_end = False
-                return
+        self.at_end = self._base.at_end and self._pcur.at_end
+        if self._pcur.at_end:
             self._mode = "base"
-            self.at_end = False
-            return
+        elif self._base.at_end:
+            self._mode = "patch"
+        else:
+            bk = self._base.current()[: self._view.karity]
+            pk = self._pcur.key
+            self._mode = "base" if bk < pk else "both" if bk == pk else "patch"
 
     def current(self) -> tuple:
         if self._mode == "base":
             return self._base.current()
-        _sign, value = self._pcur.val
-        return self._pcur.key + value
+        return self._pcur.key + self._pcur.val
 
     def next(self) -> None:
         if self.at_end:
@@ -187,10 +170,3 @@ def view_lookup(view: View, key: tuple) -> Optional[tuple]:
     if t[: view.karity] != tuple(key):
         return None
     return t[view.karity :]
-
-
-def view_scan(view: View):
-    cur = view.cursor()
-    while not cur.at_end:
-        yield cur.current()
-        cur.next()

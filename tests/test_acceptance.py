@@ -105,11 +105,11 @@ def test_criterion_3_golden_trace():
     all_c = [(e.lo, e.hi) for e in col.entries if e.vertex == "db:C"]
     with_102 = set(eval_rule(
         compiled,
-        {**views, "db:C": OverlayView(views["db:C"], patch_tree({(102,): (1, ())}))},
+        {**views, "db:C": OverlayView(views["db:C"], patch_tree({(102,): ()}))},
     ).head_counts[0])
     with_105 = set(eval_rule(
         compiled,
-        {**views, "db:C": OverlayView(views["db:C"], patch_tree({(105,): (1, ())}))},
+        {**views, "db:C": OverlayView(views["db:C"], patch_tree({(105,): ()}))},
     ).head_counts[0])
     ok = (
         base == {(5, 101)}

@@ -26,7 +26,6 @@ from txnrepair.pstore import (
     store_upsert,
 )
 from txnrepair.rulelang import parse_rules
-from txnrepair.signal import sens_interval, upsert
 from txnrepair.txn import EVALUATED, TxnExec
 from txnrepair.values import INT64, MINK, TOP
 
@@ -35,7 +34,17 @@ keys = st.integers(0, 30)
 
 def _delta_batch(draw_keys, vals):
     # unique identities per child signal
-    return [upsert(0, (k,), (v,)) for k, v in zip(sorted(set(draw_keys)), vals)]
+    return [((0, (k,)), (v,)) for k, v in zip(sorted(set(draw_keys)), vals)]
+
+
+def _covers(interval, key):
+    _pred_id, lo, hi = interval
+    return lo <= key <= hi
+
+
+def _units(intervals):
+    """Sensitivity signal items: each interval maps to ()."""
+    return [(i, ()) for i in intervals]
 
 
 batches = st.tuples(st.lists(keys, max_size=8), st.lists(st.integers(0, 5), min_size=8, max_size=8)).map(
@@ -58,12 +67,11 @@ def test_delta_merge_partition_and_precedence(samples, lrecs, rrecs):
     merged = {}
     for op, d in zip(ops, ("0", "1")):
         lo, hi = decomp.subdomain_interval(d)
-        for rec in group.delta[d].records():
-            assert rec.identity() not in merged  # no double ownership
-            assert _in_interval(lo, hi, rec.pred_id, rec.key)
-            merged[rec.identity()] = rec
-    want = {r.identity(): r for r in lrecs}
-    want.update({r.identity(): r for r in rrecs})  # right wins
+        for ident, value in group.delta[d].items():
+            assert ident not in merged  # no double ownership
+            assert _in_interval(lo, hi, *ident)
+            merged[ident] = value
+    want = {**dict(lrecs), **dict(rrecs)}  # right wins
     assert merged == want
     # already-settled ops refresh to no-op
     assert not any(op.refresh() for op in ops)
@@ -82,17 +90,14 @@ def test_delta_merge_incremental_update(samples, lrecs, rrecs, later):
     group.left.delta[""].publish(inserts=later)
     for op in ops:
         op.refresh()
-    want = {r.identity(): r for r in lrecs}
-    want.update({r.identity(): r for r in later})
-    want.update({r.identity(): r for r in rrecs})
+    want = {**dict(lrecs), **dict(later), **dict(rrecs)}
     merged = {}
     for d in ("0", "1"):
-        for rec in group.delta[d].records():
-            merged[rec.identity()] = rec
+        merged.update(group.delta[d].items())
     assert merged == want
 
 
-ivals = st.tuples(keys, keys).map(lambda t: sens_interval(0, (min(t),), (max(t),)))
+ivals = st.tuples(keys, keys).map(lambda t: (0, (min(t),), (max(t),)))
 
 
 @given(st.lists(keys, max_size=8), st.lists(ivals, max_size=6),
@@ -102,15 +107,15 @@ def test_sens_merge_preserves_covering(samples, lrecs, rrecs, probe):
     decomp = build_decomposition([point(0, (k,)) for k in samples], 1)
     group = build_tree(1)
     ops = [SensMergeOp(group, d, decomp) for d in ("0", "1")]
-    group.left.sens[""].publish(inserts=lrecs)
-    group.right.sens[""].publish(inserts=rrecs)
+    group.left.sens[""].publish(inserts=_units(lrecs))
+    group.right.sens[""].publish(inserts=_units(rrecs))
     for op in ops:
         op.refresh()
-    covered_in = any(r.contains((probe,)) for r in lrecs + rrecs)
+    covered_in = any(_covers(i, (probe,)) for i in lrecs + rrecs)
     covered_out = any(
-        r.contains((probe,))
+        _covers(i, (probe,))
         for d in ("0", "1")
-        for r in group.sens[d].records()
+        for i, _unit in group.sens[d].items()
     )
     assert covered_in == covered_out
 
@@ -122,14 +127,14 @@ def test_clip_covering(rec, split_key, probe):
     split = point(0, (split_key,))
     left = clip_sens(rec, lo, split)
     right = clip_sens(rec, split, hi)
-    before = rec.contains((probe,))
-    after = any(c is not None and c.contains((probe,)) for c in (left, right))
+    before = _covers(rec, (probe,))
+    after = any(c is not None and _covers(c, (probe,)) for c in (left, right))
     assert before == after
 
 
 ends = st.one_of(st.just(MINK), keys, st.just(TOP))
 any_ivals = st.tuples(st.integers(0, 3), ends, ends).map(
-    lambda t: sens_interval(t[0], (min(t[1:]),), (max(t[1:]),))
+    lambda t: (t[0], (min(t[1:]),), (max(t[1:]),))
 )
 
 
@@ -145,37 +150,39 @@ def test_interval_ops_across_predicates_and_ends(samples, height, rec, probes):
     decomp = build_decomposition([point(p, (k,)) for p, k in samples], height)
     leaves = [decomp.subdomain_interval(d) for d in labels(height)]
     pieces = [clip_sens(rec, lo, hi) for lo, hi in leaves]
+    rec_pred, rec_lo, rec_hi = rec
     for (lo, hi), c in zip(leaves, pieces):
         if c is not None:
-            assert c.pred_id == rec.pred_id
-            assert rec.lo <= c.lo <= c.hi <= rec.hi
-            assert lo <= (c.pred_id, c.lo) and (c.pred_id, c.hi) <= hi
+            c_pred, c_lo, c_hi = c
+            assert c_pred == rec_pred
+            assert rec_lo <= c_lo <= c_hi <= rec_hi
+            assert lo <= (c_pred, c_lo) and (c_pred, c_hi) <= hi
     for pred_id, k in probes:
         key = (k,)
         owners = [i for i, (lo, hi) in enumerate(leaves) if _in_interval(lo, hi, pred_id, key)]
         assert len(owners) == 1, (pred_id, key, owners)
-        if pred_id == rec.pred_id:
-            covered = any(c is not None and c.contains(key) for c in pieces)
-            assert covered == rec.contains(key)
+        if pred_id == rec_pred:
+            covered = any(c is not None and _covers(c, key) for c in pieces)
+            assert covered == _covers(rec, key)
             if covered:
-                assert pieces[owners[0]].contains(key)
+                assert _covers(pieces[owners[0]], key)
 
 
 def test_clip_pads_short_split_keys():
     """A split point shorter than the key arity, such as the empty-sample
     split (0, (MINK,)), pads a clipped lo with MINK and a clipped hi with
     TOP, so both pieces keep every key that extends the split."""
-    rec = sens_interval(0, (1, MINK), (5, TOP))
+    rec = (0, (1, MINK), (5, TOP))
     split = point(0, (3,))
     left = clip_sens(rec, point(0, (MINK,)), split)
     right = clip_sens(rec, split, point(1, (MINK,)))
-    assert (left.lo, left.hi) == ((1, MINK), (3, TOP))
-    assert (right.lo, right.hi) == ((3, MINK), (5, TOP))
-    assert left.contains((3, 0)) and right.contains((3, 0))
+    assert left == (0, (1, MINK), (3, TOP))
+    assert right == (0, (3, MINK), (5, TOP))
+    assert _covers(left, (3, 0)) and _covers(right, (3, 0))
 
 
 corr_recs = st.lists(
-    st.tuples(keys, st.integers(0, 5)).map(lambda t: upsert(0, (t[0],), (t[1],))),
+    st.tuples(keys, st.integers(0, 5)).map(lambda t: ((0, (t[0],)), (t[1],))),
     max_size=6,
 )
 
@@ -188,18 +195,13 @@ def test_corr_filtering_and_idempotence(sens, corr0, corr1):
     group = build_tree(1, label="0")  # below the root: it receives corrections
     child = group.left
     op = CorrOp(group, child, "", with_delta=False)
-    child.sens[""].publish(inserts=sens)
+    child.sens[""].publish(inserts=_units(sens))
     group.corr["0"].publish(inserts=corr0)
     group.corr["1"].publish(inserts=corr1)
     op.refresh()
-    got = {r.identity(): r for r in child.corr[""].records()}
-    want = {}
-    for rec in corr1:
-        want[rec.identity()] = rec
-    for rec in corr0:  # first half of the parent's corrections wins
-        want[rec.identity()] = rec
-    want = {i: r for i, r in want.items()
-            if any(s.contains(r.key) for s in sens)}
+    got = dict(child.corr[""].items())
+    want = {**dict(corr1), **dict(corr0)}  # first half of the parent's corrections wins
+    want = {i: v for i, v in want.items() if any(_covers(s, i[1]) for s in sens)}
     assert got == want
     # idempotence: nothing new upstream -> refresh is a no-op
     v = child.corr[""].latest
@@ -215,25 +217,24 @@ def test_corr_delta_supersedes_parent():
     group = build_tree(1, label="0")  # below the root: it receives corrections
     child = group.right
     op = CorrOp(group, child, "", with_delta=True)
-    child.sens[""].publish(inserts=[sens_interval(0, (0,), (99,))])
-    group.corr["0"].publish(inserts=[upsert(0, (1,), (10,))])
-    group.left.delta[""].publish(inserts=[upsert(0, (1,), (42,))])
+    child.sens[""].publish(inserts=_units([(0, (0,), (99,))]))
+    group.corr["0"].publish(inserts=[((0, (1,)), (10,))])
+    group.left.delta[""].publish(inserts=[((0, (1,)), (42,))])
     op.refresh()
-    (rec,) = child.corr[""].records()
-    assert rec.value == (42,)  # the left sibling's write is serially later
+    # the left sibling's write is serially later
+    assert list(child.corr[""].items()) == [((0, (1,)), (42,))]
 
 
 def test_sens_growth_pulls_existing_corrections():
     group = build_tree(1, label="0")  # below the root: it receives corrections
     child = group.left
     op = CorrOp(group, child, "", with_delta=False)
-    group.corr["0"].publish(inserts=[upsert(0, (5,), (1,))])
+    group.corr["0"].publish(inserts=[((0, (5,)), (1,))])
     op.refresh()
-    assert list(child.corr[""].records()) == []  # not sensitive yet
-    child.sens[""].publish(inserts=[sens_interval(0, (0,), (9,))])
+    assert list(child.corr[""].items()) == []  # not sensitive yet
+    child.sens[""].publish(inserts=_units([(0, (0,), (9,))]))
     assert op.refresh() is True
-    (rec,) = child.corr[""].records()
-    assert rec.key == (5,)
+    assert list(child.corr[""].items()) == [((0, (5,)), (1,))]
 
 
 # ---- whole-circuit fixpoint vs the serial oracle ----
@@ -263,14 +264,14 @@ def test_txn_op_skips_repair_when_corrections_net_out(monkeypatch):
     leaf.txn = TxnExec(SCHEMA, transfer(1, 2, 30))
     op = TxnOp(leaf, base)
     assert op.refresh() is True  # evaluated: deltas and sensitivity published
-    leaf.corr[""].publish(inserts=[upsert(0, (1,), (50,))])
+    leaf.corr[""].publish(inserts=[((0, (1,)), (50,))])
     assert op.refresh() is True  # repaired: bal[1] reads 50
-    assert {r.key: r.value for r in leaf.delta[""].records()} == {(1,): (20,), (2,): (35,)}
+    assert dict(leaf.delta[""].items()) == {(0, (1,)): (20,), (0, (2,)): (35,)}
     repairs = []
     repair = leaf.txn.repair
     monkeypatch.setattr(leaf.txn, "repair", lambda changes: repairs.append(changes) or repair(changes))
-    leaf.corr[""].publish(inserts=[upsert(0, (1,), (60,))])
-    leaf.corr[""].publish(inserts=[upsert(0, (1,), (50,))])
+    leaf.corr[""].publish(inserts=[((0, (1,)), (60,))])
+    leaf.corr[""].publish(inserts=[((0, (1,)), (50,))])
     assert op.refresh() is False
     assert repairs == []
 
@@ -297,8 +298,8 @@ def run_fixpoint(base, txn_rules, height, rnd):
                     if reader not in dirty:
                         dirty.append(reader)
     # the root's delta merge is the commit
-    records = [rec for d in labels(height) for rec in root.delta[d].records()]
-    db = apply_deltas(base, SCHEMA, records)
+    changes = [item for d in labels(height) for item in root.delta[d].items()]
+    db = apply_deltas(base, SCHEMA, changes)
     return db, [leaf.txn.status for leaf in leaves if leaf.txn is not None]
 
 
@@ -309,7 +310,7 @@ def serial_oracle(base, txn_rules):
         out = TxnExec(SCHEMA, rules, txn_id=i).evaluate(db)
         statuses.append(out.status)
         if out.status == EVALUATED:
-            db = apply_deltas(db, SCHEMA, [rec for _ident, rec in out.deltas])
+            db = apply_deltas(db, SCHEMA, out.deltas)
     return db, statuses
 
 

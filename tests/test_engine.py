@@ -291,3 +291,40 @@ def test_worker_exception_keeps_last_committed_epoch(monkeypatch, workers):
     want = run_serial(dataclasses.replace(wl, db=first_epoch.db, txns=fresh))
     assert state_hash(rep.db, wl.schema) == want.hash(wl.schema)
     assert rep.statuses == want.statuses
+
+
+REL_SCHEMA = Schema.from_sigs([
+    PredicateSig("bal", 0, (INT64,), (INT64,)),
+    PredicateSig("vip", 1, (INT64,)),  # a relation: each key maps to ()
+])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_relation_upserts_match_serial(workers):
+    """Relation records carry the falsy value (). A later transaction
+    reads a relation key an earlier one upserts, so it is repaired by a
+    correction whose value is (); another fails once a correction adds
+    the key its constraint forbids, which withdraws its own relation
+    upsert. Statuses and state match the serial oracle."""
+    db = DbVersion()
+    for k, v in ((1, 150), (2, 7), (3, 20), (4, 1)):
+        db = store_upsert(db, REL_SCHEMA.sig("bal"), (k,), (v,))
+    db = store_upsert(db, REL_SCHEMA.sig("vip"), (2,))
+    txns = [parse_rules(text, REL_SCHEMA) for text in (
+        "^vip(1) <- bal@start[1] = v, v >= 100.",
+        "^bal[3] = y <- vip(1), y = bal@start[3] + 10.",
+        "^vip(4) <- bal@start[4] = v, v > 0.",
+        "^bal[2] = y <- vip(2), y = 0.\n^vip(3) <- vip@start(2).\nfalse <- vip(4).",
+        "^vip(2) <- vip@start(2).",
+        "^bal[4] = y <- !vip(5), y = bal@start[4] + 1.",
+    )]
+    wl = Workload(REL_SCHEMA, db, txns, locksets=[])
+    serial = run_serial(wl)
+    assert serial.statuses == [EVALUATED] * 3 + [FAILED] + [EVALUATED] * 2
+    assert store_lookup(serial.db, REL_SCHEMA.sig("vip"), (1,)) == ()
+    assert store_lookup(serial.db, REL_SCHEMA.sig("bal"), (3,)) == (30,)
+    assert store_lookup(serial.db, REL_SCHEMA.sig("vip"), (3,)) is None
+    repair = run_repair(wl, workers=workers, height=3)
+    assert repair.txn_refreshes > len(txns)  # some transaction was repaired
+    assert repair.statuses == serial.statuses
+    assert repair.hash(REL_SCHEMA) == serial.hash(REL_SCHEMA)

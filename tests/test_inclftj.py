@@ -51,12 +51,12 @@ def test_interval_index_stays_shallow():
 
 def test_minimal_contexts_drops_extensions():
     es = [
-        SensEntry("v", (0,), (1,), (5,), 1),
-        SensEntry("v", (0,), (1,), (5, 7), 2),
-        SensEntry("v", (0,), (1,), (6, 1), 2),
+        SensEntry("v", (0,), (1,), (5,)),
+        SensEntry("v", (0,), (1,), (5, 7)),
+        SensEntry("v", (0,), (1,), (6, 1)),
     ]
     assert minimal_contexts(es) == [(5,), (6, 1)]
-    assert minimal_contexts([SensEntry("v", (0,), (1,), (), 0)] + es) == [()]
+    assert minimal_contexts([SensEntry("v", (0,), (1,), ())] + es) == [()]
 
 
 SCHEMA = Schema.from_sigs([

@@ -11,7 +11,7 @@ from txnrepair.lftj import SensCollector, Stats, compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.values import INT64, MINK, TOP
-from txnrepair.views import OverlayView, TreeView, patch_tree, view_scan
+from txnrepair.views import OverlayView, TreeView, patch_tree
 
 SCHEMA = Schema.from_sigs([
     PredicateSig("A", 0, (INT64,)),
@@ -74,7 +74,7 @@ class TestGoldenTrace:
 
     def test_insert_covered_point_changes_result(self, golden):
         _, views = golden
-        ov = OverlayView(views["db:C"], patch_tree({(102,): (1, ())}))
+        ov = OverlayView(views["db:C"], patch_tree({(102,): ()}))
         res = eval_rule(COMPILED, {**views, "db:C": ov})
         # 102 lies in the recorded [102,104] interval: result gains (5,102)
         assert set(res.head_counts[0]) == {(5, 101), (5, 102)}
@@ -85,7 +85,7 @@ class TestGoldenTrace:
         eval_rule(COMPILED, views, collector=col)
         ivals = [(e.lo, e.hi) for e in col.entries if e.vertex == "db:C"]
         assert not any(lo <= (105,) <= hi for lo, hi in ivals)
-        ov = OverlayView(views["db:C"], patch_tree({(105,): (1, ())}))
+        ov = OverlayView(views["db:C"], patch_tree({(105,): ()}))
         res = eval_rule(COMPILED, {**views, "db:C": ov})
         assert set(res.head_counts[0]) == {(5, 101)}
 

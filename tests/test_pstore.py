@@ -14,7 +14,6 @@ from txnrepair.pstore import (
     store_lookup,
     store_upsert,
 )
-from txnrepair.signal import retract, upsert
 from txnrepair.values import INT64, STRING, SchemaError
 
 
@@ -82,16 +81,30 @@ def test_export_import_round_trip(entries):
 def test_apply_deltas(schema):
     db = store_upsert(DbVersion(), schema.sig("bal"), (1,), (10,))
     db2 = apply_deltas(db, schema, [
-        upsert(0, (1,), (11,)),
-        upsert(0, (2,), (5,)),
+        ((0, (1,)), (11,)),
+        ((0, (2,)), (5,)),
+        ((1, ("a",)), ()),  # a relation record
     ])
     assert store_lookup(db2, schema.sig("bal"), (1,)) == (11,)
     assert store_lookup(db2, schema.sig("bal"), (2,)) == (5,)
+    assert store_lookup(db2, schema.sig("tag"), ("a",)) == ()
     # source branch unchanged
     assert store_lookup(db, schema.sig("bal"), (1,)) == (10,)
     assert store_lookup(db, schema.sig("bal"), (2,)) is None
-    with pytest.raises(ValueError):  # the commit takes upserts only
-        apply_deltas(db, schema, [retract(0, (1,))])
+
+
+@pytest.mark.parametrize("bad,error", [
+    (((0, (1,)), (2**63,)), SchemaError),  # value out of int64 range
+    (((0, (1, 2)), (5,)), SchemaError),  # key of the wrong arity
+    (((1, (7,)), ()), SchemaError),  # key of the wrong type
+    (((0, (1,)), None), ValueError),  # a removal: the commit takes upserts only
+], ids=["int64_overflow", "key_arity", "key_type", "removal"])
+def test_apply_deltas_checks_the_signature(schema, bad, error):
+    db = store_upsert(DbVersion(), schema.sig("bal"), (1,), (10,))
+    before = list(full_scan(db, schema))
+    with pytest.raises(error):
+        apply_deltas(db, schema, [((0, (2,)), (5,)), bad])
+    assert list(full_scan(db, schema)) == before
 
 
 def test_full_scan_order():

@@ -4,6 +4,7 @@ import pytest
 
 from txnrepair.pstore import PredicateSig, Schema
 from txnrepair.rulelang import (
+    AT_START,
     Const,
     FunAtom,
     NegAtom,
@@ -76,10 +77,9 @@ def test_fresh_temps_avoid_source_idents():
 def test_params_substitution(schema):
     (r,) = parse_rules("^bal[$k] = v <- v = bal@start[$k] + $d.", schema,
                        params={"k": 3, "d": -2})
-    consts = [c.value for a in r.all_atoms() if hasattr(a, "args") or True
-              for c in getattr(a, "args", getattr(a, "key_args", ()))
-              if isinstance(c, Const)]
-    assert 3 in consts
+    read, add = r.body
+    assert r.head[0].atom.key_args == read.key_args == (Const(3),)
+    assert add == PrimAtom("add", (read.value_args[0], Const(-2), Var("v")))
 
 
 def test_disjunction_splits():
@@ -115,12 +115,39 @@ def test_print_round_trip(schema):
         "^bal[k] = v2 <- v = bal@start[k], v2 = v - 3.",
         "false <- bal[k] = v, v < 0.",
         "p(x) <- edge(x, y), !edge(y, x).",
+        "p(x) <- edge@start(x, y), !edge@start(y, x).",
     ]
     for text in corpus:
         rules = parse_rules(text, schema)
         printed = print_rules(rules)
         again = parse_rules(printed, schema)
         assert print_rules(again) == printed
+
+
+@pytest.mark.parametrize("text", [
+    "^bal@start[k] = v <- bal[k] = v.",
+    "edge@start(x, y) <- edge(y, x).",
+])
+def test_start_stage_head_rejected(text):
+    with pytest.raises(ParseError, match="@start cannot decorate a head atom"):
+        parse_rules(text)
+
+
+def test_start_stage_relation_body_atom(schema):
+    """`r@start(x)` reads the database relation as of transaction start,
+    also under negation, while a plain read of an upserted relation
+    reads its end state."""
+    rules = parse_rules(
+        "^edge(x, y) <- edge@start(y, x).\n"
+        "d(x) <- edge(x, y), !edge@start(y, x).",
+        schema,
+    )
+    assert rules[0].body == (RelAtom("edge", (Var("y"), Var("x")), AT_START),)
+    assert rules[1].body[1] == NegAtom(RelAtom("edge", (Var("y"), Var("x")), AT_START))
+    rewritten, _ = rewrite_for_txn(rules, schema)
+    assert rewritten[0].reads == ("db:edge",)
+    assert rewritten[1].reads == ("end:edge", "db:edge")
+
 
 
 def test_typecheck_rejects_bad_arity(schema):

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,33 @@ def test_schedule_fingerprint_is_reproducible():
         "transfer_mix seed=3 txns=16 earliest", "transfer_mix seed=3 txns=16 inverted"
     ]
     assert all("refreshes=" in line and "state=" in line for line in lines)
+
+
+def _run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_counter_chain_script_verifies():
+    lines = _run_script("run_counter_chain.py", "--k", "8")
+    assert [line.split()[0] for line in lines] == ["earliest", "inverted"]
+    assert all(line.endswith("verified=True") for line in lines)
+
+
+def test_birthday_check_script_reports_overlap():
+    (line,) = _run_script("run_birthday_check.py", "--n", "1000", "--alpha", "2")
+    assert line.startswith("n=1000 alpha=2.0 txns=60 pairs=1770 mean_common_skus=")
+    assert line.endswith("(expected 4.0)")
+
+
+def test_speedup_sweep_script_verifies(tmp_path):
+    out = tmp_path / "sweep.csv"
+    lines = _run_script("run_speedup_sweep.py", "--txns", "4", "--n", "100", "--out", str(out))
+    runs = 3 * 4  # alphas x worker counts
+    assert sum(line.startswith("verify ok (repair)") for line in lines) == runs
+    assert sum(line.startswith("verify ok (lock)") for line in lines) == runs
+    assert lines[-1] == f"wrote {out}"
+    assert len(out.read_text().splitlines()) == 1 + 3 * runs  # header, then 3 modes a run

@@ -7,40 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txnrepair.signal import (
-    SignalContractError,
-    SignalCursor,
-    VersionedSignal,
-    retract,
-    sens_interval,
-    upsert,
-)
+from txnrepair.signal import SignalContractError, SignalCursor, VersionedSignal
 
-# batches of delta publishes over a small identity space
-delta_recs = st.builds(
-    lambda k, v, sign: upsert(0, (k,), (v,)) if sign else retract(0, (k,)),
-    st.integers(0, 8),
-    st.integers(0, 4),
-    st.booleans(),
-)
-# each batch: records to insert, and keys whose current records to remove
+# batches of delta publishes over a small identity space; a value of ()
+# is a relation record, which is falsy but present
+idents = st.integers(0, 8).map(lambda k: (0, (k,)))
+delta_items = st.tuples(idents, st.one_of(st.just(()), st.tuples(st.integers(0, 4))))
+# each batch: (identity, value) pairs to set, and identities to remove
 publish_batches = st.lists(
-    st.tuples(st.lists(delta_recs, max_size=5), st.lists(st.integers(0, 8), max_size=3)),
+    st.tuples(st.lists(delta_items, max_size=5), st.lists(idents, max_size=3)),
     min_size=1,
     max_size=10,
 )
 
 
 def _content(sig):
-    return {rec.identity(): rec for rec in sig.records()}
+    return dict(sig.items())
 
 
 def _apply(replay, pulled):
-    for ident, rec in pulled:
-        if rec is None:
+    for ident, value in pulled:
+        if value is None:
             del replay[ident]
         else:
-            replay[ident] = rec
+            replay[ident] = value
 
 
 def _replay_pull(cur, replay):
@@ -48,7 +38,7 @@ def _replay_pull(cur, replay):
     order, exactly the identities whose record changed since `replay`."""
     now = _content(cur.signal)
     pulled = cur.pull()
-    idents = [ident for ident, _rec in pulled]
+    idents = [ident for ident, _value in pulled]
     assert idents == sorted(set(idents))
     assert set(idents) == {i for i in set(replay) | set(now) if replay.get(i) != now.get(i)}
     _apply(replay, pulled)
@@ -60,14 +50,18 @@ def _replay_pull(cur, replay):
 def test_change_composition(batches, data):
     """Pulls compose: a cursor that pulls at arbitrary points between
     publishes and one that pulls only at the end both replay, from empty,
-    to the signal's content; `latest` moves exactly when content does."""
+    to the signal's content; `latest` moves exactly when content does.
+    The content is a dict's after the same removals, then insertions."""
     sig = VersionedSignal("delta")
     often, once = SignalCursor(sig), SignalCursor(sig)
-    replay = {}
-    for inserts, drop in batches:
-        removes = [rec for rec in sig.records() if rec.key[0] in drop]
+    replay, model = {}, {}
+    for inserts, removes in batches:
         before, v0 = _content(sig), sig.latest
         assert (sig.publish(inserts, removes) != v0) == (_content(sig) != before)
+        for ident in removes:
+            model.pop(ident, None)
+        model.update(inserts)
+        assert _content(sig) == model
         if data.draw(st.booleans()):
             _replay_pull(often, replay)
     _replay_pull(often, replay)
@@ -81,8 +75,8 @@ def test_replay_from_empty(batches):
     """A cursor that first pulls after every publish replays, from an
     empty map, to exactly the signal's content."""
     sig = VersionedSignal("delta")
-    for inserts, drop in batches:
-        sig.publish(inserts, [rec for rec in sig.records() if rec.key[0] in drop])
+    for inserts, removes in batches:
+        sig.publish(inserts, removes)
     replay = {}
     _apply(replay, SignalCursor(sig).pull())
     assert replay == _content(sig)
@@ -99,9 +93,9 @@ def test_concurrent_pulls_replay_to_content():
 
     def write(parity):  # keys change once or twice, so no change mends a skipped one
         for k in range(parity, 8000, 2):
-            sig.publish(inserts=[upsert(0, (k,), (k % 7,))])
+            sig.publish(inserts=[((0, (k,)), (k % 7,))])
             if k % 5 == 0:
-                sig.publish(removes=[upsert(0, (k,), (k % 7,))])
+                sig.publish(removes=[(0, (k,))])
 
     def read(cur, replay):
         while True:
@@ -129,83 +123,76 @@ def test_concurrent_pulls_replay_to_content():
         assert replay == _content(sig)
 
 
-sens_recs = st.builds(
-    lambda p, a, b: sens_interval(p, (min(a, b),), (max(a, b),)),
+sens_items = st.builds(
+    lambda p, a, b: ((p, (min(a, b),), (max(a, b),)), ()),
     st.integers(0, 2),
     st.integers(0, 20),
     st.integers(0, 20),
 )
 
 
-@given(st.lists(st.lists(sens_recs, max_size=4), min_size=1, max_size=8))
+@given(st.lists(st.lists(sens_items, max_size=4), min_size=1, max_size=8))
 @settings(max_examples=300)
 def test_sens_monotone(batches):
-    """Sensitivity signals only grow: every published record is present
+    """Sensitivity signals only grow: every published interval is present
     in all later versions."""
     sig = VersionedSignal("sens")
     seen = set()
     for batch in batches:
         sig.publish(inserts=batch)
-        seen |= {r.identity() for r in batch}
-        now = {r.identity() for r in sig.records()}
-        assert seen == now
+        seen |= {ident for ident, _unit in batch}
+        assert seen == {ident for ident, _unit in sig.items()}
 
 
 def test_sens_remove_rejected():
     sig = VersionedSignal("sens")
-    rec = sens_interval(0, (1,), (5,))
-    sig.publish(inserts=[rec])
+    interval = (0, (1,), (5,))
+    sig.publish(inserts=[(interval, ())])
     with pytest.raises(SignalContractError):
-        sig.publish(removes=[rec])
+        sig.publish(removes=[interval])
 
 
 def test_delta_replace_nets_out():
     sig = VersionedSignal("delta")
     cur = SignalCursor(sig)
-    sig.publish(inserts=[upsert(0, (1,), (10,))])
+    sig.publish(inserts=[((0, (1,)), (10,))])
     cur.pull()
-    sig.publish(inserts=[upsert(0, (1,), (20,))])
-    # a replacement is one change: the identity with its current record
-    assert cur.pull() == [((0, (1,)), upsert(0, (1,), (20,)))]
+    sig.publish(inserts=[((0, (1,)), (20,))])
+    # a replacement is one change: the identity with its current value
+    assert cur.pull() == [((0, (1,)), (20,))]
     # replaced then restored between two pulls: nets to nothing
-    sig.publish(inserts=[upsert(0, (1,), (30,))])
-    sig.publish(inserts=[upsert(0, (1,), (20,))])
+    sig.publish(inserts=[((0, (1,)), (30,))])
+    sig.publish(inserts=[((0, (1,)), (20,))])
     assert cur.pull() == []
-    sig.publish(removes=[upsert(0, (1,), (20,))])
+    sig.publish(removes=[(0, (1,))])
     assert cur.pull() == [((0, (1,)), None)]
 
 
 def test_noop_publish_keeps_version():
     sig = VersionedSignal("delta")
-    v1 = sig.publish(inserts=[upsert(0, (1,), (10,))])
-    assert sig.publish(inserts=[upsert(0, (1,), (10,))]) == v1
-
-
-def test_bad_remove_rejected():
-    sig = VersionedSignal("delta")
-    sig.publish(inserts=[upsert(0, (1,), (10,))])
-    with pytest.raises(SignalContractError):
-        sig.publish(removes=[upsert(0, (1,), (99,))])
+    v1 = sig.publish(inserts=[((0, (1,)), (10,))])
+    assert sig.publish(inserts=[((0, (1,)), (10,))]) == v1
 
 
 def test_interval_lo_gt_hi_rejected():
+    sig = VersionedSignal("sens")
     with pytest.raises(SignalContractError):
-        sens_interval(0, (5,), (1,))
+        sig.publish(inserts=[((0, (5,), (1,)), ())])
+    assert sig.latest == 0
 
 
 class TestCursor:
     def test_pull_is_incremental(self):
         sig = VersionedSignal("delta")
         cur = SignalCursor(sig)
-        sig.publish(inserts=[upsert(0, (1,), (10,))])
-        assert cur.pull() == [((0, (1,)), upsert(0, (1,), (10,)))]
+        sig.publish(inserts=[((0, (1,)), (10,))])
+        assert cur.pull() == [((0, (1,)), (10,))]
         assert cur.pull() == []
-        sig.publish(inserts=[upsert(0, (2,), (5,))])
-        assert cur.pull() == [((0, (2,)), upsert(0, (2,), (5,)))]
+        sig.publish(inserts=[((0, (2,)), (5,))])
+        assert cur.pull() == [((0, (2,)), (5,))]
 
 
-def test_range_records():
+def test_range_idents():
     sig = VersionedSignal("corr")
-    sig.publish(inserts=[upsert(0, (k,), (k,)) for k in (1, 4, 7)])
-    got = list(sig.range_records((0, (2,)), (0, (7,))))
-    assert [r.key for r in got] == [(4,), (7,)]
+    sig.publish(inserts=[((0, (k,)), (k,)) for k in (1, 4, 7)])
+    assert list(sig.range_idents((0, (2,)), (0, (7,)))) == [(0, (4,)), (0, (7,))]

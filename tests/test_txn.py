@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import view_scan
 from txnrepair import ptree
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
-from txnrepair.signal import retract, upsert
 from txnrepair.txn import EVALUATED, FAILED, TxnExec
 from txnrepair.values import INT64
-from txnrepair.views import OverlayView, TreeView, patch_tree, view_scan
+from txnrepair.views import OverlayView, TreeView, patch_tree
 
 SCHEMA = Schema.from_sigs([PredicateSig("bal", 0, (INT64,), (INT64,))])
 
@@ -43,39 +43,39 @@ class Folded:
 
     def __init__(self, out=None):
         self.status = None
-        self.deltas = {}  # identity -> DeltaRecord
-        self.sens = set()  # sensitivity record identities
+        self.deltas = {}  # identity -> value
+        self.sens = set()  # sensitivity intervals
         if out is not None:
             self.fold(out)
 
     def fold(self, out):
-        idents = [ident for ident, _rec in out.deltas]
+        idents = [ident for ident, _value in out.deltas]
         assert idents == sorted(set(idents)), "changes out of order or repeated"
-        for ident, rec in out.deltas:
-            assert self.deltas.get(ident) != rec, f"no-op change at {ident}"
-            if rec is None:
+        for ident, value in out.deltas:
+            assert self.deltas.get(ident) != value, f"no-op change at {ident}"
+            if value is None:
                 del self.deltas[ident]
             else:
-                self.deltas[ident] = rec
-        for rec in out.sens:
-            assert rec.identity() not in self.sens, f"{rec} reported twice"
-            self.sens.add(rec.identity())
+                self.deltas[ident] = value
+        for interval in out.sens:
+            assert interval not in self.sens, f"{interval} reported twice"
+            self.sens.add(interval)
         self.status = out.status
         return self
 
     def values(self):
         """{key: value} of the requested deltas."""
-        return {key: rec.value for (_pid, key), rec in self.deltas.items()}
+        return {key: value for (_pid, key), value in self.deltas.items()}
 
 
-def pulled(rec):
-    """The correction pull that delivers `rec`."""
-    return [(rec.identity(), rec)]
+def pulled(key, value):
+    """The correction pull that sets bal[key] to `value`."""
+    return [((0, key), value)]
 
 
-def withdrawn(rec):
-    """The correction pull that withdraws `rec`."""
-    return [(rec.identity(), None)]
+def withdrawn(key):
+    """The correction pull that withdraws the correction of bal[key]."""
+    return [((0, key), None)]
 
 
 def test_transfer_succeeds():
@@ -127,8 +127,8 @@ def test_repair_tracks_correction():
     with pytest.raises(RuntimeError):  # evaluation happens once
         txn.evaluate(make_db({1: 100, 2: 5}))
     # another transaction changed bal[1] underneath us
-    out = txn.repair(pulled(upsert(0, (1,), (50,))))
-    assert out.deltas == [((0, (1,)), upsert(0, (1,), (20,)))]  # only the change
+    out = txn.repair(pulled((1,), (50,)))
+    assert out.deltas == [((0, (1,)), (20,))]  # only the change
     assert got.fold(out).status == EVALUATED
     assert got.values() == {(1,): (20,), (2,): (35,)}
 
@@ -136,11 +136,10 @@ def test_repair_tracks_correction():
 def test_repair_can_fail_and_recover():
     txn = TxnExec(SCHEMA, transfer(1, 2, 30))
     got = Folded(txn.evaluate(make_db({1: 100, 2: 5})))
-    corr = upsert(0, (1,), (10,))
-    got.fold(txn.repair(pulled(corr)))
+    got.fold(txn.repair(pulled((1,), (10,))))
     assert got.status == FAILED and got.deltas == {}  # both deltas withdrawn
     # correction withdrawn: back to the snapshot value
-    got.fold(txn.repair(withdrawn(corr)))
+    got.fold(txn.repair(withdrawn((1,))))
     assert got.status == EVALUATED
     assert got.values() == {(1,): (70,), (2,): (35,)}
 
@@ -154,22 +153,23 @@ def test_sens_covers_read_keys():
     txn = TxnExec(SCHEMA, transfer(1, 2, 30))
     out = txn.evaluate(make_db({1: 100, 2: 5}))
     for key in ((1,), (2,)):
-        assert any(r.pred_id == 0 and r.contains(key) for r in out.sens)
+        assert any(p == 0 and lo <= key <= hi for p, lo, hi in out.sens)
 
 
 class _CorrModel:
-    """Oracle-side view of a correction signal: identity -> record."""
+    """Oracle-side view of a correction signal: identity -> value."""
 
     def __init__(self):
         self.content = {}
 
-    def publish(self, recs, withdraw=()):
-        """Set `recs`, then withdraw the identities in `withdraw`; returns
-        the pull a reader of the signal would see: each changed identity,
-        in order, with its current record or None."""
+    def publish(self, items, withdraw=()):
+        """Set each (identity, value) of `items`, then withdraw the
+        identities in `withdraw`; returns the pull a reader of the signal
+        would see: each changed identity, in order, with its current
+        value or None."""
         before = dict(self.content)
-        for rec in recs:
-            self.content[rec.identity()] = rec
+        for ident, value in items:
+            self.content[ident] = value
         for ident in withdraw:
             self.content.pop(ident, None)
         idents = sorted(set(before) | set(self.content))
@@ -191,10 +191,11 @@ def test_repair_matches_fresh_eval_fuzz():
         got = Folded(txn.evaluate(base))
         model = _CorrModel()
         for _ in range(rnd.randint(1, 5)):
-            key = (rnd.randrange(6),)
-            rec = (retract(0, key) if rnd.random() < 0.2
-                   else upsert(0, key, (rnd.randrange(0, 120),)))
-            changes = model.publish([rec])
+            ident = (0, (rnd.randrange(6),))
+            if rnd.random() < 0.2:
+                changes = model.publish([], [ident])
+            else:
+                changes = model.publish([(ident, (rnd.randrange(0, 120),))])
             if changes:
                 got.fold(txn.repair(changes))
         want = Folded(TxnExec(SCHEMA, list(txn.rules)).evaluate(base, model.all_changes()))
@@ -207,11 +208,10 @@ def test_out_of_range_upsert_fails_until_repaired_into_range():
     txn = TxnExec(SCHEMA, bump)
     got = Folded(txn.evaluate(make_db({1: 2**63 - 1})))
     assert got.status == FAILED and got.deltas == {}
-    corr = upsert(0, (1,), (0,))
-    got.fold(txn.repair(pulled(corr)))
+    got.fold(txn.repair(pulled((1,), (0,))))
     assert got.status == EVALUATED
     assert got.values() == {(1,): (1,)}
-    got.fold(txn.repair(withdrawn(corr)))
+    got.fold(txn.repair(withdrawn((1,))))
     assert got.status == FAILED and got.deltas == {}
 
 
@@ -246,11 +246,10 @@ fragments = st.one_of(
         preds, small_keys, preds, small_keys, amounts,
     ),
 )
-# (pred, key, value); value None retracts the key, WITHDRAW withdraws the
-# correction of the key
+# (pred, key, value); WITHDRAW withdraws the correction of the key
 WITHDRAW = "withdraw"
 corrections = st.lists(
-    st.tuples(preds, small_keys, st.one_of(st.none(), st.just(WITHDRAW), values)), max_size=6
+    st.tuples(preds, small_keys, st.one_of(st.just(WITHDRAW), values)), max_size=6
 )
 
 
@@ -261,8 +260,8 @@ def scratch_views(txn, model):
     def db_view(pred):
         sig = txn.schema.sig(pred)
         base = TreeView(txn.base.root(sig.pred_id), sig.arity, len(sig.value_types))
-        patches = {key: (rec.sign, rec.value)
-                   for (pid, key), rec in model.content.items() if pid == sig.pred_id}
+        patches = {key: value
+                   for (pid, key), value in model.content.items() if pid == sig.pred_id}
         return OverlayView(base, patch_tree(patches)) if patches else base
 
     views = {f"db:{pred}": db_view(pred) for pred in txn._read_preds}
@@ -271,7 +270,7 @@ def scratch_views(txn, model):
         for key, vals in txn._delta_support.get(pred, {}).items():
             live = [v for v, c in vals.items() if c > 0]
             if len(live) == 1:
-                single[key] = (1, live[0])
+                single[key] = live[0]
         base = views.get(f"db:{pred}") or db_view(pred)
         views[f"end:{pred}"] = OverlayView(base, patch_tree(single))
     for pred, support in txn._out_support.items():
@@ -305,14 +304,14 @@ def test_overlays_match_views_built_from_scratch(frags, base_vals, initial, stre
     model = _CorrModel()
 
     def changes_for(batch):
-        recs, withdraw = [], []
+        items, withdraw = [], []
         for pred, key, val in batch:
-            pid = OVERLAY_SCHEMA.sig(pred).pred_id
+            ident = (OVERLAY_SCHEMA.sig(pred).pred_id, (key,))
             if val == WITHDRAW:
-                withdraw.append((pid, (key,)))
+                withdraw.append(ident)
             else:
-                recs.append(retract(pid, (key,)) if val is None else upsert(pid, (key,), (val,)))
-        return model.publish(recs, withdraw)
+                items.append((ident, (val,)))
+        return model.publish(items, withdraw)
 
     txn = TxnExec(OVERLAY_SCHEMA, rules)
     got = Folded(txn.evaluate(base, changes_for(initial)))

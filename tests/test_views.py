@@ -3,14 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import view_scan
 from txnrepair import ptree
-from txnrepair.views import (
-    OverlayView,
-    TreeView,
-    patch_tree,
-    view_lookup,
-    view_scan,
-)
+from txnrepair.views import OverlayView, TreeView, patch_tree, view_lookup
 
 
 def tree_view(entries, karity=1, varity=1):
@@ -27,22 +22,16 @@ def test_tree_view_scan_and_lookup():
 
 def test_overlay_patch_wins():
     base = tree_view({(1,): (10,), (2,): (20,)})
-    ov = OverlayView(base, patch_tree({(2,): (1, (99,))}))
+    ov = OverlayView(base, patch_tree({(2,): (99,)}))
     assert list(view_scan(ov)) == [(1, 10), (2, 99)]
-
-
-def test_overlay_retraction_hides():
-    base = tree_view({(1,): (10,), (2,): (20,)})
-    ov = OverlayView(base, patch_tree({(1,): (-1, None)}))
-    assert list(view_scan(ov)) == [(2, 20)]
-    assert view_lookup(ov, (1,)) is None
 
 
 def test_overlay_nested():
     base = tree_view({(1,): (10,)})
-    mid = OverlayView(base, patch_tree({(2,): (1, (20,))}))
-    top = OverlayView(mid, patch_tree({(1,): (-1, None), (3,): (1, (30,))}))
-    assert list(view_scan(top)) == [(2, 20), (3, 30)]
+    mid = OverlayView(base, patch_tree({(2,): (20,)}))
+    top = OverlayView(mid, patch_tree({(1,): (11,), (3,): (30,)}))
+    assert list(view_scan(top)) == [(1, 11), (2, 20), (3, 30)]
+
 
 
 def test_cursor_seek_in_value_part():
@@ -55,24 +44,14 @@ def test_cursor_seek_in_value_part():
     assert cur2.at_end
 
 
-patches = st.dictionaries(
-    st.integers(0, 15),
-    st.one_of(st.tuples(st.just(1), st.integers(0, 9)), st.just((-1, None))),
-    max_size=10,
-)
+patches = st.dictionaries(st.integers(0, 15), st.integers(0, 9), max_size=10)
 
 
 @given(st.dictionaries(st.integers(0, 15), st.integers(0, 9), max_size=10), patches)
 @settings(max_examples=300)
 def test_overlay_vs_dict_merge(base_entries, patch_entries):
-    model = dict(base_entries)
-    patch = {}
-    for k, (sign, val) in patch_entries.items():
-        patch[(k,)] = (sign, (val,) if sign > 0 else None)
-        if sign > 0:
-            model[k] = val
-        else:
-            model.pop(k, None)
+    model = {**base_entries, **patch_entries}
+    patch = {(k,): (v,) for k, v in patch_entries.items()}
     base = tree_view({(k,): (v,) for k, v in base_entries.items()})
     ov = OverlayView(base, patch_tree(patch))
     assert list(view_scan(ov)) == [(k, v) for k, v in sorted(model.items())]
@@ -85,14 +64,8 @@ def test_overlay_vs_dict_merge(base_entries, patch_entries):
        patches, st.lists(st.tuples(st.integers(0, 16), st.integers(0, 10)), max_size=6))
 @settings(max_examples=250)
 def test_overlay_cursor_seek_monotone(base_entries, patch_entries, seeks):
-    model = dict(base_entries)
-    patch = {}
-    for k, (sign, val) in patch_entries.items():
-        patch[(k,)] = (sign, (val,) if sign > 0 else None)
-        if sign > 0:
-            model[k] = val
-        else:
-            model.pop(k, None)
+    model = {**base_entries, **patch_entries}
+    patch = {(k,): (v,) for k, v in patch_entries.items()}
     tuples = sorted((k, v) for k, v in model.items())
     base = tree_view({(k,): (v,) for k, v in base_entries.items()})
     ov = OverlayView(base, patch_tree(patch))
@@ -108,9 +81,7 @@ def test_overlay_cursor_seek_monotone(base_entries, patch_entries, seeks):
 
 
 @given(st.dictionaries(st.tuples(st.integers(0, 15), st.integers(0, 3)),
-                       st.one_of(st.tuples(st.just(1), st.tuples(st.integers(0, 9))),
-                                 st.just((-1, None))),
-                       max_size=30))
+                       st.tuples(st.integers(0, 9)), max_size=30))
 @settings(max_examples=200)
 def test_patch_tree_bulk_build_matches_insert_loop(entries):
     """The bulk-built patch tree holds what inserting key by key would."""
