@@ -4,10 +4,12 @@
 Imports `txnrepair` from ROOT/src and `perfbench.workloads.SPECS` from
 ROOT, so the same script fingerprints any checkout (a clone of the parent
 commit, say). For each workload and priority mode it runs the repair
-engine at 1 worker and prints one line: the refresh count, a hash of the
+engine at 1 worker and prints one line: the refresh count, the refresh
+count of each operator kind (txn, dmerge, smerge, corr), a hash of the
 ordered (op_id, changed) refresh list, the count of transactions that
 committed and the committed state hash. Two checkouts with the same
-schedule and results print the same lines.
+schedule and results print the same lines; when a change moves the
+schedule, the per-kind counts show which operators it moved.
 
 Usage: python3 scripts/schedule_fingerprint.py ROOT [--workloads a,b] [--txns N]
 """
@@ -16,10 +18,12 @@ import argparse
 import hashlib
 import os
 import sys
+from collections import Counter
 
 # workload -> (seed, transactions)
 RUNS = {"sku_sparse": (3, 64), "transfer_mix": (3, 64), "sku_dense": (3, 16)}
 MODES = ("earliest", "inverted")
+KINDS = ("txn", "dmerge", "smerge", "corr")
 
 
 def fingerprint(name, seed, txns, mode):
@@ -45,7 +49,9 @@ def fingerprint(name, seed, txns, mode):
             cls.refresh = fn
     schedule = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
     committed = sum(1 for s in rep.statuses if s == EVALUATED)
-    return (f"{name} seed={seed} txns={txns} {mode}: refreshes={len(log)} "
+    per_kind = Counter(op_id.split(":")[0] for op_id, _changed in log)
+    kinds = " ".join(f"{k}={per_kind[k]}" for k in KINDS)
+    return (f"{name} seed={seed} txns={txns} {mode}: refreshes={len(log)} {kinds} "
             f"schedule={schedule} committed={committed} "
             f"state={rep.hash(wl.schema)[:16]}")
 

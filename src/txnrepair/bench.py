@@ -8,8 +8,9 @@ key lock sets). Three executors share them:
   - lock: two-phase row locking with ordered acquisition, threaded;
   - repair: the lock-free repair engine.
 
-`--verify` compares the repair engine's final state hash against the
-serial oracle and dumps the first divergence.
+`--verify` compares each executor's final state hash and every
+transaction's status against the serial oracle and names the first
+divergence of each.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -312,6 +314,15 @@ def first_divergence(a: DbVersion, b: DbVersion, schema: Schema):
     return None
 
 
+def first_status_divergence(want: list, got: list):
+    """(index, wanted status, got status) of the first transaction whose
+    status differs, or None; a missing status reads as None."""
+    for i, (a, b) in enumerate(itertools.zip_longest(want, got)):
+        if a != b:
+            return i, a, b
+    return None
+
+
 # ---- CLI ----
 
 CSV_FIELDS = [
@@ -386,12 +397,21 @@ def main(argv=None) -> int:
             rep = reports.get(mode)
             if rep is None:
                 continue
+            ok = True
             if rep.hash(wl.schema) != want.hash(wl.schema):
                 div = first_divergence(want.db, rep.db, wl.schema)
                 print(f"VERIFY FAILED ({mode}): first divergence {div}", file=sys.stderr)
-                rc = 1
-            else:
+                ok = False
+            div = first_status_divergence(want.statuses, rep.statuses)
+            if div is not None:
+                i, a, b = div
+                print(f"VERIFY FAILED ({mode}): transaction {i} status {b!r}, "
+                      f"serial oracle {a!r}", file=sys.stderr)
+                ok = False
+            if ok:
                 print(f"verify ok ({mode}): {rep.hash(wl.schema)[:16]}")
+            else:
+                rc = 1
 
     if args.csv:
         new = True

@@ -23,8 +23,18 @@ parallel. Each signal maps an identity to a value: a record identity
 `(pred_id, key)` to its value for deltas and corrections, a key interval
 `(pred_id, lo, hi)` to `()` for sensitivity. Every operator pulls, per
 input signal, the identities whose values changed since its last pull,
-and republishes only what changed, which keeps refresh cost proportional
-to change volume.
+computes from the roots it pulled (never a signal's newer content, which
+a later pull could not tell apart), and republishes only what changed,
+which keeps refresh cost proportional to change volume.
+
+A refresh wakes only the readers of the outputs it published to, and of
+those only the ones whose output the publish can change (`Op.woken`,
+`Op.wakes_on`). A correction operator's output depends on sensitivity
+only where it meets an input record, so it sleeps through sensitivity
+growth while every correction input is empty; the input publish that
+ends the sleep wakes it, and that refresh pulls the sensitivity it
+skipped. Sensitivity only grows and an empty input meets none of it, so
+the sleep is safe at any worker count.
 """
 
 from __future__ import annotations
@@ -110,10 +120,11 @@ def clip_sens(interval: tuple, lo_pt: tuple, hi_pt: tuple):
     return (pred_id, lo, hi)
 
 
-def _first(signals, ident: tuple):
-    """The value at `ident` in the first of `signals` that holds one."""
-    for sig in signals:
-        value = sig.get(ident)
+def _first(cursors, ident: tuple):
+    """The value at `ident` in the first of `cursors`' pulled roots that
+    holds one."""
+    for cur in cursors:
+        value = cur.get(ident)
         if value is not None:
             return value
     return None
@@ -160,6 +171,23 @@ class Op:
     def refresh(self) -> bool:
         raise NotImplementedError
 
+    def wakes_on(self, signal: VersionedSignal) -> bool:
+        """Whether a publish to input `signal` can change this op's output."""
+        return True
+
+    def woken(self, versions):
+        """The readers a refresh wakes, given the `latest` of each output
+        signal before it: the readers of each output it published to whose
+        output that publish can change. An op is the only publisher of
+        its outputs, so a moved version is its own publish."""
+        return [
+            reader
+            for sig, v0 in zip(self.output_signals, versions)
+            if sig.latest != v0
+            for reader in sig.readers
+            if reader.wakes_on(sig)
+        ]
+
     def __repr__(self):
         return f"<{self.op_id}>"
 
@@ -173,7 +201,7 @@ class DeltaMergeOp(Op):
         self.out = group.delta[d]
         self.cur_l = self._cursor(group.left.delta[d[:-1]])
         self.cur_r = self._cursor(group.right.delta[d[:-1]])
-        self._by_precedence = (self.cur_r.signal, self.cur_l.signal)  # later wins
+        self._by_precedence = (self.cur_r, self.cur_l)  # later wins
         self.output_signals = [self.out]
 
     def refresh(self) -> bool:
@@ -227,9 +255,15 @@ class CorrOp(Op):
         self.cur_sens = self._cursor(child.sens[e])
         self._inputs = parents + delta
         # the left sibling's writes are later than the parent's corrections
-        self._by_precedence = [cur.signal for cur in delta + parents]
+        self._by_precedence = delta + parents
         self._sens_index = IntervalIndex()
         self.output_signals = [self.out]
+
+    def wakes_on(self, signal: VersionedSignal) -> bool:
+        # new sensitivity meets no record while every input is empty
+        return signal is not self.cur_sens.signal or not all(
+            cur.signal.empty for cur in self._inputs
+        )
 
     def refresh(self) -> bool:
         sens_changes = self.cur_sens.pull()
@@ -240,7 +274,7 @@ class CorrOp(Op):
             self._sens_index.insert(lo_ident, hi_ident, interval)
             # candidates already present in the inputs inside the new interval
             for cur in self._inputs:
-                idents.update(cur.signal.range_idents(lo_ident, hi_ident))
+                idents.update(cur.range_idents(lo_ident, hi_ident))
         return _publish_winners(self.out, (
             (i, _first(self._by_precedence, i) if self._sens_index.stab(i) else None)
             for i in idents

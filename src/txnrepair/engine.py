@@ -16,6 +16,18 @@ state is identical for any worker count or tie-breaking choice. At the
 fixpoint, the root's delta merge holds the net writes of the epoch's
 committed transactions in serial order; the engine commits them with one
 `apply_deltas` call per epoch and reads each status off its transaction.
+
+An epoch's fixed cost follows its change volume:
+
+  - The domain decomposition is kept with the store's record count and
+    rebuilt from a full scan only when that count changes. A commit
+    never removes a key, so an equal count means an equal key set, equal
+    samples and identical splits. Correctness never depends on the
+    splits: any decomposition partitions the domain.
+  - A refresh wakes only the readers of the outputs it published to
+    whose output the publish can change (`Op.woken`): a correction
+    operator sleeps through sensitivity growth while its correction
+    inputs are empty.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from typing import Optional
 
 from .circuit import CorrOp, DeltaMergeOp, TxnOp, build_tree, labels, wire_tree
 from .domain import build_decomposition
-from .pstore import DbVersion, Schema, apply_deltas, full_scan
+from .pstore import DbVersion, Schema, apply_deltas, full_scan, record_count
 from .txn import EVALUATED, TxnExec
 
 EARLIEST = "earliest"
@@ -174,23 +186,30 @@ class Engine:
         self.db = base
         self.config = config or EngineConfig()
         self.metrics = EngineMetrics()
+        self._decomp = None
+        self._decomp_count = None  # the store's record count when it was built
 
     def _decomposition(self):
-        pts = [(pred_id, key) for pred_id, key, _value in full_scan(self.db, self.schema)]
-        if len(pts) > DECOMP_SAMPLES:
-            stride = len(pts) / DECOMP_SAMPLES
-            pts = [pts[int(i * stride)] for i in range(DECOMP_SAMPLES)]
-        return build_decomposition(pts, self.config.height)
+        """The decomposition of the store's key set, rebuilt only when the
+        record count moved: no commit removes a key, so an equal count is
+        an equal key set."""
+        count = record_count(self.db)
+        if count != self._decomp_count:
+            pts = [(pred_id, key) for pred_id, key, _value in full_scan(self.db, self.schema)]
+            if len(pts) > DECOMP_SAMPLES:
+                stride = len(pts) / DECOMP_SAMPLES
+                pts = [pts[int(i * stride)] for i in range(DECOMP_SAMPLES)]
+            self._decomp = build_decomposition(pts, self.config.height)
+            self._decomp_count = count
+        return self._decomp
 
     def run(self, txns) -> EngineReport:
-        """txns: list of parsed rule lists, in serial order."""
+        """txns: list of parsed rule lists, in serial order; no
+        transactions run no epoch."""
         statuses = []
         cap = 2 ** self.config.height
-        for lo in range(0, max(len(txns), 1), cap):
-            chunk = txns[lo : lo + cap]
-            if not chunk and lo > 0:
-                break
-            statuses.extend(self._run_epoch(chunk, first_id=lo))
+        for lo in range(0, len(txns), cap):
+            statuses.extend(self._run_epoch(txns[lo : lo + cap], first_id=lo))
         self.metrics.txns += len(txns)
         self.metrics.failed_txns += sum(1 for s in statuses if s != EVALUATED)
         return EngineReport(db=self.db, statuses=statuses, metrics=self.metrics)
@@ -230,14 +249,14 @@ class Engine:
                     counts.append((op_refreshes, txn_refreshes))
                     return
                 try:
+                    versions = [sig.latest for sig in op.output_signals]
                     changed = op.refresh()
                     op_refreshes += 1
                     if isinstance(op, TxnOp):
                         txn_refreshes += 1
                     if changed:
-                        for sig in op.output_signals:
-                            for reader in list(sig.readers):
-                                queue.push(reader)
+                        for reader in op.woken(versions):
+                            queue.push(reader)
                 except BaseException as exc:  # keep done() paired with pop()
                     errors.append(exc)
                     queue.stop()
@@ -254,6 +273,12 @@ class Engine:
                 t.start()
             for t in threads:
                 t.join()
+        # the reader links are the circuit's cycles; dropping them lets
+        # reference counting free the epoch's circuit instead of leaving
+        # it to the cyclic collector
+        for op in ops:
+            for sig in op.output_signals:
+                sig.readers.clear()
         for op_refreshes, txn_refreshes in counts:
             self.metrics.op_refreshes += op_refreshes
             self.metrics.txn_refreshes += txn_refreshes

@@ -88,6 +88,11 @@ class VersionedSignal:
                 self._log.extend(changed)
             return len(self._log)
 
+    @property
+    def empty(self) -> bool:
+        """True when the signal holds no identity."""
+        return self._root is None
+
     def get(self, ident: tuple):
         """Value stored at this identity, or None."""
         return ptree.get(self._root, ident)
@@ -95,13 +100,6 @@ class VersionedSignal:
     def items(self):
         """(identity, value) pairs, in identity order."""
         return ptree.items(self._root)
-
-    def range_idents(self, lo_ident, hi_ident):
-        """Identities in [lo_ident, hi_ident], in order."""
-        for ident, _value in ptree.items_from(self._root, lo_ident):
-            if ident > hi_ident:
-                break
-            yield ident
 
 
 class SignalCursor:
@@ -111,6 +109,11 @@ class SignalCursor:
     pull() returns each identity whose value differs from that root,
     paired with its current value (None when absent), in identity order,
     so refresh cost tracks the change volume, not signal size.
+
+    A reader computes from the pulled root (`get`, `range_idents`), never
+    from the signal's current content: a value read past the pulled root
+    could be published back to the old one before the next pull, which
+    would then report no change and leave the reader's output stale.
     """
 
     def __init__(self, signal: VersionedSignal):
@@ -133,3 +136,14 @@ class SignalCursor:
             if value != ptree.get(old, ident):
                 out.append((ident, value))
         return out
+
+    def get(self, ident: tuple):
+        """Value at this identity in the pulled root, or None."""
+        return ptree.get(self.root, ident)
+
+    def range_idents(self, lo_ident, hi_ident):
+        """Identities in [lo_ident, hi_ident] of the pulled root, in order."""
+        for ident, _value in ptree.items_from(self.root, lo_ident):
+            if ident > hi_ident:
+                break
+            yield ident

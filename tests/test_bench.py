@@ -5,9 +5,11 @@ from itertools import combinations
 
 import pytest
 
+from txnrepair import bench
 from txnrepair.bench import (
     WorkloadConfig,
     first_divergence,
+    first_status_divergence,
     gen_sku_keysets,
     main,
     make_workload,
@@ -16,6 +18,7 @@ from txnrepair.bench import (
     run_serial,
 )
 from txnrepair.pstore import DbVersion, store_upsert
+from txnrepair.txn import EVALUATED, FAILED
 
 
 def test_generators_deterministic():
@@ -90,6 +93,13 @@ def test_first_divergence_reports_smallest_key():
     assert ident == (0, (0,)) and a == (0,) and b == (9,)
 
 
+def test_first_status_divergence():
+    ok, bad = [EVALUATED, FAILED, EVALUATED], [EVALUATED, EVALUATED, EVALUATED]
+    assert first_status_divergence(ok, ok) is None
+    assert first_status_divergence(ok, bad) == (1, FAILED, EVALUATED)
+    assert first_status_divergence(ok, ok[:2]) == (2, EVALUATED, None)
+
+
 def test_cli_writes_csv(tmp_path):
     out = tmp_path / "rows.csv"
     rc = main([
@@ -111,3 +121,21 @@ def test_cli_modes_subset(tmp_path):
     rc = main(["--workload", "sku", "--n", "50", "--txns", "4",
                "--modes", "repair", "--verify"])
     assert rc == 0  # --verify pulls the serial oracle in automatically
+
+
+def test_cli_verify_names_a_status_divergence(monkeypatch, capsys):
+    """A wrong status fails --verify even when the state hash matches."""
+    real = bench.run_repair
+
+    def one_status_flipped(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.statuses[2] = FAILED if rep.statuses[2] == EVALUATED else EVALUATED
+        return rep
+
+    monkeypatch.setattr(bench, "run_repair", one_status_flipped)
+    rc = main(["--workload", "counter_chain", "--txns", "4", "--height", "2",
+               "--modes", "repair", "--verify"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "VERIFY FAILED (repair): transaction 2 status" in err
+    assert "first divergence" not in err  # the state itself matches

@@ -237,6 +237,79 @@ def test_sens_growth_pulls_existing_corrections():
     assert list(child.corr[""].items()) == [((0, (5,)), (1,))]
 
 
+def test_corr_sleeps_through_sensitivity_while_inputs_are_empty():
+    """New sensitivity cannot change a correction operator's output while
+    its inputs are empty, so its publish does not wake the operator. A
+    record that arrives later, inside an interval published during the
+    sleep, wakes it; that refresh pulls the skipped interval and corrects."""
+    group = build_tree(1, label="0")  # below the root: it receives corrections
+    child = group.right
+    op = CorrOp(group, child, "", with_delta=True)
+    sens, delta = child.sens[""], group.left.delta[""]
+    sens.publish(inserts=_units([(0, (0,), (9,))]))
+    assert not op.wakes_on(sens)
+    delta.publish(inserts=[((0, (5,)), (7,))])
+    assert op.wakes_on(delta)
+    assert op.refresh() is True
+    assert list(child.corr[""].items()) == [((0, (5,)), (7,))]
+    sens.publish(inserts=_units([(0, (20,), (29,))]))
+    assert op.wakes_on(sens)  # an input record is present now
+    delta.publish(removes=[(0, (5,))])
+    assert op.refresh() is True and child.corr[""].empty
+    sens.publish(inserts=_units([(0, (30,), (39,))]))
+    assert not op.wakes_on(sens)  # asleep again once the input is empty
+    group.corr["1"].publish(inserts=[((0, (33,)), (1,))])  # a parent input
+    assert op.refresh() is True
+    assert list(child.corr[""].items()) == [((0, (33,)), (1,))]
+
+
+def _publish_after_pull(cursor, sig, **publish):
+    """Make cursor's next pull publish to sig right after it pulls, as a
+    concurrent producer would between an operator's pull and its reads."""
+    pull = cursor.pull
+
+    def pull_then_publish():
+        out = pull()
+        sig.publish(**publish)
+        del cursor.pull
+        return out
+
+    cursor.pull = pull_then_publish
+
+
+def test_merge_reads_the_roots_it_pulled():
+    """A publish that lands between a merge's pull and its reads, and is
+    undone before the next pull, must leave no trace: that pull reports
+    no change, so a value read past the pulled root would stay stale."""
+    group = build_tree(1)
+    op = DeltaMergeOp(group, "1", build_decomposition([], 1))  # "1" owns predicate 0
+    left, right = group.left.delta[""], group.right.delta[""]
+    k = (0, (3,))
+    right.publish(inserts=[(k, (5,))])
+    op.refresh()
+    _publish_after_pull(op.cur_r, right, inserts=[(k, (7,))])
+    left.publish(inserts=[(k, (1,))])
+    op.refresh()
+    right.publish(inserts=[(k, (5,))])
+    op.refresh()
+    assert dict(group.delta["1"].items()) == {k: (5,)}
+
+
+def test_corr_ranges_over_the_roots_it_pulled():
+    """The same for the records a correction operator finds inside a new
+    sensitivity interval."""
+    group = build_tree(1, label="0")
+    op = CorrOp(group, group.right, "", with_delta=True)
+    delta = group.left.delta[""]
+    k = (0, (3,))
+    group.right.sens[""].publish(inserts=_units([(0, (0,), (9,))]))
+    _publish_after_pull(op._inputs[-1], delta, inserts=[(k, (7,))])
+    op.refresh()
+    delta.publish(removes=[k])
+    op.refresh()
+    assert list(group.right.corr[""].items()) == []
+
+
 # ---- whole-circuit fixpoint vs the serial oracle ----
 
 SCHEMA = Schema.from_sigs([PredicateSig("bal", 0, (INT64,), (INT64,))])
@@ -252,6 +325,22 @@ false <- bal[$a] = v, v < 0.
         SCHEMA,
         params={"a": a, "b": b, "m": m},
     )
+
+
+def test_refresh_wakes_only_readers_of_what_it_published():
+    """A transaction that publishes sensitivity but no delta wakes its
+    sensitivity readers only, and of those not the correction operator,
+    whose inputs are empty."""
+    root = build_tree(1)
+    ops = wire_tree(root, build_decomposition([], 1))
+    leaf = root.left
+    leaf.txn = TxnExec(SCHEMA, parse_rules("probe(v) <- bal[3] = v.", SCHEMA), txn_id=0)
+    base = store_upsert(DbVersion(), SCHEMA.sig("bal"), (3,), (1,))
+    op = TxnOp(leaf, base)
+    versions = [sig.latest for sig in op.output_signals]
+    assert op.refresh() is True
+    assert leaf.delta[""].empty and not leaf.sens[""].empty
+    assert set(op.woken(versions)) == {r for r in ops if isinstance(r, SensMergeOp)}
 
 
 def test_txn_op_skips_repair_when_corrections_net_out(monkeypatch):
@@ -292,11 +381,11 @@ def run_fixpoint(base, txn_rules, height, rnd):
         steps += 1
         assert steps < 20000, "no fixpoint"
         op = dirty.pop(rnd.randrange(len(dirty)))
+        versions = [sig.latest for sig in op.output_signals]
         if op.refresh():
-            for sig in op.output_signals:
-                for reader in sig.readers:
-                    if reader not in dirty:
-                        dirty.append(reader)
+            for reader in op.woken(versions):
+                if reader not in dirty:
+                    dirty.append(reader)
     # the root's delta merge is the commit
     changes = [item for d in labels(height) for item in root.delta[d].items()]
     db = apply_deltas(base, SCHEMA, changes)

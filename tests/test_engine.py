@@ -1,9 +1,11 @@
 """Engine scheduling: determinism, priority behaviour, epoch commit."""
 
 import dataclasses
+import gc
 import random
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -196,10 +198,150 @@ def test_independent_txns_settle_once():
     assert eng.metrics.txn_refreshes == 8
 
 
-def test_empty_run():
+def test_empty_run(monkeypatch):
+    """No transactions run no epoch: no scan, no circuit, no commit."""
+    def no_scan(*args):
+        raise AssertionError("full_scan called")
+
+    monkeypatch.setattr(engine, "full_scan", no_scan)
     eng = Engine(SCHEMA, base_db(), EngineConfig(height=2))
+    db = eng.db
     rep = eng.run([])
     assert rep.statuses == [] and rep.metrics.txns == 0
+    assert rep.metrics.epochs == 0 and eng.db is db
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    scan = engine.full_scan
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(engine, "full_scan", counted)
+    return calls
+
+
+def test_value_only_epochs_scan_once(monkeypatch):
+    """Epochs that only change values keep the key set, so the pass
+    scans the store once, on its first epoch."""
+    scans = _count_scans(monkeypatch)
+    wl = make_workload(WorkloadConfig(name="random_rules", n=64, txns=20, seed=3))
+    eng = Engine(wl.schema, wl.db, EngineConfig(height=2))
+    for lo in (0, 12):  # two run() calls, 5 epochs
+        eng.run(wl.txns[lo : lo + 12])
+    assert eng.metrics.epochs == 5
+    assert len(scans) == 1
+
+
+def test_new_key_triggers_rescan(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    insert = parse_rules("^cnt[5] = v <- v = 0.", SCHEMA)
+    eng = Engine(SCHEMA, base_db(), EngineConfig(height=2))
+    rep = eng.run([bump(0)] * 4 + [bump(0), insert] + [bump(0)] * 4)
+    assert eng.metrics.epochs == 3
+    # the epoch after the insert sees a grown store; the one before does not
+    assert len(scans) == 2
+    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (5,)) == (0,)
+    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (9,)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reused_decomposition_equals_a_fresh_one(monkeypatch, seed):
+    """Whatever each epoch inserts or bumps, the decomposition an epoch
+    wires equals the one a fresh scan of its base store builds."""
+    rnd = random.Random(seed)
+    wired = []
+    wire = engine.wire_tree
+
+    def capture(root, decomp):
+        wired.append((decomp, eng.db))
+        return wire(root, decomp)
+
+    monkeypatch.setattr(engine, "wire_tree", capture)
+    eng = Engine(SCHEMA, base_db(nkeys=4), EngineConfig(height=2))
+    for _ in range(4):
+        txns = [
+            parse_rules(f"^cnt[{rnd.randrange(40)}] = v <- v = 1.", SCHEMA)
+            if rnd.random() < 0.2 else bump(rnd.randrange(4))
+            for _ in range(rnd.randrange(1, 10))
+        ]
+        eng.run(txns)
+    assert len(wired) == eng.metrics.epochs
+    for decomp, db in wired:
+        assert decomp == Engine(SCHEMA, db, EngineConfig(height=2))._decomposition()
+
+
+def test_settled_circuit_is_freed_without_the_cycle_collector(monkeypatch):
+    """Once an epoch commits, reference counting alone frees its circuit."""
+    nodes = []
+    build = engine.build_tree
+
+    def capture(height):
+        root = build(height)
+        nodes.extend(weakref.ref(node) for node in [*root.internal(), *root.leaves()])
+        return root
+
+    monkeypatch.setattr(engine, "build_tree", capture)
+    wl = make_workload(WorkloadConfig(name="random_rules", n=8, txns=8, seed=2))
+    gc.disable()
+    try:
+        rep = Engine(wl.schema, wl.db, EngineConfig(height=2)).run(wl.txns)
+        assert len(nodes) == 2 * 7 and all(ref() is None for ref in nodes)
+    finally:
+        gc.enable()
+    assert rep.statuses == run_serial(wl).statuses
+
+
+def test_read_only_epochs_wake_no_correction(monkeypatch):
+    """Read-only transactions publish sensitivity but no delta, so every
+    correction input stays empty and no correction operator refreshes."""
+    refresh = CorrOp.refresh
+    corr = []
+
+    def counted(op):
+        corr.append(op)
+        return refresh(op)
+
+    monkeypatch.setattr(CorrOp, "refresh", counted)
+    probes = [parse_rules(f"probe(v) <- cnt[{k % 4}] = v.", SCHEMA) for k in range(8)]
+    rep = Engine(SCHEMA, base_db(nkeys=4), EngineConfig(height=3)).run(probes)
+    assert rep.statuses == [EVALUATED] * 8
+    assert corr == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sleeping_correction_wakes_for_a_later_write(workers):
+    """Inverted priority evaluates the later bump first: its sensitivity
+    reaches the correction operator while the earlier bump's delta is
+    still empty. The earlier write arrives afterwards and must still be
+    corrected into the later transaction."""
+    eng = Engine(SCHEMA, base_db(), EngineConfig(workers=workers, height=1,
+                                                 priority_mode=INVERTED))
+    rep = eng.run([bump(0), bump(0, 5)])
+    assert rep.statuses == [EVALUATED, EVALUATED]
+    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (6,)
+    assert eng.metrics.txn_refreshes == 3  # the later bump was repaired once
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cfg", [
+    WorkloadConfig(name="random_rules", n=8, txns=40, seed=11),
+    WorkloadConfig(name="sku", n=60, alpha=2.0, txns=40, seed=4),
+    WorkloadConfig(name="counter_chain", variant="shift", txns=24),
+], ids=["random_rules", "sku", "counter_chain"])
+def test_quiet_corrections_match_serial(cfg, workers):
+    """With correction operators asleep while their inputs are empty, the
+    engine still agrees with the serial oracle on statuses and state,
+    under both priority modes and random tie-breaking."""
+    wl = make_workload(cfg)
+    want = run_serial(wl)
+    for mode, randomize in ((EARLIEST, False), (INVERTED, False), (EARLIEST, True)):
+        got = run_repair(wl, workers=workers, height=3, priority_mode=mode,
+                         randomize_ties=randomize, seed=cfg.seed)
+        assert got.statuses == want.statuses, mode
+        assert got.hash(wl.schema) == want.hash(wl.schema), mode
 
 
 @pytest.mark.parametrize("mode", [EARLIEST, INVERTED])

@@ -18,7 +18,12 @@ def test_schedule_fingerprint_is_reproducible():
     assert [line.split(":")[0] for line in lines] == [
         "transfer_mix seed=3 txns=16 earliest", "transfer_mix seed=3 txns=16 inverted"
     ]
-    assert all("refreshes=" in line and "state=" in line for line in lines)
+    for line in lines:
+        fields = dict(f.split("=") for f in line.split(": ")[1].split())
+        assert list(fields) == ["refreshes", "txn", "dmerge", "smerge", "corr",
+                                "schedule", "committed", "state"]
+        kinds = [int(fields[k]) for k in ("txn", "dmerge", "smerge", "corr")]
+        assert sum(kinds) == int(fields["refreshes"]) and min(kinds) > 0
 
 
 def _run_script(name, *args):

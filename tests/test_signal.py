@@ -193,6 +193,12 @@ class TestCursor:
 
 
 def test_range_idents():
+    """A cursor ranges and reads over the root it pulled, not over what
+    was published since."""
     sig = VersionedSignal("corr")
+    cur = SignalCursor(sig)
     sig.publish(inserts=[((0, (k,)), (k,)) for k in (1, 4, 7)])
-    assert list(sig.range_idents((0, (2,)), (0, (7,)))) == [(0, (4,)), (0, (7,))]
+    cur.pull()
+    sig.publish(inserts=[((0, (5,)), (5,)), ((0, (4,)), (40,))])
+    assert list(cur.range_idents((0, (2,)), (0, (7,)))) == [(0, (4,)), (0, (7,))]
+    assert cur.get((0, (4,))) == (4,) and cur.get((0, (5,))) is None
