@@ -140,15 +140,20 @@ class MaintainReport:
 
 
 class RuleMaintainer:
-    """Holds one rule's materialized result and its sensitivity index."""
+    """Holds one rule's materialized result and its sensitivity index;
+    `args` binds the compiled template's `$param` slots (`Rule.args`)."""
 
-    def __init__(self, compiled: CompiledRule, views: dict, stats: Optional[Stats] = None):
+    def __init__(
+        self, compiled: CompiledRule, views: dict, args: tuple = (),
+        stats: Optional[Stats] = None,
+    ):
         self.compiled = compiled
+        self.args = args
         self.views = dict(views)
         self.index: dict = {}  # vertex -> IntervalIndex
         self.entry_log: list = []  # every entry ever absorbed, in order
         col = SensCollector()
-        res = eval_rule(compiled, views, collector=col, stats=stats)
+        res = eval_rule(compiled, views, args, collector=col, stats=stats)
         self.head_counts = res.head_counts
         self.constraint_hits = res.constraint_hits
         self._absorb(col)
@@ -186,9 +191,11 @@ class RuleMaintainer:
         cdelta = 0
         for ctx in contexts:
             fixed = dict(zip(order, ctx))
-            old = eval_rule(self.compiled, self.views, fixed=fixed, stats=stats)
+            old = eval_rule(self.compiled, self.views, self.args, fixed=fixed, stats=stats)
             col = SensCollector()
-            new = eval_rule(self.compiled, new_views, fixed=fixed, collector=col, stats=stats)
+            new = eval_rule(
+                self.compiled, new_views, self.args, collector=col, fixed=fixed, stats=stats
+            )
             self._absorb(col)
             cdelta += new.constraint_hits - old.constraint_hits
             for i in range(n_heads):

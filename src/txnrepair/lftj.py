@@ -8,10 +8,15 @@ records a sensitivity interval: the full-tuple range whose records, had
 they been present (or absent), would have changed what the operation
 returned. The union of recorded intervals therefore covers every
 database change that could alter the rule's output.
+
+A compiled rule is a plan for its template: a `$param` slot stays a
+slot, and each `eval_rule` call reads the rule's bound `args`, so one
+compilation serves every binding of the template.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,7 +78,7 @@ class _LevelPlan:
 
 @dataclass
 class CompiledRule:
-    rule: Rule
+    heads: tuple  # per head atom, its terms; none for a constraint
     var_order: tuple
     atoms: tuple  # positive CompiledAtoms
     neg_atoms: tuple  # negated CompiledAtoms
@@ -188,7 +193,7 @@ def compile_rule(rule: Rule, schema, upserted=frozenset(), derived_karity=None) 
         plans[lvl].checks.append(("prim", p))
 
     return CompiledRule(
-        rule=rule,
+        heads=tuple(_terms_of(h.atom) for h in rule.head),
         var_order=var_order,
         atoms=tuple(atoms),
         neg_atoms=tuple(neg_atoms),
@@ -198,16 +203,19 @@ def compile_rule(rule: Rule, schema, upserted=frozenset(), derived_karity=None) 
 
 
 class _LevelIter:
-    """Distinct-component iterator of one atom under a fixed tuple prefix."""
+    """Distinct-component iterator of one atom under a fixed tuple prefix;
+    records each landing's sensitivity under `ctx` when collecting."""
 
-    __slots__ = ("view", "cur", "p", "q", "key", "_emit", "stats")
+    __slots__ = ("view", "cur", "p", "q", "key", "stats", "collector", "vertex", "ctx")
 
-    def __init__(self, view: View, p: tuple, q: int, emit, stats):
+    def __init__(self, view: View, p: tuple, q: int, stats, collector, vertex, ctx):
         self.view = view
         self.p = p
         self.q = q
-        self._emit = emit
         self.stats = stats
+        self.collector = collector
+        self.vertex = vertex
+        self.ctx = ctx
         self.cur = view.cursor()
         lo = view.pad(p)
         stats.seeks += 1
@@ -217,11 +225,13 @@ class _LevelIter:
     def _land(self, lo):
         found = None if self.cur.at_end else self.cur.current()
         if found is not None and found[: len(self.p)] == self.p:
-            self._emit(lo, found)
             self.key = found[self.q]
+            if self.collector is not None:
+                self.collector.record(self.vertex, lo, found, self.ctx)
         else:
-            self._emit(lo, self.view.pad(self.p, low=False))
             self.key = None
+            if self.collector is not None:
+                self.collector.record(self.vertex, lo, self.view.pad(self.p, low=False), self.ctx)
 
     def seek(self, c):
         if self.key is not None and self.key >= c:
@@ -243,148 +253,157 @@ class _LevelIter:
         self._land(lo)
 
 
+_by_key = operator.attrgetter("key")
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_COMPARE = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
+
+
 @dataclass
 class RuleResult:
     # per head atom: full head tuple -> number of supporting bindings
     head_counts: list
     constraint_hits: int = 0
 
+
 def eval_rule(
     compiled: CompiledRule,
     views: dict,
+    args: tuple = (),
     collector: Optional[SensCollector] = None,
     fixed: Optional[dict] = None,
     stats: Optional[Stats] = None,
 ) -> RuleResult:
     """Enumerate all satisfying bindings; instantiate head atoms.
 
-    `views` maps vertex names to View objects. `fixed` pins a prefix of
-    the variable order to given values (membership is still verified),
-    used for region-restricted re-evaluation.
+    `views` maps vertex names to View objects; `args` binds the rule's
+    `$param` slots, as `Rule.args`. `fixed` pins a prefix of the
+    variable order to given values (membership is still verified), used
+    for region-restricted re-evaluation.
     """
-    stats = stats if stats is not None else Stats()
-    fixed = fixed or {}
-    binding: dict = {}
-    n_heads = len(compiled.rule.head)
-    result = RuleResult(head_counts=[{} for _ in range(n_heads)])
+    return _Evaluator(compiled, views, args, collector, fixed, stats).run()
 
-    def term_val(t):
-        return t.value if isinstance(t, Const) else binding[t.name]
 
-    def ctx(level):
-        return tuple(binding[v] for v in compiled.var_order[:level])
+class _Evaluator:
+    """The state of one `eval_rule` call. Its methods refer to each other
+    only through the instance, which refers to none of them, so reference
+    counting frees everything a call allocates."""
 
-    def emit_for(vertex, level):
-        if collector is None:
-            return lambda lo, hi: None
-        c = ctx(level)
-        return lambda lo, hi: collector.record(vertex, lo, hi, c)
+    __slots__ = ("compiled", "views", "collector", "fixed", "stats", "binding", "result")
 
-    def probe(ca: CompiledAtom, level) -> bool:
+    def __init__(self, compiled, views, args, collector, fixed, stats):
+        self.compiled = compiled
+        self.views = views
+        self.collector = collector
+        self.fixed = fixed or {}
+        self.stats = stats if stats is not None else Stats()
+        # variables and `$param` slots alike: a slot is a name bound throughout
+        self.binding = dict(args)
+        self.result = RuleResult(head_counts=[{} for _ in compiled.heads])
+
+    def run(self) -> RuleResult:
+        if self.run_checks(self.compiled.pre_checks, 0):
+            self.enum(0)
+        return self.result
+
+    def val(self, t):
+        return t.value if t.__class__ is Const else self.binding[t.name]
+
+    def ctx(self, level):
+        binding = self.binding
+        return tuple(binding[v] for v in self.compiled.var_order[:level])
+
+    def probe(self, ca: CompiledAtom, level) -> bool:
         """Exact-presence test with point sensitivity."""
-        t = tuple(term_val(x) for x in ca.pattern)
-        view = views[ca.vertex]
-        cur = view.cursor()
-        stats.seeks += 1
+        t = tuple(self.val(x) for x in ca.pattern)
+        cur = self.views[ca.vertex].cursor()
+        self.stats.seeks += 1
         cur.seek(t)
-        if collector is not None:
-            collector.record(ca.vertex, t, t, ctx(level))
+        if self.collector is not None:
+            self.collector.record(ca.vertex, t, t, self.ctx(level))
         return (not cur.at_end) and cur.current() == t
 
-    def prim_holds(p: PrimAtom) -> bool:
+    def prim_holds(self, p: PrimAtom) -> bool:
         neg = p.op.startswith("not:")
         op = p.op[4:] if neg else p.op
-        vals = [term_val(t) for t in p.args]
         if op in ARITH_OPS:
-            x, y, out = vals
-            r = x + y if op == "add" else x - y if op == "sub" else x * y
-            ok = r == out
+            x, y, out = (self.val(t) for t in p.args)
+            ok = _ARITH[op](x, y) == out
         else:
-            x, y = vals
-            ok = {
-                "eq": x == y,
-                "ne": x != y,
-                "lt": x < y,
-                "le": x <= y,
-                "gt": x > y,
-                "ge": x >= y,
-            }[op]
+            x, y = (self.val(t) for t in p.args)
+            ok = _COMPARE[op](x, y)
         return (not ok) if neg else ok
 
-    def run_checks(items, level) -> bool:
+    def run_checks(self, items, level) -> bool:
         for kind, payload in items:
             if kind == "prim":
-                if not prim_holds(payload):
+                if not self.prim_holds(payload):
                     return False
             elif kind == "neg":
-                if probe(compiled.neg_atoms[payload], level):
+                if self.probe(self.compiled.neg_atoms[payload], level):
                     return False
             else:  # complete
-                if not probe(compiled.atoms[payload], level):
+                if not self.probe(self.compiled.atoms[payload], level):
                     return False
         return True
 
-    def compute_value(p: PrimAtom, var):
+    def compute_value(self, p: PrimAtom, var):
         if p.op in ARITH_OPS:
-            x = term_val(p.args[0])
-            y = term_val(p.args[1])
-            return x + y if p.op == "add" else x - y if p.op == "sub" else x * y
+            return _ARITH[p.op](self.val(p.args[0]), self.val(p.args[1]))
         # eq: the other side is bound
         a, b = p.args
-        other = b if (isinstance(a, Var) and a.name == var) else a
-        return term_val(other)
+        return self.val(b if (isinstance(a, Var) and a.name == var) else a)
 
-    def emit_binding():
-        stats.bindings += 1
-        if not compiled.rule.head:
-            result.constraint_hits += 1
+    def emit_binding(self):
+        self.stats.bindings += 1
+        if not self.compiled.heads:
+            self.result.constraint_hits += 1
             return
-        for i, h in enumerate(compiled.rule.head):
-            t = tuple(term_val(x) for x in _terms_of(h.atom))
-            counts = result.head_counts[i]
+        for terms, counts in zip(self.compiled.heads, self.result.head_counts):
+            t = tuple(self.val(x) for x in terms)
             counts[t] = counts.get(t, 0) + 1
 
-    def enum(level):
+    def try_value(self, plan, level, iters, c):
+        """Accept a pinned or computed value if every iterator holds it."""
+        for it in iters:
+            it.seek(c)
+            if it.key != c:
+                return
+        self.accept(plan, level, c)
+
+    def accept(self, plan, level, c):
+        self.binding[plan.var] = c
+        # once the value is set, computes degenerate to checks
+        if all(self.prim_holds(p) for p in plan.compute) and self.run_checks(plan.checks, level):
+            self.enum(level + 1)
+        del self.binding[plan.var]
+
+    def enum(self, level):
+        compiled = self.compiled
         if level == len(compiled.var_order):
-            emit_binding()
+            self.emit_binding()
             return
         plan = compiled.plans[level]
-        iters = [
-            _LevelIter(
-                views[compiled.atoms[ai].vertex],
-                tuple(term_val(t) for t in compiled.atoms[ai].pattern[:q]),
+        ctx = self.ctx(level) if self.collector is not None else None
+        iters = []
+        for ai, q in plan.joiners:
+            atom = compiled.atoms[ai]
+            iters.append(_LevelIter(
+                self.views[atom.vertex],
+                tuple(self.val(t) for t in atom.pattern[:q]),
                 q,
-                emit_for(compiled.atoms[ai].vertex, level),
-                stats,
-            )
-            for ai, q in plan.joiners
-        ]
-
-        def try_value(c) -> bool:
-            for it in iters:
-                it.seek(c)
-                if it.key != c:
-                    return False
-            return True
-
-        def accept(c):
-            binding[plan.var] = c
-            # once the value is set, computes degenerate to checks
-            if all(prim_holds(p) for p in plan.compute) and run_checks(plan.checks, level):
-                enum(level + 1)
-            del binding[plan.var]
-
-        if plan.var in fixed:
-            c = fixed[plan.var]
-            if try_value(c):
-                accept(c)
+                self.stats,
+                self.collector,
+                atom.vertex,
+                ctx,
+            ))
+        if plan.var in self.fixed:
+            self.try_value(plan, level, iters, self.fixed[plan.var])
             return
         if plan.compute:
-            binding[plan.var] = compute_value(plan.compute[0], plan.var)
-            c = binding[plan.var]
-            del binding[plan.var]
-            if try_value(c):
-                accept(c)
+            self.try_value(plan, level, iters, self.compute_value(plan.compute[0], plan.var))
             return
         if not iters:
             raise SchemaError(f"variable {plan.var} has no enumerable source")
@@ -393,13 +412,13 @@ def eval_rule(
             if it.key is None:
                 return
         k = len(iters)
-        iters.sort(key=lambda it: it.key)
+        iters.sort(key=_by_key)
         p_i = 0
         max_key = iters[-1].key
         while True:
             it = iters[p_i]
             if it.key == max_key:
-                accept(max_key)
+                self.accept(plan, level, max_key)
                 it.next()
             else:
                 it.seek(max_key)
@@ -407,7 +426,3 @@ def eval_rule(
                 return
             max_key = it.key
             p_i = (p_i + 1) % k
-
-    if run_checks(compiled.pre_checks, 0):
-        enum(0)
-    return result

@@ -12,10 +12,18 @@ single atom, `;` is disjunction (split into one rule per disjunct),
 `@start` reads a database predicate as of transaction start, and `false`
 heads a constraint. Arithmetic in terms is lowered to primitive atoms
 over fresh temporaries.
+
+A `$name` is a parameter: a slot, not a constant. `parse_rules` parses
+and type-checks each text once per schema into a template whose rules
+hold `Param` slots, then binds the values of one call into each rule's
+`args`; the template's head and body are shared by every binding, so a
+transaction compiles each distinct template once and the join reads
+the bound values at evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -55,6 +63,16 @@ class Const:
     @property
     def tag(self):
         return literal_tag(self.value)
+
+
+@dataclass(frozen=True)
+class Param:
+    """A `$name` slot; a rule's `args` binds it to a value."""
+
+    name: str  # with its `$`, so it never names a variable
+
+    def __repr__(self):
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -101,6 +119,7 @@ class Rule:
     is_constraint: bool = False
     exists_vars: tuple = ()
     span: tuple = (0, 0)  # (line, col) of the rule start
+    args: tuple = ()  # ((param name, value), ...) bound to its Param slots
 
 
 _TOKEN_RE = re.compile(
@@ -141,11 +160,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, schema: Optional[Schema], params=None):
+    def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.schema = schema
-        self.params = params or {}
+        self.params: dict = {}  # `$name` -> (line, col) of its first use
         self.temp_count = 0
         self._used_idents = {t[1] for t in self.tokens if t[0] == "ident"}
 
@@ -373,16 +391,18 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "int":
             self.take()
-            return Const(int(tok[1])), []
+            return _int_const(int(tok[1])), []
+        if tok[1] == "-" and self.peek(1)[0] == "int":
+            self.take()
+            return _int_const(-int(self.take()[1])), []
         if tok[0] == "string":
             self.take()
             return Const(tok[1][1:-1].replace('\\"', '"').replace("\\\\", "\\")), []
         if tok[1] == "$":
             self.take()
-            name = self.take("ident")[1]
-            if name not in self.params:
-                raise ParseError(f"unbound parameter ${name}", tok[2], tok[3])
-            return Const(self.params[name]), []
+            name = "$" + self.take("ident")[1]
+            self.params.setdefault(name, tok[2:4])
+            return Param(name), []
         if tok[1] == "(" and tok[0] == "punct":
             self.take()
             term, pre = self.parse_expr()
@@ -407,18 +427,67 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
 
 
+def _int_const(value):
+    literal_tag(value)  # rejects ints outside int64
+    return Const(value)
+
+
 def parse_rules(text: str, schema: Optional[Schema] = None, params=None):
-    """Parse rule text into a list of Rule ASTs.
+    """Parse rule text into a list of Rule ASTs, binding `params`
+    ({name: value}) to its `$name` slots.
 
     Disjunction is distributed into one rule per disjunct; quantified
     negation is rejected with a scope diagnostic. With a schema, atoms
-    are arity- and type-checked.
+    are arity- and type-checked, and each bound value must have the
+    type its slot is used at, as if it were written in as a literal.
+    An unbound `$name` raises ParseError at its first use.
     """
-    rules = _Parser(text, schema, params).parse_program()
-    if schema is not None:
-        for rule in rules:
-            typecheck_rule(rule, schema)
-    return rules
+    rules, slots, rule_tags = _template(text, schema)
+    if not slots:
+        return list(rules)
+    params = params or {}
+    values, tags = {}, {}
+    for name, line, col in slots:
+        if name[1:] not in params:
+            raise ParseError(f"unbound parameter {name}", line, col)
+        values[name] = params[name[1:]]
+        tags[name] = literal_tag(values[name])
+    out = []
+    for rule, slot_tags in zip(rules, rule_tags):
+        if schema is not None and any(tags[n] != tag for n, tag in slot_tags):
+            # an untyped or mistyped slot: check as if the values were literals
+            typecheck_rule(rule, schema, {n: tags[n] for n, _ in slot_tags})
+        args = tuple((n, values[n]) for n, _ in slot_tags)
+        out.append(Rule(rule.head, rule.body, rule.is_constraint, rule.exists_vars,
+                        rule.span, args))
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _template(text: str, schema: Optional[Schema]):
+    """Parse and type-check `text` once per schema: returns its rules with
+    unbound Param slots, each slot's (name, line, col) at first use, and
+    per rule its slots with the type each is used at (None if untyped).
+    The cache is keyed by the schema's value and holds only immutable
+    results, so sharing it across callers changes no outcome."""
+    parser = _Parser(text)
+    rules = tuple(parser.parse_program())
+    rule_tags = []
+    for rule in rules:
+        tags = typecheck_rule(rule, schema) if schema is not None else {}
+        names = dict.fromkeys(
+            t.name for t in _rule_terms(rule) if isinstance(t, Param)
+        )
+        rule_tags.append(tuple((n, tags.get(n)) for n in names))
+    slots = tuple((name, line, col) for name, (line, col) in parser.params.items())
+    return rules, slots, tuple(rule_tags)
+
+
+def _rule_terms(rule: Rule):
+    for h in rule.head:
+        yield from _atom_terms(h.atom)
+    for atom in rule.body:
+        yield from _atom_terms(atom.atom if isinstance(atom, NegAtom) else atom)
 
 
 def _atom_terms(atom):
@@ -429,9 +498,10 @@ def _atom_terms(atom):
     return atom.args
 
 
-def typecheck_rule(rule: Rule, schema: Schema):
-    """Arity/type check and range-restriction check."""
-    var_tags: dict = {}
+def typecheck_rule(rule: Rule, schema: Schema, known=None):
+    """Arity/type check and range-restriction check; returns the type of
+    each variable and `$param` slot, with `known` ({name: tag}) given."""
+    var_tags: dict = dict(known or {})
 
     def note(term, tag, where):
         if isinstance(term, Const):
@@ -463,8 +533,10 @@ def typecheck_rule(rule: Rule, schema: Schema):
             for t, tag in zip(atom.value_args, sig.value_types):
                 note(t, tag, atom.pred)
 
-    # two passes so primitives can pick up tags from db atoms in any order
-    for _ in range(2):
+    # repeat until no tag is learnt, so comparisons pass tags along in any order
+    learnt = None
+    while learnt != len(var_tags):
+        learnt = len(var_tags)
         for atom in rule.body:
             target = atom.atom if isinstance(atom, NegAtom) else atom
             if isinstance(target, (RelAtom, FunAtom)):
@@ -512,7 +584,12 @@ def typecheck_rule(rule: Rule, schema: Schema):
 
 
 def print_rule(rule: Rule) -> str:
+    """Rule text; a bound `$param` prints as its value."""
+    args = dict(rule.args)
+
     def term(t):
+        if isinstance(t, Param) and t.name in args:
+            t = Const(args[t.name])
         if isinstance(t, Const):
             if isinstance(t.value, bool):
                 return "true" if t.value else "false"

@@ -8,6 +8,11 @@ correction is withdrawn. Evaluation materializes every rule; repair
 applies correction changes through the per-rule sensitivity indexes, so
 the cost tracks how much of the transaction's reads actually changed.
 
+Rules bound from one template (see `rulelang`) share a compiled plan:
+the constructor compiles each distinct template once, and each rule's
+maintainer evaluates that plan with the rule's own bound `$param`
+values (`Rule.args`).
+
 Rules read persistent overlays: per predicate, one patch tree of
 corrected values over the snapshot, one of the transaction's own upserts
 (`end:`) over that, and one tuple set per derived predicate (`out:`).
@@ -85,10 +90,19 @@ class TxnExec:
                         a.key_args + a.value_args
                     )
                     derived_karity[a.pred] = n
-        self.compiled = [
-            compile_rule(r, schema, frozenset(self.upserted), derived_karity)
-            for r in self.rules
-        ]
+        # a compiled rule reads its bindings at evaluation, and the rules
+        # bound from one template share its head and body objects: compile
+        # each template once, keyed by their identities, which are stable
+        # while self.rules holds them and cheaper than hashing the ASTs
+        upserted = frozenset(self.upserted)
+        plans: dict = {}
+        self.compiled = []
+        for r in self.rules:
+            key = (id(r.head), id(r.body))
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = compile_rule(r, schema, upserted, derived_karity)
+            self.compiled.append(plan)
         self._derived_karity = derived_karity
         self.base: Optional[DbVersion] = None
         # delta support: pred name -> {key: {value: count}}
@@ -168,7 +182,7 @@ class TxnExec:
                 continue
             i = int(vertex[4:])
             views = self._build_views()
-            m = RuleMaintainer(self.compiled[i], views, stats=self.stats)
+            m = RuleMaintainer(self.compiled[i], views, self.rules[i].args, stats=self.stats)
             self.maintainers[i] = m
             self._hits += m.constraint_hits
             self._apply_rule_output(i, self._full_diffs(m))

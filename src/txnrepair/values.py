@@ -84,9 +84,13 @@ def validate_tuple(tags, values, what: str) -> tuple:
 
 
 def literal_tag(value) -> str:
+    """The type tag of a literal or bound parameter; an int outside
+    int64 is not a value of any type."""
     if isinstance(value, bool):
         return BOOL
     if isinstance(value, int):
+        if not -(2**63) <= value < 2**63:
+            raise SchemaError(f"integer {value} is outside int64")
         return INT64
     if isinstance(value, str):
         return STRING

@@ -8,6 +8,7 @@ from txnrepair.rulelang import (
     Const,
     FunAtom,
     NegAtom,
+    Param,
     ParseError,
     PrimAtom,
     RelAtom,
@@ -78,8 +79,10 @@ def test_params_substitution(schema):
     (r,) = parse_rules("^bal[$k] = v <- v = bal@start[$k] + $d.", schema,
                        params={"k": 3, "d": -2})
     read, add = r.body
-    assert r.head[0].atom.key_args == read.key_args == (Const(3),)
-    assert add == PrimAtom("add", (read.value_args[0], Const(-2), Var("v")))
+    assert r.head[0].atom.key_args == read.key_args == (Param("$k"),)
+    assert add == PrimAtom("add", (read.value_args[0], Param("$d"), Var("v")))
+    assert r.args == (("$k", 3), ("$d", -2))
+    assert print_rule(r) == "^bal[3] = v <- bal@start[3] = _t1, v = _t1 + -2."
 
 
 def test_disjunction_splits():
@@ -202,3 +205,87 @@ false <- bal[k] = v, v < 0.
         rules = parse_rules("bal[k] = v <- edge(k, v).", schema)
         with pytest.raises(SchemaError, match="upsert"):
             rewrite_for_txn(rules, schema)
+
+
+BUMP = "^bal[$k] = v <- v = bal@start[$k] + $d."
+
+
+@pytest.mark.parametrize("text", [
+    "p(x) <- edge(x, 9223372036854775808).",
+    "p(x) <- edge(x, -9223372036854775809).",
+])
+def test_int64_literal_out_of_range(text, schema):
+    with pytest.raises(SchemaError, match="outside int64"):
+        parse_rules(text)
+    with pytest.raises(SchemaError, match="outside int64"):
+        parse_rules(text, schema)
+
+
+def test_int64_literal_ends(schema):
+    (r,) = parse_rules(
+        "p(x) <- edge(x, 9223372036854775807), edge(x, -9223372036854775808).", schema
+    )
+    assert [a.args[1] for a in r.body] == [Const(2**63 - 1), Const(-(2**63))]
+
+
+@pytest.mark.parametrize("k", [-(2**63) - 1, 2**63])
+def test_int64_param_out_of_range(k, schema):
+    with pytest.raises(SchemaError, match="outside int64"):
+        parse_rules(BUMP, schema, params={"k": k, "d": 1})
+    with pytest.raises(SchemaError, match="outside int64"):
+        parse_rules(BUMP, None, params={"k": 1, "d": k})
+
+
+def test_int64_param_ends(schema):
+    for k in (-(2**63), 2**63 - 1):
+        (r,) = parse_rules(BUMP, schema, params={"k": k, "d": k})
+        assert r.args == (("$k", k), ("$d", k))
+
+
+def test_template_not_shared_across_schemas(schema):
+    """The same text under another schema is parsed and checked anew."""
+    by_name = Schema.from_sigs([PredicateSig("bal", 0, (STRING,), (INT64,))])
+    (r,) = parse_rules(BUMP, schema, params={"k": 1, "d": 2})
+    (s,) = parse_rules(BUMP, by_name, params={"k": "a", "d": 2})
+    assert r.args == (("$k", 1), ("$d", 2)) and s.args == (("$k", "a"), ("$d", 2))
+    with pytest.raises(SchemaError):
+        parse_rules(BUMP, by_name, params={"k": 1, "d": 2})
+    with pytest.raises(SchemaError):
+        parse_rules(BUMP, schema, params={"k": "a", "d": 2})
+    relation = Schema.from_sigs([PredicateSig("bal", 0, (INT64,))])
+    with pytest.raises(SchemaError, match="arity"):
+        parse_rules(BUMP, relation, params={"k": 1, "d": 2})
+
+
+def test_binding_type_checked_on_every_call(schema):
+    parse_rules(BUMP, schema, params={"k": 1, "d": 2})
+    with pytest.raises(SchemaError):
+        parse_rules(BUMP, schema, params={"k": 1, "d": "two"})
+    with pytest.raises(SchemaError):
+        parse_rules(BUMP, schema, params={"k": True, "d": 2})
+    # slots the schema does not type: the values must agree as literals would
+    text = "false <- $a = $b."
+    parse_rules(text, schema, params={"a": 1, "b": 2})
+    with pytest.raises(SchemaError, match="mixed types"):
+        parse_rules(text, schema, params={"a": 1, "b": "x"})
+    with pytest.raises(SchemaError, match="mixed types"):
+        parse_rules('false <- 1 = "x".', schema)
+
+
+@pytest.mark.parametrize("schema_or_none", ["schema", None])
+def test_unbound_param_has_position_on_cache_hit(schema_or_none, request):
+    schema = request.getfixturevalue(schema_or_none) if schema_or_none else None
+    text = "^bal[$k] = v <-\n  v = bal@start[$k] + $d."
+    parse_rules(text, schema, params={"k": 1, "d": 2})
+    for _ in range(2):
+        with pytest.raises(ParseError, match=r"unbound parameter \$d") as ei:
+            parse_rules(text, schema, params={"k": 1})
+        assert (ei.value.line, ei.value.col) == (2, 23)
+
+
+def test_typecheck_passes_tags_along_any_chain():
+    """Comparisons pass a type along a chain in any order: here q meets
+    both types only after three passes over the body."""
+    (r,) = parse_rules('false <- p = q, q = r, r = s, s = "x", p = t, t = 1.')
+    with pytest.raises(SchemaError, match="mixed types"):
+        typecheck_rule(r, Schema.from_sigs([]))

@@ -1,13 +1,14 @@
 """Transaction execution: isolated evaluation, failure, repair."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import view_scan
-from txnrepair import ptree
+from txnrepair import ptree, txn as txn_module
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED, TxnExec
@@ -332,3 +333,66 @@ def test_overlays_match_views_built_from_scratch(frags, base_vals, initial, stre
         assert got.sens >= fresh.sens
     for views, seen in held:
         assert scans(views) == seen
+
+
+# the benchmark's three templates over `bal`; a `$name` is a key or an amount
+BUMP = "^bal[$k] = v <- v = bal@start[$k] + $d."
+TRANSFER = """
+^bal[$a] = x <- x = bal@start[$a] - $m.
+^bal[$b] = y <- y = bal@start[$b] + $m.
+false <- bal[$a] = v, v < 0.
+"""
+PROBE = "probe(v) <- bal[$k] = v."
+EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+int64s = st.one_of(st.sampled_from(EDGES), st.integers(-(2**63), 2**63 - 1))
+keys = st.sampled_from(EDGES)
+TEMPLATES = {
+    "bump": (BUMP, {"k": keys, "d": int64s}),
+    "transfer": (TRANSFER, {"a": keys, "b": keys, "m": int64s}),
+    "probe": (PROBE, {"k": keys}),
+}
+
+
+def literal_text(text, params):
+    """`text` with each `$name` written in as its value."""
+    return re.sub(r"\$(\w+)", lambda m: str(params[m.group(1)]), text)
+
+
+@given(st.sampled_from(sorted(TEMPLATES)), st.data())
+@settings(max_examples=200)
+def test_bound_params_match_literal_text(name, data):
+    """Evaluating and repairing a bound template gives the status, deltas
+    and sensitivity of the same text with the values written in."""
+    text, strategies = TEMPLATES[name]
+    params = {n: data.draw(s, label=n) for n, s in strategies.items()}
+    db = make_db(data.draw(st.dictionaries(keys, int64s), label="db"))
+    key, value = data.draw(st.tuples(keys, int64s), label="correction")
+    runs = []
+    for rules in (parse_rules(text, SCHEMA, params),
+                  parse_rules(literal_text(text, params), SCHEMA)):
+        txn = TxnExec(SCHEMA, rules)
+        runs.append((
+            txn.evaluate(db),
+            txn.repair(pulled((key,), (value,))),
+            txn.repair(withdrawn((key,))),
+        ))
+    assert runs[0] == runs[1]
+
+
+def test_one_compilation_per_template(monkeypatch):
+    """A 45-rule sku transaction binds one bump template 45 times and
+    compiles it once; each rule still bumps its own key."""
+    calls = []
+    compile_rule = txn_module.compile_rule
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return compile_rule(*args, **kwargs)
+
+    monkeypatch.setattr(txn_module, "compile_rule", counted)
+    rules = [r for k in range(45) for r in parse_rules(BUMP, SCHEMA, {"k": k, "d": k})]
+    txn = TxnExec(SCHEMA, rules)
+    assert len(calls) == 1
+    out = Folded(txn.evaluate(make_db({k: 100 for k in range(45)})))
+    assert out.status == EVALUATED
+    assert out.values() == {(k,): (100 + k,) for k in range(45)}

@@ -49,3 +49,7 @@ def test_literal_tag():
     assert literal_tag(3) == INT64
     assert literal_tag("s") == STRING
     assert literal_tag(False) == BOOL
+    assert literal_tag(-(2**63)) == literal_tag(2**63 - 1) == INT64
+    for v in (-(2**63) - 1, 2**63):
+        with pytest.raises(SchemaError, match="outside int64"):
+            literal_tag(v)
