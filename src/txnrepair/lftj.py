@@ -25,9 +25,9 @@ from .rulelang import (
     Const,
     NegAtom,
     PrimAtom,
-    RelAtom,
     Rule,
     Var,
+    atom_terms,
     atom_vertex,
     choose_variable_order,
 )
@@ -86,24 +86,15 @@ class CompiledRule:
     pre_checks: tuple  # checks with no free variables
 
 
-def _terms_of(atom):
-    if isinstance(atom, RelAtom):
-        return atom.args
-    return atom.key_args + atom.value_args
-
-
-def compile_rule(rule: Rule, schema, upserted=frozenset(), derived_karity=None) -> CompiledRule:
-    """derived_karity: arity map for non-database (out:) predicates."""
+def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
+    """Plan `rule`; atoms of `upserted` predicates read their end state."""
     var_order = tuple(choose_variable_order(rule))
     level_of = {v: i for i, v in enumerate(var_order)}
-    derived_karity = derived_karity or {}
 
-    def karity_of(atom):
-        if atom.pred in schema:
-            return schema.sig(atom.pred).arity
-        if atom.pred in derived_karity:
-            return derived_karity[atom.pred]
-        return len(_terms_of(atom))
+    def compiled(atom):
+        terms = atom_terms(atom)
+        karity = schema.sig(atom.pred).arity if atom.pred in schema else len(terms)
+        return CompiledAtom(atom_vertex(atom, schema, upserted), terms, karity)
 
     def max_level(terms):
         lvl = -1
@@ -121,13 +112,11 @@ def compile_rule(rule: Rule, schema, upserted=frozenset(), derived_karity=None) 
             if isinstance(target, PrimAtom):
                 prims.append(PrimAtom("not:" + target.op, target.args))
             else:
-                neg_atoms.append(
-                    CompiledAtom(atom_vertex(target, schema, upserted), _terms_of(target), karity_of(target))
-                )
+                neg_atoms.append(compiled(target))
         elif isinstance(a, PrimAtom):
             prims.append(a)
         else:
-            atoms.append(CompiledAtom(atom_vertex(a, schema, upserted), _terms_of(a), karity_of(a)))
+            atoms.append(compiled(a))
 
     plans = [_LevelPlan(v) for v in var_order]
     pre_checks = []
@@ -193,7 +182,7 @@ def compile_rule(rule: Rule, schema, upserted=frozenset(), derived_karity=None) 
         plans[lvl].checks.append(("prim", p))
 
     return CompiledRule(
-        heads=tuple(_terms_of(h.atom) for h in rule.head),
+        heads=tuple(atom_terms(h.atom) for h in rule.head),
         var_order=var_order,
         atoms=tuple(atoms),
         neg_atoms=tuple(neg_atoms),

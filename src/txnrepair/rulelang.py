@@ -1,4 +1,4 @@
-"""Parser, AST and rewrites for the core rule language.
+"""Parser, AST and type checker for the core rule language.
 
 Concrete syntax (close to the notation of the rule figures):
 
@@ -485,12 +485,13 @@ def _template(text: str, schema: Optional[Schema]):
 
 def _rule_terms(rule: Rule):
     for h in rule.head:
-        yield from _atom_terms(h.atom)
+        yield from atom_terms(h.atom)
     for atom in rule.body:
-        yield from _atom_terms(atom.atom if isinstance(atom, NegAtom) else atom)
+        yield from atom_terms(atom.atom if isinstance(atom, NegAtom) else atom)
 
 
-def _atom_terms(atom):
+def atom_terms(atom):
+    """An atom's terms; a function atom's keys, then its value."""
     if isinstance(atom, RelAtom):
         return atom.args
     if isinstance(atom, FunAtom):
@@ -565,7 +566,7 @@ def typecheck_rule(rule: Rule, schema: Schema, known=None):
         if isinstance(atom, NegAtom):
             continue
         if isinstance(atom, (RelAtom, FunAtom)):
-            for t in _atom_terms(atom):
+            for t in atom_terms(atom):
                 if isinstance(t, Var):
                     bound.add(t.name)
         elif isinstance(atom, PrimAtom) and atom.op in ARITH_OPS:
@@ -577,7 +578,7 @@ def typecheck_rule(rule: Rule, schema: Schema, known=None):
                 if isinstance(t, Var):
                     bound.add(t.name)
     for h in rule.head:
-        for t in _atom_terms(h.atom):
+        for t in atom_terms(h.atom):
             if isinstance(t, Var) and t.name not in bound:
                 raise SchemaError(f"head variable {t.name} is not range-restricted")
     return var_tags
@@ -661,7 +662,7 @@ def choose_variable_order(rule: Rule):
     for atom in rule.body:
         target = atom.atom if isinstance(atom, NegAtom) else atom
         if isinstance(target, (RelAtom, FunAtom)) and not isinstance(atom, NegAtom):
-            chain(_atom_terms(target))
+            chain(atom_terms(target))
         elif isinstance(target, PrimAtom) and target.op in ARITH_OPS:
             x, y, out = target.args
             for t in (x, y):
@@ -673,7 +674,7 @@ def choose_variable_order(rule: Rule):
                     if isinstance(t, Var):
                         edges[t.name].add(out.name)
         else:
-            for t in _atom_terms(target):
+            for t in atom_terms(target):
                 if isinstance(t, Var):
                     seen(t.name)
 
@@ -702,114 +703,14 @@ def choose_variable_order(rule: Rule):
     return order
 
 
-# ---- rewrites toward execution-graph form ----
-
-@dataclass(frozen=True)
-class RewrittenRule:
-    rule: Rule
-    # predicates this rule reads, by vertex name (see vertex naming below)
-    reads: tuple = ()
-    # vertex names this rule writes (delta predicates or temporaries)
-    writes: tuple = ()
-
+# ---- the vertices a transaction's rules read ----
 
 def atom_vertex(atom, schema: Schema, upserted) -> str:
-    """The vertex a body atom reads (naming in rewrite_for_txn)."""
+    """The view a body atom reads: `db:p`, database predicate p as of
+    transaction start, corrected; `end:p`, db:p with the transaction's own
+    upserts, for a plain read of an upserted p; `out:q`, derived q."""
     if atom.pred in schema:
         if atom.stage == AT_START or atom.pred not in upserted:
             return f"db:{atom.pred}"
         return f"end:{atom.pred}"
     return f"out:{atom.pred}"
-
-
-def rewrite_for_txn(rules, schema: Schema):
-    """Redirect upsert heads into delta predicates and wire @end reads.
-
-    Returns (rewritten rules, graph skeleton). Vertex naming:
-      db:<pred>     database predicate as input (corrected view)
-      delta:<pred>  requested-change predicate with a sign column
-      end:<pred>    composite view db:<pred> + delta:<pred>
-      out:<pred>    derived non-database predicate (plain derivation)
-      constraint    the constraint-failure vertex
-    """
-    upserted = set()
-    for rule in rules:
-        for h in rule.head:
-            if h.is_upsert:
-                upserted.add(h.atom.pred)
-            elif h.atom.pred in schema:
-                raise SchemaError(
-                    f"head writes database predicate {h.atom.pred} without ^ upsert"
-                )
-
-    rewritten = []
-    edges = set()  # (src vertex, dst vertex) through rules
-    for pred in upserted:
-        edges.add((f"db:{pred}", f"end:{pred}"))
-        edges.add((f"delta:{pred}", f"end:{pred}"))
-    for idx, rule in enumerate(rules):
-        rid = f"rule{idx}"
-        reads = []
-        writes = []
-        for atom in rule.body:
-            target = atom.atom if isinstance(atom, NegAtom) else atom
-            if not isinstance(target, (RelAtom, FunAtom)):
-                continue
-            v = atom_vertex(target, schema, upserted)
-            reads.append(v)
-            edges.add((v, rid))
-        if rule.is_constraint:
-            writes.append("constraint")
-            edges.add((rid, "constraint"))
-        for h in rule.head:
-            pred = h.atom.pred
-            if h.is_upsert:
-                v = f"delta:{pred}"
-            else:
-                v = f"out:{pred}"
-            writes.append(v)
-            edges.add((rid, v))
-        rewritten.append(
-            RewrittenRule(
-                rule=rule,
-                reads=tuple(dict.fromkeys(reads)),
-                writes=tuple(dict.fromkeys(writes)),
-            )
-        )
-
-    skeleton = GraphSkeleton(edges=frozenset(edges))
-    skeleton.topo_order()  # rejects cyclic rules
-    return rewritten, skeleton
-
-
-@dataclass(frozen=True)
-class GraphSkeleton:
-    edges: frozenset
-
-    def vertices(self):
-        vs = set()
-        for a, b in self.edges:
-            vs.add(a)
-            vs.add(b)
-        return vs
-
-    def topo_order(self):
-        vs = sorted(self.vertices())
-        outs = {v: [] for v in vs}
-        indeg = {v: 0 for v in vs}
-        for a, b in sorted(self.edges):
-            outs[a].append(b)
-            indeg[b] += 1
-        ready = sorted(v for v in vs if indeg[v] == 0)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for w in outs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
-        if len(order) != len(vs):
-            raise SchemaError("cyclic rule dependencies: recursion is not supported")
-        return order

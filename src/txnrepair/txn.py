@@ -13,6 +13,10 @@ the constructor compiles each distinct template once, and each rule's
 maintainer evaluates that plan with the rule's own bound `$param`
 values (`Rule.args`).
 
+Evaluation and repair run the rules in dependency order, read off their
+plans: a rule runs after every rule that writes a vertex it reads
+(`rulelang.atom_vertex`), ties broken by rule index.
+
 Rules read persistent overlays: per predicate, one patch tree of
 corrected values over the snapshot, one of the transaction's own upserts
 (`end:`) over that, and one tuple set per derived predicate (`out:`).
@@ -39,6 +43,8 @@ recover when later corrections restore consistency.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +52,7 @@ from . import ptree
 from .inclftj import RuleMaintainer
 from .lftj import Stats, compile_rule
 from .pstore import DbVersion, PredicateSig, Schema
-from .rulelang import FunAtom, rewrite_for_txn
+from .rulelang import atom_terms
 from .values import SchemaError
 from .views import OverlayView, TreeView, View, patch_tree, view_lookup
 
@@ -76,20 +82,8 @@ class TxnExec:
         self.rules = list(rules)
         self.stats = stats if stats is not None else Stats()
         self.status = UNEVALUATED
-        self.rewritten, self.skeleton = rewrite_for_txn(self.rules, schema)
-        self.upserted = sorted(
-            {h.atom.pred for r in self.rules for h in r.head if h.is_upsert}
-        )
+        self.upserted, self._derived_arity = rewrite_for_txn(self.rules, schema)
         self._upserted_ids = sorted((schema.sig(p).pred_id, p) for p in self.upserted)
-        derived_karity = {}
-        for r in self.rules:
-            for h in r.head:
-                if not h.is_upsert:
-                    a = h.atom
-                    n = len(a.args) if not isinstance(a, FunAtom) else len(
-                        a.key_args + a.value_args
-                    )
-                    derived_karity[a.pred] = n
         # a compiled rule reads its bindings at evaluation, and the rules
         # bound from one template share its head and body objects: compile
         # each template once, keyed by their identities, which are stable
@@ -101,9 +95,12 @@ class TxnExec:
             key = (id(r.head), id(r.body))
             plan = plans.get(key)
             if plan is None:
-                plan = plans[key] = compile_rule(r, schema, upserted, derived_karity)
+                plan = plans[key] = compile_rule(r, schema, upserted)
             self.compiled.append(plan)
-        self._derived_karity = derived_karity
+        self._reads, self._order = _order_rules(self.rules, self.compiled, self._derived_arity)
+        self._read_preds = sorted(
+            {v.split(":", 1)[1] for rs in self._reads for v in rs if not v.startswith("out:")}
+        )
         self.base: Optional[DbVersion] = None
         # delta support: pred name -> {key: {value: count}}
         self._delta_support: dict = {}
@@ -125,15 +122,6 @@ class TxnExec:
         self._reported: Optional[dict] = None
         self._sens_offsets = [0] * len(self.rules)
         self._sens_seen: set = set()
-        self._topo = self.skeleton.topo_order()
-        self._read_preds = sorted(
-            {
-                v.split(":", 1)[1]
-                for rr in self.rewritten
-                for v in rr.reads
-                if v.startswith(("db:", "end:"))
-            }
-        )
 
     # ---- view construction ----
 
@@ -159,7 +147,7 @@ class TxnExec:
                 base = self._db_view(pred)
             views[f"end:{pred}"] = OverlayView(base, self._end_root.get(pred))
         for pred, root in self._out_root.items():
-            views[f"out:{pred}"] = TreeView(root, self._derived_karity[pred], 0)
+            views[f"out:{pred}"] = TreeView(root, self._derived_arity[pred], 0)
         return views
 
     # ---- evaluation ----
@@ -177,10 +165,7 @@ class TxnExec:
             pred: patch_tree(patches.get(self.schema.sig(pred).pred_id, {}))
             for pred in sorted(set(self._read_preds) | set(self.upserted))
         }
-        for vertex in self._topo:
-            if not vertex.startswith("rule"):
-                continue
-            i = int(vertex[4:])
+        for i in self._order:
             views = self._build_views()
             m = RuleMaintainer(self.compiled[i], views, self.rules[i].args, stats=self.stats)
             self.maintainers[i] = m
@@ -276,12 +261,8 @@ class TxnExec:
                 pts.append(key + new_val)
             if pred in self.upserted:
                 pending.setdefault(f"end:{pred}", []).extend(pts)
-        for vertex in self._topo:
-            if not vertex.startswith("rule"):
-                continue
-            i = int(vertex[4:])
-            rr = self.rewritten[i]
-            touched = {v: pending[v] for v in rr.reads if pending.get(v)}
+        for i in self._order:
+            touched = {v: pending[v] for v in self._reads[i] if pending.get(v)}
             if not touched:
                 continue
             views = self._build_views()
@@ -354,3 +335,70 @@ def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:
     except SchemaError:
         return False
     return True
+
+
+def rewrite_for_txn(rules, schema: Schema):
+    """One pass over the heads: the sorted upserted predicates and the
+    arity of each derived one. Rejects a database write without `^`, an
+    upsert outside the schema and a derived predicate at two arities.
+    The name stays because perfbench's tracer wraps it by name."""
+    upserted, derived = set(), {}
+    for rule in rules:
+        for h in rule.head:
+            a = h.atom
+            if h.is_upsert and a.pred not in schema:
+                raise SchemaError(f"^ upserts {a.pred}, which is not a database predicate")
+            if not h.is_upsert and a.pred in schema:
+                raise SchemaError(f"head writes database predicate {a.pred} without ^ upsert")
+            if h.is_upsert:
+                upserted.add(a.pred)
+            else:
+                _note_arity(derived, a.pred, len(atom_terms(a)))
+    return sorted(upserted), derived
+
+
+def _note_arity(derived, pred, n):
+    """Note derived predicate `pred` used at arity `n`; rejects a second arity."""
+    if derived.setdefault(pred, n) != n:
+        raise SchemaError(f"derived predicate {pred} used at arities {derived[pred]} and {n}")
+
+
+def _order_rules(rules, compiled, derived):
+    """Each rule's distinct read vertices, from its plan, and the rule
+    indexes in dependency order (Kahn's algorithm, ties broken by index).
+    Rejects a read of an undefined predicate or of a derived one at
+    another arity, and a cycle."""
+    reads = []
+    for plan in compiled:
+        atoms = plan.atoms + plan.neg_atoms
+        for a in atoms:
+            kind, _, pred = a.vertex.partition(":")
+            if kind == "out" and pred not in derived:
+                raise SchemaError(f"{pred} is neither a database predicate nor derived by a rule")
+            if kind == "out":
+                _note_arity(derived, pred, len(a.pattern))
+        reads.append(tuple(dict.fromkeys(a.vertex for a in atoms)))
+    writes = [{("end:" if h.is_upsert else "out:") + h.atom.pred for h in r.head} for r in rules]
+    left = Counter(v for ws in writes for v in ws)  # vertex -> writers yet to run
+    readers: dict = {}  # vertex -> the rules that read it
+    waiting = [0] * len(rules)  # per rule, its reads with writers yet to run
+    for i, vertices in enumerate(reads):
+        for v in vertices:
+            if v in left:
+                readers.setdefault(v, []).append(i)
+                waiting[i] += 1
+    ready = [i for i, n in enumerate(waiting) if not n]  # sorted, so a heap
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for v in writes[i]:
+            left[v] -= 1
+            if not left[v]:
+                for j in readers.get(v, ()):
+                    waiting[j] -= 1
+                    if not waiting[j]:
+                        heapq.heappush(ready, j)
+    if len(order) != len(rules):
+        raise SchemaError("cyclic rule dependencies: recursion is not supported")
+    return reads, order

@@ -32,7 +32,7 @@ from txnrepair.pstore import (
 )
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED, TxnExec
-from txnrepair.values import INT64
+from txnrepair.values import INT64, SchemaError
 
 SCHEMA = Schema.from_sigs([PredicateSig("cnt", 0, (INT64,), (INT64,))])
 
@@ -99,6 +99,15 @@ def test_all_failed_epoch_commits_no_records(monkeypatch, workers):
     assert rep.statuses == [FAILED] * 3
     assert calls == [[]]
     assert list(full_scan(eng.db, SCHEMA)) == list(full_scan(db, SCHEMA))
+
+
+def test_read_of_undefined_predicate_fails_the_run_before_commit():
+    undefined = parse_rules("^cnt[k] = v <- q(k), v = cnt@start[k] + 1.", SCHEMA)
+    eng = Engine(SCHEMA, base_db(), EngineConfig(height=2))
+    before = eng.db
+    with pytest.raises(SchemaError, match="q is neither"):
+        eng.run([bump(0), undefined, bump(0)])
+    assert eng.db is before
 
 
 def test_metrics_accumulate_across_runs():

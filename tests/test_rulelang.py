@@ -1,8 +1,8 @@
-"""Rule language: parsing, lowering, ordering, transaction rewriting."""
+"""Rule language: parsing, lowering, ordering, the vertices rules read."""
 
 import pytest
 
-from txnrepair.pstore import PredicateSig, Schema
+from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import (
     AT_START,
     Const,
@@ -17,9 +17,9 @@ from txnrepair.rulelang import (
     parse_rules,
     print_rule,
     print_rules,
-    rewrite_for_txn,
     typecheck_rule,
 )
+from txnrepair.txn import EVALUATED, TxnExec
 from txnrepair.values import INT64, STRING, SchemaError
 
 
@@ -39,6 +39,13 @@ def body_preds(rule):
         if isinstance(t, (RelAtom, FunAtom)):
             out.append(t.pred)
     return out
+
+
+def reads(txn, i):
+    """The vertices rule `i` of `txn` reads, from its compiled plan:
+    positive atoms, then negated ones."""
+    plan = txn.compiled[i]
+    return [a.vertex for a in plan.atoms + plan.neg_atoms]
 
 
 def test_parse_relation_rule():
@@ -147,9 +154,9 @@ def test_start_stage_relation_body_atom(schema):
     )
     assert rules[0].body == (RelAtom("edge", (Var("y"), Var("x")), AT_START),)
     assert rules[1].body[1] == NegAtom(RelAtom("edge", (Var("y"), Var("x")), AT_START))
-    rewritten, _ = rewrite_for_txn(rules, schema)
-    assert rewritten[0].reads == ("db:edge",)
-    assert rewritten[1].reads == ("end:edge", "db:edge")
+    txn = TxnExec(schema, rules)
+    assert reads(txn, 0) == ["db:edge"]
+    assert reads(txn, 1) == ["end:edge", "db:edge"]
 
 
 
@@ -183,6 +190,9 @@ def test_variable_order_deterministic():
 
 
 class TestRewrite:
+    """How a transaction names what its rules read: `@start` reads `db:`,
+    a plain read of an upserted predicate reads `end:`."""
+
     def test_vertices(self, schema):
         rules = parse_rules(
             """
@@ -191,20 +201,18 @@ false <- bal[k] = v, v < 0.
 """,
             schema,
         )
-        rewritten, skel = rewrite_for_txn(rules, schema)
-        assert rewritten[0].reads == ("db:bal",)
-        assert rewritten[0].writes == ("delta:bal",)
-        # constraint reads the post-change view
-        assert rewritten[1].reads == ("end:bal",)
-        assert "constraint" in rewritten[1].writes
-        order = skel.topo_order()
-        assert order.index("rule0") < order.index("end:bal")
-        assert order.index("end:bal") < order.index("rule1")
+        txn = TxnExec(schema, rules)
+        assert reads(txn, 0) == ["db:bal"]
+        # constraint reads the post-change view, so it runs after the upsert
+        # and sees -1 bumped to 0
+        assert reads(txn, 1) == ["end:bal"]
+        db = store_upsert(DbVersion(), schema.sig("bal"), (7,), (-1,))
+        assert txn.evaluate(db).status == EVALUATED
 
     def test_unmarked_db_write_rejected(self, schema):
         rules = parse_rules("bal[k] = v <- edge(k, v).", schema)
         with pytest.raises(SchemaError, match="upsert"):
-            rewrite_for_txn(rules, schema)
+            TxnExec(schema, rules)
 
 
 BUMP = "^bal[$k] = v <- v = bal@start[$k] + $d."

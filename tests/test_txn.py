@@ -12,7 +12,7 @@ from txnrepair import ptree, txn as txn_module
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED, TxnExec
-from txnrepair.values import INT64
+from txnrepair.values import INT64, SchemaError
 from txnrepair.views import OverlayView, TreeView, patch_tree
 
 SCHEMA = Schema.from_sigs([PredicateSig("bal", 0, (INT64,), (INT64,))])
@@ -277,7 +277,7 @@ def scratch_views(txn, model):
     for pred, support in txn._out_support.items():
         tuples = sorted(t for t, c in support.items() if c > 0)
         root = ptree.from_sorted([(t, ()) for t in tuples])
-        views[f"out:{pred}"] = TreeView(root, txn._derived_karity[pred], 0)
+        views[f"out:{pred}"] = TreeView(root, txn._derived_arity[pred], 0)
     return views
 
 
@@ -396,3 +396,63 @@ def test_one_compilation_per_template(monkeypatch):
     out = Folded(txn.evaluate(make_db({k: 100 for k in range(45)})))
     assert out.status == EVALUATED
     assert out.values() == {(k,): (100 + k,) for k in range(45)}
+
+
+@pytest.mark.parametrize("text", [
+    # derived at 1, read at 2
+    "q(x) <- bal[x] = y.\nr(x, y) <- q(x, y).",
+    # derived at 2, read at 1
+    "q(x, y) <- bal[x] = y.\nr(x) <- q(x).",
+    # derived at 1 and at 2
+    "q(x) <- bal[x] = y.\nq(x, y) <- bal[x] = y.",
+])
+def test_derived_predicate_at_two_arities_rejected(text):
+    with pytest.raises(SchemaError, match=r"derived predicate q used at arities (1 and 2|2 and 1)"):
+        TxnExec(SCHEMA, parse_rules(text, SCHEMA))
+
+
+@pytest.mark.parametrize("text", [
+    "r(x) <- q(x), bal[x] = 0.",
+    "r(x) <- bal[x] = y, !q(x).",
+])
+def test_read_of_undefined_predicate_rejected(text):
+    with pytest.raises(SchemaError, match="q is neither a database predicate nor derived"):
+        TxnExec(SCHEMA, parse_rules(text, SCHEMA))
+
+
+def test_upsert_outside_schema_rejected():
+    with pytest.raises(SchemaError, match="q, which is not a database predicate"):
+        TxnExec(SCHEMA, parse_rules("^q[x] = y <- bal[x] = y.", SCHEMA))
+
+
+@pytest.mark.parametrize("text", [
+    "q(x) <- r(x).\nr(x) <- q(x).",
+    # an upsert reading its own end state
+    "^bal[k] = v <- bal[k] = w, v = w + 1.",
+])
+def test_cyclic_rules_rejected(text):
+    with pytest.raises(SchemaError, match="cyclic"):
+        TxnExec(SCHEMA, parse_rules(text, SCHEMA))
+
+
+@pytest.mark.parametrize("amount, status", [(10, FAILED), (3, EVALUATED)])
+def test_constraint_written_first_reads_the_upsert(amount, status):
+    rules = parse_rules(
+        "false <- bal[$a] = v, v < 0.\n^bal[$a] = x <- x = bal@start[$a] - $m.",
+        SCHEMA,
+        params={"a": 1, "m": amount},
+    )
+    assert TxnExec(SCHEMA, rules).evaluate(make_db({1: 5})).status == status
+
+
+def test_derived_predicate_read_before_its_rule():
+    rules = parse_rules(
+        "^bal[k] = v <- big(k), v = bal@start[k] + 1.\nbig(k) <- bal@start[k] = v, v > 10.",
+        SCHEMA,
+    )
+    txn = TxnExec(SCHEMA, rules)
+    got = Folded(txn.evaluate(make_db({1: 5, 2: 20, 3: 30})))
+    assert got.status == EVALUATED
+    assert got.values() == {(2,): (21,), (3,): (31,)}
+    got.fold(txn.repair(pulled((1,), (11,))))
+    assert got.values() == {(1,): (12,), (2,): (21,), (3,): (31,)}
