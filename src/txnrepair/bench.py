@@ -235,7 +235,8 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
     transaction never takes the admission lock, so waiting for a key lock
     while holding it cannot deadlock. The committed state matches the
     serial oracle for workloads whose lock sets cover every key a
-    transaction reads or writes.
+    transaction reads or writes. A transaction that raises stops the
+    admissions, and the run re-raises the first exception.
     """
     t0 = time.perf_counter()
     locks = {}
@@ -247,12 +248,13 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
     shared = {"db": wl.db}
     statuses = [None] * len(wl.txns)
     next_txn = [0]
+    errors: list = []
 
     def work():
         while True:
             with admit_lock:
                 i = next_txn[0]
-                if i >= len(wl.txns):
+                if i >= len(wl.txns) or errors:
                     return
                 next_txn[0] += 1
                 held = [locks[k] for k in wl.locksets[i]]
@@ -267,6 +269,8 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
                 if out.status == EVALUATED:
                     with state_lock:
                         shared["db"] = apply_deltas(shared["db"], wl.schema, out.deltas)
+            except BaseException as exc:
+                errors.append(exc)
             finally:
                 for lk in reversed(held):
                     lk.release()
@@ -276,6 +280,8 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
         t.start()
     for t in threads:
         t.join()
+    if errors:
+        raise errors[0]
     return RunReport("lock", shared["db"], statuses, time.perf_counter() - t0,
                      txn_refreshes=len(wl.txns))
 

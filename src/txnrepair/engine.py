@@ -185,6 +185,8 @@ class Engine:
         self.schema = schema
         self.db = base
         self.config = config or EngineConfig()
+        if self.config.priority_mode not in (EARLIEST, INVERTED):
+            raise ValueError(f"unknown priority mode {self.config.priority_mode!r}")
         self.metrics = EngineMetrics()
         self._decomp = None
         self._decomp_count = None  # the store's record count when it was built

@@ -32,7 +32,6 @@ from .rulelang import (
     choose_variable_order,
 )
 from .values import SchemaError
-from .views import View
 
 
 @dataclass
@@ -197,7 +196,7 @@ class _LevelIter:
 
     __slots__ = ("view", "cur", "p", "q", "key", "stats", "collector", "vertex", "ctx")
 
-    def __init__(self, view: View, p: tuple, q: int, stats, collector, vertex, ctx):
+    def __init__(self, view, p: tuple, q: int, stats, collector, vertex, ctx):
         self.view = view
         self.p = p
         self.q = q
@@ -267,7 +266,7 @@ def eval_rule(
 ) -> RuleResult:
     """Enumerate all satisfying bindings; instantiate head atoms.
 
-    `views` maps vertex names to View objects; `args` binds the rule's
+    `views` maps vertex names to TreeView objects; `args` binds the rule's
     `$param` slots, as `Rule.args`. `fixed` pins a prefix of the
     variable order to given values (membership is still verified), used
     for region-restricted re-evaluation.

@@ -440,12 +440,16 @@ def parse_rules(text: str, schema: Optional[Schema] = None, params=None):
     negation is rejected with a scope diagnostic. With a schema, atoms
     are arity- and type-checked, and each bound value must have the
     type its slot is used at, as if it were written in as a literal.
-    An unbound `$name` raises ParseError at its first use.
+    An unbound `$name` raises ParseError at its first use, and a
+    parameter the text never uses raises ParseError naming it.
     """
-    rules, slots, rule_tags = _template(text, schema)
+    rules, slots, slot_names, rule_tags = _template(text, schema)
+    params = params or {}
+    unused = params.keys() - slot_names
+    if unused:
+        raise ParseError("unused parameter " + ", ".join(f"${n}" for n in sorted(unused)))
     if not slots:
         return list(rules)
-    params = params or {}
     values, tags = {}, {}
     for name, line, col in slots:
         if name[1:] not in params:
@@ -466,8 +470,9 @@ def parse_rules(text: str, schema: Optional[Schema] = None, params=None):
 @functools.lru_cache(maxsize=256)
 def _template(text: str, schema: Optional[Schema]):
     """Parse and type-check `text` once per schema: returns its rules with
-    unbound Param slots, each slot's (name, line, col) at first use, and
-    per rule its slots with the type each is used at (None if untyped).
+    unbound Param slots, each slot's (name, line, col) at first use, the
+    slot names without `$`, and per rule its slots with the type each is
+    used at (None if untyped).
     The cache is keyed by the schema's value and holds only immutable
     results, so sharing it across callers changes no outcome."""
     parser = _Parser(text)
@@ -480,7 +485,7 @@ def _template(text: str, schema: Optional[Schema]):
         )
         rule_tags.append(tuple((n, tags.get(n)) for n in names))
     slots = tuple((name, line, col) for name, (line, col) in parser.params.items())
-    return rules, slots, tuple(rule_tags)
+    return rules, slots, frozenset(name[1:] for name in parser.params), tuple(rule_tags)
 
 
 def _rule_terms(rule: Rule):

@@ -1,12 +1,13 @@
 """One transaction's execution unit: isolated evaluation plus repair.
 
-A transaction is a set of rules evaluated against an immutable database
-snapshot overlaid with corrections (records other transactions changed
-underneath it). Corrections arrive as a signal pull: each changed record
-identity `(pred_id, key)` with its current value tuple, or None when the
-correction is withdrawn. Evaluation materializes every rule; repair
-applies correction changes through the per-rule sensitivity indexes, so
-the cost tracks how much of the transaction's reads actually changed.
+A transaction is a set of rules evaluated in its own branch of the
+database: an immutable snapshot with corrections (records other
+transactions changed underneath it) path-copied in. Corrections arrive
+as a signal pull: each changed record identity `(pred_id, key)` with its
+current value tuple, or None when the correction is withdrawn.
+Evaluation materializes every rule; repair applies correction changes
+through the per-rule sensitivity indexes, so the cost tracks how much of
+the transaction's reads actually changed.
 
 Rules bound from one template (see `rulelang`) share a compiled plan:
 the constructor compiles each distinct template once, and each rule's
@@ -17,15 +18,23 @@ Evaluation and repair run the rules in dependency order, read off their
 plans: a rule runs after every rule that writes a vertex it reads
 (`rulelang.atom_vertex`), ties broken by rule index.
 
-Rules read persistent overlays: per predicate, one patch tree of
-corrected values over the snapshot, one of the transaction's own upserts
-(`end:`) over that, and one tuple set per derived predicate (`out:`).
-The correction overlays, one per predicate some rule reads or upserts,
-are the transaction's only copy of its corrections (corrections to other
-predicates are dropped); the other two are derived from support counts.
+The branch is one persistent `ptree` root per view, and a rule reads
+each as a plain `TreeView`:
+- `db:p`, for every predicate some rule reads or upserts, is the
+  snapshot's root of p with each correction put in; a withdrawn
+  correction puts the snapshot's value back (corrections to other
+  predicates are dropped);
+- `end:p`, only for predicates some plan reads at `end:`, is the `db:p`
+  root with the transaction's single-live-value upserts put in; a key the
+  transaction upserts ignores corrections, and shows the `db:` value
+  again when its upsert leaves;
+- `out:q` is the set of live tuples of derived predicate q.
+A separate tree of the transaction's own upserts is what the drain
+walks. The `end:` and `out:` contents are derived from support counts.
 Each root is path-copied by one insert or remove when its content
-changes, so building a rule's views costs O(predicates) and a view a
-maintainer keeps as its old inputs stays a true snapshot.
+changes, so building a rule's views costs O(predicates), and a view a
+maintainer keeps as its old inputs stays a snapshot while the
+transaction moves on.
 
 Outputs are changes: each `outputs()` call, which `evaluate` and
 `repair` end with, drains what changed since the previous one, the
@@ -54,7 +63,7 @@ from .lftj import Stats, compile_rule
 from .pstore import DbVersion, PredicateSig, Schema
 from .rulelang import atom_terms
 from .values import SchemaError
-from .views import OverlayView, TreeView, View, patch_tree, view_lookup
+from .views import TreeView, patch_tree, view_lookup
 
 UNEVALUATED = "unevaluated"
 EVALUATED = "evaluated"
@@ -98,24 +107,31 @@ class TxnExec:
                 plan = plans[key] = compile_rule(r, schema, upserted)
             self.compiled.append(plan)
         self._reads, self._order = _order_rules(self.rules, self.compiled, self._derived_arity)
-        self._read_preds = sorted(
-            {v.split(":", 1)[1] for rs in self._reads for v in rs if not v.startswith("out:")}
-        )
+        read = {v.partition(":") for rs in self._reads for v in rs}
+        self._db_reads = sorted(p for kind, _, p in read if kind == "db")
+        self._end_reads = sorted(p for kind, _, p in read if kind == "end")
+        # (key arity, value arity) of each predicate with a db: root, in order
+        self._shape = {
+            p: (schema.sig(p).arity, len(schema.sig(p).value_types))
+            for p in sorted({p for kind, _, p in read if kind != "out"} | set(self.upserted))
+        }
         self.base: Optional[DbVersion] = None
         # delta support: pred name -> {key: {value: count}}
         self._delta_support: dict = {}
         # out predicate support: pred name -> {tuple: count}
         self._out_support: dict = {}
-        # overlay roots per pred name: corrections, and, derived from the
-        # two dicts above, single-live-value own upserts and live out: tuples
-        self._corr_root: dict = {}
-        self._end_root: dict = {}
+        # roots per pred name: the db: and end: views, and, derived from
+        # the two dicts above, single-live-value own upserts (the drain
+        # walks them) and live out: tuples
+        self._db_root: dict = {}
+        self._end_full: dict = {}
+        self._own_root: dict = {}
         self._out_root: dict = {}
         self._out_of_range = 0  # live upserted tuples failing their signature
         self._conflicted = 0  # upserted keys with more than one live value
         self._hits = 0  # live constraint violations, summed over the rules
         self.maintainers: list = [None] * len(self.rules)
-        # drain state: identities whose end: overlay entry moved, the end:
+        # drain state: identities whose own-upsert entry moved, the own
         # roots the last drain reported (None when it reported no deltas),
         # and per maintainer the entry_log offset reported so far
         self._moved: set = set()
@@ -125,27 +141,13 @@ class TxnExec:
 
     # ---- view construction ----
 
-    def _db_view(self, pred: str) -> View:
-        sig = self.schema.sig(pred)
-        base_view = TreeView(
-            self.base.root(sig.pred_id) if self.base else None,
-            sig.arity,
-            len(sig.value_types),
-        )
-        patch_root = self._corr_root.get(pred)
-        if patch_root is not None:
-            return OverlayView(base_view, patch_root)
-        return base_view
+    def _db_view(self, pred: str) -> TreeView:
+        return TreeView(self._db_root[pred], *self._shape[pred])
 
     def _build_views(self) -> dict:
-        views: dict = {}
-        for pred in self._read_preds:
-            views[f"db:{pred}"] = self._db_view(pred)
-        for pred in self.upserted:
-            base = views.get(f"db:{pred}")
-            if base is None:
-                base = self._db_view(pred)
-            views[f"end:{pred}"] = OverlayView(base, self._end_root.get(pred))
+        views = {f"db:{pred}": self._db_view(pred) for pred in self._db_reads}
+        for pred in self._end_reads:
+            views[f"end:{pred}"] = TreeView(self._end_full[pred], *self._shape[pred])
         for pred, root in self._out_root.items():
             views[f"out:{pred}"] = TreeView(root, self._derived_arity[pred], 0)
         return views
@@ -161,10 +163,10 @@ class TxnExec:
         patches: dict = {}  # pred_id -> {key: value}
         for (pred_id, key), value in corrections:
             patches.setdefault(pred_id, {})[key] = value
-        self._corr_root = {
-            pred: patch_tree(patches.get(self.schema.sig(pred).pred_id, {}))
-            for pred in sorted(set(self._read_preds) | set(self.upserted))
-        }
+        for pred in self._shape:
+            pred_id = self.schema.sig(pred).pred_id
+            self._db_root[pred] = patch_tree(patches.get(pred_id, {}), base.root(pred_id))
+        self._end_full = {pred: self._db_root[pred] for pred in self._end_reads}
         for i in self._order:
             views = self._build_views()
             m = RuleMaintainer(self.compiled[i], views, self.rules[i].args, stats=self.stats)
@@ -181,7 +183,7 @@ class TxnExec:
 
     def _apply_rule_output(self, rule_idx: int, head_diffs) -> dict:
         """Fold one rule's head-count transitions into the shared vertex
-        contents and their overlay roots; returns pending changed points
+        contents and their roots; returns pending changed points
         per downstream vertex."""
         pending: dict = {}
         rule = self.rules[rule_idx]
@@ -191,7 +193,7 @@ class TxnExec:
                 sig = self.schema.sig(pred)
                 karity = sig.arity
                 support = self._delta_support.setdefault(pred, {})
-                root = self._end_root.get(pred)
+                root = self._own_root.get(pred)
                 touched = pending.setdefault(f"end:{pred}", [])
                 for t, (old_c, new_c) in diffs.items():
                     key, value = t[:karity], t[karity:]
@@ -205,18 +207,17 @@ class TxnExec:
                     if was_live != (value in vals) and not _in_signature(sig, key, value):
                         self._out_of_range += 1 if not was_live else -1
                     self._conflicted += (len(vals) > 1) - conflicted
-                    # conflicting keys stay out of the overlay; the conflict
-                    # fails the txn
+                    # conflicting keys stay out of the own-upsert tree and
+                    # show their db: value at end:; the conflict fails the txn
                     after = next(iter(vals)) if len(vals) == 1 else None
                     if after != before:
-                        root = (
-                            ptree.remove(root, key)
-                            if after is None
-                            else ptree.insert(root, key, after)
-                        )
+                        root = _put(root, key, after)
                         self._moved.add((sig.pred_id, key))
+                        if pred in self._end_full:
+                            shown = ptree.get(self._db_root[pred], key) if after is None else after
+                            self._end_full[pred] = _put(self._end_full[pred], key, shown)
                     touched.append(t)
-                self._end_root[pred] = root
+                self._own_root[pred] = root
             else:
                 support = self._out_support.setdefault(pred, {})
                 root = self._out_root.get(pred)
@@ -238,28 +239,24 @@ class TxnExec:
 
     def repair(self, corr_changes) -> TxnOutputs:
         """Apply a correction pull [((pred_id, key), value or None)]:
-        path-copy the predicate's overlay with one insert, or one remove
-        when the correction is withdrawn."""
+        path-copy the predicate's db: root, and its end: root unless the
+        transaction upserts the key, with the corrected value, or with the
+        snapshot's when the correction is withdrawn."""
         if self.status == UNEVALUATED:
             raise RuntimeError("repair before evaluate")
         pending: dict = {}
         for (pred_id, key), value in corr_changes:
             pred = self.schema.sig_by_id(pred_id).name
-            if pred not in self._corr_root:
+            if pred not in self._db_root:
                 continue  # no rule reads or upserts pred
-            pts = pending.setdefault(f"db:{pred}", [])
             old_val = view_lookup(self._db_view(pred), key)
-            if old_val is not None:
-                pts.append(key + old_val)
-            root = self._corr_root[pred]
-            self._corr_root[pred] = (
-                ptree.remove(root, key) if value is None
-                else ptree.insert(root, key, value)
-            )
-            new_val = view_lookup(self._db_view(pred), key)
-            if new_val is not None:
-                pts.append(key + new_val)
-            if pred in self.upserted:
+            if value is None:
+                value = ptree.get(self.base.root(pred_id), key)
+            self._db_root[pred] = _put(self._db_root[pred], key, value)
+            pts = [key + v for v in (old_val, value) if v is not None]
+            pending.setdefault(f"db:{pred}", []).extend(pts)
+            if pred in self._end_full and ptree.get(self._own_root.get(pred), key) is None:
+                self._end_full[pred] = _put(self._end_full[pred], key, value)
                 pending.setdefault(f"end:{pred}", []).extend(pts)
         for i in self._order:
             touched = {v: pending[v] for v in self._reads[i] if pending.get(v)}
@@ -287,7 +284,7 @@ class TxnExec:
 
     def _delta_changes(self):
         old = self._reported
-        new = dict(self._end_root) if self.status == EVALUATED else None
+        new = dict(self._own_root) if self.status == EVALUATED else None
         self._reported = new
         moved, self._moved = self._moved, set()
         out = []
@@ -326,6 +323,11 @@ class TxnExec:
                     out.append(ident)
             self._sens_offsets[i] = len(m.entry_log)
         return out
+
+
+def _put(root, key, value):
+    """`root` with key mapped to value, or without key when value is None."""
+    return ptree.remove(root, key) if value is None else ptree.insert(root, key, value)
 
 
 def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:

@@ -30,7 +30,7 @@ from txnrepair.lftj import SensCollector, compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_lookup, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.values import INT64, MINK
-from txnrepair.views import OverlayView, TreeView, patch_tree
+from txnrepair.views import TreeView, patch_tree
 
 
 def report(n, desc, ok):
@@ -105,11 +105,11 @@ def test_criterion_3_golden_trace():
     all_c = [(e.lo, e.hi) for e in col.entries if e.vertex == "db:C"]
     with_102 = set(eval_rule(
         compiled,
-        {**views, "db:C": OverlayView(views["db:C"], patch_tree({(102,): ()}))},
+        {**views, "db:C": TreeView(patch_tree({(102,): ()}, views["db:C"].root), 1)},
     ).head_counts[0])
     with_105 = set(eval_rule(
         compiled,
-        {**views, "db:C": OverlayView(views["db:C"], patch_tree({(105,): ()}))},
+        {**views, "db:C": TreeView(patch_tree({(105,): ()}, views["db:C"].root), 1)},
     ).head_counts[0])
     ok = (
         base == {(5, 101)}

@@ -18,7 +18,9 @@ from txnrepair.bench import (
     run_serial,
 )
 from txnrepair.pstore import DbVersion, store_upsert
+from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED
+from txnrepair.values import SchemaError
 
 
 def test_generators_deterministic():
@@ -84,6 +86,17 @@ def test_lock_baseline_keeps_admission_order(name, extra):
         lock = run_lock(wl, workers=4)
         assert lock.statuses == serial.statuses, seed
         assert lock.hash(wl.schema) == serial.hash(wl.schema), seed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lock_baseline_reraises_a_transaction_exception(workers):
+    """A cyclic transaction between two bumps raises from its worker;
+    the run re-raises it instead of returning skipped statuses."""
+    wl = make_workload(WorkloadConfig(name="counter_chain", txns=2))
+    wl.txns.insert(1, parse_rules("q(x) <- r(x). r(x) <- q(x).", wl.schema))
+    wl.locksets.insert(1, ())
+    with pytest.raises(SchemaError, match="cyclic"):
+        run_lock(wl, workers=workers)
 
 
 def test_first_divergence_reports_smallest_key():

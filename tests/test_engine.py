@@ -57,6 +57,11 @@ def test_serial_chain_commits():
     assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (8,)
 
 
+def test_unknown_priority_mode_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        Engine(SCHEMA, base_db(), EngineConfig(priority_mode="bogus"))
+
+
 def test_multiple_epochs():
     eng = Engine(SCHEMA, base_db(), EngineConfig(height=2))
     rep = eng.run([bump(0) for _ in range(11)])  # 3 epochs at capacity 4

@@ -12,7 +12,7 @@ from txnrepair.lftj import SensCollector, Stats, compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.values import INT64, MINK, TOP
-from txnrepair.views import OverlayView, TreeView, patch_tree
+from txnrepair.views import TreeView, patch_tree
 
 SCHEMA = Schema.from_sigs([
     PredicateSig("A", 0, (INT64,)),
@@ -75,8 +75,8 @@ class TestGoldenTrace:
 
     def test_insert_covered_point_changes_result(self, golden):
         _, views = golden
-        ov = OverlayView(views["db:C"], patch_tree({(102,): ()}))
-        res = eval_rule(COMPILED, {**views, "db:C": ov})
+        patched_c = TreeView(patch_tree({(102,): ()}, views["db:C"].root), 1)
+        res = eval_rule(COMPILED, {**views, "db:C": patched_c})
         # 102 lies in the recorded [102,104] interval: result gains (5,102)
         assert set(res.head_counts[0]) == {(5, 101), (5, 102)}
 
@@ -86,8 +86,8 @@ class TestGoldenTrace:
         eval_rule(COMPILED, views, collector=col)
         ivals = [(e.lo, e.hi) for e in col.entries if e.vertex == "db:C"]
         assert not any(lo <= (105,) <= hi for lo, hi in ivals)
-        ov = OverlayView(views["db:C"], patch_tree({(105,): ()}))
-        res = eval_rule(COMPILED, {**views, "db:C": ov})
+        patched_c = TreeView(patch_tree({(105,): ()}, views["db:C"].root), 1)
+        res = eval_rule(COMPILED, {**views, "db:C": patched_c})
         assert set(res.head_counts[0]) == {(5, 101)}
 
 

@@ -291,6 +291,16 @@ def test_unbound_param_has_position_on_cache_hit(schema_or_none, request):
         assert (ei.value.line, ei.value.col) == (2, 23)
 
 
+@pytest.mark.parametrize("text, unused", [
+    (BUMP, r"\$zzz"),
+    ("^bal[$k] = v <- v = bal@start[$k] + 1.", r"\$d, \$zzz"),
+    ("^bal[1] = v <- v = bal@start[1] + 1.", r"\$d, \$k, \$zzz"),  # no slots
+])
+def test_unused_param_is_rejected(text, unused, schema):
+    with pytest.raises(ParseError, match=rf"unused parameter {unused}$"):
+        parse_rules(text, schema, params={"k": 1, "d": 2, "zzz": 3})
+
+
 def test_typecheck_passes_tags_along_any_chain():
     """Comparisons pass a type along a chain in any order: here q meets
     both types only after three passes over the body."""

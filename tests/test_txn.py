@@ -13,7 +13,7 @@ from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED, TxnExec
 from txnrepair.values import INT64, SchemaError
-from txnrepair.views import OverlayView, TreeView, patch_tree
+from txnrepair.views import TreeView, view_lookup
 
 SCHEMA = Schema.from_sigs([PredicateSig("bal", 0, (INT64,), (INT64,))])
 
@@ -181,6 +181,35 @@ class _CorrModel:
         return sorted(self.content.items())
 
 
+def test_end_view_keeps_own_upserts_over_corrections():
+    """A transfer whose constraint reads end:bal. A correction shows in
+    db:, and in end: only under a key the transaction does not upsert;
+    withdrawing it puts the snapshot value back in both, and views built
+    earlier stay as they were."""
+    txn = TxnExec(SCHEMA, transfer(1, 2, 5))
+    txn.evaluate(make_db({1: 10, 2: 0, 3: 7}))
+
+    def shown():
+        views = txn._build_views()
+        return {name: {k: view_lookup(views[name], (k,)) for k in (1, 2, 3)}
+                for name in ("db:bal", "end:bal")}, views
+
+    start, start_views = shown()
+    assert start == {"db:bal": {1: (10,), 2: (0,), 3: (7,)},
+                     "end:bal": {1: (5,), 2: (5,), 3: (7,)}}
+    # another transaction wrote bal[1] = 10 and bal[3] = 8: the own
+    # upsert of bal[1] does not move, so end: keeps it
+    txn.repair([((0, (1,)), (10,)), ((0, (3,)), (8,))])
+    assert shown()[0] == {"db:bal": {1: (10,), 2: (0,), 3: (8,)},
+                          "end:bal": {1: (5,), 2: (5,), 3: (8,)}}
+    txn.repair(pulled((1,), (30,)))
+    assert shown()[0] == {"db:bal": {1: (30,), 2: (0,), 3: (8,)},
+                          "end:bal": {1: (25,), 2: (5,), 3: (8,)}}
+    txn.repair([((0, (1,)), None), ((0, (3,)), None)])
+    assert shown()[0] == start
+    assert list(view_scan(start_views["end:bal"])) == [(1, 5), (2, 5), (3, 7)]
+
+
 def test_repair_matches_fresh_eval_fuzz():
     """Random correction streams: incremental repair must agree with a
     fresh evaluation given the final corrections."""
@@ -216,10 +245,10 @@ def test_out_of_range_upsert_fails_until_repaired_into_range():
     assert got.status == FAILED and got.deltas == {}
 
 
-# ---- persistent overlays against views built from scratch ----
+# ---- path-copied roots against views built from scratch ----
 
 PREDS = ("p0", "p1")
-OVERLAY_SCHEMA = Schema.from_sigs(
+BRANCH_SCHEMA = Schema.from_sigs(
     [PredicateSig(p, i, (INT64,), (INT64,)) for i, p in enumerate(PREDS)]
 )
 small_keys = st.integers(0, 3)
@@ -255,25 +284,30 @@ corrections = st.lists(
 
 
 def scratch_views(txn, model):
-    """Every view of `txn` rebuilt from the correction model's content and
-    the transaction's support counts."""
+    """Every view of `txn`, each root rebuilt from scratch out of the
+    snapshot, the correction model's content and the transaction's
+    support counts."""
 
-    def db_view(pred):
+    def view(pred, content):
         sig = txn.schema.sig(pred)
-        base = TreeView(txn.base.root(sig.pred_id), sig.arity, len(sig.value_types))
-        patches = {key: value
-                   for (pid, key), value in model.content.items() if pid == sig.pred_id}
-        return OverlayView(base, patch_tree(patches)) if patches else base
+        root = ptree.from_sorted(sorted(content.items()))
+        return TreeView(root, sig.arity, len(sig.value_types))
 
-    views = {f"db:{pred}": db_view(pred) for pred in txn._read_preds}
-    for pred in txn.upserted:
-        single = {}
+    def db_content(pred):
+        pred_id = txn.schema.sig(pred).pred_id
+        content = dict(ptree.items(txn.base.root(pred_id)))
+        content.update((key, value)
+                       for (pid, key), value in model.content.items() if pid == pred_id)
+        return content
+
+    views = {f"db:{pred}": view(pred, db_content(pred)) for pred in txn._db_reads}
+    for pred in txn._end_reads:
+        content = db_content(pred)
         for key, vals in txn._delta_support.get(pred, {}).items():
             live = [v for v, c in vals.items() if c > 0]
             if len(live) == 1:
-                single[key] = live[0]
-        base = views.get(f"db:{pred}") or db_view(pred)
-        views[f"end:{pred}"] = OverlayView(base, patch_tree(single))
+                content[key] = live[0]
+        views[f"end:{pred}"] = view(pred, content)
     for pred, support in txn._out_support.items():
         tuples = sorted(t for t, c in support.items() if c > 0)
         root = ptree.from_sorted([(t, ()) for t in tuples])
@@ -299,22 +333,22 @@ def test_overlays_match_views_built_from_scratch(frags, base_vals, initial, stre
     when failed) and at least its sensitivity."""
     base = DbVersion()
     for i, val in enumerate(base_vals):
-        sig = OVERLAY_SCHEMA.predicates[i // 4]
+        sig = BRANCH_SCHEMA.predicates[i // 4]
         base = store_upsert(base, sig, (i % 4,), (val,))
-    rules = parse_rules("\n".join(frags), OVERLAY_SCHEMA)
+    rules = parse_rules("\n".join(frags), BRANCH_SCHEMA)
     model = _CorrModel()
 
     def changes_for(batch):
         items, withdraw = [], []
         for pred, key, val in batch:
-            ident = (OVERLAY_SCHEMA.sig(pred).pred_id, (key,))
+            ident = (BRANCH_SCHEMA.sig(pred).pred_id, (key,))
             if val == WITHDRAW:
                 withdraw.append(ident)
             else:
                 items.append((ident, (val,)))
         return model.publish(items, withdraw)
 
-    txn = TxnExec(OVERLAY_SCHEMA, rules)
+    txn = TxnExec(BRANCH_SCHEMA, rules)
     got = Folded(txn.evaluate(base, changes_for(initial)))
     held = []  # (views, their scans when built)
     for batch in [None] + stream:
@@ -326,7 +360,7 @@ def test_overlays_match_views_built_from_scratch(frags, base_vals, initial, stre
         views = txn._build_views()
         assert scans(views) == scans(scratch_views(txn, model))
         held.append((views, scans(views)))
-        fresh = Folded(TxnExec(OVERLAY_SCHEMA, rules).evaluate(base, model.all_changes()))
+        fresh = Folded(TxnExec(BRANCH_SCHEMA, rules).evaluate(base, model.all_changes()))
         assert got.status == fresh.status
         assert got.deltas == fresh.deltas
         assert got.status == EVALUATED or got.deltas == {}

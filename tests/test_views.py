@@ -1,11 +1,11 @@
-"""Sorted full-tuple views: tree-backed and overlay composition."""
+"""Sorted full-tuple views over persistent roots, and patched copies of them."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import view_scan
 from txnrepair import ptree
-from txnrepair.views import OverlayView, TreeView, patch_tree, view_lookup
+from txnrepair.views import TreeView, patch_tree, view_lookup
 
 
 def tree_view(entries, karity=1, varity=1):
@@ -20,18 +20,24 @@ def test_tree_view_scan_and_lookup():
     assert view_lookup(v, (2,)) is None
 
 
+def patched(base: TreeView, patch) -> TreeView:
+    return TreeView(patch_tree(patch, base.root), base.karity, base.varity)
+
+
 def test_overlay_patch_wins():
     base = tree_view({(1,): (10,), (2,): (20,)})
-    ov = OverlayView(base, patch_tree({(2,): (99,)}))
-    assert list(view_scan(ov)) == [(1, 10), (2, 99)]
+    pv = patched(base, {(2,): (99,)})
+    assert list(view_scan(pv)) == [(1, 10), (2, 99)]
+    assert list(view_scan(base)) == [(1, 10), (2, 20)]  # a path copy
 
 
 def test_overlay_nested():
+    """A patch of a patched root, as an end: root over its db: root."""
     base = tree_view({(1,): (10,)})
-    mid = OverlayView(base, patch_tree({(2,): (20,)}))
-    top = OverlayView(mid, patch_tree({(1,): (11,), (3,): (30,)}))
+    mid = patched(base, {(2,): (20,)})
+    top = patched(mid, {(1,): (11,), (3,): (30,)})
     assert list(view_scan(top)) == [(1, 11), (2, 20), (3, 30)]
-
+    assert list(view_scan(mid)) == [(1, 10), (2, 20)]
 
 
 def test_cursor_seek_in_value_part():
@@ -53,11 +59,12 @@ def test_overlay_vs_dict_merge(base_entries, patch_entries):
     model = {**base_entries, **patch_entries}
     patch = {(k,): (v,) for k, v in patch_entries.items()}
     base = tree_view({(k,): (v,) for k, v in base_entries.items()})
-    ov = OverlayView(base, patch_tree(patch))
-    assert list(view_scan(ov)) == [(k, v) for k, v in sorted(model.items())]
+    pv = patched(base, patch)
+    assert list(view_scan(pv)) == [(k, v) for k, v in sorted(model.items())]
     for k in range(16):
         want = (model[k],) if k in model else None
-        assert view_lookup(ov, (k,)) == want
+        assert view_lookup(pv, (k,)) == want
+    assert list(view_scan(base)) == [(k, v) for k, v in sorted(base_entries.items())]
 
 
 @given(st.dictionaries(st.integers(0, 15), st.integers(0, 9), max_size=10),
@@ -68,8 +75,7 @@ def test_overlay_cursor_seek_monotone(base_entries, patch_entries, seeks):
     patch = {(k,): (v,) for k, v in patch_entries.items()}
     tuples = sorted((k, v) for k, v in model.items())
     base = tree_view({(k,): (v,) for k, v in base_entries.items()})
-    ov = OverlayView(base, patch_tree(patch))
-    cur = ov.cursor()
+    cur = patched(base, patch).cursor()
     for t in sorted(seeks):
         cur.seek(t)
         expect = [u for u in tuples if u >= t]
@@ -84,10 +90,9 @@ def test_overlay_cursor_seek_monotone(base_entries, patch_entries, seeks):
                        st.tuples(st.integers(0, 9)), max_size=30))
 @settings(max_examples=200)
 def test_patch_tree_bulk_build_matches_insert_loop(entries):
-    """The bulk-built patch tree holds what inserting key by key would."""
-    loop = None
-    for key in sorted(entries):
-        loop = ptree.insert(loop, key, entries[key])
-    bulk = patch_tree(entries)
-    assert list(ptree.items(bulk)) == list(ptree.items(loop))
-    assert ptree.size(bulk) == len(entries)
+    """A patch tree from nothing holds what the bulk build of the same
+    sorted entries does."""
+    bulk = ptree.from_sorted(sorted(entries.items()))
+    patched_root = patch_tree(entries)
+    assert list(ptree.items(patched_root)) == list(ptree.items(bulk))
+    assert ptree.size(patched_root) == len(entries)
