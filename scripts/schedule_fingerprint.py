@@ -11,12 +11,19 @@ committed and the committed state hash. Two checkouts with the same
 schedule and results print the same lines; when a change moves the
 schedule, the per-kind counts show which operators it moved.
 
-Usage: python3 scripts/schedule_fingerprint.py ROOT [--workloads a,b] [--txns N]
+With --against PARENT it fingerprints both checkouts, each in its own
+subprocess, and prints per line `same` or each field that moved as
+`field=parent->root`. It exits 1 when a line's `committed` or `state`
+differs, or the two checkouts print different lines.
+
+Usage: python3 scripts/schedule_fingerprint.py ROOT [--against PARENT]
+           [--workloads a,b] [--txns N]
 """
 
 import argparse
 import hashlib
 import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -56,14 +63,49 @@ def fingerprint(name, seed, txns, mode):
             f"state={rep.hash(wl.schema)[:16]}")
 
 
+def _fields(line):
+    """(label, {field: value}) of one fingerprint line."""
+    label, _, rest = line.partition(": ")
+    return label, dict(f.split("=", 1) for f in rest.split())
+
+
+def compare(root, parent, passthrough):
+    """Print how ROOT's fingerprint lines differ from PARENT's; returns
+    the exit status."""
+    def lines(checkout):
+        cmd = [sys.executable, os.path.abspath(__file__), checkout, *passthrough]
+        out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+        return dict(_fields(line) for line in out.splitlines())
+
+    old, new = lines(parent), lines(root)
+    status = 0
+    if list(old) != list(new):
+        print(f"lines differ: {parent} prints {list(old)}, {root} prints {list(new)}")
+        return 1
+    for label, was in old.items():
+        now = new[label]
+        moved = [f"{k}={was[k]}->{now[k]}" for k in was if was[k] != now[k]]
+        print(f"{label}: {' '.join(moved) or 'same'}", flush=True)
+        if was["committed"] != now["committed"] or was["state"] != now["state"]:
+            status = 1
+    return status
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("root", help="checkout to fingerprint")
+    ap.add_argument("--against", metavar="PARENT",
+                    help="checkout to compare ROOT's fingerprint with")
     ap.add_argument("--workloads", default=",".join(RUNS),
                     help="comma-separated subset of " + ",".join(RUNS))
     ap.add_argument("--txns", type=int, help="override each workload's transaction count")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
+    if args.against:
+        passthrough = ["--workloads", args.workloads]
+        if args.txns:
+            passthrough += ["--txns", str(args.txns)]
+        return compare(root, os.path.abspath(args.against), passthrough)
     sys.path[:0] = [os.path.join(root, "src"), root]
     import txnrepair
 

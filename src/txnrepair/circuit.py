@@ -11,8 +11,14 @@ deltas and sensitivities merge upward; corrections flow downward:
     by the left sibling's deltas (later writes supersede), filtered to
     the child's sensitivity.
 
-Nothing precedes the root's transactions, so the root has no correction
-signals and its correction operators read only deltas and sensitivity.
+Corrections reach a transaction only from transactions that precede it,
+filtered by its sensitivity. Nothing precedes the transactions under a
+node whose label has no "1" (the leftmost spine, the root included), so
+a spine node has no correction and no sensitivity signals: no operator
+corrects into it, no sensitivity merge runs at it, and the first leaf
+publishes no sensitivity. A correction operator into the right child of
+a spine node reads only its left sibling's deltas and its sensitivity.
+
 At the fixpoint, the root's delta merge holds, per key, the write of the
 latest transaction that committed: the net effect of running the
 transactions serially. Those records are the epoch's commit.
@@ -27,6 +33,13 @@ computes from the roots it pulled (never a signal's newer content, which
 a later pull could not tell apart), and republishes only what changed,
 which keeps refresh cost proportional to change volume.
 
+The wiring returns the operators, a `TxnOp` per leaf among them, with a
+map from each signal to the operators that read it; signals keep no links to their readers. The
+data flow has a cycle (a transaction publishes sensitivity, the
+correction operator into its leaf reads it and writes the corrections
+the transaction reads), so links between operators would keep a circuit
+alive after its owner drops it, until the cyclic collector runs.
+
 A refresh wakes only the readers of the outputs it published to, and of
 those only the ones whose output the publish can change (`Op.woken`,
 `Op.wakes_on`). A correction operator's output depends on sensitivity
@@ -35,6 +48,9 @@ growth while every correction input is empty; the input publish that
 ends the sleep wakes it, and that refresh pulls the sensitivity it
 skipped. Sensitivity only grows and an empty input meets none of it, so
 the sleep is safe at any worker count.
+
+A wired circuit is reused: `Op.reset` empties its outputs and rewinds
+its cursors, so one wiring serves every epoch over one decomposition.
 """
 
 from __future__ import annotations
@@ -62,10 +78,12 @@ class TreeNode:
         self.right: Optional[TreeNode] = None
         self.txn: Optional[TxnExec] = None
         self.delta = {d: VersionedSignal(DELTA) for d in labels(height)}
-        self.sens = {d: VersionedSignal(SENS) for d in labels(height)}
-        # corrections INTO this node, produced by the parent's corr ops;
-        # nothing precedes the root's (label "") transactions: it has none
-        self.corr = {d: VersionedSignal(CORR) for d in labels(height) if label}
+        # corrections INTO this node, produced by the parent's corr ops,
+        # and the sensitivity that filters them; nothing precedes the
+        # transactions under a spine node, so it has neither
+        off_spine = "1" in label
+        self.sens = {d: VersionedSignal(SENS) for d in labels(height) if off_spine}
+        self.corr = {d: VersionedSignal(CORR) for d in labels(height) if off_spine}
 
     def __repr__(self):
         return f"<node {self.label!r} h={self.height}>"
@@ -165,8 +183,14 @@ class Op:
     def _cursor(self, signal: VersionedSignal) -> SignalCursor:
         cur = SignalCursor(signal)
         self.cursors.append(cur)
-        signal.readers.append(self)
         return cur
+
+    def reset(self):
+        """Empty the outputs and rewind the cursors, as if just wired."""
+        for sig in self.output_signals:
+            sig.reset()
+        for cur in self.cursors:
+            cur.reset()
 
     def refresh(self) -> bool:
         raise NotImplementedError
@@ -175,16 +199,17 @@ class Op:
         """Whether a publish to input `signal` can change this op's output."""
         return True
 
-    def woken(self, versions):
+    def woken(self, versions, readers):
         """The readers a refresh wakes, given the `latest` of each output
-        signal before it: the readers of each output it published to whose
-        output that publish can change. An op is the only publisher of
-        its outputs, so a moved version is its own publish."""
+        signal before it and the wiring's signal -> readers map: the
+        readers of each output it published to whose output that publish
+        can change. An op is the only publisher of its outputs, so a
+        moved version is its own publish."""
         return [
             reader
             for sig, v0 in zip(self.output_signals, versions)
             if sig.latest != v0
-            for reader in sig.readers
+            for reader in readers.get(sig, ())
             if reader.wakes_on(sig)
         ]
 
@@ -259,6 +284,10 @@ class CorrOp(Op):
         self._sens_index = IntervalIndex()
         self.output_signals = [self.out]
 
+    def reset(self):
+        super().reset()
+        self._sens_index = IntervalIndex()
+
     def wakes_on(self, signal: VersionedSignal) -> bool:
         # new sensitivity meets no record while every input is empty
         return signal is not self.cur_sens.signal or not all(
@@ -287,15 +316,15 @@ class TxnOp(Op):
 
     kind = "txn"
 
-    def __init__(self, leaf: TreeNode, base: DbVersion):
+    def __init__(self, leaf: TreeNode, base: Optional[DbVersion] = None):
         super().__init__(leaf.label, "")
         self.leaf = leaf
         self.base = base
-        # a leaf that is the whole tree receives no corrections
+        # the first leaf receives no corrections and reports no sensitivity
         self.cur_corr = self._cursor(leaf.corr[""]) if leaf.corr else None
         self.out_delta = leaf.delta[""]
-        self.out_sens = leaf.sens[""]
-        self.output_signals = [self.out_delta, self.out_sens]
+        self.out_sens = leaf.sens.get("")
+        self.output_signals = [s for s in (self.out_delta, self.out_sens) if s is not None]
 
     def refresh(self) -> bool:
         txn = self.leaf.txn
@@ -309,27 +338,32 @@ class TxnOp(Op):
         else:
             return False
         changed = _publish_winners(self.out_delta, out.deltas)
-        if out.sens:  # only intervals not reported before
+        if out.sens and self.out_sens is not None:  # only intervals not reported before
             v0 = self.out_sens.latest
             changed |= self.out_sens.publish([(i, ()) for i in out.sens]) != v0
         return changed
 
 
 def wire_group(group: TreeNode, decomp: DomainDecomposition):
-    """All merge/corr operators owned by one internal node."""
-    ops = []
-    for d in labels(group.height):
-        ops.append(DeltaMergeOp(group, d, decomp))
-        ops.append(SensMergeOp(group, d, decomp))
+    """All merge/corr operators owned by one internal node: no sensitivity
+    merge at a spine node, and no correction into a spine child."""
+    ops = [DeltaMergeOp(group, d, decomp) for d in labels(group.height)]
+    if group.sens:
+        ops += [SensMergeOp(group, d, decomp) for d in labels(group.height)]
     for e in labels(group.height - 1):
-        ops.append(CorrOp(group, group.left, e, with_delta=False))
+        if group.left.corr:
+            ops.append(CorrOp(group, group.left, e, with_delta=False))
         ops.append(CorrOp(group, group.right, e, with_delta=True))
     return ops
 
 
 def wire_tree(root: TreeNode, decomp: DomainDecomposition):
-    ops = []
-    for node in root.internal():
-        ops.extend(wire_group(node, decomp))
-    return ops
-
+    """Every operator of the circuit, a `TxnOp` per leaf last and in leaf
+    order, and the map from each signal to the operators that read it."""
+    ops = [op for node in root.internal() for op in wire_group(node, decomp)]
+    ops += [TxnOp(leaf) for leaf in root.leaves()]
+    readers: dict = {}
+    for op in ops:
+        for cur in op.cursors:
+            readers.setdefault(cur.signal, []).append(op)
+    return ops, readers

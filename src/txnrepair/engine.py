@@ -24,6 +24,14 @@ An epoch's fixed cost follows its change volume:
     never removes a key, so an equal count means an equal key set, equal
     samples and identical splits. Correctness never depends on the
     splits: any decomposition partitions the domain.
+  - The circuit (tree, operators, a `TxnOp` for every leaf and the
+    signal -> readers map) is kept with the decomposition it was wired
+    for, and built and wired again only when `_decomposition` returns a
+    new one. Each epoch starts by resetting it: every signal emptied,
+    every cursor rewound, every transaction slot cleared, so an epoch
+    that raised leaves nothing behind for the next. No signal links to
+    its readers, so dropping the engine frees the circuit by reference
+    counting.
   - A refresh wakes only the readers of the outputs it published to
     whose output the publish can change (`Op.woken`): a correction
     operator sleeps through sensitivity growth while its correction
@@ -36,13 +44,13 @@ import heapq
 import itertools
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .circuit import CorrOp, DeltaMergeOp, TxnOp, build_tree, labels, wire_tree
-from .domain import build_decomposition
+from .circuit import CorrOp, DeltaMergeOp, TxnOp, TreeNode, build_tree, labels, wire_tree
+from .domain import DomainDecomposition, build_decomposition
 from .pstore import DbVersion, Schema, apply_deltas, full_scan, record_count
-from .txn import EVALUATED, TxnExec
+from .txn import EVALUATED, PlanCache, TxnExec
 
 EARLIEST = "earliest"
 INVERTED = "inverted"
@@ -138,19 +146,22 @@ class _Queue:
 def _op_priorities(ops, height, n, mode):
     """(m, d) per op, read off its node's position in the tree. lo(X) and
     hi(X) are the first and last leaves under node X; leaves 0..n-1 hold
-    the epoch's transactions.
+    the epoch's transactions. top(X) is X's highest ancestor (or X
+    itself) off the spine: its label up to its first "1".
 
     m is the earliest transaction the op's output (transitively) serves:
     settling transaction g requires exactly the ops with m <= g, so
     draining by ascending m finishes one transaction's corrections before
     starting the next and each transaction repairs at most once. A
     correction into X serves lo(X), a delta merge at X serves hi(X)+1
-    through its right sibling's corrections, and a sensitivity merge the
-    corrections into its root half; an m >= n serves no transaction.
+    through its right sibling's corrections, and a sensitivity merge at
+    X the corrections into top(X); an m >= n serves no transaction.
     Inverted mode keys on the latest transaction feeding the op instead
-    (serving the newest first maximizes churn). d orders producers before
-    consumers within one m: a merge's height, or height+t-1 for a
-    correction into a node at depth t."""
+    (serving the newest first maximizes churn): hi(X) for a merge, and
+    hi(top(X)) for a correction, which reads the sensitivity of every
+    node from X up to top(X). d orders producers before consumers within
+    one m: a merge's height, or, for a correction into X, the height of
+    top(X) plus one plus the depth of X below top(X)."""
 
     def lo(label):
         return int(label or "0", 2) << (height - len(label))
@@ -158,26 +169,39 @@ def _op_priorities(ops, height, n, mode):
     def hi(label):
         return lo(label) + (1 << (height - len(label))) - 1
 
+    def top(label):
+        return label[: label.index("1") + 1]
+
     inverted = mode == INVERTED
     out = {}
     for op in ops:
         x = op.node_label
         if isinstance(op, TxnOp):
-            out[op] = (-lo(x) if inverted else lo(x), 0)
-            continue
-        if isinstance(op, CorrOp):
-            d = height + len(x) - 1
-            m = -min(hi(x[:1]), n - 1) if inverted else lo(x)
+            first = last = lo(x)
+            d = 0
+        elif isinstance(op, CorrOp):
+            t = top(x)
+            first, last = lo(x), hi(t)
+            d = (height - len(t) + 1) + (len(x) - len(t))
         else:
+            first = hi(x) + 1 if isinstance(op, DeltaMergeOp) else lo(top(x))
+            last = hi(x)
             d = height - len(x)
-            if inverted:
-                m = -min(hi(x), n - 1)
-            elif isinstance(op, DeltaMergeOp):
-                m = hi(x) + 1
-            else:
-                m = lo(x[:1]) if x else FAR
+        m = -min(last, n - 1) if inverted else first
         out[op] = (FAR if m >= n else m, d)
     return out
+
+
+@dataclass
+class _Circuit:
+    """One wiring of the circuit, kept while its decomposition is."""
+
+    decomp: DomainDecomposition
+    root: TreeNode
+    ops: list
+    readers: dict  # signal -> the ops that read it
+    txn_ops: list  # one per leaf, in leaf order
+    prio: dict = field(default_factory=dict)  # transaction count -> priorities
 
 
 class Engine:
@@ -190,6 +214,8 @@ class Engine:
         self.metrics = EngineMetrics()
         self._decomp = None
         self._decomp_count = None  # the store's record count when it was built
+        self._circuit: Optional[_Circuit] = None
+        self._plans = PlanCache()  # shared by every transaction the engine runs
 
     def _decomposition(self):
         """The decomposition of the store's key set, rebuilt only when the
@@ -216,22 +242,36 @@ class Engine:
         self.metrics.failed_txns += sum(1 for s in statuses if s != EVALUATED)
         return EngineReport(db=self.db, statuses=statuses, metrics=self.metrics)
 
+    def _wired(self) -> _Circuit:
+        """The circuit for the current decomposition, reset for an epoch:
+        wired again only when the decomposition is a new one."""
+        decomp = self._decomposition()
+        circ = self._circuit
+        if circ is None or circ.decomp is not decomp:
+            self._circuit = None  # free the old wiring before building
+            root = build_tree(self.config.height)
+            ops, readers = wire_tree(root, decomp)
+            txn_ops = [op for op in ops if isinstance(op, TxnOp)]
+            circ = self._circuit = _Circuit(decomp, root, ops, readers, txn_ops)
+        for op in circ.ops:
+            op.reset()
+        for op in circ.txn_ops:
+            op.leaf.txn = None
+            op.base = self.db
+        return circ
+
     def _run_epoch(self, chunk, first_id=0):
         self.metrics.epochs += 1
         cfg = self.config
-        decomp = self._decomposition()
-        root = build_tree(cfg.height)
-        ops = list(wire_tree(root, decomp))
-        leaves = list(root.leaves())
-        txn_ops = []
-        for i, rules in enumerate(chunk):
-            leaf = leaves[i]
-            leaf.txn = TxnExec(self.schema, rules, txn_id=first_id + i)
-            op = TxnOp(leaf, self.db)
-            ops.append(op)
-            txn_ops.append(op)
+        circ = self._wired()
+        txn_ops = circ.txn_ops[: len(chunk)]
+        for i, (op, rules) in enumerate(zip(txn_ops, chunk)):
+            op.leaf.txn = TxnExec(self.schema, rules, txn_id=first_id + i, plans=self._plans)
 
-        prio = _op_priorities(ops, cfg.height, len(chunk), cfg.priority_mode)
+        prio = circ.prio.get(len(chunk))
+        if prio is None:
+            prio = circ.prio[len(chunk)] = _op_priorities(
+                circ.ops, cfg.height, len(chunk), cfg.priority_mode)
         seq = itertools.count()
         if cfg.randomize_ties:
             rng = random.Random(cfg.seed * 1_000_003 + first_id)
@@ -239,6 +279,7 @@ class Engine:
         else:
             tie = lambda: (0.0, next(seq))
         queue = _Queue(prio, tie)
+        readers = circ.readers
 
         errors: list = []
         counts: list = []  # (op refreshes, txn refreshes) per worker
@@ -257,7 +298,7 @@ class Engine:
                     if isinstance(op, TxnOp):
                         txn_refreshes += 1
                     if changed:
-                        for reader in op.woken(versions):
+                        for reader in op.woken(versions, readers):
                             queue.push(reader)
                 except BaseException as exc:  # keep done() paired with pop()
                     errors.append(exc)
@@ -275,12 +316,6 @@ class Engine:
                 t.start()
             for t in threads:
                 t.join()
-        # the reader links are the circuit's cycles; dropping them lets
-        # reference counting free the epoch's circuit instead of leaving
-        # it to the cyclic collector
-        for op in ops:
-            for sig in op.output_signals:
-                sig.readers.clear()
         for op_refreshes, txn_refreshes in counts:
             self.metrics.op_refreshes += op_refreshes
             self.metrics.txn_refreshes += txn_refreshes
@@ -289,6 +324,7 @@ class Engine:
 
         # fixpoint reached: the root's delta merge is the epoch's net write
         # set, committed in one call
+        root = circ.root
         changes = [item for d in labels(cfg.height) for item in root.delta[d].items()]
         self.db = apply_deltas(self.db, self.schema, changes)
-        return [leaf.txn.status for leaf in leaves if leaf.txn is not None]
+        return [op.leaf.txn.status for op in txn_ops]

@@ -48,7 +48,6 @@ class VersionedSignal:
         self._root = None
         self._log = []  # identities changed, publish after publish
         self._lock = threading.Lock()
-        self.readers = []  # operators enqueued when this signal changes
 
     def __repr__(self):
         return f"<signal {self.kind} v{self.latest}>"
@@ -56,6 +55,11 @@ class VersionedSignal:
     @property
     def latest(self) -> int:
         return len(self._log)
+
+    def reset(self):
+        """Drop the content and the log; readers must reset too."""
+        self._root = None
+        self._log = []
 
     def publish(self, inserts=(), removes=()) -> int:
         """Atomically set each `(identity, value)` of `inserts`, after
@@ -118,6 +122,9 @@ class SignalCursor:
 
     def __init__(self, signal: VersionedSignal):
         self.signal = signal
+        self.reset()
+
+    def reset(self):
         self.offset = 0
         self.root = None
 

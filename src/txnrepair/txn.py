@@ -9,10 +9,11 @@ Evaluation materializes every rule; repair applies correction changes
 through the per-rule sensitivity indexes, so the cost tracks how much of
 the transaction's reads actually changed.
 
-Rules bound from one template (see `rulelang`) share a compiled plan:
-the constructor compiles each distinct template once, and each rule's
-maintainer evaluates that plan with the rule's own bound `$param`
-values (`Rule.args`).
+Rules bound from one template (see `rulelang`) share a compiled plan,
+and so do transactions built with one `PlanCache` (the engine keeps one):
+plans are keyed by template and upserted set, and each rule's
+maintainer evaluates its plan with the rule's own bound `$param` values
+(`Rule.args`).
 
 Evaluation and repair run the rules in dependency order, read off their
 plans: a rule runs after every rule that writes a vertex it reads
@@ -85,7 +86,8 @@ class TxnOutputs:
 class TxnExec:
     """Evaluate/repair one transaction against a snapshot + corrections."""
 
-    def __init__(self, schema: Schema, rules, txn_id=0, stats: Optional[Stats] = None):
+    def __init__(self, schema: Schema, rules, txn_id=0, stats: Optional[Stats] = None,
+                 plans: Optional[PlanCache] = None):
         self.schema = schema
         self.txn_id = txn_id
         self.rules = list(rules)
@@ -93,19 +95,10 @@ class TxnExec:
         self.status = UNEVALUATED
         self.upserted, self._derived_arity = rewrite_for_txn(self.rules, schema)
         self._upserted_ids = sorted((schema.sig(p).pred_id, p) for p in self.upserted)
-        # a compiled rule reads its bindings at evaluation, and the rules
-        # bound from one template share its head and body objects: compile
-        # each template once, keyed by their identities, which are stable
-        # while self.rules holds them and cheaper than hashing the ASTs
+        # without a shared cache, rules bound from one template still share a plan
+        plans = plans if plans is not None else PlanCache()
         upserted = frozenset(self.upserted)
-        plans: dict = {}
-        self.compiled = []
-        for r in self.rules:
-            key = (id(r.head), id(r.body))
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = compile_rule(r, schema, upserted)
-            self.compiled.append(plan)
+        self.compiled = [plans.plan(r, schema, upserted) for r in self.rules]
         self._reads, self._order = _order_rules(self.rules, self.compiled, self._derived_arity)
         read = {v.partition(":") for rs in self._reads for v in rs}
         self._db_reads = sorted(p for kind, _, p in read if kind == "db")
@@ -337,6 +330,32 @@ def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:
     except SchemaError:
         return False
     return True
+
+
+class PlanCache:
+    """Compiled plans, shared by the transactions built with one cache.
+
+    A compiled rule reads its bindings at evaluation, and the rules bound
+    from one template share its head and body objects, so a plan is
+    keyed by their identities (cheaper than hashing the ASTs), the
+    schema's and the upserted set. Each entry holds the objects whose ids
+    key it, so no id is reused while its entry lives; once `size` entries
+    are held, the oldest leaves first. Not for concurrent use."""
+
+    size = 1024
+
+    def __init__(self):
+        self._plans: dict = {}
+
+    def plan(self, rule, schema: Schema, upserted: frozenset):
+        key = (id(rule.head), id(rule.body), id(schema), upserted)
+        entry = self._plans.get(key)
+        if entry is None:
+            entry = (rule.head, rule.body, schema, compile_rule(rule, schema, upserted))
+            if len(self._plans) >= self.size:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = entry
+        return entry[3]
 
 
 def rewrite_for_txn(rules, schema: Schema):

@@ -105,7 +105,7 @@ ivals = st.tuples(keys, keys).map(lambda t: (0, (min(t),), (max(t),)))
 @settings(max_examples=250)
 def test_sens_merge_preserves_covering(samples, lrecs, rrecs, probe):
     decomp = build_decomposition([point(0, (k,)) for k in samples], 1)
-    group = build_tree(1)
+    group = build_tree(1, label="1")  # off the spine: it merges sensitivity
     ops = [SensMergeOp(group, d, decomp) for d in ("0", "1")]
     group.left.sens[""].publish(inserts=_units(lrecs))
     group.right.sens[""].publish(inserts=_units(rrecs))
@@ -192,7 +192,7 @@ corr_recs = st.lists(
 def test_corr_filtering_and_idempotence(sens, corr0, corr1):
     """Corrections reach a child only inside its sensitivity; redelivery
     of identical upstream content leaves the output version unchanged."""
-    group = build_tree(1, label="0")  # below the root: it receives corrections
+    group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.left
     op = CorrOp(group, child, "", with_delta=False)
     child.sens[""].publish(inserts=_units(sens))
@@ -214,7 +214,7 @@ def test_corr_filtering_and_idempotence(sens, corr0, corr1):
 
 
 def test_corr_delta_supersedes_parent():
-    group = build_tree(1, label="0")  # below the root: it receives corrections
+    group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.right
     op = CorrOp(group, child, "", with_delta=True)
     child.sens[""].publish(inserts=_units([(0, (0,), (99,))]))
@@ -226,7 +226,7 @@ def test_corr_delta_supersedes_parent():
 
 
 def test_sens_growth_pulls_existing_corrections():
-    group = build_tree(1, label="0")  # below the root: it receives corrections
+    group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.left
     op = CorrOp(group, child, "", with_delta=False)
     group.corr["0"].publish(inserts=[((0, (5,)), (1,))])
@@ -242,7 +242,7 @@ def test_corr_sleeps_through_sensitivity_while_inputs_are_empty():
     its inputs are empty, so its publish does not wake the operator. A
     record that arrives later, inside an interval published during the
     sleep, wakes it; that refresh pulls the skipped interval and corrects."""
-    group = build_tree(1, label="0")  # below the root: it receives corrections
+    group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.right
     op = CorrOp(group, child, "", with_delta=True)
     sens, delta = child.sens[""], group.left.delta[""]
@@ -331,22 +331,24 @@ def test_refresh_wakes_only_readers_of_what_it_published():
     """A transaction that publishes sensitivity but no delta wakes its
     sensitivity readers only, and of those not the correction operator,
     whose inputs are empty."""
-    root = build_tree(1)
-    ops = wire_tree(root, build_decomposition([], 1))
-    leaf = root.left
+    root = build_tree(2)
+    ops, readers = wire_tree(root, build_decomposition([], 2))
+    leaf = root.right.left  # the first leaf off the spine with a sensitivity merge above
     leaf.txn = TxnExec(SCHEMA, parse_rules("probe(v) <- bal[3] = v.", SCHEMA), txn_id=0)
-    base = store_upsert(DbVersion(), SCHEMA.sig("bal"), (3,), (1,))
-    op = TxnOp(leaf, base)
+    (op,) = [op for op in ops if isinstance(op, TxnOp) and op.leaf is leaf]
+    op.base = store_upsert(DbVersion(), SCHEMA.sig("bal"), (3,), (1,))
     versions = [sig.latest for sig in op.output_signals]
     assert op.refresh() is True
     assert leaf.delta[""].empty and not leaf.sens[""].empty
-    assert set(op.woken(versions)) == {r for r in ops if isinstance(r, SensMergeOp)}
+    smerges = {r for r in ops if isinstance(r, SensMergeOp)}
+    assert {r.node_label for r in smerges} == {"1"}  # none on the spine
+    assert set(op.woken(versions, readers)) == smerges
 
 
 def test_txn_op_skips_repair_when_corrections_net_out(monkeypatch):
     """A correction replaced and then restored between two refreshes
     reaches the transaction as no change at all."""
-    leaf = build_tree(1).left  # below the root: it receives corrections
+    leaf = build_tree(1).right  # off the spine: it receives corrections
     base = DbVersion()
     for k, v in ((1, 100), (2, 5)):
         base = store_upsert(base, SCHEMA.sig("bal"), (k,), (v,))
@@ -370,12 +372,12 @@ def run_fixpoint(base, txn_rules, height, rnd):
         [point(0, (k,)) for k in range(8)], height
     )
     root = build_tree(height)
-    ops = list(wire_tree(root, decomp))
+    ops, readers = wire_tree(root, decomp)
     leaves = list(root.leaves())
-    for i, rules in enumerate(txn_rules):
-        leaves[i].txn = TxnExec(SCHEMA, rules, txn_id=i)
-        ops.append(TxnOp(leaves[i], base))
-    dirty = [op for op in ops if isinstance(op, TxnOp)]
+    dirty = [op for op in ops if isinstance(op, TxnOp)][: len(txn_rules)]
+    for i, (op, rules) in enumerate(zip(dirty, txn_rules)):
+        op.leaf.txn = TxnExec(SCHEMA, rules, txn_id=i)
+        op.base = base
     steps = 0
     while dirty:
         steps += 1
@@ -383,7 +385,7 @@ def run_fixpoint(base, txn_rules, height, rnd):
         op = dirty.pop(rnd.randrange(len(dirty)))
         versions = [sig.latest for sig in op.output_signals]
         if op.refresh():
-            for reader in op.woken(versions):
+            for reader in op.woken(versions, readers):
                 if reader not in dirty:
                     dirty.append(reader)
     # the root's delta merge is the commit
@@ -427,12 +429,17 @@ def test_fixpoint_matches_serial_oracle_under_random_schedules():
 
 def test_every_input_signal_has_a_producer():
     """No operator pulls on a signal that nothing publishes; in particular
-    the root has no correction signals for its corrections to read."""
+    no node on the leftmost spine (no "1" in its label, the root included)
+    has correction or sensitivity signals, and every node off it has
+    both."""
     for height in range(1, 5):
         root = build_tree(height)
-        assert root.corr == {}
-        ops = list(wire_tree(root, build_decomposition([point(0, (k,)) for k in range(8)], height)))
-        ops += [TxnOp(leaf, DbVersion()) for leaf in root.leaves()]
+        for node in [*root.internal(), *root.leaves()]:
+            off_spine = "1" in node.label
+            assert bool(node.corr) == bool(node.sens) == off_spine, node
+        ops, readers = wire_tree(root, build_decomposition([point(0, (k,)) for k in range(8)], height))
+        assert sum(isinstance(op, TxnOp) for op in ops) == 2**height
+        assert {id(s) for s in readers} == {id(s) for op in ops for s in op.input_signals}
         produced = {id(sig) for op in ops for sig in op.output_signals}
         unproduced = [(op, s) for op in ops for s in op.input_signals if id(s) not in produced]
         assert unproduced == [], height

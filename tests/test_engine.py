@@ -20,7 +20,8 @@ from txnrepair.bench import (
 )
 from txnrepair.circuit import CorrOp, DeltaMergeOp, SensMergeOp, TxnOp, build_tree, wire_tree
 from txnrepair.domain import build_decomposition
-from txnrepair import engine
+from txnrepair import engine, pstore
+from txnrepair import txn as txn_module
 from txnrepair.engine import EARLIEST, FAR, INVERTED, Engine, EngineConfig, _op_priorities
 from txnrepair.pstore import (
     DbVersion,
@@ -212,6 +213,30 @@ def test_independent_txns_settle_once():
     assert eng.metrics.txn_refreshes == 8
 
 
+def test_kept_circuit_forgets_the_last_epochs_sensitivity():
+    """The second leaf reads key 0 in the first epoch and key 1 in the
+    second, so the first leaf's write of key 0 in the second epoch must
+    not be corrected into it: no repair in either epoch."""
+    eng = Engine(SCHEMA, base_db(nkeys=2), EngineConfig(height=1))
+    rep = eng.run([bump(1), bump(0), bump(0), bump(1)])
+    assert eng.metrics.epochs == 2 and rep.statuses == [EVALUATED] * 4
+    assert eng.metrics.txn_refreshes == 4
+
+
+def test_engine_compiles_each_template_once(monkeypatch):
+    """Every transaction an engine runs shares its plan cache: bumps of
+    different keys, over several epochs and runs, compile one plan."""
+    calls = []
+    compile_rule = txn_module.compile_rule
+    monkeypatch.setattr(txn_module, "compile_rule",
+                        lambda *args: calls.append(args) or compile_rule(*args))
+    eng = Engine(SCHEMA, base_db(nkeys=4), EngineConfig(height=1))
+    for _ in range(2):
+        rep = eng.run([bump(k % 4) for k in range(6)])
+        assert rep.statuses == [EVALUATED] * 6
+    assert len(calls) == 1
+
+
 def test_empty_run(monkeypatch):
     """No transactions run no epoch: no scan, no circuit, no commit."""
     def no_scan(*args):
@@ -263,8 +288,10 @@ def test_new_key_triggers_rescan(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_reused_decomposition_equals_a_fresh_one(monkeypatch, seed):
-    """Whatever each epoch inserts or bumps, the decomposition an epoch
-    wires equals the one a fresh scan of its base store builds."""
+    """Whatever each epoch inserts or bumps, the engine wires the circuit
+    exactly when its decomposition changes: on the first epoch, and on
+    an epoch whose store an insert grew. Each wiring uses the
+    decomposition a fresh scan of that epoch's base store builds."""
     rnd = random.Random(seed)
     wired = []
     wire = engine.wire_tree
@@ -275,6 +302,18 @@ def test_reused_decomposition_equals_a_fresh_one(monkeypatch, seed):
 
     monkeypatch.setattr(engine, "wire_tree", capture)
     eng = Engine(SCHEMA, base_db(nkeys=4), EngineConfig(height=2))
+    assert wired == []  # nothing is wired before the first run
+    grown = []  # per epoch: whether its base store has keys its predecessor's lacked
+    count = None
+    run_epoch = eng._run_epoch
+
+    def epoch(chunk, first_id=0):
+        nonlocal count
+        grown.append(count != pstore.record_count(eng.db))
+        count = pstore.record_count(eng.db)
+        return run_epoch(chunk, first_id)
+
+    monkeypatch.setattr(eng, "_run_epoch", epoch)
     for _ in range(4):
         txns = [
             parse_rules(f"^cnt[{rnd.randrange(40)}] = v <- v = 1.", SCHEMA)
@@ -282,13 +321,16 @@ def test_reused_decomposition_equals_a_fresh_one(monkeypatch, seed):
             for _ in range(rnd.randrange(1, 10))
         ]
         eng.run(txns)
-    assert len(wired) == eng.metrics.epochs
+    assert len(grown) == eng.metrics.epochs and grown[0]
+    assert len(wired) == sum(grown)
     for decomp, db in wired:
         assert decomp == Engine(SCHEMA, db, EngineConfig(height=2))._decomposition()
 
 
 def test_settled_circuit_is_freed_without_the_cycle_collector(monkeypatch):
-    """Once an epoch commits, reference counting alone frees its circuit."""
+    """An engine wires its circuit once over epochs that keep the key set,
+    and dropping the engine frees every tree node by reference counting
+    alone: nothing in the kept circuit links back to what holds it."""
     nodes = []
     build = engine.build_tree
 
@@ -301,11 +343,48 @@ def test_settled_circuit_is_freed_without_the_cycle_collector(monkeypatch):
     wl = make_workload(WorkloadConfig(name="random_rules", n=8, txns=8, seed=2))
     gc.disable()
     try:
-        rep = Engine(wl.schema, wl.db, EngineConfig(height=2)).run(wl.txns)
-        assert len(nodes) == 2 * 7 and all(ref() is None for ref in nodes)
+        eng = Engine(wl.schema, wl.db, EngineConfig(height=2))
+        statuses = eng.run(wl.txns).statuses + eng.run(wl.txns).statuses
+        assert eng.metrics.epochs == 4
+        assert len(nodes) == 2 * 4 - 1  # one tree of height 2
+        assert all(ref() is not None for ref in nodes)
+        del eng
+        assert all(ref() is None for ref in nodes)
     finally:
         gc.enable()
-    assert rep.statuses == run_serial(wl).statuses
+    once = run_serial(wl)
+    twice = run_serial(dataclasses.replace(wl, db=once.db))
+    assert statuses == once.statuses + twice.statuses
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_epoch_after_a_failed_repair_matches_serial(monkeypatch, workers):
+    """A repair that raises fails its epoch midway, leaving signals,
+    cursors and transactions behind in the kept circuit. The next run
+    on the same engine resets all of them and matches the serial
+    oracle from the state the failed run left."""
+    wl = make_workload(WorkloadConfig(name="counter_chain", variant="shift", txns=16))
+    repair = TxnExec.repair
+    raised = []
+
+    def flaky(txn, changes):
+        if not raised:
+            raised.append(txn.txn_id)
+            raise Boom(txn.txn_id)
+        return repair(txn, changes)
+
+    monkeypatch.setattr(TxnExec, "repair", flaky)
+    eng = Engine(wl.schema, wl.db, EngineConfig(workers=workers, height=3))
+    with pytest.raises(Boom):
+        eng.run(wl.txns)
+    assert raised
+    monkeypatch.setattr(TxnExec, "repair", repair)
+    db, circuit = eng.db, eng._circuit
+    rep = eng.run(wl.txns)
+    assert eng._circuit is circuit  # the key set is unchanged: no rewiring
+    want = run_serial(dataclasses.replace(wl, db=db))
+    assert rep.statuses == want.statuses
+    assert state_hash(rep.db, wl.schema) == want.hash(wl.schema)
 
 
 def test_read_only_epochs_wake_no_correction(monkeypatch):
@@ -363,15 +442,15 @@ def test_quiet_corrections_match_serial(cfg, workers):
 def test_priorities_solve_the_walk_equations(height, mode):
     """The closed-form (m, d) satisfies the equations of a walk over the
     wired circuit, at every fill of the tree. Merges over empty subtrees
-    are never queued, so they are left out."""
+    and transactions past the fill are never queued, so they are left
+    out."""
+    root = build_tree(height)
+    ops, readers = wire_tree(root, build_decomposition([], height))
+    txn_ops = [op for op in ops if isinstance(op, TxnOp)]
+    producer = {id(sig): op for op in ops for sig in op.output_signals}
     for n in range(1, 2**height + 1):
-        root = build_tree(height)
-        ops = list(wire_tree(root, build_decomposition([], height)))
-        txn_ops = [TxnOp(leaf, DbVersion()) for leaf in list(root.leaves())[:n]]
-        ops += txn_ops
         prio = _op_priorities(ops, height, n, mode)
-        producer = {id(sig): op for op in ops for sig in op.output_signals}
-        for i, op in enumerate(txn_ops):
+        for i, op in enumerate(txn_ops[:n]):
             assert prio[op] == ((-i if mode == INVERTED else i), 0)
         for op in ops:
             if isinstance(op, TxnOp):
@@ -379,11 +458,11 @@ def test_priorities_solve_the_walk_equations(height, mode):
             if not isinstance(op, CorrOp) and int(op.node_label.ljust(height, "0"), 2) >= n:
                 continue
             m, d = prio[op]
-            producers = [producer[id(s)] for s in op.input_signals if id(s) in producer]
+            producers = [producer[id(s)] for s in op.input_signals]
             assert d == max((prio[p][1] + 1 for p in producers), default=0), (n, op)
             if mode == EARLIEST:
-                readers = [r for sig in op.output_signals for r in sig.readers]
-                assert m == min((prio[r][0] for r in readers), default=FAR), (n, op)
+                rs = [r for sig in op.output_signals for r in readers.get(sig, ())]
+                assert m == min((prio[r][0] for r in rs), default=FAR), (n, op)
             else:
                 assert m == min((prio[p][0] for p in producers), default=0), (n, op)
 

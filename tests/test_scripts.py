@@ -26,6 +26,16 @@ def test_schedule_fingerprint_is_reproducible():
         assert sum(kinds) == int(fields["refreshes"]) and min(kinds) > 0
 
 
+def test_schedule_fingerprint_against_itself_is_same():
+    cmd = [sys.executable, str(ROOT / "scripts" / "schedule_fingerprint.py"), str(ROOT),
+           "--against", str(ROOT), "--workloads", "transfer_mix", "--txns", "16"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "transfer_mix seed=3 txns=16 earliest: same", "transfer_mix seed=3 txns=16 inverted: same"
+    ]
+
+
 def _run_script(name, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],

@@ -413,9 +413,8 @@ def test_bound_params_match_literal_text(name, data):
     assert runs[0] == runs[1]
 
 
-def test_one_compilation_per_template(monkeypatch):
-    """A 45-rule sku transaction binds one bump template 45 times and
-    compiles it once; each rule still bumps its own key."""
+def _count_compilations(monkeypatch):
+    """Record each compile_rule call."""
     calls = []
     compile_rule = txn_module.compile_rule
 
@@ -424,12 +423,54 @@ def test_one_compilation_per_template(monkeypatch):
         return compile_rule(*args, **kwargs)
 
     monkeypatch.setattr(txn_module, "compile_rule", counted)
+    return calls
+
+
+def test_one_compilation_per_template(monkeypatch):
+    """A 45-rule sku transaction binds one bump template 45 times and
+    compiles it once; each rule still bumps its own key."""
+    calls = _count_compilations(monkeypatch)
     rules = [r for k in range(45) for r in parse_rules(BUMP, SCHEMA, {"k": k, "d": k})]
     txn = TxnExec(SCHEMA, rules)
     assert len(calls) == 1
     out = Folded(txn.evaluate(make_db({k: 100 for k in range(45)})))
     assert out.status == EVALUATED
     assert out.values() == {(k,): (100 + k,) for k in range(45)}
+
+
+def test_transactions_share_plans_per_template_and_upserted_set(monkeypatch):
+    """Two transactions built from one template with one plan cache share
+    one plan object; a transaction whose upserted set differs gets its
+    own, since the set decides which atoms read the end state."""
+    calls = _count_compilations(monkeypatch)
+    plans = txn_module.PlanCache()
+    probe = "probe(v) <- bal[$k] = v."
+    t1 = TxnExec(SCHEMA, parse_rules(probe, SCHEMA, {"k": 1}), plans=plans)
+    t2 = TxnExec(SCHEMA, parse_rules(probe, SCHEMA, {"k": 2}), plans=plans)
+    assert t1.compiled[0] is t2.compiled[0] and len(calls) == 1
+    rules = parse_rules(probe, SCHEMA, {"k": 3}) + parse_rules(BUMP, SCHEMA, {"k": 3, "d": 1})
+    t3 = TxnExec(SCHEMA, rules, plans=plans)
+    assert t3.compiled[0] is not t1.compiled[0] and len(calls) == 3
+    assert t3.compiled[0].atoms[0].vertex != t1.compiled[0].atoms[0].vertex
+    db = make_db({1: 10, 2: 20, 3: 30})
+    outs = [Folded(t.evaluate(db)) for t in (t1, t2, t3)]
+    assert [out.status for out in outs] == [EVALUATED] * 3
+    assert outs[2].values() == {(3,): (31,)}
+
+
+def test_plan_cache_is_bounded(monkeypatch):
+    """The oldest plan leaves once the cache is full."""
+    calls = _count_compilations(monkeypatch)
+    plans = txn_module.PlanCache()
+    plans.size = 2
+    texts = [f"probe(v) <- bal[{k}] = v." for k in range(3)]
+    for text in texts:
+        TxnExec(SCHEMA, parse_rules(text, SCHEMA), plans=plans)
+    assert len(plans._plans) == 2 and len(calls) == 3
+    TxnExec(SCHEMA, parse_rules(texts[2], SCHEMA), plans=plans)  # still held
+    assert len(calls) == 3
+    TxnExec(SCHEMA, parse_rules(texts[0], SCHEMA), plans=plans)  # evicted: compiled again
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("text", [
