@@ -211,6 +211,8 @@ class Engine:
         self.config = config or EngineConfig()
         if self.config.priority_mode not in (EARLIEST, INVERTED):
             raise ValueError(f"unknown priority mode {self.config.priority_mode!r}")
+        if self.config.height < 0:
+            raise ValueError(f"negative tree height {self.config.height}")
         self.metrics = EngineMetrics()
         self._decomp = None
         self._decomp_count = None  # the store's record count when it was built

@@ -1,21 +1,22 @@
 """Incremental rule maintenance via recorded sensitivity intervals.
 
-After a full evaluation, every cursor operation's sensitivity interval
-sits in a per-input interval index. When input records change, stabbing
-the index yields the set of variable-binding prefixes (contexts) whose
-join subtrees could have changed; the rule is re-run restricted to the
-prefix-minimal contexts against the old and new inputs, and the two
-restricted results are diffed. Everything outside the stabbed contexts
-is untouched by construction, so the maintained result matches a full
-re-evaluation.
+A full evaluation records every cursor operation's sensitivity interval,
+and the caller (`txn`) keeps them in one interval index per input. When
+input records change, stabbing that index yields the variable-binding
+prefixes (contexts) whose join subtrees could have changed; the rule is
+re-run restricted to the prefix-minimal contexts against the old and new
+inputs, and the two restricted results are diffed. Everything outside
+the stabbed contexts is untouched by construction, so the maintained
+result matches a full re-evaluation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .lftj import CompiledRule, SensCollector, Stats, eval_rule
+from .lftj import CompiledRule, Stats, eval_rule
 
 
 _MASK64 = (1 << 64) - 1
@@ -121,14 +122,14 @@ def minimal_contexts(entries):
     """Prefix-minimal set of binding contexts from stabbed entries.
 
     Returns contexts sorted; a context that extends another stabbed
-    context is dropped, so restricted re-runs never overlap.
+    context is dropped, so restricted re-runs never overlap. In sorted
+    order a context's extensions directly follow it.
     """
-    ctxs = sorted({e.ctx for e in entries}, key=lambda c: (len(c), c))
     out = []
-    for c in ctxs:
-        if not any(len(m) <= len(c) and c[: len(m)] == m for m in out):
+    for c in sorted({e.ctx for e in entries}):
+        if not out or c[: len(out[-1])] != out[-1]:
             out.append(c)
-    return sorted(out)
+    return out
 
 
 @dataclass
@@ -137,11 +138,24 @@ class MaintainReport:
     # per head atom: {tuple: (old_count, new_count)} for counts that changed
     head_diffs: list = field(default_factory=list)
     constraint_delta: int = 0
+    entries: list = field(default_factory=list)  # recorded by the re-runs
 
 
 class RuleMaintainer:
-    """Holds one rule's materialized result and its sensitivity index;
-    `args` binds the compiled template's `$param` slots (`Rule.args`)."""
+    """Holds one rule's materialized result; `args` binds the compiled
+    template's `$param` slots (`Rule.args`).
+
+    The maintainer keeps no index of its sensitivity: `entries` are those
+    of the full evaluation, each report carries those of its re-runs, and
+    the caller stabs them with the changed points and passes the hits to
+    `apply_changes`. So a rule that no point stabs is not called, and its
+    kept `views` lag behind the caller's. That is safe. A change that
+    meets none of the rule's recorded intervals leaves its evaluation,
+    binding by binding, unchanged (the `lftj` covering property), and a
+    restricted re-run enumerates exactly the bindings under its context.
+    So every re-run returns the same on the kept `views` as on the views
+    just before the change that stabs it.
+    """
 
     def __init__(
         self, compiled: CompiledRule, views: dict, args: tuple = (),
@@ -150,76 +164,50 @@ class RuleMaintainer:
         self.compiled = compiled
         self.args = args
         self.views = dict(views)
-        self.index: dict = {}  # vertex -> IntervalIndex
-        self.entry_log: list = []  # every entry ever absorbed, in order
-        col = SensCollector()
-        res = eval_rule(compiled, views, args, collector=col, stats=stats)
+        self.entries: list = []
+        res = eval_rule(compiled, views, args, collector=self.entries, stats=stats)
         self.head_counts = res.head_counts
         self.constraint_hits = res.constraint_hits
-        self._absorb(col)
-
-    def _absorb(self, col: SensCollector):
-        for e in col.entries:
-            self.index.setdefault(e.vertex, IntervalIndex()).insert(e.lo, e.hi, e)
-            self.entry_log.append(e)
-
-    def changed_contexts(self, changed_points: dict):
-        """changed_points: vertex -> iterable of full tuples touched."""
-        hits = []
-        for vertex, points in changed_points.items():
-            idx = self.index.get(vertex)
-            if idx is None:
-                continue
-            for t in points:
-                hits.extend(idx.stab(tuple(t)))
-        return minimal_contexts(hits)
 
     def apply_changes(
-        self, new_views: dict, changed_points: dict, stats: Optional[Stats] = None
+        self, new_views: dict, stabbed_entries, stats: Optional[Stats] = None
     ) -> MaintainReport:
         """Maintain the result across a views change.
 
-        changed_points must cover every record whose presence or payload
-        differs between self.views and new_views (stale extra points are
-        harmless). Returns the head-tuple count transitions.
+        stabbed_entries must hold each of the rule's recorded entries
+        (`entries` or a report's) whose interval contains a record whose
+        presence or payload differs between self.views and new_views
+        (stale extra entries are harmless). Returns the head-tuple count
+        transitions.
         """
-        contexts = self.changed_contexts(changed_points)
+        contexts = minimal_contexts(stabbed_entries)
         report = MaintainReport(contexts=tuple(contexts))
-        order = self.compiled.var_order
-        n_heads = len(self.head_counts)
-        deltas = [dict() for _ in range(n_heads)]
-        cdelta = 0
+        deltas = [Counter() for _ in self.head_counts]
         for ctx in contexts:
-            fixed = dict(zip(order, ctx))
+            fixed = dict(zip(self.compiled.var_order, ctx))
             old = eval_rule(self.compiled, self.views, self.args, fixed=fixed, stats=stats)
-            col = SensCollector()
             new = eval_rule(
-                self.compiled, new_views, self.args, collector=col, fixed=fixed, stats=stats
+                self.compiled, new_views, self.args, collector=report.entries, fixed=fixed,
+                stats=stats,
             )
-            self._absorb(col)
-            cdelta += new.constraint_hits - old.constraint_hits
-            for i in range(n_heads):
-                for t, c in old.head_counts[i].items():
-                    deltas[i][t] = deltas[i].get(t, 0) - c
-                for t, c in new.head_counts[i].items():
-                    deltas[i][t] = deltas[i].get(t, 0) + c
-        for i in range(n_heads):
+            report.constraint_delta += new.constraint_hits - old.constraint_hits
+            for delta, old_counts, new_counts in zip(deltas, old.head_counts, new.head_counts):
+                delta.subtract(old_counts)
+                delta.update(new_counts)
+        for counts, delta in zip(self.head_counts, deltas):
             diffs = {}
-            counts = self.head_counts[i]
-            for t, d in deltas[i].items():
-                if d == 0:
-                    continue
-                old_c = counts.get(t, 0)
-                new_c = old_c + d
-                if new_c < 0:
-                    raise AssertionError(f"support count underflow for {t}")
-                diffs[t] = (old_c, new_c)
-                if new_c == 0:
-                    counts.pop(t, None)
-                else:
-                    counts[t] = new_c
+            for t, d in delta.items():
+                if d:
+                    old_c = counts.get(t, 0)
+                    new_c = old_c + d
+                    if new_c < 0:
+                        raise AssertionError(f"support count underflow for {t}")
+                    diffs[t] = (old_c, new_c)
+                    if new_c:
+                        counts[t] = new_c
+                    else:
+                        del counts[t]
             report.head_diffs.append(diffs)
-        self.constraint_hits += cdelta
-        report.constraint_delta = cdelta
+        self.constraint_hits += report.constraint_delta
         self.views = dict(new_views)
         return report

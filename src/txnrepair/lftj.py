@@ -46,14 +46,6 @@ class SensEntry:
     ctx: tuple  # values of a prefix of var_order
 
 
-class SensCollector:
-    def __init__(self):
-        self.entries: list = []
-
-    def record(self, vertex, lo, hi, ctx):
-        self.entries.append(SensEntry(vertex, tuple(lo), tuple(hi), tuple(ctx)))
-
-
 @dataclass
 class Stats:
     seeks: int = 0
@@ -212,14 +204,11 @@ class _LevelIter:
 
     def _land(self, lo):
         found = None if self.cur.at_end else self.cur.current()
-        if found is not None and found[: len(self.p)] == self.p:
-            self.key = found[self.q]
-            if self.collector is not None:
-                self.collector.record(self.vertex, lo, found, self.ctx)
-        else:
-            self.key = None
-            if self.collector is not None:
-                self.collector.record(self.vertex, lo, self.view.pad(self.p, low=False), self.ctx)
+        hit = found is not None and found[: len(self.p)] == self.p
+        self.key = found[self.q] if hit else None
+        if self.collector is not None:
+            hi = found if hit else self.view.pad(self.p, low=False)
+            self.collector.append(SensEntry(self.vertex, lo, hi, self.ctx))
 
     def seek(self, c):
         if self.key is not None and self.key >= c:
@@ -260,14 +249,15 @@ def eval_rule(
     compiled: CompiledRule,
     views: dict,
     args: tuple = (),
-    collector: Optional[SensCollector] = None,
+    collector: Optional[list] = None,
     fixed: Optional[dict] = None,
     stats: Optional[Stats] = None,
 ) -> RuleResult:
     """Enumerate all satisfying bindings; instantiate head atoms.
 
     `views` maps vertex names to TreeView objects; `args` binds the rule's
-    `$param` slots, as `Rule.args`. `fixed` pins a prefix of the
+    `$param` slots, as `Rule.args`. A `collector` list gets one
+    `SensEntry` per cursor operation. `fixed` pins a prefix of the
     variable order to given values (membership is still verified), used
     for region-restricted re-evaluation.
     """
@@ -310,7 +300,7 @@ class _Evaluator:
         self.stats.seeks += 1
         cur.seek(t)
         if self.collector is not None:
-            self.collector.record(ca.vertex, t, t, self.ctx(level))
+            self.collector.append(SensEntry(ca.vertex, t, t, self.ctx(level)))
         return (not cur.at_end) and cur.current() == t
 
     def prim_holds(self, p: PrimAtom) -> bool:

@@ -5,9 +5,11 @@ database: an immutable snapshot with corrections (records other
 transactions changed underneath it) path-copied in. Corrections arrive
 as a signal pull: each changed record identity `(pred_id, key)` with its
 current value tuple, or None when the correction is withdrawn.
-Evaluation materializes every rule; repair applies correction changes
-through the per-rule sensitivity indexes, so the cost tracks how much of
-the transaction's reads actually changed.
+Evaluation materializes every rule and indexes the sensitivity intervals
+it records, one interval index per read vertex over every rule. Repair
+stabs that index once with each changed point, a correction's or a
+re-run rule's output, and calls only the rules it hits, so the cost
+tracks how much of the transaction's reads actually changed.
 
 Rules bound from one template (see `rulelang`) share a compiled plan,
 and so do transactions built with one `PlanCache` (the engine keeps one):
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ptree
-from .inclftj import RuleMaintainer
+from .inclftj import IntervalIndex, RuleMaintainer
 from .lftj import Stats, compile_rule
 from .pstore import DbVersion, PredicateSig, Schema
 from .rulelang import atom_terms
@@ -86,12 +88,11 @@ class TxnOutputs:
 class TxnExec:
     """Evaluate/repair one transaction against a snapshot + corrections."""
 
-    def __init__(self, schema: Schema, rules, txn_id=0, stats: Optional[Stats] = None,
-                 plans: Optional[PlanCache] = None):
+    def __init__(self, schema: Schema, rules, txn_id=0, plans: Optional[PlanCache] = None):
         self.schema = schema
         self.txn_id = txn_id
         self.rules = list(rules)
-        self.stats = stats if stats is not None else Stats()
+        self.stats = Stats()
         self.status = UNEVALUATED
         self.upserted, self._derived_arity = rewrite_for_txn(self.rules, schema)
         self._upserted_ids = sorted((schema.sig(p).pred_id, p) for p in self.upserted)
@@ -99,8 +100,8 @@ class TxnExec:
         plans = plans if plans is not None else PlanCache()
         upserted = frozenset(self.upserted)
         self.compiled = [plans.plan(r, schema, upserted) for r in self.rules]
-        self._reads, self._order = _order_rules(self.rules, self.compiled, self._derived_arity)
-        read = {v.partition(":") for rs in self._reads for v in rs}
+        reads, self._order = _order_rules(self.rules, self.compiled, self._derived_arity)
+        read = {v.partition(":") for rs in reads for v in rs}
         self._db_reads = sorted(p for kind, _, p in read if kind == "db")
         self._end_reads = sorted(p for kind, _, p in read if kind == "end")
         # (key arity, value arity) of each predicate with a db: root, in order
@@ -124,12 +125,17 @@ class TxnExec:
         self._conflicted = 0  # upserted keys with more than one live value
         self._hits = 0  # live constraint violations, summed over the rules
         self.maintainers: list = [None] * len(self.rules)
+        # read vertex -> IntervalIndex of (rule index, SensEntry); a repair
+        # first indexes the (rule index, entries) recorded before it, so a
+        # transaction that is never repaired builds no index
+        self._sens_index = {v: IntervalIndex() for rs in reads for v in rs}
+        self._unindexed: list = []
         # drain state: identities whose own-upsert entry moved, the own
         # roots the last drain reported (None when it reported no deltas),
-        # and per maintainer the entry_log offset reported so far
+        # the key intervals first recorded since then and every one recorded
         self._moved: set = set()
         self._reported: Optional[dict] = None
-        self._sens_offsets = [0] * len(self.rules)
+        self._sens_new: list = []
         self._sens_seen: set = set()
 
     # ---- view construction ----
@@ -165,14 +171,34 @@ class TxnExec:
             m = RuleMaintainer(self.compiled[i], views, self.rules[i].args, stats=self.stats)
             self.maintainers[i] = m
             self._hits += m.constraint_hits
-            self._apply_rule_output(i, self._full_diffs(m))
+            self._record(i, m.entries)
+            self._apply_rule_output(i, [{t: (0, c) for t, c in counts.items()}
+                                        for counts in m.head_counts])
         self._refresh_status()
         return self.outputs()
 
-    def _full_diffs(self, m: RuleMaintainer):
-        return [
-            {t: (0, c) for t, c in counts.items()} for counts in m.head_counts
-        ]
+    def _record(self, rule_idx: int, entries):
+        """Keep one rule's recorded entries for the index, and queue their
+        key intervals over database predicates never queued before."""
+        self._unindexed.append((rule_idx, entries))
+        for e in entries:
+            kind, _, pred = e.vertex.partition(":")
+            if kind == "out":
+                continue
+            karity = self._shape[pred][0]
+            ident = (self.schema.sig(pred).pred_id, e.lo[:karity], e.hi[:karity])
+            if ident not in self._sens_seen:
+                self._sens_seen.add(ident)
+                self._sens_new.append(ident)
+
+    def _stab(self, vertex: str, points, hits: dict):
+        """Add to `hits`, per rule, the entries of `vertex` holding a point."""
+        idx = self._sens_index.get(vertex)
+        if idx is None:
+            return  # no rule reads vertex
+        for t in points:
+            for i, e in idx.stab(t):
+                hits.setdefault(i, []).append(e)
 
     def _apply_rule_output(self, rule_idx: int, head_diffs) -> dict:
         """Fold one rule's head-count transitions into the shared vertex
@@ -237,7 +263,11 @@ class TxnExec:
         snapshot's when the correction is withdrawn."""
         if self.status == UNEVALUATED:
             raise RuntimeError("repair before evaluate")
-        pending: dict = {}
+        for i, entries in self._unindexed:
+            for e in entries:
+                self._sens_index[e.vertex].insert(e.lo, e.hi, (i, e))
+        self._unindexed = []
+        hits: dict = {}  # rule index -> its entries that a changed point stabbed
         for (pred_id, key), value in corr_changes:
             pred = self.schema.sig_by_id(pred_id).name
             if pred not in self._db_root:
@@ -245,22 +275,27 @@ class TxnExec:
             old_val = view_lookup(self._db_view(pred), key)
             if value is None:
                 value = ptree.get(self.base.root(pred_id), key)
+            if value == old_val:
+                continue
             self._db_root[pred] = _put(self._db_root[pred], key, value)
             pts = [key + v for v in (old_val, value) if v is not None]
-            pending.setdefault(f"db:{pred}", []).extend(pts)
+            self._stab(f"db:{pred}", pts, hits)
             if pred in self._end_full and ptree.get(self._own_root.get(pred), key) is None:
                 self._end_full[pred] = _put(self._end_full[pred], key, value)
-                pending.setdefault(f"end:{pred}", []).extend(pts)
+                self._stab(f"end:{pred}", pts, hits)
+        # a rule's points stab only the rules after it in the order; its
+        # re-runs record entries only on vertices no later rule writes, so
+        # the next repair indexes them in time
         for i in self._order:
-            touched = {v: pending[v] for v in self._reads[i] if pending.get(v)}
-            if not touched:
+            stabbed = hits.get(i)
+            if stabbed is None:
                 continue
             views = self._build_views()
-            report = self.maintainers[i].apply_changes(views, touched, stats=self.stats)
+            report = self.maintainers[i].apply_changes(views, stabbed, stats=self.stats)
             self._hits += report.constraint_delta
-            downstream = self._apply_rule_output(i, report.head_diffs)
-            for v, pts in downstream.items():
-                pending.setdefault(v, []).extend(pts)
+            self._record(i, report.entries)
+            for v, pts in self._apply_rule_output(i, report.head_diffs).items():
+                self._stab(v, pts, hits)
         self._refresh_status()
         return self.outputs()
 
@@ -273,7 +308,8 @@ class TxnExec:
     def outputs(self) -> TxnOutputs:
         """Drain what changed since the previous call (since evaluate,
         for the first call)."""
-        return TxnOutputs(self.status, self._delta_changes(), self._sens_changes())
+        sens, self._sens_new = self._sens_new, []
+        return TxnOutputs(self.status, self._delta_changes(), sens)
 
     def _delta_changes(self):
         old = self._reported
@@ -295,26 +331,6 @@ class TxnExec:
             cur = ptree.get(new.get(pred), key)
             if cur != ptree.get(old.get(pred), key):
                 out.append(((pred_id, key), cur))
-        return out
-
-    def _sens_changes(self):
-        """Key-space sensitivity over database predicates absorbed since
-        the last drain."""
-        out = []
-        for i, m in enumerate(self.maintainers):
-            if m is None:
-                continue
-            for e in m.entry_log[self._sens_offsets[i]:]:
-                kind, _, pred = e.vertex.partition(":")
-                if kind not in ("db", "end"):
-                    continue
-                sig = self.schema.sig(pred)
-                karity = sig.arity
-                ident = (sig.pred_id, e.lo[:karity], e.hi[:karity])
-                if ident not in self._sens_seen:
-                    self._sens_seen.add(ident)
-                    out.append(ident)
-            self._sens_offsets[i] = len(m.entry_log)
         return out
 
 

@@ -63,6 +63,14 @@ def test_unknown_priority_mode_is_rejected():
         Engine(SCHEMA, base_db(), EngineConfig(priority_mode="bogus"))
 
 
+def test_negative_height_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="height -1"):
+        Engine(SCHEMA, base_db(), EngineConfig(height=-1))
+    # height 0 is one transaction per epoch
+    rep = Engine(SCHEMA, base_db(), EngineConfig(height=0)).run([bump(0) for _ in range(3)])
+    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (3,)
+
+
 def test_multiple_epochs():
     eng = Engine(SCHEMA, base_db(), EngineConfig(height=2))
     rep = eng.run([bump(0) for _ in range(11)])  # 3 epochs at capacity 4

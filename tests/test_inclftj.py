@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import stab_linear
 from txnrepair.inclftj import (
     IntervalIndex,
     RuleMaintainer,
@@ -59,6 +60,15 @@ def test_minimal_contexts_drops_extensions():
     assert minimal_contexts([SensEntry("v", (0,), (1,), ())] + es) == [()]
 
 
+@given(st.sets(st.lists(st.integers(0, 2), max_size=3).map(tuple), max_size=12))
+@settings(max_examples=300)
+def test_minimal_contexts_vs_prefix_definition(ctxs):
+    """The sorted contexts that extend no other context."""
+    es = [SensEntry("v", (0,), (1,), c) for c in ctxs]
+    want = sorted(c for c in ctxs if not any(d != c and c[: len(d)] == d for d in ctxs))
+    assert minimal_contexts(es) == want
+
+
 SCHEMA = Schema.from_sigs([
     PredicateSig("A", 0, (INT64 := "int64",)),
     PredicateSig("B", 1, (INT64, INT64)),
@@ -84,12 +94,15 @@ def make_views(A, B, C):
 
 def run_maintenance_trial(seed, rounds=3):
     """One randomized maintenance run checked against full re-evaluation
-    after every change batch."""
+    after every change batch. A batch that stabs no recorded entry is not
+    applied, as in a transaction, so the maintainer's kept views lag and a
+    later round re-runs its contexts on them."""
     rnd = random.Random(seed)
     A = set(rnd.sample(range(12), rnd.randint(0, 5)))
     B = set((rnd.randrange(12), rnd.randrange(12)) for _ in range(rnd.randint(0, 10)))
     C = set(rnd.sample(range(12), rnd.randint(0, 5)))
     m = RuleMaintainer(RULE, make_views(A, B, C))
+    entries = list(m.entries)
     for _ in range(rounds):
         target = rnd.choice("ABC")
         changed = {}
@@ -106,7 +119,9 @@ def run_maintenance_trial(seed, rounds=3):
             C ^= {y}
             changed["db:C"] = [(y,)]
         views = make_views(A, B, C)
-        m.apply_changes(views, changed)
+        stabbed = stab_linear(entries, changed)
+        if stabbed:
+            entries += m.apply_changes(views, stabbed).entries
         want = eval_rule(RULE, views).head_counts[0]
         assert m.head_counts[0] == want, (seed, target, m.head_counts[0], want)
 
@@ -128,7 +143,9 @@ def test_constraint_delta_tracks_hits():
 
     m = RuleMaintainer(compiled, views({1: 5}))
     assert m.constraint_hits == 0
-    rep = m.apply_changes(views({1: -3}), {"db:F": [(1, 5), (1, -3)]})
+    entries = list(m.entries)
+    rep = m.apply_changes(views({1: -3}), stab_linear(entries, {"db:F": [(1, 5), (1, -3)]}))
     assert rep.constraint_delta == 1 and m.constraint_hits == 1
-    rep = m.apply_changes(views({1: 2}), {"db:F": [(1, -3), (1, 2)]})
+    entries += rep.entries
+    rep = m.apply_changes(views({1: 2}), stab_linear(entries, {"db:F": [(1, -3), (1, 2)]}))
     assert rep.constraint_delta == -1 and m.constraint_hits == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txnrepair.lftj import SensCollector, Stats, compile_rule, eval_rule
+from txnrepair.lftj import Stats, compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.values import INT64, MINK, TOP
@@ -63,9 +63,9 @@ class TestGoldenTrace:
 
     def test_sens_intervals_on_c(self, golden):
         _, views = golden
-        col = SensCollector()
+        col = []
         eval_rule(COMPILED, views, collector=col)
-        ivals = {(e.lo, e.hi) for e in col.entries
+        ivals = {(e.lo, e.hi) for e in col
                  if e.vertex == "db:C" and e.ctx and e.ctx[0] == 5}
         # [DERIVED] the x=5 probe pattern over C: seeks toward 101, 102,
         # 106 record the gaps between C records as insensitive-free zones
@@ -82,9 +82,9 @@ class TestGoldenTrace:
 
     def test_insert_uncovered_point_is_inert(self, golden):
         _, views = golden
-        col = SensCollector()
+        col = []
         eval_rule(COMPILED, views, collector=col)
-        ivals = [(e.lo, e.hi) for e in col.entries if e.vertex == "db:C"]
+        ivals = [(e.lo, e.hi) for e in col if e.vertex == "db:C"]
         assert not any(lo <= (105,) <= hi for lo, hi in ivals)
         patched_c = TreeView(patch_tree({(105,): ()}, views["db:C"].root), 1)
         res = eval_rule(COMPILED, {**views, "db:C": patched_c})
@@ -136,12 +136,12 @@ def test_sens_soundness(A, B, C, y):
     """Toggling any single C record that alters the join result must land
     inside a recorded C sensitivity interval."""
     views = views_of(make_db(sorted(A), sorted(B), sorted(C)))
-    col = SensCollector()
+    col = []
     base = set(eval_rule(COMPILED, views, collector=col).head_counts[0])
     views2 = views_of(make_db(sorted(A), sorted(B), sorted(set(C) ^ {y})))
     new = set(eval_rule(COMPILED, views2).head_counts[0])
     if new != base:
-        ivals = [(e.lo, e.hi) for e in col.entries if e.vertex == "db:C"]
+        ivals = [(e.lo, e.hi) for e in col if e.vertex == "db:C"]
         assert any(lo <= (y,) <= hi for lo, hi in ivals)
 
 
@@ -161,7 +161,7 @@ def test_eval_leaves_no_cyclic_garbage(golden):
     gc.disable()
     try:
         for _ in range(100):
-            eval_rule(COMPILED, views, collector=SensCollector())
+            eval_rule(COMPILED, views, collector=[])
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import view_scan
 from txnrepair import ptree, txn as txn_module
+from txnrepair.inclftj import IntervalIndex, RuleMaintainer
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED, TxnExec
@@ -243,6 +244,55 @@ def test_out_of_range_upsert_fails_until_repaired_into_range():
     assert got.values() == {(1,): (1,)}
     got.fold(txn.repair(withdrawn((1,))))
     assert got.status == FAILED and got.deltas == {}
+
+
+def test_a_correction_stabs_once_per_changed_point(monkeypatch):
+    """40 single-key bumps share one sensitivity index: a correction to
+    one key stabs it once per changed point, the old record and the new,
+    and only the bump of that key is maintained."""
+    bump = "^bal[$k] = v <- v = bal@start[$k] + 1."
+    rules = [r for k in range(40) for r in parse_rules(bump, SCHEMA, params={"k": k})]
+    txn = TxnExec(SCHEMA, rules)
+    txn.evaluate(make_db({k: 0 for k in range(40)}))
+    stabs, applied = [], []
+    stab, apply_changes = IntervalIndex.stab, RuleMaintainer.apply_changes
+    monkeypatch.setattr(IntervalIndex, "stab", lambda idx, t: stabs.append(t) or stab(idx, t))
+    monkeypatch.setattr(
+        RuleMaintainer, "apply_changes",
+        lambda m, *args, **kw: applied.append(m) or apply_changes(m, *args, **kw),
+    )
+    got = Folded(txn.repair(pulled((7,), (5,))))
+    assert sorted(stabs) == [(7, 0), (7, 5)]
+    assert applied == [txn.maintainers[7]]
+    assert got.values() == {(7,): (6,)}
+    # a correction that leaves the value as it is changes no point
+    stabs.clear()
+    applied.clear()
+    assert txn.repair(pulled((7,), (5,))).deltas == []
+    assert stabs == [] and applied == []
+
+
+def test_a_repair_stabs_the_intervals_of_earlier_re_runs():
+    """A={1, 20} and B={1, 20}: the join skips B between 1 and 20, so no
+    interval of the evaluation holds B(10). Adding A(10) re-runs the rule,
+    which then seeks B to 10; only that re-run's interval holds B(10), so
+    the next repair must find it."""
+    schema = Schema.from_sigs([
+        PredicateSig("A", 0, (INT64,)),
+        PredicateSig("B", 1, (INT64,)),
+        PredicateSig("S", 2, (INT64,), (INT64,)),
+    ])
+    db = DbVersion()
+    for pred in ("A", "B"):
+        for x in (1, 20):
+            db = store_upsert(db, schema.sig(pred), (x,))
+    rules = parse_rules("^S[x] = x <- A(x), B(x).", schema)
+    txn = TxnExec(schema, rules)
+    got = Folded(txn.evaluate(db))
+    got.fold(txn.repair([((0, (10,)), ())]))
+    assert got.values() == {(1,): (1,), (20,): (20,)}
+    got.fold(txn.repair([((1, (10,)), ())]))
+    assert got.values() == {(1,): (1,), (10,): (10,), (20,): (20,)}
 
 
 # ---- path-copied roots against views built from scratch ----
