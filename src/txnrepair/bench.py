@@ -36,7 +36,6 @@ from .pstore import (
     apply_deltas,
     export_snapshot,
     full_scan,
-    store_upsert,
 )
 from .rulelang import parse_rules
 from .txn import EVALUATED, TxnExec
@@ -91,10 +90,9 @@ def gen_sku(cfg: WorkloadConfig) -> Workload:
     share alpha**2 skus in expectation."""
     rng = np.random.default_rng(cfg.seed)
     schema = Schema.from_sigs([PredicateSig("inventory", 0, (INT64,), (INT64,))])
-    db = DbVersion()
-    sig = schema.sig("inventory")
-    for s in range(cfg.n):
-        db = store_upsert(db, sig, (s,), (int(rng.integers(0, 1000)),))
+    db = apply_deltas(
+        DbVersion(), schema, [((0, (s,)), (int(rng.integers(0, 1000)),)) for s in range(cfg.n)]
+    )
     p = min(1.0, cfg.alpha / cfg.n**0.5)
     txns, locksets = [], []
     for _ in range(cfg.txns):
@@ -112,11 +110,8 @@ def gen_sku(cfg: WorkloadConfig) -> Workload:
 def gen_counter_chain(cfg: WorkloadConfig) -> Workload:
     """k transactions forming one dependency chain."""
     schema = Schema.from_sigs([PredicateSig("cnt", 0, (INT64,), (INT64,))])
-    db = DbVersion()
-    sig = schema.sig("cnt")
     nkeys = 1 if cfg.variant == "shared" else cfg.txns
-    for k in range(nkeys):
-        db = store_upsert(db, sig, (k,), (0,))
+    db = apply_deltas(DbVersion(), schema, [((0, (k,)), (0,)) for k in range(nkeys)])
     txns, locksets = [], []
     for i in range(cfg.txns):
         if cfg.variant == "shared":
@@ -147,10 +142,11 @@ def gen_random_rules(cfg: WorkloadConfig) -> Workload:
     nkeys = cfg.n
     sigs = [PredicateSig(f"p{i}", i, (INT64,), (INT64,)) for i in range(npreds)]
     schema = Schema.from_sigs(sigs)
-    db = DbVersion()
-    for s in sigs:
-        for k in range(nkeys):
-            db = store_upsert(db, s, (k,), (rnd.randrange(0, 100),))
+    db = apply_deltas(
+        DbVersion(),
+        schema,
+        [((s.pred_id, (k,)), (rnd.randrange(0, 100),)) for s in sigs for k in range(nkeys)],
+    )
     txns, locksets = [], []
     for _ in range(cfg.txns):
         pred = rnd.choice(sigs).name

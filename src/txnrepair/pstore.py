@@ -12,6 +12,7 @@ its predicate's signature.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -118,16 +119,21 @@ def record_count(db: DbVersion) -> int:
 
 def apply_deltas(db: DbVersion, schema: Schema, changes) -> DbVersion:
     """Upsert each `((pred_id, key), value)` of `changes` into a branch of
-    db, checking key and value against the predicate's signature. It
-    never removes a key, so the key set only grows."""
-    roots = dict(db.roots)
+    db, checking key and value against the predicate's signature. Every
+    change is checked before any is applied; then each predicate takes
+    its upserts in one `ptree.update` walk, a later upsert of a key
+    winning. It never removes a key, so the key set only grows."""
+    upserts = defaultdict(dict)  # pred_id -> {key: value}
     for (pred_id, key), value in changes:
         if value is None:
             raise ValueError(f"apply_deltas takes upserts only, got a removal of {key}")
         sig = schema.sig_by_id(pred_id)
         sig.check_key(key)
         sig.check_value(value)
-        roots[pred_id] = ptree.insert(roots.get(pred_id), key, value)
+        upserts[pred_id][key] = value
+    roots = dict(db.roots)
+    for pred_id, by_key in upserts.items():
+        roots[pred_id], _changed = ptree.update(roots.get(pred_id), sorted(by_key.items()))
     return DbVersion(roots)
 
 

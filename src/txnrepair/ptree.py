@@ -5,15 +5,24 @@ Every update returns a new root; old roots stay valid forever. Cursors
 keep a finger (ancestor stack) so a forward seek costs time proportional
 to the log of the distance travelled, which is what gives the
 O(m log(n/m)) bound for visiting m of n records via seeks.
+
+Writes of many records go through one bulk `update`, built on Adams'
+join (`_link`): it applies m sorted upserts and removals to a tree of n
+records in one walk, in O(m log(n/m + 1)) time, and reports each key
+whose value moved.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterator, Optional
 
 # Weight-balance parameters (delta, gamma) = (3, 2): a classic valid pair.
 _DELTA = 3
 _GAMMA = 2
+
+_first = itemgetter(0)
 
 
 class Node:
@@ -78,6 +87,68 @@ def _balance(key, val, left, right) -> Node:
     return Node(key, val, left, right)
 
 
+def _link(key, val, left, right) -> Node:
+    """Adams' join: one tree of `left`, then (key, val), then `right`,
+    whose keys are all below and all above key. It descends the larger
+    side until the two sides balance, so it costs O(|log(l/r)|) for
+    sides of l and r records."""
+    ls, rs = size(left), size(right)
+    if _DELTA * ls < rs:
+        return _balance(right.key, right.val, _link(key, val, left, right.left), right.right)
+    if _DELTA * rs < ls:
+        return _balance(left.key, left.val, left.left, _link(key, val, left.right, right))
+    return Node(key, val, left, right)
+
+
+def _delete_min(node: Node):
+    if node.left is None:
+        return node.key, node.val, node.right
+    k, v, new_left = _delete_min(node.left)
+    return k, v, _balance(node.key, node.val, new_left, node.right)
+
+
+def _join2(left, right):
+    """`_link` without a middle key: the least key of `right` stands in."""
+    if left is None:
+        return right
+    if right is None:
+        return left
+    k, v, rest = _delete_min(right)
+    return _link(k, v, left, rest)
+
+
+def _build(pairs, lo, hi) -> Node:
+    """Perfectly balanced tree of the sorted pairs[lo:hi], lo < hi."""
+    mid = (lo + hi) // 2
+    k, v = pairs[mid]
+    left = _build(pairs, lo, mid) if lo < mid else None
+    right = _build(pairs, mid + 1, hi) if mid + 1 < hi else None
+    return Node(k, v, left, right)
+
+
+def _put(node, key, val, changed):
+    """One path-copying descent: `node` with key mapped to val, or without
+    key when val is None; returns `node` itself when nothing moved."""
+    if node is None:
+        if val is None:
+            return None
+        changed.append((key, None))
+        return Node(key, val, None, None)
+    k = node.key
+    if key < k:
+        left = _put(node.left, key, val, changed)
+        return node if left is node.left else _balance(k, node.val, left, node.right)
+    if key > k:
+        right = _put(node.right, key, val, changed)
+        return node if right is node.right else _balance(k, node.val, node.left, right)
+    if val == node.val:
+        return node
+    changed.append((key, node.val))
+    if val is None:
+        return _join2(node.left, node.right)
+    return Node(key, val, node.left, node.right)
+
+
 def insert(node: Optional[Node], key, val) -> Node:
     """Insert or replace; returns a new root."""
     if node is None:
@@ -89,33 +160,52 @@ def insert(node: Optional[Node], key, val) -> Node:
     return Node(key, val, node.left, node.right)
 
 
-def _delete_min(node: Node):
-    if node.left is None:
-        return node.key, node.val, node.right
-    k, v, new_left = _delete_min(node.left)
-    return k, v, _balance(node.key, node.val, new_left, node.right)
-
-
 def remove(node: Optional[Node], key) -> Optional[Node]:
     """Remove key if present; returns a new root (or the same tree)."""
+    return _put(node, key, None, [])
+
+
+def update(root: Optional[Node], pairs) -> tuple:
+    """Apply the sorted, distinct `(key, value)` pairs in one walk, a
+    value of None removing its key. Returns the new root and, in key
+    order, `(key, old value or None)` for every key whose value moved;
+    when none moved the root is `root` itself.
+
+    At each node the run of pairs is bisected at the node's key, both
+    halves recurse, and `_link` rejoins them (`_join2` when the node's
+    own key is removed). An empty subtree takes its run as a balanced
+    build, and a single pair is one `_put` descent. m pairs into n
+    records cost O(m log(n/m + 1)) (Blelloch, Ferizovic & Sun, "Just
+    Join for Parallel Ordered Sets", SPAA 2016).
+    """
+    changed: list = []
+    return _update(root, pairs, 0, len(pairs), changed), changed
+
+
+def _update(node, pairs, lo, hi, changed):
+    if lo == hi:
+        return node
+    if hi - lo == 1:
+        key, val = pairs[lo]
+        return _put(node, key, val, changed)
     if node is None:
-        return None
-    if key < node.key:
-        new_left = remove(node.left, key)
-        if new_left is node.left:
-            return node
-        return _balance(node.key, node.val, new_left, node.right)
-    if key > node.key:
-        new_right = remove(node.right, key)
-        if new_right is node.right:
-            return node
-        return _balance(node.key, node.val, node.left, new_right)
-    if node.right is None:
-        return node.left
-    if node.left is None:
-        return node.right
-    k, v, new_right = _delete_min(node.right)
-    return _balance(k, v, node.left, new_right)
+        run = [p for p in pairs[lo:hi] if p[1] is not None]
+        changed += [(k, None) for k, _v in run]
+        return _build(run, 0, len(run)) if run else None
+    key = node.key
+    i = bisect_left(pairs, key, lo, hi, key=_first)
+    j = i + 1 if i < hi and pairs[i][0] == key else i
+    left = _update(node.left, pairs, lo, i, changed)
+    val = node.val
+    if i < j and pairs[i][1] != val:
+        changed.append((key, val))
+        val = pairs[i][1]
+    right = _update(node.right, pairs, j, hi, changed)
+    if val is None:
+        return _join2(left, right)
+    if left is node.left and right is node.right and val is node.val:
+        return node
+    return _link(key, val, left, right)
 
 
 def get(node: Optional[Node], key):
@@ -222,12 +312,4 @@ class Cursor:
 def from_sorted(pairs) -> Optional[Node]:
     """Build a perfectly balanced tree from sorted (key, val) pairs."""
     pairs = list(pairs)
-
-    def build(lo, hi):
-        if lo >= hi:
-            return None
-        mid = (lo + hi) // 2
-        k, v = pairs[mid]
-        return Node(k, v, build(lo, mid), build(mid + 1, hi))
-
-    return build(0, len(pairs))
+    return _build(pairs, 0, len(pairs)) if pairs else None

@@ -8,13 +8,16 @@ relation maps a key to `()`; the endpoints are padded to full key arity
 with MINK/TOP sentinels, so tuple comparison decides membership.
 
 A signal holds its content as one persistent tree, plus a log of the
-identities each publish changed. A reader keeps its offset into the log
-and the root it saw last; a pull compares that root with the current one
-at each identity logged since, and returns each identity whose value
-changed with its current value, or None when it is gone. A relation's
-value is `()`, which is falsy, so absence is always tested with `is
-None`. Sensitivity signals are monotone: publishing a removal or a
-replacement on one is a contract error.
+identities each publish changed. A publish folds its removals and
+insertions into one sorted run and applies it in one tree walk
+(`ptree.update`), which reports the identities it changed. A reader
+keeps its offset into the log and the root it saw last; a pull compares
+that root with the current one at each identity logged since, and
+returns each identity whose value changed with its current value, or
+None when it is gone. A relation's value is `()`, which is falsy, so
+absence is always tested with `is None`. Sensitivity signals are
+monotone: publishing a removal or a replacement on one is a contract
+error.
 """
 
 from __future__ import annotations
@@ -64,32 +67,23 @@ class VersionedSignal:
     def publish(self, inserts=(), removes=()) -> int:
         """Atomically set each `(identity, value)` of `inserts`, after
         dropping each identity of `removes`; returns `latest`."""
+        inserts, removes = list(inserts), list(removes)
         if self.kind == SENS:
             if removes:
                 raise SignalContractError("sensitivity signals are monotone; cannot remove")
             for (_pred_id, lo, hi), _value in inserts:
                 if not lo <= hi:
                     raise SignalContractError(f"interval lo > hi: {lo} > {hi}")
+        final = dict.fromkeys(removes)  # identity -> value it ends with
+        final.update(inserts)
+        pairs = sorted(final.items())
         with self._lock:
-            root = self._root
-            before = {}  # identity -> value held before its first change
-            for ident in removes:
-                present = ptree.get(root, ident)
-                if present is not None:
-                    before.setdefault(ident, present)
-                    root = ptree.remove(root, ident)
-            for ident, value in inserts:
-                present = ptree.get(root, ident)
-                if present == value:
-                    continue
-                if present is not None and self.kind == SENS:
-                    raise SignalContractError("sensitivity signals are monotone; cannot replace")
-                before.setdefault(ident, present)
-                root = ptree.insert(root, ident, value)
-            changed = [i for i, value in before.items() if ptree.get(root, i) != value]
+            root, changed = ptree.update(self._root, pairs)
             if changed:
+                if self.kind == SENS and any(old is not None for _i, old in changed):
+                    raise SignalContractError("sensitivity signals are monotone; cannot replace")
                 self._root = root
-                self._log.extend(changed)
+                self._log += [ident for ident, _old in changed]
             return len(self._log)
 
     @property

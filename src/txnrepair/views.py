@@ -67,10 +67,9 @@ class TreeTupleCursor:
 
 
 def patch_tree(entries, root=None):
-    """`root` with every entry of {key: value_tuple} inserted, by path copy."""
-    for k, v in entries.items():
-        root = ptree.insert(root, tuple(k), v)
-    return root
+    """`root` with every entry of {key: value_tuple} applied in one
+    `ptree.update` walk; a value of None removes its key."""
+    return ptree.update(root, sorted(entries.items()))[0]
 
 
 def view_lookup(view: TreeView, key: tuple) -> Optional[tuple]:

@@ -17,7 +17,7 @@ from txnrepair.bench import (
     run_repair,
     run_serial,
 )
-from txnrepair.pstore import DbVersion, store_upsert
+from txnrepair.pstore import DbVersion, record_count, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED
 from txnrepair.values import SchemaError
@@ -31,6 +31,33 @@ def test_generators_deterministic():
             str(r) for rs in b.txns for r in rs
         ]
         assert a.locksets == b.locksets
+
+
+@pytest.mark.parametrize("name, variant", [
+    ("sku", "shared"), ("counter_chain", "shared"), ("counter_chain", "shift"),
+    ("random_rules", "shared"),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generators_build_the_store_of_per_record_upserts(monkeypatch, name, variant, seed):
+    """Each generator builds its initial store with one `apply_deltas`
+    call; its store and pool equal those of one `store_upsert` per record
+    in the same order."""
+    cfg = WorkloadConfig(name=name, n=64, txns=16, seed=seed, variant=variant)
+    bulk = make_workload(cfg)
+    calls = []
+
+    def upsert_each(db, schema, changes):
+        calls.append(len(changes))
+        for (pred_id, key), value in changes:
+            db = store_upsert(db, schema.sig_by_id(pred_id), key, value)
+        return db
+
+    monkeypatch.setattr(bench, "apply_deltas", upsert_each)
+    each = make_workload(cfg)
+    assert len(calls) == 1 and calls[0] == record_count(bulk.db) > 0
+    assert bench.state_hash(bulk.db, bulk.schema) == bench.state_hash(each.db, each.schema)
+    assert [[str(r) for r in rs] for rs in bulk.txns] == [[str(r) for r in rs] for rs in each.txns]
+    assert bulk.locksets == each.locksets
 
 
 def test_random_rules_honours_txns_and_keys():

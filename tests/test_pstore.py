@@ -81,8 +81,9 @@ def test_export_import_round_trip(entries):
 def test_apply_deltas(schema):
     db = store_upsert(DbVersion(), schema.sig("bal"), (1,), (10,))
     db2 = apply_deltas(db, schema, [
+        ((0, (2,)), (4,)),
         ((0, (1,)), (11,)),
-        ((0, (2,)), (5,)),
+        ((0, (2,)), (5,)),  # a later upsert of a key wins
         ((1, ("a",)), ()),  # a relation record
     ])
     assert store_lookup(db2, schema.sig("bal"), (1,)) == (11,)

@@ -1,7 +1,7 @@
 """Persistent ordered tree vs a dict/sorted-list oracle."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from txnrepair import ptree
@@ -77,6 +77,59 @@ def test_from_sorted(ks):
     pairs = [(k, k * 2) for k in sorted(ks)]
     root = ptree.from_sorted(pairs)
     assert list(ptree.items(root)) == pairs
+    check_balance(root)
+
+
+initial_trees = st.dictionaries(keys, st.integers(0, 5), max_size=120)
+runs = st.dictionaries(keys, st.one_of(st.none(), st.integers(0, 5)), max_size=40)
+
+
+@given(initial_trees, runs, st.booleans())
+@example({}, {4: 9}, False)  # single pairs: one `_put` descent
+@example({5: 0}, {5: None}, False)
+@example({5: 0}, {5: 0}, False)
+@example({5: 0}, {6: None}, False)
+@example(dict.fromkeys(range(0, 200, 3), 1), {9: None}, True)
+@example(dict.fromkeys(range(0, 200, 3), 1), {10: 2}, True)
+@settings(max_examples=300)
+def test_update_vs_dict(initial, run, by_inserts):
+    """One bulk update of mixed upserts (equal values among them) and
+    removals (absent keys among them) equals the dict model, keeps every
+    node balanced, reports exactly the keys whose value moved with their
+    old values, and returns the same root when none moved."""
+    pairs = sorted(initial.items())
+    root = build(pairs) if by_inserts else ptree.from_sorted(pairs)
+    new, changed = ptree.update(root, sorted(run.items()))
+    model = dict(initial)
+    for k, v in run.items():
+        if v is None:
+            model.pop(k, None)
+        else:
+            model[k] = v
+    assert list(ptree.items(new)) == sorted(model.items())
+    check_balance(new)
+    assert changed == [(k, initial.get(k)) for k in sorted(run) if model.get(k) != initial.get(k)]
+    assert (new is root) == (not changed)
+    assert list(ptree.items(root)) == pairs  # old version untouched
+
+
+sides = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 8, 100, 2000]), st.integers(0, 2000))
+
+
+@given(sides, sides, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_link_skewed_sides(ls, rs, middle):
+    """`_link` and `_join2` of balanced sides of any two sizes from 0 to
+    2 000 give a balanced tree of their keys in order."""
+    left = build([(k, k) for k in range(ls)])  # ascending inserts: not a perfect shape
+    right = ptree.from_sorted([(k, k) for k in range(ls + 1, ls + 1 + rs)])
+    if middle:
+        root = ptree._link(ls, ls, left, right)
+        expect = list(range(ls + 1 + rs))
+    else:
+        root = ptree._join2(left, right)
+        expect = [k for k in range(ls + 1 + rs) if k != ls]
+    assert [k for k, _v in ptree.items(root)] == expect
     check_balance(root)
 
 

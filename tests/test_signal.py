@@ -181,6 +181,44 @@ def test_interval_lo_gt_hi_rejected():
     assert sig.latest == 0
 
 
+@pytest.mark.parametrize("kind, items", [
+    ("delta", [((0, (1,)), (10,)), ((0, (2,)), ())]),
+    ("corr", [((0, (1,)), (10,)), ((1, (0,)), (3,))]),
+    ("sens", [((0, (1,), (5,)), ()), ((1, (0,), (0,)), ())]),
+])
+def test_publish_takes_generators(kind, items):
+    """Generators are read once, whatever the kind: a sensitivity check
+    does not use up the inserts, and an empty removal generator removes
+    nothing."""
+    sig = VersionedSignal(kind)
+    assert sig.publish((item for item in items), (ident for ident in ())) == len(items)
+    assert list(sig.items()) == sorted(items)
+
+
+def test_publish_inserts_win_over_removes_and_later_inserts_win():
+    """Within one publish an identity both removed and inserted ends up
+    inserted, and of two inserts of one identity the later stays."""
+    sig = VersionedSignal("delta")
+    cur = SignalCursor(sig)
+    sig.publish(inserts=[((0, (1,)), (1,)), ((0, (2,)), (2,))])
+    cur.pull()
+    sig.publish(
+        inserts=[((0, (1,)), (5,)), ((0, (3,)), (7,)), ((0, (3,)), (8,))],
+        removes=[(0, (1,)), (0, (2,))],
+    )
+    assert _content(sig) == {(0, (1,)): (5,), (0, (3,)): (8,)}
+    assert cur.pull() == [((0, (1,)), (5,)), ((0, (2,)), None), ((0, (3,)), (8,))]
+
+
+def test_sens_replace_rejected_before_swap():
+    sig = VersionedSignal("sens")
+    interval = (0, (1,), (5,))
+    v = sig.publish(inserts=[(interval, ())])
+    with pytest.raises(SignalContractError):
+        sig.publish(inserts=[((0, (0,), (0,)), ()), (interval, (1,))])
+    assert sig.latest == v and _content(sig) == {interval: ()}
+
+
 class TestCursor:
     def test_pull_is_incremental(self):
         sig = VersionedSignal("delta")
