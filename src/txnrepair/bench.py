@@ -109,6 +109,8 @@ def gen_sku(cfg: WorkloadConfig) -> Workload:
 
 def gen_counter_chain(cfg: WorkloadConfig) -> Workload:
     """k transactions forming one dependency chain."""
+    if cfg.variant not in ("shared", "shift"):
+        raise ValueError(f"counter_chain variant must be shared or shift, got {cfg.variant!r}")
     schema = Schema.from_sigs([PredicateSig("cnt", 0, (INT64,), (INT64,))])
     nkeys = 1 if cfg.variant == "shared" else cfg.txns
     db = apply_deltas(DbVersion(), schema, [((0, (k,)), (0,)) for k in range(nkeys)])
@@ -342,7 +344,8 @@ def main(argv=None) -> int:
     ap.add_argument("--txns", type=int, default=64)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--variant", default="shared", help="counter_chain: shared|shift")
+    ap.add_argument("--variant", default="shared", choices=["shared", "shift"],
+                    help="counter_chain chain shape")
     ap.add_argument("--priority-mode", choices=["earliest", "inverted"], default="earliest")
     ap.add_argument("--height", type=int, default=5, help="circuit tree height")
     ap.add_argument("--modes", default="serial,lock,repair",

@@ -142,8 +142,9 @@ class MaintainReport:
 
 
 class RuleMaintainer:
-    """Holds one rule's materialized result; `args` binds the compiled
-    template's `$param` slots (`Rule.args`).
+    """Holds one rule's materialized result over `views`, a map from each
+    read vertex to its `ptree` root as `eval_rule` takes it; `args` binds
+    the compiled template's `$param` slots (`Rule.args`).
 
     The maintainer keeps no index of its sensitivity: `entries` are those
     of the full evaluation, each report carries those of its re-runs, and

@@ -31,7 +31,8 @@ from .rulelang import (
     atom_vertex,
     choose_variable_order,
 )
-from .values import SchemaError
+from . import ptree
+from .values import MINK, TOP, SchemaError
 
 
 @dataclass
@@ -78,7 +79,9 @@ class CompiledRule:
 
 
 def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
-    """Plan `rule`; atoms of `upserted` predicates read their end state."""
+    """Plan `rule`; atoms of `upserted` predicates read their end state.
+    Rejects a variable that no positive atom enumerates and no primitive
+    computes, whatever the data."""
     var_order = tuple(choose_variable_order(rule))
     level_of = {v: i for i, v in enumerate(var_order)}
 
@@ -172,6 +175,10 @@ def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
                     continue
         plans[lvl].checks.append(("prim", p))
 
+    for plan in plans:
+        if not plan.joiners and not plan.compute:
+            raise SchemaError(f"variable {plan.var} has no enumerable source")
+
     return CompiledRule(
         heads=tuple(atom_terms(h.atom) for h in rule.head),
         var_order=var_order,
@@ -183,51 +190,63 @@ def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
 
 
 class _LevelIter:
-    """Distinct-component iterator of one atom under a fixed tuple prefix;
-    records each landing's sensitivity under `ctx` when collecting."""
+    """Distinct-component iterator of one atom's root under a fixed tuple
+    prefix; records each landing's sensitivity under `ctx` when collecting.
+    A target is padded to the atom's arity and sought by its key part; one
+    key holds one value, so a matched key with a lower value steps on."""
 
-    __slots__ = ("view", "cur", "p", "q", "key", "stats", "collector", "vertex", "ctx")
+    __slots__ = ("cur", "karity", "p", "q", "lows", "highs", "key", "stats", "collector",
+                 "vertex", "ctx")
 
-    def __init__(self, view, p: tuple, q: int, stats, collector, vertex, ctx):
-        self.view = view
+    def __init__(self, root, atom: CompiledAtom, p: tuple, stats, collector, ctx):
+        self.cur = ptree.Cursor(root)
+        self.karity = atom.karity
         self.p = p
-        self.q = q
+        self.q = q = len(p)
+        # padding of a target past its component, below or above every value
+        n = len(atom.pattern) - q - 1
+        self.lows = (MINK,) * n
+        self.highs = (TOP,) * n
         self.stats = stats
         self.collector = collector
-        self.vertex = vertex
+        self.vertex = atom.vertex
         self.ctx = ctx
-        self.cur = view.cursor()
-        lo = view.pad(p)
-        stats.seeks += 1
-        self.cur.seek(lo)
+        self._seek(p + (MINK,) + self.lows)
+
+    def _seek(self, lo):
+        self.stats.seeks += 1
+        cur, karity = self.cur, self.karity
+        kt = lo[:karity]
+        cur.seek(kt)
+        if not cur.at_end and cur.key == kt and cur.val < lo[karity:]:
+            cur.next()
         self._land(lo)
 
     def _land(self, lo):
-        found = None if self.cur.at_end else self.cur.current()
-        hit = found is not None and found[: len(self.p)] == self.p
+        cur = self.cur
+        p = self.p
+        found = None if cur.at_end else cur.key + cur.val
+        hit = found is not None and found[: self.q] == p
         self.key = found[self.q] if hit else None
         if self.collector is not None:
-            hi = found if hit else self.view.pad(self.p, low=False)
+            hi = found if hit else p + (TOP,) + self.highs
             self.collector.append(SensEntry(self.vertex, lo, hi, self.ctx))
 
     def seek(self, c):
         if self.key is not None and self.key >= c:
             return
-        lo = self.view.pad(self.p + (c,))
-        self.stats.seeks += 1
-        self.cur.seek(lo)
-        self._land(lo)
+        self._seek(self.p + (c,) + self.lows)
 
     def next(self):
         # past every tuple sharing the current component
-        lo = self.view.pad(self.p + (self.key,), low=False)
-        self.stats.seeks += 1
-        if len(self.p) + 1 == self.view.arity:
-            # the component is the last position: one tuple per component
-            self.cur.next()
+        lo = self.p + (self.key,) + self.highs
+        if self.highs:
+            self._seek(lo)
         else:
-            self.cur.seek(lo)
-        self._land(lo)
+            # the component is the last position: one tuple per component
+            self.stats.seeks += 1
+            self.cur.next()
+            self._land(lo)
 
 
 _by_key = operator.attrgetter("key")
@@ -255,7 +274,8 @@ def eval_rule(
 ) -> RuleResult:
     """Enumerate all satisfying bindings; instantiate head atoms.
 
-    `views` maps vertex names to TreeView objects; `args` binds the rule's
+    `views` maps vertex names to `ptree` roots (key -> value tuple); an
+    atom's `CompiledAtom` says where its key ends. `args` binds the rule's
     `$param` slots, as `Rule.args`. A `collector` list gets one
     `SensEntry` per cursor operation. `fixed` pins a prefix of the
     variable order to given values (membership is still verified), used
@@ -296,12 +316,10 @@ class _Evaluator:
     def probe(self, ca: CompiledAtom, level) -> bool:
         """Exact-presence test with point sensitivity."""
         t = tuple(self.val(x) for x in ca.pattern)
-        cur = self.views[ca.vertex].cursor()
         self.stats.seeks += 1
-        cur.seek(t)
         if self.collector is not None:
             self.collector.append(SensEntry(ca.vertex, t, t, self.ctx(level)))
-        return (not cur.at_end) and cur.current() == t
+        return ptree.get(self.views[ca.vertex], t[: ca.karity]) == t[ca.karity:]
 
     def prim_holds(self, p: PrimAtom) -> bool:
         neg = p.op.startswith("not:")
@@ -370,11 +388,10 @@ class _Evaluator:
             atom = compiled.atoms[ai]
             iters.append(_LevelIter(
                 self.views[atom.vertex],
+                atom,
                 tuple(self.val(t) for t in atom.pattern[:q]),
-                q,
                 self.stats,
                 self.collector,
-                atom.vertex,
                 ctx,
             ))
         if plan.var in self.fixed:
@@ -383,8 +400,6 @@ class _Evaluator:
         if plan.compute:
             self.try_value(plan, level, iters, self.compute_value(plan.compute[0], plan.var))
             return
-        if not iters:
-            raise SchemaError(f"variable {plan.var} has no enumerable source")
         # leapfrog intersection over distinct component values
         for it in iters:
             if it.key is None:

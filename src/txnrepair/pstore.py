@@ -57,6 +57,10 @@ class Schema:
         for sig in self.predicates:
             if sig.name in by_name:
                 raise SchemaError(f"duplicate predicate {sig.name}")
+            if sig.pred_id in by_id:
+                raise SchemaError(
+                    f"predicates {by_id[sig.pred_id].name} and {sig.name} share pred_id {sig.pred_id}"
+                )
             by_name[sig.name] = sig
             by_id[sig.pred_id] = sig
         object.__setattr__(self, "_by_name", by_name)

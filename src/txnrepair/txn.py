@@ -21,8 +21,8 @@ Evaluation and repair run the rules in dependency order, read off their
 plans: a rule runs after every rule that writes a vertex it reads
 (`rulelang.atom_vertex`), ties broken by rule index.
 
-The branch is one persistent `ptree` root per view, and a rule reads
-each as a plain `TreeView`:
+The branch is one persistent `ptree` root per view, and a rule's join
+reads each root directly:
 - `db:p`, for every predicate some rule reads or upserts, is the
   snapshot's root of p with each correction put in; a withdrawn
   correction puts the snapshot's value back (corrections to other
@@ -66,7 +66,7 @@ from .lftj import Stats, compile_rule
 from .pstore import DbVersion, PredicateSig, Schema
 from .rulelang import atom_terms
 from .values import SchemaError
-from .views import TreeView, patch_tree, view_lookup
+from .views import patch_tree, view_lookup
 
 UNEVALUATED = "unevaluated"
 EVALUATED = "evaluated"
@@ -104,11 +104,8 @@ class TxnExec:
         read = {v.partition(":") for rs in reads for v in rs}
         self._db_reads = sorted(p for kind, _, p in read if kind == "db")
         self._end_reads = sorted(p for kind, _, p in read if kind == "end")
-        # (key arity, value arity) of each predicate with a db: root, in order
-        self._shape = {
-            p: (schema.sig(p).arity, len(schema.sig(p).value_types))
-            for p in sorted({p for kind, _, p in read if kind != "out"} | set(self.upserted))
-        }
+        # the predicates with a db: root
+        self._db_preds = sorted({p for kind, _, p in read if kind != "out"} | set(self.upserted))
         self.base: Optional[DbVersion] = None
         # delta support: pred name -> {key: {value: count}}
         self._delta_support: dict = {}
@@ -140,15 +137,12 @@ class TxnExec:
 
     # ---- view construction ----
 
-    def _db_view(self, pred: str) -> TreeView:
-        return TreeView(self._db_root[pred], *self._shape[pred])
-
     def _build_views(self) -> dict:
-        views = {f"db:{pred}": self._db_view(pred) for pred in self._db_reads}
+        views = {f"db:{pred}": self._db_root[pred] for pred in self._db_reads}
         for pred in self._end_reads:
-            views[f"end:{pred}"] = TreeView(self._end_full[pred], *self._shape[pred])
+            views[f"end:{pred}"] = self._end_full[pred]
         for pred, root in self._out_root.items():
-            views[f"out:{pred}"] = TreeView(root, self._derived_arity[pred], 0)
+            views[f"out:{pred}"] = root
         return views
 
     # ---- evaluation ----
@@ -162,7 +156,7 @@ class TxnExec:
         patches: dict = {}  # pred_id -> {key: value}
         for (pred_id, key), value in corrections:
             patches.setdefault(pred_id, {})[key] = value
-        for pred in self._shape:
+        for pred in self._db_preds:
             pred_id = self.schema.sig(pred).pred_id
             self._db_root[pred] = patch_tree(patches.get(pred_id, {}), base.root(pred_id))
         self._end_full = {pred: self._db_root[pred] for pred in self._end_reads}
@@ -185,8 +179,8 @@ class TxnExec:
             kind, _, pred = e.vertex.partition(":")
             if kind == "out":
                 continue
-            karity = self._shape[pred][0]
-            ident = (self.schema.sig(pred).pred_id, e.lo[:karity], e.hi[:karity])
+            sig = self.schema.sig(pred)
+            ident = (sig.pred_id, e.lo[: sig.arity], e.hi[: sig.arity])
             if ident not in self._sens_seen:
                 self._sens_seen.add(ident)
                 self._sens_new.append(ident)
@@ -272,7 +266,7 @@ class TxnExec:
             pred = self.schema.sig_by_id(pred_id).name
             if pred not in self._db_root:
                 continue  # no rule reads or upserts pred
-            old_val = view_lookup(self._db_view(pred), key)
+            old_val = view_lookup(self._db_root[pred], key)
             if value is None:
                 value = ptree.get(self.base.root(pred_id), key)
             if value == old_val:

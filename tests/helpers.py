@@ -1,12 +1,12 @@
 """Helpers shared by the test modules."""
 
+from txnrepair import ptree
 
-def view_scan(view):
-    """Every full tuple of a view, in order."""
-    cur = view.cursor()
-    while not cur.at_end:
-        yield cur.current()
-        cur.next()
+
+def view_scan(root):
+    """Every full tuple (key + value) of a view's root, in order."""
+    for key, value in ptree.items(root):
+        yield key + value
 
 
 def stab_linear(entries, changed):

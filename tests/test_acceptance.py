@@ -31,7 +31,7 @@ from txnrepair.lftj import compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_lookup, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.values import INT64, MINK
-from txnrepair.views import TreeView, patch_tree
+from txnrepair.views import patch_tree
 
 
 def report(n, desc, ok):
@@ -95,9 +95,9 @@ def test_criterion_3_golden_trace():
         db = store_upsert(db, schema.sig("C"), (y,))
     compiled = compile_rule(parse_rules("D(x, y) <- A(x), B(x, y), C(y).")[0], schema)
     views = {
-        "db:A": TreeView(db.root(0), 1),
-        "db:B": TreeView(db.root(1), 2),
-        "db:C": TreeView(db.root(2), 1),
+        "db:A": db.root(0),
+        "db:B": db.root(1),
+        "db:C": db.root(2),
     }
     col = []
     base = set(eval_rule(compiled, views, collector=col).head_counts[0])
@@ -106,11 +106,11 @@ def test_criterion_3_golden_trace():
     all_c = [(e.lo, e.hi) for e in col if e.vertex == "db:C"]
     with_102 = set(eval_rule(
         compiled,
-        {**views, "db:C": TreeView(patch_tree({(102,): ()}, views["db:C"].root), 1)},
+        {**views, "db:C": patch_tree({(102,): ()}, views["db:C"])},
     ).head_counts[0])
     with_105 = set(eval_rule(
         compiled,
-        {**views, "db:C": TreeView(patch_tree({(105,): ()}, views["db:C"].root), 1)},
+        {**views, "db:C": patch_tree({(105,): ()}, views["db:C"])},
     ).head_counts[0])
     ok = (
         base == {(5, 101)}
@@ -142,9 +142,9 @@ def test_criterion_4_maintenance_equivalence():
         for y in C:
             db = store_upsert(db, schema.sig("C"), (y,))
         return {
-            "db:A": TreeView(db.root(0), 1),
-            "db:B": TreeView(db.root(1), 2),
-            "db:C": TreeView(db.root(2), 1),
+            "db:A": db.root(0),
+            "db:B": db.root(1),
+            "db:C": db.root(2),
         }
 
     bad = 0

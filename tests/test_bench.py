@@ -91,6 +91,13 @@ def test_counter_chain_shift_variant():
     assert vals == {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
 
 
+def test_counter_chain_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="variant must be shared or shift, got 'bogus'"):
+        make_workload(WorkloadConfig(name="counter_chain", txns=2, variant="bogus"))
+    with pytest.raises(SystemExit):
+        main(["--workload", "counter_chain", "--variant", "bogus"])
+
+
 def test_three_executors_agree():
     wl = make_workload(WorkloadConfig(name="sku", n=80, alpha=2.0, txns=12, seed=5))
     serial = run_serial(wl)

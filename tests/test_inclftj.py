@@ -15,7 +15,6 @@ from txnrepair.inclftj import (
 from txnrepair.lftj import SensEntry, compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
-from txnrepair.views import TreeView
 
 ival = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
     lambda t: (min(t), max(t))
@@ -86,9 +85,9 @@ def make_views(A, B, C):
     for y in C:
         db = store_upsert(db, SCHEMA.sig("C"), (y,))
     return {
-        "db:A": TreeView(db.root(0), 1),
-        "db:B": TreeView(db.root(1), 2),
-        "db:C": TreeView(db.root(2), 1),
+        "db:A": db.root(0),
+        "db:B": db.root(1),
+        "db:C": db.root(2),
     }
 
 
@@ -139,7 +138,7 @@ def test_constraint_delta_tracks_hits():
         db = DbVersion()
         for k, v in entries.items():
             db = store_upsert(db, schema.sig("F"), (k,), (v,))
-        return {"db:F": TreeView(db.root(0), 1, 1)}
+        return {"db:F": db.root(0)}
 
     m = RuleMaintainer(compiled, views({1: 5}))
     assert m.constraint_hits == 0

@@ -3,16 +3,18 @@ soundness."""
 
 import gc
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txnrepair.lftj import Stats, compile_rule, eval_rule
+from txnrepair import ptree
+from txnrepair.lftj import CompiledAtom, SensEntry, Stats, _LevelIter, compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
-from txnrepair.rulelang import parse_rules
+from txnrepair.rulelang import Var, parse_rules
 from txnrepair.values import INT64, MINK, TOP
-from txnrepair.views import TreeView, patch_tree
+from txnrepair.views import patch_tree
 
 SCHEMA = Schema.from_sigs([
     PredicateSig("A", 0, (INT64,)),
@@ -36,9 +38,9 @@ def make_db(A, B, C):
 
 def views_of(db):
     return {
-        "db:A": TreeView(db.root(0), 1),
-        "db:B": TreeView(db.root(1), 2),
-        "db:C": TreeView(db.root(2), 1),
+        "db:A": db.root(0),
+        "db:B": db.root(1),
+        "db:C": db.root(2),
     }
 
 
@@ -75,7 +77,7 @@ class TestGoldenTrace:
 
     def test_insert_covered_point_changes_result(self, golden):
         _, views = golden
-        patched_c = TreeView(patch_tree({(102,): ()}, views["db:C"].root), 1)
+        patched_c = patch_tree({(102,): ()}, views["db:C"])
         res = eval_rule(COMPILED, {**views, "db:C": patched_c})
         # 102 lies in the recorded [102,104] interval: result gains (5,102)
         assert set(res.head_counts[0]) == {(5, 101), (5, 102)}
@@ -86,7 +88,7 @@ class TestGoldenTrace:
         eval_rule(COMPILED, views, collector=col)
         ivals = [(e.lo, e.hi) for e in col if e.vertex == "db:C"]
         assert not any(lo <= (105,) <= hi for lo, hi in ivals)
-        patched_c = TreeView(patch_tree({(105,): ()}, views["db:C"].root), 1)
+        patched_c = patch_tree({(105,): ()}, views["db:C"])
         res = eval_rule(COMPILED, {**views, "db:C": patched_c})
         assert set(res.head_counts[0]) == {(5, 101)}
 
@@ -108,13 +110,108 @@ def test_constraint_and_negation():
     db = store_upsert(db, schema.sig("F"), (2,), (-5,))
     db = store_upsert(db, schema.sig("R"), (2,))
     views = {
-        "db:F": TreeView(db.root(0), 1, 1),
-        "db:R": TreeView(db.root(1), 1),
+        "db:F": db.root(0),
+        "db:R": db.root(1),
     }
     (constraint,) = parse_rules("false <- F[k] = v, v < 0.", schema)
     assert eval_rule(compile_rule(constraint, schema), views).constraint_hits == 1
     (guarded,) = parse_rules("S(k) <- F[k] = v, !R(k), v > 0.", schema)
     assert set(eval_rule(compile_rule(guarded, schema), views).head_counts[0]) == {(1,)}
+
+
+FR_SCHEMA = Schema.from_sigs([
+    PredicateSig("F", 0, (INT64,), (INT64,)),
+    PredicateSig("R", 1, (INT64, INT64)),
+])
+
+
+@pytest.mark.parametrize("text, vertex, t, hits", [
+    ("false <- F[1] = 10.", "db:F", (1, 10), 1),  # present tuple
+    ("false <- F[2] = 10.", "db:F", (2, 10), 0),  # absent key
+    ("false <- F[1] = 11.", "db:F", (1, 11), 0),  # the key holds another value
+    ("false <- !F[1] = 11.", "db:F", (1, 11), 1),
+    ("false <- R(1, 2).", "db:R", (1, 2), 1),
+    ("false <- R(1, 3).", "db:R", (1, 3), 0),
+    ("false <- !R(1, 3).", "db:R", (1, 3), 1),
+])
+def test_probe(text, vertex, t, hits):
+    """A membership probe reads the root by key, compares the value and
+    records the probed tuple as a point."""
+    db = store_upsert(DbVersion(), FR_SCHEMA.sig("F"), (1,), (10,))
+    db = store_upsert(db, FR_SCHEMA.sig("R"), (1, 2))
+    views = {"db:F": db.root(0), "db:R": db.root(1)}
+    compiled = compile_rule(parse_rules(text, FR_SCHEMA)[0], FR_SCHEMA)
+    col = []
+    assert eval_rule(compiled, views, collector=col).constraint_hits == hits
+    assert col == [SensEntry(vertex, t, t, ())]
+
+
+F_ATOM = CompiledAtom("db:F", (Var("k"), Var("v")), 1)
+
+
+def level_iter(entries, p):
+    root = ptree.from_sorted([((k,), (v,)) for k, v in sorted(entries.items())])
+    col = []
+    return _LevelIter(root, F_ATOM, p, Stats(), col, ()), col
+
+
+def test_level_iter_seek_in_value_part():
+    """At the value position a seek past the key's one value leaves the
+    prefix, though the key matches; at the key position the value part
+    of a target is padding."""
+    it, col = level_iter({1: 10, 2: 20}, (1,))
+    assert it.key == 10
+    it.seek(5)  # below the current component: no operation
+    it.seek(50)
+    assert it.key is None
+    assert [(e.lo, e.hi) for e in col] == [((1, MINK), (1, 10)), ((1, 50), (1, TOP))]
+    it, col = level_iter({1: 10, 3: 30}, ())
+    it.seek(2)
+    assert it.key == 3
+    it.next()
+    assert it.key is None
+    assert [(e.lo, e.hi) for e in col[1:]] == [((2, MINK), (3, 30)), ((3, TOP), (TOP, TOP))]
+
+
+@given(st.dictionaries(st.integers(0, 15), st.integers(0, 9), max_size=10),
+       st.one_of(st.none(), st.integers(0, 15)),
+       st.lists(st.one_of(st.none(), st.integers(0, 16)), max_size=8))
+@settings(max_examples=300)
+def test_level_iter_seeks_match_bisect(entries, k0, ops):
+    """Over a function F[k] = v, at the key position (no prefix) and at
+    the value position (prefix k0): each landing and its recorded (lo, hi)
+    are those of a bisect over the sorted full tuples. An op is a seek to
+    a component, or None for next; the join drops an iterator once it
+    misses, and so does this walk."""
+    tuples = sorted(entries.items())
+    p = () if k0 is None else (k0,)
+    pad = 1 - len(p)  # positions after the component
+
+    def landing(lo, after):
+        i = (bisect_right if after else bisect_left)(tuples, lo)
+        found = tuples[i] if i < len(tuples) else None
+        if found is not None and found[: len(p)] == p:
+            return found[len(p)], (lo, found)
+        return None, (lo, p + (TOP,) * (pad + 1))
+
+    it, col = level_iter(entries, p)
+    key, entry = landing(p + (MINK,) * (pad + 1), False)
+    want = [entry]
+    for c in ops:
+        assert it.key == key and [(e.lo, e.hi) for e in col] == want
+        if key is None:
+            return
+        if c is None:
+            it.next()
+            key, entry = landing(p + (key,) + (TOP,) * pad, True)
+        elif c > key:
+            it.seek(c)
+            key, entry = landing(p + (c,) + (MINK,) * pad, False)
+        else:
+            it.seek(c)
+            continue
+        want.append(entry)
+    assert it.key == key and [(e.lo, e.hi) for e in col] == want
 
 
 rels = st.sets(st.integers(0, 19), max_size=8)

@@ -39,6 +39,11 @@ def test_schema_rejects_duplicates():
             PredicateSig("p", 0, (INT64,)),
             PredicateSig("p", 1, (INT64,)),
         ])
+    with pytest.raises(SchemaError, match="predicates a and b share pred_id 0"):
+        Schema.from_sigs([
+            PredicateSig("a", 0, (INT64,)),
+            PredicateSig("b", 0, (INT64,)),
+        ])
 
 
 def test_snapshots_are_immutable(schema):

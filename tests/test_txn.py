@@ -14,7 +14,7 @@ from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED, TxnExec
 from txnrepair.values import INT64, SchemaError
-from txnrepair.views import TreeView, view_lookup
+from txnrepair.views import view_lookup
 
 SCHEMA = Schema.from_sigs([PredicateSig("bal", 0, (INT64,), (INT64,))])
 
@@ -338,10 +338,8 @@ def scratch_views(txn, model):
     snapshot, the correction model's content and the transaction's
     support counts."""
 
-    def view(pred, content):
-        sig = txn.schema.sig(pred)
-        root = ptree.from_sorted(sorted(content.items()))
-        return TreeView(root, sig.arity, len(sig.value_types))
+    def view(content):
+        return ptree.from_sorted(sorted(content.items()))
 
     def db_content(pred):
         pred_id = txn.schema.sig(pred).pred_id
@@ -350,18 +348,16 @@ def scratch_views(txn, model):
                        for (pid, key), value in model.content.items() if pid == pred_id)
         return content
 
-    views = {f"db:{pred}": view(pred, db_content(pred)) for pred in txn._db_reads}
+    views = {f"db:{pred}": view(db_content(pred)) for pred in txn._db_reads}
     for pred in txn._end_reads:
         content = db_content(pred)
         for key, vals in txn._delta_support.get(pred, {}).items():
             live = [v for v, c in vals.items() if c > 0]
             if len(live) == 1:
                 content[key] = live[0]
-        views[f"end:{pred}"] = view(pred, content)
+        views[f"end:{pred}"] = view(content)
     for pred, support in txn._out_support.items():
-        tuples = sorted(t for t, c in support.items() if c > 0)
-        root = ptree.from_sorted([(t, ()) for t in tuples])
-        views[f"out:{pred}"] = TreeView(root, txn._derived_arity[pred], 0)
+        views[f"out:{pred}"] = view({t: () for t, c in support.items() if c > 0})
     return views
 
 
@@ -558,6 +554,19 @@ def test_upsert_outside_schema_rejected():
 def test_cyclic_rules_rejected(text):
     with pytest.raises(SchemaError, match="cyclic"):
         TxnExec(SCHEMA, parse_rules(text, SCHEMA))
+
+
+@pytest.mark.parametrize("text", [
+    "q(y) <- A(z), y = x + 1.",
+    "false <- A(z), x > 3.",
+])
+def test_unsourced_variable_rejected_at_construction(text):
+    """x has no atom to enumerate it and no primitive computing it: the
+    transaction is rejected when built, so whether a store's records
+    would reach x makes no difference."""
+    schema = Schema.from_sigs([PredicateSig("A", 0, (INT64,))])
+    with pytest.raises(SchemaError, match="variable x has no enumerable source"):
+        TxnExec(schema, parse_rules(text, schema))
 
 
 @pytest.mark.parametrize("amount, status", [(10, FAILED), (3, EVALUATED)])

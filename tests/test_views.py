@@ -1,16 +1,15 @@
-"""Sorted full-tuple views over persistent roots, and patched copies of them."""
+"""Views as persistent roots, and patched copies of them."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import view_scan
 from txnrepair import ptree
-from txnrepair.views import TreeView, patch_tree, view_lookup
+from txnrepair.views import patch_tree, view_lookup
 
 
-def tree_view(entries, karity=1, varity=1):
-    root = ptree.from_sorted(sorted(entries.items()))
-    return TreeView(root, karity, varity)
+def tree_view(entries):
+    return ptree.from_sorted(sorted(entries.items()))
 
 
 def test_tree_view_scan_and_lookup():
@@ -20,13 +19,9 @@ def test_tree_view_scan_and_lookup():
     assert view_lookup(v, (2,)) is None
 
 
-def patched(base: TreeView, patch) -> TreeView:
-    return TreeView(patch_tree(patch, base.root), base.karity, base.varity)
-
-
 def test_overlay_patch_wins():
     base = tree_view({(1,): (10,), (2,): (20,)})
-    pv = patched(base, {(2,): (99,)})
+    pv = patch_tree({(2,): (99,)}, base)
     assert list(view_scan(pv)) == [(1, 10), (2, 99)]
     assert list(view_scan(base)) == [(1, 10), (2, 20)]  # a path copy
 
@@ -34,20 +29,10 @@ def test_overlay_patch_wins():
 def test_overlay_nested():
     """A patch of a patched root, as an end: root over its db: root."""
     base = tree_view({(1,): (10,)})
-    mid = patched(base, {(2,): (20,)})
-    top = patched(mid, {(1,): (11,), (3,): (30,)})
+    mid = patch_tree({(2,): (20,)}, base)
+    top = patch_tree({(1,): (11,), (3,): (30,)}, mid)
     assert list(view_scan(top)) == [(1, 11), (2, 20), (3, 30)]
     assert list(view_scan(mid)) == [(1, 10), (2, 20)]
-
-
-def test_cursor_seek_in_value_part():
-    base = tree_view({(1,): (10,)})
-    cur = base.cursor()
-    cur.seek((1, 5))
-    assert cur.current() == (1, 10)  # value part rounds down within the key
-    cur2 = base.cursor()
-    cur2.seek((1, 50))
-    assert cur2.at_end
 
 
 patches = st.dictionaries(st.integers(0, 15), st.integers(0, 9), max_size=10)
@@ -59,31 +44,12 @@ def test_overlay_vs_dict_merge(base_entries, patch_entries):
     model = {**base_entries, **patch_entries}
     patch = {(k,): (v,) for k, v in patch_entries.items()}
     base = tree_view({(k,): (v,) for k, v in base_entries.items()})
-    pv = patched(base, patch)
+    pv = patch_tree(patch, base)
     assert list(view_scan(pv)) == [(k, v) for k, v in sorted(model.items())]
     for k in range(16):
         want = (model[k],) if k in model else None
         assert view_lookup(pv, (k,)) == want
     assert list(view_scan(base)) == [(k, v) for k, v in sorted(base_entries.items())]
-
-
-@given(st.dictionaries(st.integers(0, 15), st.integers(0, 9), max_size=10),
-       patches, st.lists(st.tuples(st.integers(0, 16), st.integers(0, 10)), max_size=6))
-@settings(max_examples=250)
-def test_overlay_cursor_seek_monotone(base_entries, patch_entries, seeks):
-    model = {**base_entries, **patch_entries}
-    patch = {(k,): (v,) for k, v in patch_entries.items()}
-    tuples = sorted((k, v) for k, v in model.items())
-    base = tree_view({(k,): (v,) for k, v in base_entries.items()})
-    cur = patched(base, patch).cursor()
-    for t in sorted(seeks):
-        cur.seek(t)
-        expect = [u for u in tuples if u >= t]
-        if expect:
-            assert not cur.at_end
-            assert cur.current() == expect[0]
-        else:
-            assert cur.at_end
 
 
 @given(st.dictionaries(st.tuples(st.integers(0, 15), st.integers(0, 3)),
