@@ -38,7 +38,7 @@ from .pstore import (
     full_scan,
 )
 from .rulelang import parse_rules
-from .txn import EVALUATED, TxnExec
+from .txn import EVALUATED, PlanCache, TxnExec
 from .values import INT64
 
 
@@ -214,8 +214,9 @@ def run_serial(wl: Workload) -> RunReport:
     t0 = time.perf_counter()
     db = wl.db
     statuses = []
+    plans = PlanCache()  # one per run, as an engine keeps one
     for i, rules in enumerate(wl.txns):
-        txn = TxnExec(wl.schema, rules, txn_id=i)
+        txn = TxnExec(wl.schema, rules, txn_id=i, plans=plans)
         out = txn.evaluate(db)
         statuses.append(out.status)
         if out.status == EVALUATED:
@@ -234,7 +235,8 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
     while holding it cannot deadlock. The committed state matches the
     serial oracle for workloads whose lock sets cover every key a
     transaction reads or writes. A transaction that raises stops the
-    admissions, and the run re-raises the first exception.
+    admissions, and the run re-raises the first exception. Each worker
+    keeps one plan cache, since a cache is not for concurrent use.
     """
     t0 = time.perf_counter()
     locks = {}
@@ -249,6 +251,7 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
     errors: list = []
 
     def work():
+        plans = PlanCache()
         while True:
             with admit_lock:
                 i = next_txn[0]
@@ -261,7 +264,7 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
             try:
                 with state_lock:
                     db = shared["db"]
-                txn = TxnExec(wl.schema, wl.txns[i], txn_id=i)
+                txn = TxnExec(wl.schema, wl.txns[i], txn_id=i, plans=plans)
                 out = txn.evaluate(db)
                 statuses[i] = out.status
                 if out.status == EVALUATED:

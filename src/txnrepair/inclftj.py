@@ -8,6 +8,11 @@ re-run restricted to the prefix-minimal contexts against the old and new
 inputs, and the two restricted results are diffed. Everything outside
 the stabbed contexts is untouched by construction, so the maintained
 result matches a full re-evaluation.
+
+One maintainer may hold a group of bindings of one template (`txn`
+groups a transaction's rules so): its contexts start with the binding's
+index, so a re-run stays within one binding, and a binding repeated in
+the group supports its head tuples once per repeat.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .lftj import CompiledRule, Stats, eval_rule
+from .lftj import BINDING, CompiledRule, Stats, eval_rule
 
 
 _MASK64 = (1 << 64) - 1
@@ -144,7 +149,10 @@ class MaintainReport:
 class RuleMaintainer:
     """Holds one rule's materialized result over `views`, a map from each
     read vertex to its `ptree` root as `eval_rule` takes it; `args` binds
-    the compiled template's `$param` slots (`Rule.args`).
+    the compiled template's `$param` slots (`Rule.args`). Given in place
+    of `args`, `bindings` lists the `args` of a group of rules bound from
+    the template, and the maintainer holds their summed result, as
+    `eval_rule` computes it for a group.
 
     The maintainer keeps no index of its sensitivity: `entries` are those
     of the full evaluation, each report carries those of its re-runs, and
@@ -160,13 +168,17 @@ class RuleMaintainer:
 
     def __init__(
         self, compiled: CompiledRule, views: dict, args: tuple = (),
-        stats: Optional[Stats] = None,
+        stats: Optional[Stats] = None, bindings: Optional[list] = None,
     ):
         self.compiled = compiled
         self.args = args
+        self.bindings = bindings
+        # the names a context's values bind, in order
+        self.ctx_vars = compiled.var_order if bindings is None else (BINDING,) + compiled.var_order
         self.views = dict(views)
         self.entries: list = []
-        res = eval_rule(compiled, views, args, collector=self.entries, stats=stats)
+        res = eval_rule(compiled, views, args, collector=self.entries, stats=stats,
+                        bindings=bindings)
         self.head_counts = res.head_counts
         self.constraint_hits = res.constraint_hits
 
@@ -185,11 +197,12 @@ class RuleMaintainer:
         report = MaintainReport(contexts=tuple(contexts))
         deltas = [Counter() for _ in self.head_counts]
         for ctx in contexts:
-            fixed = dict(zip(self.compiled.var_order, ctx))
-            old = eval_rule(self.compiled, self.views, self.args, fixed=fixed, stats=stats)
+            fixed = dict(zip(self.ctx_vars, ctx))
+            old = eval_rule(self.compiled, self.views, self.args, fixed=fixed, stats=stats,
+                            bindings=self.bindings)
             new = eval_rule(
                 self.compiled, new_views, self.args, collector=report.entries, fixed=fixed,
-                stats=stats,
+                stats=stats, bindings=self.bindings,
             )
             report.constraint_delta += new.constraint_hits - old.constraint_hits
             for delta, old_counts, new_counts in zip(deltas, old.head_counts, new.head_counts):

@@ -11,7 +11,11 @@ database change that could alter the rule's output.
 
 A compiled rule is a plan for its template: a `$param` slot stays a
 slot, and each `eval_rule` call reads the rule's bound `args`, so one
-compilation serves every binding of the template.
+compilation serves every binding of the template. One call may also
+evaluate a group of bindings (the rules of a transaction bound from one
+template): it runs them in turn, never joining the parameters against an
+atom, and each recorded context starts with the binding's index, so a
+changed record re-runs only the bindings that read it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ class SensEntry:
     vertex: str
     lo: tuple
     hi: tuple
-    ctx: tuple  # values of a prefix of var_order
+    ctx: tuple  # values of a prefix of var_order, after the binding index in a group
+
+
+BINDING = "#"  # the `fixed` slot pinning a group's binding index; never a variable
 
 
 @dataclass
@@ -271,6 +278,7 @@ def eval_rule(
     collector: Optional[list] = None,
     fixed: Optional[dict] = None,
     stats: Optional[Stats] = None,
+    bindings: Optional[list] = None,
 ) -> RuleResult:
     """Enumerate all satisfying bindings; instantiate head atoms.
 
@@ -280,8 +288,13 @@ def eval_rule(
     `SensEntry` per cursor operation. `fixed` pins a prefix of the
     variable order to given values (membership is still verified), used
     for region-restricted re-evaluation.
+
+    `bindings`, given in place of `args`, is a list of `args` evaluated
+    as one group: head counts add up over the bindings, each recorded
+    context starts with the binding's index, and `fixed` pins that index
+    under `BINDING`, so re-running a context runs one binding.
     """
-    return _Evaluator(compiled, views, args, collector, fixed, stats).run()
+    return _Evaluator(compiled, views, args, collector, fixed, stats, bindings).run()
 
 
 class _Evaluator:
@@ -289,21 +302,27 @@ class _Evaluator:
     only through the instance, which refers to none of them, so reference
     counting frees everything a call allocates."""
 
-    __slots__ = ("compiled", "views", "collector", "fixed", "stats", "binding", "result")
+    __slots__ = ("compiled", "views", "collector", "fixed", "stats", "bindings", "indexed",
+                 "binding", "prefix", "result")
 
-    def __init__(self, compiled, views, args, collector, fixed, stats):
+    def __init__(self, compiled, views, args, collector, fixed, stats, bindings):
         self.compiled = compiled
         self.views = views
         self.collector = collector
         self.fixed = fixed or {}
         self.stats = stats if stats is not None else Stats()
-        # variables and `$param` slots alike: a slot is a name bound throughout
-        self.binding = dict(args)
+        self.indexed = bindings is not None
+        self.bindings = bindings if self.indexed else [args]
         self.result = RuleResult(head_counts=[{} for _ in compiled.heads])
 
     def run(self) -> RuleResult:
-        if self.run_checks(self.compiled.pre_checks, 0):
-            self.enum(0)
+        pinned = self.fixed.get(BINDING)
+        for i in range(len(self.bindings)) if pinned is None else (pinned,):
+            # variables and `$param` slots alike: a slot is a name bound throughout
+            self.binding = dict(self.bindings[i])
+            self.prefix = (i,) if self.indexed else ()
+            if self.run_checks(self.compiled.pre_checks, 0):
+                self.enum(0)
         return self.result
 
     def val(self, t):
@@ -311,7 +330,7 @@ class _Evaluator:
 
     def ctx(self, level):
         binding = self.binding
-        return tuple(binding[v] for v in self.compiled.var_order[:level])
+        return self.prefix + tuple(binding[v] for v in self.compiled.var_order[:level])
 
     def probe(self, ca: CompiledAtom, level) -> bool:
         """Exact-presence test with point sensitivity."""

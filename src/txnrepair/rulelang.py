@@ -640,12 +640,17 @@ def choose_variable_order(rule: Rule):
     """Variable order compatible with every atom's key-prefix pattern.
 
     Each db atom chains its variables in argument order (first
-    occurrences); arithmetic primitives schedule outputs after inputs.
-    Deterministic tie-break: first appearance in the body. Rules with no
-    consistent order are rejected.
+    occurrences); arithmetic primitives schedule outputs after inputs,
+    and an equality between two variables schedules the side with a
+    source (a positive db atom, an arithmetic output, or a chain of such
+    equalities) before the side without one. Deterministic tie-break:
+    first appearance in the body. Rules with no consistent order are
+    rejected.
     """
     appearance: dict = {}
     edges: dict = {}
+    sourced: set = set()  # variables a positive db atom or a compute binds
+    var_eqs = []  # (a, b) of each positive equality between two variables
 
     def seen(v):
         if v not in appearance:
@@ -660,6 +665,7 @@ def choose_variable_order(rule: Rule):
                 continue
             done.add(t.name)
             seen(t.name)
+            sourced.add(t.name)
             if prev is not None:
                 edges[prev].add(t.name)
             prev = t.name
@@ -675,6 +681,7 @@ def choose_variable_order(rule: Rule):
                     seen(t.name)
             if isinstance(out, Var):
                 seen(out.name)
+                sourced.add(out.name)
                 for t in (x, y):
                     if isinstance(t, Var):
                         edges[t.name].add(out.name)
@@ -682,6 +689,23 @@ def choose_variable_order(rule: Rule):
             for t in atom_terms(target):
                 if isinstance(t, Var):
                     seen(t.name)
+            if target is atom and target.op == "eq":
+                a, b = target.args
+                if isinstance(a, Var) and isinstance(b, Var):
+                    var_eqs.append((a.name, b.name))
+                else:  # one side is a constant or a parameter
+                    sourced.update(t.name for t in (a, b) if isinstance(t, Var))
+
+    # the sourced side of an equality goes first; a side it orders becomes sourced
+    grew = True
+    while grew:
+        grew = False
+        for a, b in var_eqs:
+            if (a in sourced) != (b in sourced):
+                src, dst = (a, b) if a in sourced else (b, a)
+                edges[src].add(dst)
+                sourced.add(dst)
+                grew = True
 
     # Kahn's algorithm with first-appearance tie-break
     indeg = {v: 0 for v in appearance}

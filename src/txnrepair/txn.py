@@ -2,26 +2,32 @@
 
 A transaction is a set of rules evaluated in its own branch of the
 database: an immutable snapshot with corrections (records other
-transactions changed underneath it) path-copied in. Corrections arrive
-as a signal pull: each changed record identity `(pred_id, key)` with its
+transactions changed underneath it) put in. Corrections arrive as a
+signal pull: each changed record identity `(pred_id, key)` with its
 current value tuple, or None when the correction is withdrawn.
-Evaluation materializes every rule and indexes the sensitivity intervals
-it records, one interval index per read vertex over every rule. Repair
-stabs that index once with each changed point, a correction's or a
-re-run rule's output, and calls only the rules it hits, so the cost
-tracks how much of the transaction's reads actually changed.
 
-Rules bound from one template (see `rulelang`) share a compiled plan,
-and so do transactions built with one `PlanCache` (the engine keeps one):
-plans are keyed by template and upserted set, and each rule's
-maintainer evaluates its plan with the rule's own bound `$param` values
-(`Rule.args`).
+The rules bound from one template (see `rulelang`: same head and body
+objects) form a group, evaluated set at a time: one compiled plan, one
+`RuleMaintainer` holding the summed result of every binding, one join
+call that binds each rule's `$param` values (`Rule.args`) in turn, and
+one write per changed root for the group's head transitions. Every
+recorded context starts with its binding's index, so a changed record
+re-runs only the bindings that read it. Transactions built with one
+`PlanCache` (the engine keeps one) share plans too: plans are keyed by
+template and upserted set.
 
-Evaluation and repair run the rules in dependency order, read off their
-plans: a rule runs after every rule that writes a vertex it reads
-(`rulelang.atom_vertex`), ties broken by rule index.
+Evaluation materializes every group and indexes the sensitivity
+intervals it records, one interval index per read vertex over every
+group. Repair stabs that index once with each changed point, a
+correction's or a re-run group's output, and calls only the groups it
+hits, so the cost tracks how much of the transaction's reads actually
+changed. Evaluation and repair run the groups in dependency order, read
+off their plans: a group runs after every group that writes a vertex it
+reads (`rulelang.atom_vertex`), ties broken by the index of each group's
+first rule. All rules of a group read and write the same vertices, so
+no rule of a group reads another's output.
 
-The branch is one persistent `ptree` root per view, and a rule's join
+The branch is one persistent `ptree` root per view, and a group's join
 reads each root directly:
 - `db:p`, for every predicate some rule reads or upserts, is the
   snapshot's root of p with each correction put in; a withdrawn
@@ -34,10 +40,10 @@ reads each root directly:
 - `out:q` is the set of live tuples of derived predicate q.
 A separate tree of the transaction's own upserts is what the drain
 walks. The `end:` and `out:` contents are derived from support counts.
-Each root is path-copied by one insert or remove when its content
-changes, so building a rule's views costs O(predicates), and a view a
-maintainer keeps as its old inputs stays a snapshot while the
-transaction moves on.
+A group's output, and a repair's correction pull, path-copies each root
+it changes in one `patch_tree` write, so building a group's views costs
+O(predicates), and a view a maintainer keeps as its old inputs stays a
+snapshot while the transaction moves on.
 
 Outputs are changes: each `outputs()` call, which `evaluate` and
 `repair` end with, drains what changed since the previous one, the
@@ -94,16 +100,25 @@ class TxnExec:
         self.rules = list(rules)
         self.stats = Stats()
         self.status = UNEVALUATED
-        self.upserted, self._derived_arity = rewrite_for_txn(self.rules, schema)
+        # the rule indexes bound from each template, in order of first rule
+        groups: dict = {}
+        for i, r in enumerate(self.rules):
+            groups.setdefault((id(r.head), id(r.body)), []).append(i)
+        self.groups = list(groups.values())
+        firsts = [self.rules[g[0]] for g in self.groups]
+        self._heads = [r.head for r in firsts]
+        self._bindings = [[self.rules[i].args for i in g] for g in self.groups]
+        self.upserted, self._derived_arity = rewrite_for_txn(firsts, schema)
         self._upserted_ids = sorted((schema.sig(p).pred_id, p) for p in self.upserted)
-        # without a shared cache, rules bound from one template still share a plan
         plans = plans if plans is not None else PlanCache()
         upserted = frozenset(self.upserted)
-        self.compiled = [plans.plan(r, schema, upserted) for r in self.rules]
-        reads, self._order = _order_rules(self.rules, self.compiled, self._derived_arity)
+        self.compiled = [plans.plan(r, schema, upserted) for r in firsts]
+        reads, self._order = _order_groups(self._heads, self.compiled, self._derived_arity)
         read = {v.partition(":") for rs in reads for v in rs}
         self._db_reads = sorted(p for kind, _, p in read if kind == "db")
         self._end_reads = sorted(p for kind, _, p in read if kind == "end")
+        # db: and end: vertex -> its predicate's signature
+        self._db_sigs = {f"{kind}:{p}": schema.sig(p) for kind, _, p in read if kind != "out"}
         # the predicates with a db: root
         self._db_preds = sorted({p for kind, _, p in read if kind != "out"} | set(self.upserted))
         self.base: Optional[DbVersion] = None
@@ -120,10 +135,10 @@ class TxnExec:
         self._out_root: dict = {}
         self._out_of_range = 0  # live upserted tuples failing their signature
         self._conflicted = 0  # upserted keys with more than one live value
-        self._hits = 0  # live constraint violations, summed over the rules
-        self.maintainers: list = [None] * len(self.rules)
-        # read vertex -> IntervalIndex of (rule index, SensEntry); a repair
-        # first indexes the (rule index, entries) recorded before it, so a
+        self._hits = 0  # live constraint violations, summed over the groups
+        self.maintainers: list = [None] * len(self.groups)
+        # read vertex -> IntervalIndex of (group index, SensEntry); a repair
+        # first indexes the (group index, entries) recorded before it, so a
         # transaction that is never repaired builds no index
         self._sens_index = {v: IntervalIndex() for rs in reads for v in rs}
         self._unindexed: list = []
@@ -160,53 +175,52 @@ class TxnExec:
             pred_id = self.schema.sig(pred).pred_id
             self._db_root[pred] = patch_tree(patches.get(pred_id, {}), base.root(pred_id))
         self._end_full = {pred: self._db_root[pred] for pred in self._end_reads}
-        for i in self._order:
-            views = self._build_views()
-            m = RuleMaintainer(self.compiled[i], views, self.rules[i].args, stats=self.stats)
-            self.maintainers[i] = m
+        for g in self._order:
+            m = RuleMaintainer(self.compiled[g], self._build_views(), stats=self.stats,
+                               bindings=self._bindings[g])
+            self.maintainers[g] = m
             self._hits += m.constraint_hits
-            self._record(i, m.entries)
-            self._apply_rule_output(i, [{t: (0, c) for t, c in counts.items()}
-                                        for counts in m.head_counts])
+            self._record(g, m.entries)
+            self._apply_output(g, [{t: (0, c) for t, c in counts.items()}
+                                   for counts in m.head_counts])
         self._refresh_status()
         return self.outputs()
 
-    def _record(self, rule_idx: int, entries):
-        """Keep one rule's recorded entries for the index, and queue their
+    def _record(self, group: int, entries):
+        """Keep one group's recorded entries for the index, and queue their
         key intervals over database predicates never queued before."""
-        self._unindexed.append((rule_idx, entries))
+        self._unindexed.append((group, entries))
+        db_sigs, seen = self._db_sigs, self._sens_seen
         for e in entries:
-            kind, _, pred = e.vertex.partition(":")
-            if kind == "out":
-                continue
-            sig = self.schema.sig(pred)
+            sig = db_sigs.get(e.vertex)
+            if sig is None:
+                continue  # an out: vertex
             ident = (sig.pred_id, e.lo[: sig.arity], e.hi[: sig.arity])
-            if ident not in self._sens_seen:
-                self._sens_seen.add(ident)
+            if ident not in seen:
+                seen.add(ident)
                 self._sens_new.append(ident)
 
     def _stab(self, vertex: str, points, hits: dict):
-        """Add to `hits`, per rule, the entries of `vertex` holding a point."""
+        """Add to `hits`, per group, the entries of `vertex` holding a point."""
         idx = self._sens_index.get(vertex)
         if idx is None:
             return  # no rule reads vertex
         for t in points:
-            for i, e in idx.stab(t):
-                hits.setdefault(i, []).append(e)
+            for g, e in idx.stab(t):
+                hits.setdefault(g, []).append(e)
 
-    def _apply_rule_output(self, rule_idx: int, head_diffs) -> dict:
-        """Fold one rule's head-count transitions into the shared vertex
-        contents and their roots; returns pending changed points
-        per downstream vertex."""
+    def _apply_output(self, group: int, head_diffs) -> dict:
+        """Fold one group's head-count transitions into the shared vertex
+        contents, and each changed root in one `patch_tree` write; returns
+        pending changed points per downstream vertex."""
         pending: dict = {}
-        rule = self.rules[rule_idx]
-        for h, diffs in zip(rule.head, head_diffs):
+        for h, diffs in zip(self._heads[group], head_diffs):
             pred = h.atom.pred
+            moves: dict = {}  # key or tuple -> its entry's new value, None to remove
             if h.is_upsert:
                 sig = self.schema.sig(pred)
                 karity = sig.arity
                 support = self._delta_support.setdefault(pred, {})
-                root = self._own_root.get(pred)
                 touched = pending.setdefault(f"end:{pred}", [])
                 for t, (old_c, new_c) in diffs.items():
                     key, value = t[:karity], t[karity:]
@@ -224,44 +238,49 @@ class TxnExec:
                     # show their db: value at end:; the conflict fails the txn
                     after = next(iter(vals)) if len(vals) == 1 else None
                     if after != before:
-                        root = _put(root, key, after)
-                        self._moved.add((sig.pred_id, key))
-                        if pred in self._end_full:
-                            shown = ptree.get(self._db_root[pred], key) if after is None else after
-                            self._end_full[pred] = _put(self._end_full[pred], key, shown)
+                        moves[key] = after
                     touched.append(t)
-                self._own_root[pred] = root
+                if moves:
+                    self._own_root[pred] = patch_tree(moves, self._own_root.get(pred))
+                    self._moved.update((sig.pred_id, key) for key in moves)
+                    if pred in self._end_full:
+                        db = self._db_root[pred]
+                        shown = {k: ptree.get(db, k) if v is None else v for k, v in moves.items()}
+                        self._end_full[pred] = patch_tree(shown, self._end_full[pred])
             else:
                 support = self._out_support.setdefault(pred, {})
-                root = self._out_root.get(pred)
                 touched = pending.setdefault(f"out:{pred}", [])
                 for t, (old_c, new_c) in diffs.items():
                     was_live = t in support
-                    support[t] = support.get(t, 0) + (new_c - old_c)
-                    if support[t] <= 0:
+                    count = support.get(t, 0) + (new_c - old_c)
+                    if count > 0:
+                        support[t] = count
+                    elif was_live:
                         del support[t]
-                        if was_live:
-                            root = ptree.remove(root, t)
-                    elif not was_live:
-                        root = ptree.insert(root, t, ())
+                    if was_live != (count > 0):
+                        moves[t] = () if count > 0 else None
                     touched.append(t)
-                self._out_root[pred] = root
+                root = self._out_root.get(pred)
+                self._out_root[pred] = patch_tree(moves, root) if moves else root
         return pending
 
     # ---- repair ----
 
     def repair(self, corr_changes) -> TxnOutputs:
-        """Apply a correction pull [((pred_id, key), value or None)]:
-        path-copy the predicate's db: root, and its end: root unless the
-        transaction upserts the key, with the corrected value, or with the
-        snapshot's when the correction is withdrawn."""
+        """Apply a correction pull [((pred_id, key), value or None)], which
+        names each identity once: patch the predicate's db: root, and its
+        end: root unless the transaction upserts the key, with the corrected
+        value, or with the snapshot's when the correction is withdrawn, in
+        one write per root."""
         if self.status == UNEVALUATED:
             raise RuntimeError("repair before evaluate")
-        for i, entries in self._unindexed:
+        for g, entries in self._unindexed:
             for e in entries:
-                self._sens_index[e.vertex].insert(e.lo, e.hi, (i, e))
+                self._sens_index[e.vertex].insert(e.lo, e.hi, (g, e))
         self._unindexed = []
-        hits: dict = {}  # rule index -> its entries that a changed point stabbed
+        hits: dict = {}  # group index -> its entries that a changed point stabbed
+        db_moves: dict = {}  # pred -> {key: corrected value}
+        end_moves: dict = {}
         for (pred_id, key), value in corr_changes:
             pred = self.schema.sig_by_id(pred_id).name
             if pred not in self._db_root:
@@ -271,24 +290,28 @@ class TxnExec:
                 value = ptree.get(self.base.root(pred_id), key)
             if value == old_val:
                 continue
-            self._db_root[pred] = _put(self._db_root[pred], key, value)
+            db_moves.setdefault(pred, {})[key] = value
             pts = [key + v for v in (old_val, value) if v is not None]
             self._stab(f"db:{pred}", pts, hits)
             if pred in self._end_full and ptree.get(self._own_root.get(pred), key) is None:
-                self._end_full[pred] = _put(self._end_full[pred], key, value)
+                end_moves.setdefault(pred, {})[key] = value
                 self._stab(f"end:{pred}", pts, hits)
-        # a rule's points stab only the rules after it in the order; its
-        # re-runs record entries only on vertices no later rule writes, so
+        for pred, moves in db_moves.items():
+            self._db_root[pred] = patch_tree(moves, self._db_root[pred])
+        for pred, moves in end_moves.items():
+            self._end_full[pred] = patch_tree(moves, self._end_full[pred])
+        # a group's points stab only the groups after it in the order; its
+        # re-runs record entries only on vertices no later group writes, so
         # the next repair indexes them in time
-        for i in self._order:
-            stabbed = hits.get(i)
+        for g in self._order:
+            stabbed = hits.get(g)
             if stabbed is None:
                 continue
-            views = self._build_views()
-            report = self.maintainers[i].apply_changes(views, stabbed, stats=self.stats)
+            report = self.maintainers[g].apply_changes(self._build_views(), stabbed,
+                                                       stats=self.stats)
             self._hits += report.constraint_delta
-            self._record(i, report.entries)
-            for v, pts in self._apply_rule_output(i, report.head_diffs).items():
+            self._record(g, report.entries)
+            for v, pts in self._apply_output(g, report.head_diffs).items():
                 self._stab(v, pts, hits)
         self._refresh_status()
         return self.outputs()
@@ -326,11 +349,6 @@ class TxnExec:
             if cur != ptree.get(old.get(pred), key):
                 out.append(((pred_id, key), cur))
         return out
-
-
-def _put(root, key, value):
-    """`root` with key mapped to value, or without key when value is None."""
-    return ptree.remove(root, key) if value is None else ptree.insert(root, key, value)
 
 
 def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:
@@ -394,11 +412,11 @@ def _note_arity(derived, pred, n):
         raise SchemaError(f"derived predicate {pred} used at arities {derived[pred]} and {n}")
 
 
-def _order_rules(rules, compiled, derived):
-    """Each rule's distinct read vertices, from its plan, and the rule
-    indexes in dependency order (Kahn's algorithm, ties broken by index).
-    Rejects a read of an undefined predicate or of a derived one at
-    another arity, and a cycle."""
+def _order_groups(heads, compiled, derived):
+    """Each group's distinct read vertices, from its plan, and the group
+    indexes in dependency order (Kahn's algorithm, ties broken by index,
+    which follows each group's first rule). Rejects a read of an undefined
+    predicate or of a derived one at another arity, and a cycle."""
     reads = []
     for plan in compiled:
         atoms = plan.atoms + plan.neg_atoms
@@ -409,10 +427,10 @@ def _order_rules(rules, compiled, derived):
             if kind == "out":
                 _note_arity(derived, pred, len(a.pattern))
         reads.append(tuple(dict.fromkeys(a.vertex for a in atoms)))
-    writes = [{("end:" if h.is_upsert else "out:") + h.atom.pred for h in r.head} for r in rules]
+    writes = [{("end:" if h.is_upsert else "out:") + h.atom.pred for h in head} for head in heads]
     left = Counter(v for ws in writes for v in ws)  # vertex -> writers yet to run
-    readers: dict = {}  # vertex -> the rules that read it
-    waiting = [0] * len(rules)  # per rule, its reads with writers yet to run
+    readers: dict = {}  # vertex -> the groups that read it
+    waiting = [0] * len(heads)  # per group, its reads with writers yet to run
     for i, vertices in enumerate(reads):
         for v in vertices:
             if v in left:
@@ -430,6 +448,6 @@ def _order_rules(rules, compiled, derived):
                     waiting[j] -= 1
                     if not waiting[j]:
                         heapq.heappush(ready, j)
-    if len(order) != len(rules):
+    if len(order) != len(heads):
         raise SchemaError("cyclic rule dependencies: recursion is not supported")
     return reads, order

@@ -130,6 +130,53 @@ def test_maintenance_vs_full_reeval_sample():
         run_maintenance_trial(seed)
 
 
+GROUP = compile_rule(parse_rules("D(y) <- A(y), B($x, y), C(y).", params={"x": 0})[0], SCHEMA)
+
+
+def run_group_trial(seed, rounds=3):
+    """A maintainer of several bindings of one template (some repeated)
+    against the per-binding full evaluations, after every change batch.
+    Each binding records the entries its own evaluation records, under
+    contexts that start with its index, so a re-run stays in one binding."""
+    rnd = random.Random(seed)
+    A = set(rnd.sample(range(8), rnd.randint(0, 5)))
+    B = set((rnd.randrange(8), rnd.randrange(8)) for _ in range(rnd.randint(0, 12)))
+    C = set(rnd.sample(range(8), rnd.randint(0, 5)))
+    bindings = [(("$x", rnd.randrange(8)),) for _ in range(rnd.randint(1, 5))]
+    views = make_views(A, B, C)
+    m = RuleMaintainer(GROUP, views, bindings=bindings)
+    for i, args in enumerate(bindings):
+        alone = []
+        eval_rule(GROUP, views, args, collector=alone)
+        mine = [(e.vertex, e.lo, e.hi, e.ctx[1:]) for e in m.entries if e.ctx[0] == i]
+        assert mine == [(e.vertex, e.lo, e.hi, e.ctx) for e in alone]
+    entries = list(m.entries)
+    for _ in range(rounds):
+        target = rnd.choice("ABC")
+        if target == "B":
+            t = (rnd.randrange(8), rnd.randrange(8))
+            B ^= {t}
+        else:
+            t = (rnd.randrange(8),)
+            (A if target == "A" else C).symmetric_difference_update({t[0]})
+        views = make_views(A, B, C)
+        stabbed = stab_linear(entries, {f"db:{target}": [t]})
+        if stabbed:
+            report = m.apply_changes(views, stabbed)
+            assert all(len(c) >= 1 and c[0] < len(bindings) for c in report.contexts)
+            entries += report.entries
+        want = {}
+        for args in bindings:
+            for head, n in eval_rule(GROUP, views, args).head_counts[0].items():
+                want[head] = want.get(head, 0) + n
+        assert m.head_counts[0] == want, (seed, target)
+
+
+def test_group_maintenance_vs_per_binding_evaluation():
+    for seed in range(150):
+        run_group_trial(seed)
+
+
 def test_constraint_delta_tracks_hits():
     schema = Schema.from_sigs([PredicateSig("F", 0, ("int64",), ("int64",))])
     compiled = compile_rule(parse_rules("false <- F[k] = v, v < 0.", schema)[0], schema)

@@ -262,3 +262,16 @@ def test_eval_leaves_no_cyclic_garbage(golden):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("text", [
+    "D(x) <- x = y, A(y).",
+    "D(x) <- A(y), x = y.",
+    "D(x) <- x = w, w = y, A(y).",
+])
+def test_eq_orders_its_bound_side_first(text):
+    """An equality binds its unsourced side from the sourced one, written
+    in either order; `x = y, A(y)` once had no enumerable source for x."""
+    db = make_db((1, 3), (), ())
+    compiled = compile_rule(parse_rules(text)[0], SCHEMA)
+    assert eval_rule(compiled, views_of(db)).head_counts == [{(1,): 1, (3,): 1}]

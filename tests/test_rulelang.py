@@ -42,9 +42,10 @@ def body_preds(rule):
 
 
 def reads(txn, i):
-    """The vertices rule `i` of `txn` reads, from its compiled plan:
-    positive atoms, then negated ones."""
-    plan = txn.compiled[i]
+    """The vertices rule `i` of `txn` reads, from the compiled plan of
+    its group (the rules bound from its template): positive atoms, then
+    negated ones."""
+    (plan,) = [txn.compiled[g] for g, rules in enumerate(txn.groups) if i in rules]
     return [a.vertex for a in plan.atoms + plan.neg_atoms]
 
 

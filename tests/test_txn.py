@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import view_scan
-from txnrepair import ptree, txn as txn_module
+from txnrepair import inclftj, ptree, txn as txn_module
 from txnrepair.inclftj import IntervalIndex, RuleMaintainer
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
@@ -249,7 +249,8 @@ def test_out_of_range_upsert_fails_until_repaired_into_range():
 def test_a_correction_stabs_once_per_changed_point(monkeypatch):
     """40 single-key bumps share one sensitivity index: a correction to
     one key stabs it once per changed point, the old record and the new,
-    and only the bump of that key is maintained."""
+    and only the bump of that key is re-run: one context, the one that
+    starts with that binding's index."""
     bump = "^bal[$k] = v <- v = bal@start[$k] + 1."
     rules = [r for k in range(40) for r in parse_rules(bump, SCHEMA, params={"k": k})]
     txn = TxnExec(SCHEMA, rules)
@@ -257,13 +258,18 @@ def test_a_correction_stabs_once_per_changed_point(monkeypatch):
     stabs, applied = [], []
     stab, apply_changes = IntervalIndex.stab, RuleMaintainer.apply_changes
     monkeypatch.setattr(IntervalIndex, "stab", lambda idx, t: stabs.append(t) or stab(idx, t))
-    monkeypatch.setattr(
-        RuleMaintainer, "apply_changes",
-        lambda m, *args, **kw: applied.append(m) or apply_changes(m, *args, **kw),
-    )
+
+    def apply_and_log(m, *args, **kw):
+        report = apply_changes(m, *args, **kw)
+        applied.append((m, report.contexts))
+        return report
+
+    monkeypatch.setattr(RuleMaintainer, "apply_changes", apply_and_log)
     got = Folded(txn.repair(pulled((7,), (5,))))
     assert sorted(stabs) == [(7, 0), (7, 5)]
-    assert applied == [txn.maintainers[7]]
+    ((m, contexts),) = applied
+    assert m is txn.maintainers[0] and len(contexts) == 1
+    assert m.bindings[contexts[0][0]] == (("$k", 7),)
     assert got.values() == {(7,): (6,)}
     # a correction that leaves the value as it is changes no point
     stabs.clear()
@@ -482,6 +488,54 @@ def test_one_compilation_per_template(monkeypatch):
     out = Folded(txn.evaluate(make_db({k: 100 for k in range(45)})))
     assert out.status == EVALUATED
     assert out.values() == {(k,): (100 + k,) for k in range(45)}
+
+
+def test_one_maintainer_and_one_evaluation_per_template(monkeypatch):
+    """A 45-bump transaction evaluates its template as one group: one
+    maintainer, one join call, and each bump still writes its own key."""
+    inits, evals = [], []
+    init, eval_rule = RuleMaintainer.__init__, inclftj.eval_rule
+    monkeypatch.setattr(RuleMaintainer, "__init__",
+                        lambda m, *a, **kw: inits.append(m) or init(m, *a, **kw))
+    monkeypatch.setattr(inclftj, "eval_rule", lambda *a, **kw: evals.append(a) or eval_rule(*a, **kw))
+    rules = [r for k in range(45) for r in parse_rules(BUMP, SCHEMA, {"k": k, "d": 1})]
+    out = Folded(TxnExec(SCHEMA, rules).evaluate(make_db({k: k for k in range(45)})))
+    assert len(inits) == 1 and len(evals) == 1
+    assert out.status == EVALUATED
+    assert out.values() == {(k,): (k + 1,) for k in range(45)}
+
+
+def test_a_repeated_binding_supports_its_tuple_twice_through_repair():
+    """One binding written twice in a transaction supports its upsert
+    twice; a correction that withdraws the key takes both supports away,
+    and one that restores it brings both back."""
+    rules = [r for _ in range(2) for r in parse_rules(BUMP, SCHEMA, {"k": 1, "d": 1})]
+    txn = TxnExec(SCHEMA, rules)
+    support = txn._delta_support  # pred -> {key: {value: supporting bindings}}
+    got = Folded(txn.evaluate(make_db({}), pulled((1,), (10,))))
+    assert support["bal"] == {(1,): {(11,): 2}}
+    assert got.status == EVALUATED and got.values() == {(1,): (11,)}
+    got.fold(txn.repair(withdrawn((1,))))
+    assert support["bal"] == {(1,): {}}
+    assert got.status == EVALUATED and got.values() == {}
+    got.fold(txn.repair(pulled((1,), (10,))))
+    assert support["bal"] == {(1,): {(11,): 2}}
+    assert got.status == EVALUATED and got.values() == {(1,): (11,)}
+
+
+def test_conflicting_bindings_of_one_template_fail_until_they_agree():
+    """Two bindings of one template copy keys 2 and 3 into key 1: while
+    the two differ, key 1 has two live values and the transaction fails;
+    a correction that makes them equal recovers it."""
+    copy = "^bal[$k] = v <- v = bal@start[$j] + 0."
+    rules = [r for j in (2, 3) for r in parse_rules(copy, SCHEMA, {"k": 1, "j": j})]
+    txn = TxnExec(SCHEMA, rules)
+    got = Folded(txn.evaluate(make_db({1: 0, 2: 5, 3: 6})))
+    assert got.status == FAILED and got.deltas == {}
+    got.fold(txn.repair(pulled((3,), (5,))))
+    assert got.status == EVALUATED and got.values() == {(1,): (5,)}
+    got.fold(txn.repair(withdrawn((3,))))
+    assert got.status == FAILED and got.deltas == {}
 
 
 def test_transactions_share_plans_per_template_and_upserted_set(monkeypatch):
