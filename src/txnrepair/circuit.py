@@ -28,10 +28,10 @@ global domain decomposition, so independent key regions refresh in
 parallel. Each signal maps an identity to a value: a record identity
 `(pred_id, key)` to its value for deltas and corrections, a key interval
 `(pred_id, lo, hi)` to `()` for sensitivity. Every operator pulls, per
-input signal, the identities whose values changed since its last pull,
-computes from the roots it pulled (never a signal's newer content, which
-a later pull could not tell apart), and republishes only what changed,
-which keeps refresh cost proportional to change volume.
+input signal, the identities logged since its last pull, reads their
+values from the roots it pulled (never a signal's newer content, which
+its next pull names again), and republishes only what differs from its
+output: a change is detected once, and refresh cost follows it.
 
 The wiring returns the operators, a `TxnOp` per leaf among them, with a
 map from each signal to the operators that read it; signals keep no links to their readers. The
@@ -234,7 +234,7 @@ class DeltaMergeOp(Op):
         idents = dict.fromkeys(
             ident
             for cur in (self.cur_l, self.cur_r)
-            for ident, _value in cur.pull()
+            for ident in cur.pull()
             if _in_interval(lo_pt, hi_pt, *ident)
         )
         return _publish_winners(
@@ -254,10 +254,9 @@ class SensMergeOp(Op):
         self.output_signals = [self.out]
 
     def refresh(self) -> bool:
-        changes = self.cur_l.pull() + self.cur_r.pull()
         lo_pt, hi_pt = self.interval
         inserts = []
-        for interval, _unit in changes:  # sensitivity only grows: all present
+        for interval in self.cur_l.pull() + self.cur_r.pull():  # only grows: all present
             clipped = clip_sens(interval, lo_pt, hi_pt)
             if clipped is not None and self.out.get(clipped) is None:
                 inserts.append((clipped, ()))
@@ -295,9 +294,9 @@ class CorrOp(Op):
         )
 
     def refresh(self) -> bool:
-        sens_changes = self.cur_sens.pull()
-        idents = {ident for cur in self._inputs for ident, _value in cur.pull()}
-        for interval, _unit in sens_changes:
+        new_sens = self.cur_sens.pull()
+        idents = {ident for cur in self._inputs for ident in cur.pull()}
+        for interval in new_sens:
             pred_id, lo, hi = interval
             lo_ident, hi_ident = (pred_id, lo), (pred_id, hi)
             self._sens_index.insert(lo_ident, hi_ident, interval)
@@ -328,10 +327,11 @@ class TxnOp(Op):
 
     def refresh(self) -> bool:
         txn = self.leaf.txn
-        changes = self.cur_corr.pull() if self.cur_corr is not None else []
+        cur = self.cur_corr
+        changes = [(i, cur.get(i)) for i in cur.pull()] if cur is not None else []
         if txn is None:
             return False
-        if txn.status == UNEVALUATED:  # first pull: from an empty root, all present
+        if txn.status == UNEVALUATED:
             out = txn.evaluate(self.base, changes)
         elif changes:
             out = txn.repair(changes)

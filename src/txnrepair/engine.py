@@ -295,13 +295,12 @@ class Engine:
                     return
                 try:
                     versions = [sig.latest for sig in op.output_signals]
-                    changed = op.refresh()
+                    op.refresh()
                     op_refreshes += 1
                     if isinstance(op, TxnOp):
                         txn_refreshes += 1
-                    if changed:
-                        for reader in op.woken(versions, readers):
-                            queue.push(reader)
+                    for reader in op.woken(versions, readers):
+                        queue.push(reader)
                 except BaseException as exc:  # keep done() paired with pop()
                     errors.append(exc)
                     queue.stop()

@@ -150,14 +150,9 @@ def _put(node, key, val, changed):
 
 
 def insert(node: Optional[Node], key, val) -> Node:
-    """Insert or replace; returns a new root."""
-    if node is None:
-        return Node(key, val, None, None)
-    if key < node.key:
-        return _balance(node.key, node.val, insert(node.left, key, val), node.right)
-    if key > node.key:
-        return _balance(node.key, node.val, node.left, insert(node.right, key, val))
-    return Node(key, val, node.left, node.right)
+    """Insert or replace; returns a new root (the same tree when key
+    already maps to val)."""
+    return _put(node, key, val, [])
 
 
 def remove(node: Optional[Node], key) -> Optional[Node]:

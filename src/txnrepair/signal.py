@@ -11,13 +11,12 @@ A signal holds its content as one persistent tree, plus a log of the
 identities each publish changed. A publish folds its removals and
 insertions into one sorted run and applies it in one tree walk
 (`ptree.update`), which reports the identities it changed. A reader
-keeps its offset into the log and the root it saw last; a pull compares
-that root with the current one at each identity logged since, and
-returns each identity whose value changed with its current value, or
-None when it is gone. A relation's value is `()`, which is falsy, so
-absence is always tested with `is None`. Sensitivity signals are
-monotone: publishing a removal or a replacement on one is a contract
-error.
+keeps its offset into the log and the root it took at its last pull; a
+pull takes the current root and returns the identities logged since,
+even one changed back, since every reader compares with its own output
+anyway. A relation's value is `()`, which is falsy, so absence is
+always tested with `is None`. Sensitivity signals are monotone:
+publishing a removal or a replacement on one is a contract error.
 """
 
 from __future__ import annotations
@@ -102,16 +101,15 @@ class VersionedSignal:
 
 class SignalCursor:
     """One reader's position in a signal: a log offset and the root it
-    saw at its last pull.
+    took at its last pull.
 
-    pull() returns each identity whose value differs from that root,
-    paired with its current value (None when absent), in identity order,
-    so refresh cost tracks the change volume, not signal size.
-
-    A reader computes from the pulled root (`get`, `range_idents`), never
-    from the signal's current content: a value read past the pulled root
-    could be published back to the old one before the next pull, which
-    would then report no change and leave the reader's output stale.
+    pull() returns the identities logged since the previous pull, in
+    identity order, so refresh cost tracks the change volume, not signal
+    size. A reader reads values from the pulled root (`get`,
+    `range_idents`), never from the signal's current content, so a
+    refresh computes from one version of each input: a value read past
+    that root belongs to a publish the next pull names again, so reading
+    it early saves no work and can mix two versions of one input.
     """
 
     def __init__(self, signal: VersionedSignal):
@@ -127,16 +125,10 @@ class SignalCursor:
         if len(sig._log) == self.offset:
             return []
         with sig._lock:  # a new offset must never pair with an old root
-            root = sig._root
+            self.root = sig._root
             idents = set(sig._log[self.offset :])
             self.offset = len(sig._log)
-        old, self.root = self.root, root
-        out = []
-        for ident in sorted(idents):
-            value = ptree.get(root, ident)
-            if value != ptree.get(old, ident):
-                out.append((ident, value))
-        return out
+        return sorted(idents)
 
     def get(self, ident: tuple):
         """Value at this identity in the pulled root, or None."""

@@ -2,9 +2,10 @@
 
 A transaction is a set of rules evaluated in its own branch of the
 database: an immutable snapshot with corrections (records other
-transactions changed underneath it) put in. Corrections arrive as a
-signal pull: each changed record identity `(pred_id, key)` with its
-current value tuple, or None when the correction is withdrawn.
+transactions changed underneath it) put in. Corrections arrive as the
+identities `(pred_id, key)` a signal pull names, each with its value in
+the pulled root, or None when withdrawn; a value the branch already
+holds is skipped.
 
 The rules bound from one template (see `rulelang`: same head and body
 objects) form a group, evaluated set at a time: one compiled plan, one
@@ -18,14 +19,15 @@ template and upserted set.
 
 Evaluation materializes every group and indexes the sensitivity
 intervals it records, one interval index per read vertex over every
-group. Repair stabs that index once with each changed point, a
-correction's or a re-run group's output, and calls only the groups it
-hits, so the cost tracks how much of the transaction's reads actually
-changed. Evaluation and repair run the groups in dependency order, read
-off their plans: a group runs after every group that writes a vertex it
-reads (`rulelang.atom_vertex`), ties broken by the index of each group's
-first rule. All rules of a group read and write the same vertices, so
-no rule of a group reads another's output.
+group, built by the first repair whose corrections move a branch value.
+Repair stabs that index once with each changed point, a correction's or
+a re-run group's output, and calls only the groups it hits, so the cost
+tracks how much of the transaction's reads actually changed. Evaluation
+and repair run the groups in dependency order, read off their plans: a
+group runs after every group that writes a vertex it reads
+(`rulelang.atom_vertex`), ties broken by the index of each group's first
+rule. All rules of a group read and write the same vertices, so no rule
+of a group reads another's output.
 
 The branch is one persistent `ptree` root per view, and a group's join
 reads each root directly:
@@ -138,8 +140,8 @@ class TxnExec:
         self._hits = 0  # live constraint violations, summed over the groups
         self.maintainers: list = [None] * len(self.groups)
         # read vertex -> IntervalIndex of (group index, SensEntry); a repair
-        # first indexes the (group index, entries) recorded before it, so a
-        # transaction that is never repaired builds no index
+        # that moves a branch value first indexes the (group index, entries)
+        # recorded before it, so a transaction never repaired builds no index
         self._sens_index = {v: IntervalIndex() for rs in reads for v in rs}
         self._unindexed: list = []
         # drain state: identities whose own-upsert entry moved, the own
@@ -164,13 +166,15 @@ class TxnExec:
 
     def evaluate(self, base: DbVersion, corrections=()) -> TxnOutputs:
         """Full evaluation, once, on a snapshot plus initial corrections, a
-        pull [((pred_id, key), value)] from an empty start."""
+        pull [((pred_id, key), value or None)] from an empty start; a
+        correction withdrawn before it (None) leaves the snapshot's value."""
         if self.status != UNEVALUATED:
             raise RuntimeError("evaluate twice")
         self.base = base
         patches: dict = {}  # pred_id -> {key: value}
         for (pred_id, key), value in corrections:
-            patches.setdefault(pred_id, {})[key] = value
+            if value is not None:
+                patches.setdefault(pred_id, {})[key] = value
         for pred in self._db_preds:
             pred_id = self.schema.sig(pred).pred_id
             self._db_root[pred] = patch_tree(patches.get(pred_id, {}), base.root(pred_id))
@@ -200,14 +204,17 @@ class TxnExec:
                 seen.add(ident)
                 self._sens_new.append(ident)
 
-    def _stab(self, vertex: str, points, hits: dict):
-        """Add to `hits`, per group, the entries of `vertex` holding a point."""
-        idx = self._sens_index.get(vertex)
-        if idx is None:
-            return  # no rule reads vertex
-        for t in points:
-            for g, e in idx.stab(t):
-                hits.setdefault(g, []).append(e)
+    def _stab(self, stabs, hits: dict) -> dict:
+        """Add to `hits`, per group, the entries of each (vertex, points)
+        pair's vertex holding one of its points; returns `hits`."""
+        for vertex, points in stabs:
+            idx = self._sens_index.get(vertex)
+            if idx is None:
+                continue  # no rule reads vertex
+            for t in points:
+                for g, e in idx.stab(t):
+                    hits.setdefault(g, []).append(e)
+        return hits
 
     def _apply_output(self, group: int, head_diffs) -> dict:
         """Fold one group's head-count transitions into the shared vertex
@@ -271,14 +278,10 @@ class TxnExec:
         names each identity once: patch the predicate's db: root, and its
         end: root unless the transaction upserts the key, with the corrected
         value, or with the snapshot's when the correction is withdrawn, in
-        one write per root."""
+        one write per root; a value the branch already holds moves nothing."""
         if self.status == UNEVALUATED:
             raise RuntimeError("repair before evaluate")
-        for g, entries in self._unindexed:
-            for e in entries:
-                self._sens_index[e.vertex].insert(e.lo, e.hi, (g, e))
-        self._unindexed = []
-        hits: dict = {}  # group index -> its entries that a changed point stabbed
+        stabs = []  # (vertex, changed points), per moved entry of a root
         db_moves: dict = {}  # pred -> {key: corrected value}
         end_moves: dict = {}
         for (pred_id, key), value in corr_changes:
@@ -292,14 +295,20 @@ class TxnExec:
                 continue
             db_moves.setdefault(pred, {})[key] = value
             pts = [key + v for v in (old_val, value) if v is not None]
-            self._stab(f"db:{pred}", pts, hits)
+            stabs.append((f"db:{pred}", pts))
             if pred in self._end_full and ptree.get(self._own_root.get(pred), key) is None:
                 end_moves.setdefault(pred, {})[key] = value
-                self._stab(f"end:{pred}", pts, hits)
+                stabs.append((f"end:{pred}", pts))
         for pred, moves in db_moves.items():
             self._db_root[pred] = patch_tree(moves, self._db_root[pred])
         for pred, moves in end_moves.items():
             self._end_full[pred] = patch_tree(moves, self._end_full[pred])
+        if stabs:
+            for g, entries in self._unindexed:
+                for e in entries:
+                    self._sens_index[e.vertex].insert(e.lo, e.hi, (g, e))
+            self._unindexed = []
+        hits = self._stab(stabs, {})  # group index -> its entries a changed point stabbed
         # a group's points stab only the groups after it in the order; its
         # re-runs record entries only on vertices no later group writes, so
         # the next repair indexes them in time
@@ -311,8 +320,7 @@ class TxnExec:
                                                        stats=self.stats)
             self._hits += report.constraint_delta
             self._record(g, report.entries)
-            for v, pts in self._apply_output(g, report.head_diffs).items():
-                self._stab(v, pts, hits)
+            self._stab(self._apply_output(g, report.head_diffs).items(), hits)
         self._refresh_status()
         return self.outputs()
 

@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from txnrepair import ptree
 from txnrepair.circuit import (
     CorrOp,
     DeltaMergeOp,
@@ -278,9 +279,9 @@ def _publish_after_pull(cursor, sig, **publish):
 
 
 def test_merge_reads_the_roots_it_pulled():
-    """A publish that lands between a merge's pull and its reads, and is
-    undone before the next pull, must leave no trace: that pull reports
-    no change, so a value read past the pulled root would stay stale."""
+    """A publish that lands between a merge's pull and its reads leaves no
+    trace in that refresh, which computes from the roots it pulled; the
+    next pull names it, and a publish undoing it, again."""
     group = build_tree(1)
     op = DeltaMergeOp(group, "1", build_decomposition([], 1))  # "1" owns predicate 0
     left, right = group.left.delta[""], group.right.delta[""]
@@ -290,6 +291,7 @@ def test_merge_reads_the_roots_it_pulled():
     _publish_after_pull(op.cur_r, right, inserts=[(k, (7,))])
     left.publish(inserts=[(k, (1,))])
     op.refresh()
+    assert dict(group.delta["1"].items()) == {k: (5,)}
     right.publish(inserts=[(k, (5,))])
     op.refresh()
     assert dict(group.delta["1"].items()) == {k: (5,)}
@@ -305,6 +307,7 @@ def test_corr_ranges_over_the_roots_it_pulled():
     group.right.sens[""].publish(inserts=_units([(0, (0,), (9,))]))
     _publish_after_pull(op._inputs[-1], delta, inserts=[(k, (7,))])
     op.refresh()
+    assert list(group.right.corr[""].items()) == []
     delta.publish(removes=[k])
     op.refresh()
     assert list(group.right.corr[""].items()) == []
@@ -345,26 +348,63 @@ def test_refresh_wakes_only_readers_of_what_it_published():
     assert set(op.woken(versions, readers)) == smerges
 
 
-def test_txn_op_skips_repair_when_corrections_net_out(monkeypatch):
-    """A correction replaced and then restored between two refreshes
-    reaches the transaction as no change at all."""
-    leaf = build_tree(1).right  # off the spine: it receives corrections
+def _transfer_leaf():
+    """An off-spine leaf, which receives corrections, holding a transfer
+    of 30 from bal[1] = 100 to bal[2] = 5, and its operator."""
+    leaf = build_tree(1).right
     base = DbVersion()
     for k, v in ((1, 100), (2, 5)):
         base = store_upsert(base, SCHEMA.sig("bal"), (k,), (v,))
     leaf.txn = TxnExec(SCHEMA, transfer(1, 2, 30))
-    op = TxnOp(leaf, base)
+    return leaf, TxnOp(leaf, base)
+
+
+def test_net_out_correction_reruns_no_group_and_builds_no_index(monkeypatch):
+    """A correction changed and changed back between two refreshes is
+    named by the pull, but moves no branch value: the transaction re-runs
+    no group and publishes nothing, and, before its first real repair,
+    builds no sensitivity index."""
+    leaf, op = _transfer_leaf()
+    corr, txn = leaf.corr[""], leaf.txn
     assert op.refresh() is True  # evaluated: deltas and sensitivity published
-    leaf.corr[""].publish(inserts=[((0, (1,)), (50,))])
+    reruns = []  # the maintainers a repair re-ran
+    for m in txn.maintainers:
+        rerun = lambda *args, m=m, f=m.apply_changes, **kw: reruns.append(m) or f(*args, **kw)
+        monkeypatch.setattr(m, "apply_changes", rerun)
+
+    def latest():
+        return [sig.latest for sig in op.output_signals]
+
+    def indexed():
+        return any(idx.root is not None for idx in txn._sens_index.values())
+
+    versions = latest()
+    corr.publish(inserts=[((0, (1,)), (60,))])
+    corr.publish(removes=[(0, (1,))])  # back to the snapshot's value
+    assert op.refresh() is False
+    assert reruns == [] and latest() == versions and not indexed()
+    corr.publish(inserts=[((0, (1,)), (50,))])
     assert op.refresh() is True  # repaired: bal[1] reads 50
     assert dict(leaf.delta[""].items()) == {(0, (1,)): (20,), (0, (2,)): (35,)}
-    repairs = []
-    repair = leaf.txn.repair
-    monkeypatch.setattr(leaf.txn, "repair", lambda changes: repairs.append(changes) or repair(changes))
-    leaf.corr[""].publish(inserts=[((0, (1,)), (60,))])
-    leaf.corr[""].publish(inserts=[((0, (1,)), (50,))])
+    assert reruns and indexed()
+    reruns.clear()
+    versions = latest()
+    corr.publish(inserts=[((0, (1,)), (60,))])
+    corr.publish(inserts=[((0, (1,)), (50,))])
     assert op.refresh() is False
-    assert repairs == []
+    assert reruns == [] and latest() == versions
+
+
+def test_correction_withdrawn_before_first_refresh_leaves_snapshot_value():
+    """A correction published and withdrawn before the leaf first
+    refreshes is named by that first pull with no value: the db: root
+    keeps the snapshot's value, not an absent key."""
+    leaf, op = _transfer_leaf()
+    leaf.corr[""].publish(inserts=[((0, (1,)), (50,))])
+    leaf.corr[""].publish(removes=[(0, (1,))])
+    assert op.refresh() is True
+    assert ptree.get(leaf.txn._db_root["bal"], (1,)) == (100,)
+    assert dict(leaf.delta[""].items()) == {(0, (1,)): (70,), (0, (2,)): (35,)}
 
 
 def run_fixpoint(base, txn_rules, height, rnd):

@@ -25,24 +25,29 @@ def _content(sig):
     return dict(sig.items())
 
 
-def _apply(replay, pulled):
-    for ident, value in pulled:
+def _apply(replay, cur):
+    """Pull once and fold into `replay` each named identity's value in
+    the pulled root; returns the identities the pull named."""
+    idents = cur.pull()
+    for ident in idents:
+        value = cur.get(ident)
         if value is None:
-            del replay[ident]
+            replay.pop(ident, None)
         else:
             replay[ident] = value
+    return idents
 
 
-def _replay_pull(cur, replay):
-    """Apply one pull to `replay`, checking that it holds, in identity
-    order, exactly the identities whose record changed since `replay`."""
+def _replay_pull(cur, replay, logged):
+    """Apply one pull to `replay`, checking that it names, in identity
+    order, exactly the identities some publish changed since `replay`
+    (`logged`, which it then clears), and that reading them from the
+    pulled root reproduces the content."""
     now = _content(cur.signal)
-    pulled = cur.pull()
-    idents = [ident for ident, _value in pulled]
-    assert idents == sorted(set(idents))
-    assert set(idents) == {i for i in set(replay) | set(now) if replay.get(i) != now.get(i)}
-    _apply(replay, pulled)
+    idents = _apply(replay, cur)
+    assert idents == sorted(logged)
     assert replay == now
+    logged.clear()
 
 
 @given(publish_batches, st.data())
@@ -50,11 +55,14 @@ def _replay_pull(cur, replay):
 def test_change_composition(batches, data):
     """Pulls compose: a cursor that pulls at arbitrary points between
     publishes and one that pulls only at the end both replay, from empty,
-    to the signal's content; `latest` moves exactly when content does.
+    to the signal's content, each pull naming exactly the identities
+    some publish changed since the previous pull; `latest` moves exactly
+    when content does.
     The content is a dict's after the same removals, then insertions."""
     sig = VersionedSignal("delta")
     often, once = SignalCursor(sig), SignalCursor(sig)
     replay, model = {}, {}
+    often_log, once_log = set(), set()
     for inserts, removes in batches:
         before, v0 = _content(sig), sig.latest
         assert (sig.publish(inserts, removes) != v0) == (_content(sig) != before)
@@ -62,10 +70,13 @@ def test_change_composition(batches, data):
             model.pop(ident, None)
         model.update(inserts)
         assert _content(sig) == model
+        moved = {i for i in set(before) | set(model) if before.get(i) != model.get(i)}
+        often_log |= moved
+        once_log |= moved
         if data.draw(st.booleans()):
-            _replay_pull(often, replay)
-    _replay_pull(often, replay)
-    _replay_pull(once, {})
+            _replay_pull(often, replay, often_log)
+    _replay_pull(often, replay, often_log)
+    _replay_pull(once, {}, once_log)
     assert often.pull() == once.pull() == []
 
 
@@ -78,7 +89,7 @@ def test_replay_from_empty(batches):
     for inserts, removes in batches:
         sig.publish(inserts, removes)
     replay = {}
-    _apply(replay, SignalCursor(sig).pull())
+    _apply(replay, SignalCursor(sig))
     assert replay == _content(sig)
 
 
@@ -100,7 +111,7 @@ def test_concurrent_pulls_replay_to_content():
     def read(cur, replay):
         while True:
             finished = done.is_set()
-            _apply(replay, cur.pull())
+            _apply(replay, cur)
             if finished:
                 return
 
@@ -155,17 +166,20 @@ def test_sens_remove_rejected():
 def test_delta_replace_nets_out():
     sig = VersionedSignal("delta")
     cur = SignalCursor(sig)
-    sig.publish(inserts=[((0, (1,)), (10,))])
+    k = (0, (1,))
+    sig.publish(inserts=[(k, (10,))])
     cur.pull()
-    sig.publish(inserts=[((0, (1,)), (20,))])
-    # a replacement is one change: the identity with its current value
-    assert cur.pull() == [((0, (1,)), (20,))]
-    # replaced then restored between two pulls: nets to nothing
-    sig.publish(inserts=[((0, (1,)), (30,))])
-    sig.publish(inserts=[((0, (1,)), (20,))])
+    sig.publish(inserts=[(k, (20,))])
+    # a replacement is one change: the identity, its new value pulled
+    assert cur.pull() == [k] and cur.get(k) == (20,)
+    # replaced then restored between two pulls: named once, and the
+    # pulled value is the one the reader already holds
+    sig.publish(inserts=[(k, (30,))])
+    sig.publish(inserts=[(k, (20,))])
+    assert cur.pull() == [k] and cur.get(k) == (20,)
     assert cur.pull() == []
-    sig.publish(removes=[(0, (1,))])
-    assert cur.pull() == [((0, (1,)), None)]
+    sig.publish(removes=[k])
+    assert cur.pull() == [k] and cur.get(k) is None
 
 
 def test_noop_publish_keeps_version():
@@ -207,7 +221,9 @@ def test_publish_inserts_win_over_removes_and_later_inserts_win():
         removes=[(0, (1,)), (0, (2,))],
     )
     assert _content(sig) == {(0, (1,)): (5,), (0, (3,)): (8,)}
-    assert cur.pull() == [((0, (1,)), (5,)), ((0, (2,)), None), ((0, (3,)), (8,))]
+    pulled = cur.pull()
+    assert pulled == [(0, (1,)), (0, (2,)), (0, (3,))]
+    assert [cur.get(i) for i in pulled] == [(5,), None, (8,)]
 
 
 def test_sens_replace_rejected_before_swap():
@@ -224,10 +240,10 @@ class TestCursor:
         sig = VersionedSignal("delta")
         cur = SignalCursor(sig)
         sig.publish(inserts=[((0, (1,)), (10,))])
-        assert cur.pull() == [((0, (1,)), (10,))]
+        assert cur.pull() == [(0, (1,))] and cur.get((0, (1,))) == (10,)
         assert cur.pull() == []
         sig.publish(inserts=[((0, (2,)), (5,))])
-        assert cur.pull() == [((0, (2,)), (5,))]
+        assert cur.pull() == [(0, (2,))] and cur.get((0, (2,))) == (5,)
 
 
 def test_range_idents():
