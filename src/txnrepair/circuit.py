@@ -40,6 +40,10 @@ correction operator into its leaf reads it and writes the corrections
 the transaction reads), so links between operators would keep a circuit
 alive after its owner drops it, until the cyclic collector runs.
 
+A correction operator only asks whether any interval of its child's
+sensitivity covers a record, so it keeps them merged (`CoverageSet`).
+The records a new interval's range scan finds are covered unchecked.
+
 A refresh wakes only the readers of the outputs it published to, and of
 those only the ones whose output the publish can change (`Op.woken`,
 `Op.wakes_on`). A correction operator's output depends on sensitivity
@@ -59,7 +63,7 @@ import itertools
 from typing import Optional
 
 from .domain import DomainDecomposition
-from .inclftj import IntervalIndex
+from .inclftj import CoverageSet
 from .pstore import DbVersion
 from .signal import CORR, DELTA, SENS, SignalCursor, VersionedSignal
 from .txn import UNEVALUATED, TxnExec
@@ -280,12 +284,12 @@ class CorrOp(Op):
         self._inputs = parents + delta
         # the left sibling's writes are later than the parent's corrections
         self._by_precedence = delta + parents
-        self._sens_index = IntervalIndex()
+        self._cover = CoverageSet()
         self.output_signals = [self.out]
 
     def reset(self):
         super().reset()
-        self._sens_index = IntervalIndex()
+        self._cover = CoverageSet()
 
     def wakes_on(self, signal: VersionedSignal) -> bool:
         # new sensitivity meets no record while every input is empty
@@ -296,16 +300,17 @@ class CorrOp(Op):
     def refresh(self) -> bool:
         new_sens = self.cur_sens.pull()
         idents = {ident for cur in self._inputs for ident in cur.pull()}
-        for interval in new_sens:
-            pred_id, lo, hi = interval
+        inside = set()  # present in an input and inside a new interval: covered
+        for pred_id, lo, hi in new_sens:
             lo_ident, hi_ident = (pred_id, lo), (pred_id, hi)
-            self._sens_index.insert(lo_ident, hi_ident, interval)
-            # candidates already present in the inputs inside the new interval
+            self._cover.add(lo_ident, hi_ident)
             for cur in self._inputs:
-                idents.update(cur.range_idents(lo_ident, hi_ident))
+                if cur.root is not None:
+                    inside.update(cur.range_idents(lo_ident, hi_ident))
         return _publish_winners(self.out, (
-            (i, _first(self._by_precedence, i) if self._sens_index.stab(i) else None)
-            for i in idents
+            (i, _first(self._by_precedence, i)
+             if i in inside or self._cover.covers(i) else None)
+            for i in idents | inside
         ))
 
 

@@ -1,13 +1,15 @@
 """Incremental rule maintenance via recorded sensitivity intervals.
 
 A full evaluation records every cursor operation's sensitivity interval,
-and the caller (`txn`) keeps them in one interval index per input. When
-input records change, stabbing that index yields the variable-binding
-prefixes (contexts) whose join subtrees could have changed; the rule is
-re-run restricted to the prefix-minimal contexts against the old and new
-inputs, and the two restricted results are diffed. Everything outside
-the stabbed contexts is untouched by construction, so the maintained
-result matches a full re-evaluation.
+and the caller (`txn`) keeps them in one `IntervalIndex` per input, built
+in batches. When input records change, stabbing that index yields the
+variable-binding prefixes (contexts) whose join subtrees could have
+changed; the rule is re-run restricted to the prefix-minimal contexts
+against the old and new inputs, and the two restricted results are
+diffed. Everything outside the stabbed contexts is untouched by
+construction, so the maintained result matches a full re-evaluation.
+(`circuit.CorrOp` asks only whether any interval covers an identity: a
+merged `CoverageSet` answers that.)
 
 One maintainer may hold a group of bindings of one template (`txn`
 groups a transaction's rules so): its contexts start with the binding's
@@ -17,110 +19,96 @@ the group supports its head tuples once per repeat.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .lftj import BINDING, CompiledRule, Stats, eval_rule
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def _priority(n: int) -> int:
-    """splitmix64 of n: well-spread treap priorities from a plain counter."""
-    z = (n * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-class _INode:
-    __slots__ = ("lo", "hi", "payload", "prio", "left", "right", "max_hi")
-
-    def __init__(self, lo, hi, payload, prio):
-        self.lo = lo
-        self.hi = hi
-        self.payload = payload
-        self.prio = prio
-        self.left = None
-        self.right = None
-        self.max_hi = hi
-
-    def _pull(self):
-        m = self.hi
-        if self.left is not None and self.left.max_hi > m:
-            m = self.left.max_hi
-        if self.right is not None and self.right.max_hi > m:
-            m = self.right.max_hi
-        self.max_hi = m
+from .values import MINK
 
 
 class IntervalIndex:
-    """Insert-only set of intervals, each with a payload; a stabbing
+    """Set of closed intervals [lo, hi], each with a payload; a stabbing
     query returns the payloads of the intervals that contain a point.
 
-    Treap keyed by interval low endpoint, augmented with subtree max
-    high endpoint, so a stab visits only subtrees that can contain the
-    point. Priorities mix the insert count, so repeated intervals still
-    get distinct ones.
+    The entries sit in one array sorted by `lo`, under an implicit
+    balanced tree (node i has children 2i and 2i + 1; leaf `size + j` is
+    entry j) holding each subtree's greatest `hi`. A stab splits the
+    entries with `lo <= point` into O(log n) subtrees and descends only
+    where `hi` reaches the point: O((1 + hits) log n), however wide some
+    intervals are. `extend` re-sorts and rebuilds in O(n): few, large
+    batches suit it.
     """
 
     def __init__(self):
-        self.root = None
-        self._inserts = 0
+        self._entries = []  # (lo, hi, payload), sorted by lo
+        self._los = []
+        self._max = [(), ()]  # the tree: 2 * size nodes, size a power of two
 
-    def insert(self, lo: tuple, hi: tuple, payload):
-        self._inserts += 1
-        node = _INode(lo, hi, payload, _priority(self._inserts))
-        self.root = self._insert(self.root, node)
+    def __len__(self):
+        return len(self._entries)
 
-    def _insert(self, t, node):
-        if t is None:
-            return node
-        if node.lo < t.lo:
-            t.left = self._insert(t.left, node)
-            if t.left.prio < t.prio:
-                t = self._rot_right(t)
-        else:
-            t.right = self._insert(t.right, node)
-            if t.right.prio < t.prio:
-                t = self._rot_left(t)
-        t._pull()
-        return t
-
-    @staticmethod
-    def _rot_right(t):
-        l = t.left
-        t.left = l.right
-        l.right = t
-        t._pull()
-        l._pull()
-        return l
-
-    @staticmethod
-    def _rot_left(t):
-        r = t.right
-        t.right = r.left
-        r.left = t
-        t._pull()
-        r._pull()
-        return r
+    def extend(self, entries):
+        """Add each (lo, hi, payload) of `entries`."""
+        items = self._entries + list(entries)
+        items.sort(key=itemgetter(0))  # two sorted runs: one merge
+        size = 1
+        while size < len(items):
+            size *= 2
+        mx = [()] * (2 * size)  # () is below every point
+        mx[size : size + len(items)] = [hi for _lo, hi, _p in items]
+        while size > 1:
+            mx[size // 2 : size] = map(max, mx[size : 2 * size : 2], mx[size + 1 : 2 * size : 2])
+            size //= 2
+        self._entries, self._los, self._max = items, [e[0] for e in items], mx
 
     def stab(self, point: tuple):
         """Payloads of all intervals [lo, hi] that contain the point tuple."""
+        mx = self._max
+        size = len(mx) // 2
+        n = bisect_right(self._los, point)
+        # the subtrees that exactly cover the entries with lo <= point
+        stack = [1] if n == size else []
+        hi = size + n
+        while hi > 1:
+            if hi & 1:
+                stack.append(hi - 1)
+            hi //= 2
         out = []
-        stack = [self.root]
         while stack:
-            t = stack.pop()
-            if t is None or t.max_hi < point:
+            i = stack.pop()
+            if mx[i] < point:
                 continue
-            stack.append(t.left)
-            if t.lo <= point:
-                if point <= t.hi:
-                    out.append(t.payload)
-                stack.append(t.right)
+            if i >= size:
+                out.append(self._entries[i - size][2])
+            else:
+                stack += (2 * i, 2 * i + 1)
         return out
+
+
+class CoverageSet:
+    """Whether a growing set of closed intervals of identities
+    `(pred_id, key)` covers an identity. `_bounds` holds the start and
+    exclusive end of each merged, disjoint interval in order, so an
+    identity is covered when an odd number of bounds lie at or below it.
+    An end `hi` is kept as `hi + (MINK,)`: identities are pairs, so none
+    lies strictly between the two.
+    """
+
+    def __init__(self):
+        self._bounds = []
+
+    def add(self, lo: tuple, hi: tuple):
+        """Cover the identities in [lo, hi]."""
+        bounds, end = self._bounds, hi + (MINK,)
+        i, j = bisect_left(bounds, lo), bisect_right(bounds, end)
+        # an odd i (j) falls inside an interval, whose start (end) stays
+        bounds[i:j] = [b for k, b in ((i, lo), (j, end)) if not k & 1]
+
+    def covers(self, ident: tuple) -> bool:
+        return bisect_right(self._bounds, ident) & 1 == 1
 
 
 def minimal_contexts(entries):

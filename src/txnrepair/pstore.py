@@ -73,7 +73,10 @@ class Schema:
             raise SchemaError(f"unknown predicate {name}") from None
 
     def sig_by_id(self, pred_id: int) -> PredicateSig:
-        return self._by_id[pred_id]
+        try:
+            return self._by_id[pred_id]
+        except KeyError:
+            raise SchemaError(f"unknown predicate id {pred_id}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

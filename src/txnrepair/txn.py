@@ -18,12 +18,13 @@ re-runs only the bindings that read it. Transactions built with one
 template and upserted set.
 
 Evaluation materializes every group and indexes the sensitivity
-intervals it records, one interval index per read vertex over every
-group, built by the first repair whose corrections move a branch value.
-Repair stabs that index once with each changed point, a correction's or
-a re-run group's output, and calls only the groups it hits, so the cost
-tracks how much of the transaction's reads actually changed. Evaluation
-and repair run the groups in dependency order, read off their plans: a
+intervals it records, one `IntervalIndex` per read vertex over every
+group: the first repair whose corrections move a branch value sorts in
+the evaluation's entries, each later one the earlier re-runs' as one
+batch. Repair stabs that index once with each changed point, a
+correction's or a re-run group's output, and calls only the groups it
+hits, so the cost tracks how much of the reads changed. Evaluation and
+repair run the groups in dependency order, read off their plans: a
 group runs after every group that writes a vertex it reads
 (`rulelang.atom_vertex`), ties broken by the index of each group's first
 rule. All rules of a group read and write the same vertices, so no rule
@@ -142,7 +143,7 @@ class TxnExec:
         # read vertex -> IntervalIndex of (group index, SensEntry); a repair
         # that moves a branch value first indexes the (group index, entries)
         # recorded before it, so a transaction never repaired builds no index
-        self._sens_index = {v: IntervalIndex() for rs in reads for v in rs}
+        self._sens_index: dict = {}
         self._unindexed: list = []
         # drain state: identities whose own-upsert entry moved, the own
         # roots the last drain reported (None when it reported no deltas),
@@ -210,7 +211,7 @@ class TxnExec:
         for vertex, points in stabs:
             idx = self._sens_index.get(vertex)
             if idx is None:
-                continue  # no rule reads vertex
+                continue  # no entry on vertex indexed
             for t in points:
                 for g, e in idx.stab(t):
                     hits.setdefault(g, []).append(e)
@@ -304,9 +305,12 @@ class TxnExec:
         for pred, moves in end_moves.items():
             self._end_full[pred] = patch_tree(moves, self._end_full[pred])
         if stabs:
+            batches: dict = {}  # vertex -> [(lo, hi, (group index, entry))]
             for g, entries in self._unindexed:
                 for e in entries:
-                    self._sens_index[e.vertex].insert(e.lo, e.hi, (g, e))
+                    batches.setdefault(e.vertex, []).append((e.lo, e.hi, (g, e)))
+            for vertex, batch in batches.items():
+                self._sens_index.setdefault(vertex, IntervalIndex()).extend(batch)
             self._unindexed = []
         hits = self._stab(stabs, {})  # group index -> its entries a changed point stabbed
         # a group's points stab only the groups after it in the order; its

@@ -214,6 +214,54 @@ def test_corr_filtering_and_idempotence(sens, corr0, corr1):
     assert child.corr[""].latest == v
 
 
+corr_steps = st.lists(st.one_of(
+    st.tuples(st.just("sens"), st.lists(st.tuples(
+        st.integers(0, 1), st.one_of(keys, st.just(MINK)), st.one_of(keys, st.just(TOP)),
+    ).filter(lambda t: t[1] <= t[2]), min_size=1, max_size=3)),
+    st.tuples(st.integers(0, 2), st.lists(st.tuples(st.integers(0, 1), keys, st.integers(0, 5)),
+                                          max_size=4),
+              st.lists(st.tuples(st.integers(0, 1), keys), max_size=3)),
+    st.just(("reset",)),
+), max_size=12)
+
+
+@given(corr_steps)
+@settings(max_examples=200)
+def test_corr_output_tracks_inputs_and_sensitivity(steps):
+    """Interleaved sensitivity and input publishes, refreshed after each:
+    the output is always the precedence-merged inputs (the left sibling's
+    deltas over the parent's first half over its second) filtered by all
+    the sensitivity published so far; after a reset, no earlier
+    sensitivity covers anything."""
+    group = build_tree(1, label="1")  # off the spine: both kinds of input
+    child = group.right
+    op = CorrOp(group, child, "", with_delta=True)
+    inputs = [group.corr["1"], group.corr["0"], group.left.delta[""]]  # low to high precedence
+    sens = []
+    for step in steps:
+        if step[0] == "reset":
+            op.reset()
+            for sig in inputs + [child.sens[""]]:
+                sig.reset()
+            sens = []
+        elif step[0] == "sens":
+            batch = [(p, (lo,), (hi,)) for p, lo, hi in step[1]]
+            child.sens[""].publish(inserts=_units(batch))
+            sens += batch
+        else:
+            which, ups, rems = step
+            inputs[which].publish(inserts=[((p, (k,)), (v,)) for p, k, v in ups],
+                                  removes=[(p, (k,)) for p, k in rems])
+        op.refresh()
+        merged = {}
+        for sig in inputs:
+            merged.update(sig.items())
+        want = {i: v for i, v in merged.items()
+                if any(p == i[0] and lo <= i[1] <= hi for p, lo, hi in sens)}
+        assert dict(child.corr[""].items()) == want
+        assert op.refresh() is False
+
+
 def test_corr_delta_supersedes_parent():
     group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.right
@@ -376,7 +424,7 @@ def test_net_out_correction_reruns_no_group_and_builds_no_index(monkeypatch):
         return [sig.latest for sig in op.output_signals]
 
     def indexed():
-        return any(idx.root is not None for idx in txn._sens_index.values())
+        return any(len(idx) for idx in txn._sens_index.values())
 
     versions = latest()
     corr.publish(inserts=[((0, (1,)), (60,))])

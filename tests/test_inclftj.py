@@ -1,6 +1,5 @@
 """Interval index and incremental rule maintenance vs full re-evaluation."""
 
-import math
 import random
 
 from hypothesis import given, settings
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import stab_linear
 from txnrepair.inclftj import (
+    CoverageSet,
     IntervalIndex,
     RuleMaintainer,
     minimal_contexts,
@@ -15,38 +15,72 @@ from txnrepair.inclftj import (
 from txnrepair.lftj import SensEntry, compile_rule, eval_rule
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import parse_rules
+from txnrepair.values import MINK, TOP
 
-ival = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
-    lambda t: (min(t), max(t))
+coord = st.integers(0, 6)
+# full-arity bounds as the join records them: exact, padded after the
+# first element, or padded throughout (a wide interval)
+bound = st.one_of(
+    st.tuples(coord, coord),
+    st.tuples(coord, st.sampled_from([MINK, TOP])),
+    st.sampled_from([(MINK, MINK), (TOP, TOP)]),
+)
+interval = st.tuples(bound, bound).map(lambda t: tuple(sorted(t)))
+points = st.lists(st.tuples(coord, coord), max_size=6)
+# each batch repeats some of its own intervals
+batches = st.lists(
+    st.tuples(st.lists(interval, max_size=10).map(lambda xs: xs + xs[: len(xs) // 2]), points),
+    max_size=5,
 )
 
 
-@given(st.lists(ival, max_size=40), st.lists(st.integers(0, 30), max_size=10))
-@settings(max_examples=300)
-def test_interval_index_vs_linear(ivals, probes):
-    idx = IntervalIndex()
-    for i, (lo, hi) in enumerate(ivals):
-        idx.insert((lo,), (hi,), i)  # the payload is the interval's index
-    for p in probes:
-        got = sorted(idx.stab((p,)))
-        want = [i for i, (lo, hi) in enumerate(ivals) if lo <= p <= hi]
-        assert got == want
+@given(batches)
+@settings(max_examples=200)
+def test_interval_index_vs_linear(steps):
+    """Batches of inserts with stabs after each: a stab returns the
+    payload of every interval holding the point, repeats included."""
+    idx, ivals = IntervalIndex(), []
+    for batch, probes in steps:
+        idx.extend((lo, hi, len(ivals) + i) for i, (lo, hi) in enumerate(batch))
+        ivals += batch
+        assert len(idx) == len(ivals)
+        for p in probes:
+            want = [i for i, (lo, hi) in enumerate(ivals) if lo <= p <= hi]
+            assert sorted(idx.stab(p)) == want
 
 
-def _depth(t):
-    return 0 if t is None else 1 + max(_depth(t.left), _depth(t.right))
+@given(st.lists(st.tuples(st.lists(st.tuples(st.integers(0, 1), interval), max_size=10),
+                          st.lists(st.tuples(st.integers(0, 1), st.tuples(coord, coord)),
+                                   max_size=6)),
+                max_size=5))
+@settings(max_examples=200)
+def test_coverage_set_vs_linear(steps):
+    """Identity intervals of two predicates added in batches: an identity
+    is covered exactly when one of the intervals so far holds it."""
+    cover, ivals = CoverageSet(), []
+    for batch, probes in steps:
+        for pred_id, (lo, hi) in batch:
+            cover.add((pred_id, lo), (pred_id, hi))
+        ivals += batch
+        for ident in probes:
+            want = any(p == ident[0] and lo <= ident[1] <= hi for p, (lo, hi) in ivals)
+            assert cover.covers(ident) == want
 
 
-def test_interval_index_stays_shallow():
-    """Sorted inserts and repeats of one interval still build a treap of
-    logarithmic depth: priorities do not follow the intervals."""
+def test_one_wide_interval_among_many_narrow():
+    """4 096 narrow intervals, added in two batches around one [MINK, TOP]
+    interval: each point stabs exactly the narrow intervals holding it
+    and the wide one."""
     n = 4096
-    for ivals in ([((i,), (i + 1,)) for i in range(n)], [((5,), (9,))] * n):
-        idx = IntervalIndex()
-        for i, (lo, hi) in enumerate(ivals):
-            idx.insert(lo, hi, i)
-        assert _depth(idx.root) < 4 * math.log2(n)
-    assert len(idx.stab((7,))) == n
+    idx = IntervalIndex()
+    idx.extend(((i,), (i + 1,), i) for i in range(0, n, 2))
+    idx.extend([((MINK,), (TOP,), "wide")] + [((i,), (i + 1,), i) for i in range(1, n, 2)])
+    for p in range(-1, n + 2):
+        want = sorted(i for i in (p - 1, p) if 0 <= i < n)
+        got = idx.stab((p,))
+        assert got.count("wide") == 1
+        got.remove("wide")
+        assert sorted(got) == want
 
 
 def test_minimal_contexts_drops_extensions():

@@ -10,6 +10,8 @@ multi-predicate joins, negation, constraints, derived predicates, both
 orders of an equality, int64 edge values, and `@start` as well as
 end-state reads. Reads of another predicate's end state go from a
 higher-numbered predicate to a lower one, so no program has a cycle.
+A second family, guarded transfers between three keys, makes repairs
+flip reads: a correction moves a balance across a guard's threshold.
 """
 
 import re
@@ -53,6 +55,20 @@ TEMPLATES = (
     "false <- R(x, y), F{i}[x] = y, x = $k.",
 )
 
+# a guarded transfer, whose repairs flip reads: $m moves from F0[$s] to
+# F0[$k] only while F0[$s] holds it, so an earlier transfer out of $s
+# flips the guard and withdraws both upserts (or brings them back); a
+# copy guarded on F0's end state and an overdraft constraint flip on
+# corrections and on the transaction's own transfer alike
+TRANSFER = (
+    "^F0[$s] = v <- F0@start[$s] = a, a >= $m, v = a - $m.\n"
+    "^F0[$k] = v <- F0@start[$k] = b, F0@start[$s] = a, a >= $m, v = b + $m."
+)
+END_READERS = (
+    "^F1[$k] = v <- F0[$s] = a, a >= $t, v = a - $t.",
+    "false <- F0[$s] = a, a < $t.",
+)
+
 
 @st.composite
 def template(draw):
@@ -92,6 +108,26 @@ def workloads(draw):
     return snapshot, txns
 
 
+@st.composite
+def transfer_workloads(draw):
+    """Two to six transactions over three keys with small non-negative
+    balances, each binding a TRANSFER between two keys and, in some, one
+    of END_READERS. The transfer upserts two keys of F0, so an end-state
+    read of the third sees the corrections that earlier transfers make."""
+    txns = []
+    for _ in range(draw(st.integers(2, 6))):
+        s = draw(st.integers(0, 2))
+        k = (s + draw(st.integers(1, 2))) % 3
+        rules = parse_rules(TRANSFER, SCHEMA, {"s": s, "k": k, "m": draw(st.integers(1, 3))})
+        for text in draw(st.lists(st.sampled_from(END_READERS), max_size=1)):
+            params = {"s": draw(st.integers(0, 2)), "k": draw(st.integers(0, 2)),
+                      "t": draw(st.integers(0, 3))}
+            rules += parse_rules(text, SCHEMA, {n: params[n] for n in re.findall(r"\$(\w+)", text)})
+        txns.append(rules)
+    snapshot = {p: {(k,): (draw(st.integers(0, 4)),) for k in range(3)} for p in FUNS}
+    return {**snapshot, "R": {}}, txns
+
+
 def workload(snapshot, txns):
     db = DbVersion()
     for pred, table in snapshot.items():
@@ -114,11 +150,7 @@ def check(snapshot, txns, report):
     assert as_snapshot(report.db) == want, report.mode
 
 
-# no shrink phase: shrinking re-runs every executor per candidate, so a
-# failure took minutes to report; the first falsifying case is shown as is
-@given(workloads())
-@settings(max_examples=300, phases=[p for p in Phase if p is not Phase.shrink])
-def test_serial_and_engine_match_the_oracle(case):
+def check_executors(case):
     snapshot, txns = case
     wl = workload(snapshot, txns)
     check(snapshot, txns, bench.run_serial(wl))
@@ -129,6 +161,23 @@ def test_serial_and_engine_match_the_oracle(case):
         check(snapshot, txns, bench.run_repair(wl, workers=2, height=2))
     finally:
         sys.setswitchinterval(interval)
+
+
+# no shrink phase: shrinking re-runs every executor per candidate, so a
+# failure took minutes to report; the first falsifying case is shown as is
+NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
+
+
+@given(workloads())
+@settings(max_examples=300, phases=NO_SHRINK)
+def test_serial_and_engine_match_the_oracle(case):
+    check_executors(case)
+
+
+@given(transfer_workloads())
+@settings(max_examples=100, phases=NO_SHRINK)
+def test_guarded_transfers_match_the_oracle(case):
+    check_executors(case)
 
 
 # programs a transaction must reject however they are bound: a derived

@@ -31,6 +31,8 @@ def test_schema_lookup(schema):
     assert "bal" in schema and "nope" not in schema
     with pytest.raises(SchemaError):
         schema.sig("nope")
+    with pytest.raises(SchemaError, match="unknown predicate id 7"):
+        schema.sig_by_id(7)
 
 
 def test_schema_rejects_duplicates():
@@ -104,7 +106,8 @@ def test_apply_deltas(schema):
     (((0, (1, 2)), (5,)), SchemaError),  # key of the wrong arity
     (((1, (7,)), ()), SchemaError),  # key of the wrong type
     (((0, (1,)), None), ValueError),  # a removal: the commit takes upserts only
-], ids=["int64_overflow", "key_arity", "key_type", "removal"])
+    (((7, (1,)), (2,)), SchemaError),  # no predicate has id 7
+], ids=["int64_overflow", "key_arity", "key_type", "removal", "unknown_pred"])
 def test_apply_deltas_checks_the_signature(schema, bad, error):
     db = store_upsert(DbVersion(), schema.sig("bal"), (1,), (10,))
     before = list(full_scan(db, schema))
