@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the sku workload over worker counts and contention levels.
 
-Writes one CSV row per (alpha, workers, mode). On a single-core box the
-repair engine cannot show parallel speedup; the sweep is still useful
-for the refresh-count columns.
+Writes one CSV row per (alpha, workers, mode). CPython threads share the
+interpreter lock, so on any core count the repair engine runs one
+refresh at a time and cannot show thread speedup; the sweep is still
+useful for the refresh-count columns.
 
 Usage: python3 scripts/run_speedup_sweep.py [--out sweep.csv] [--txns 64]
 """

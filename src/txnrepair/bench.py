@@ -238,6 +238,8 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
     admissions, and the run re-raises the first exception. Each worker
     keeps one plan cache, since a cache is not for concurrent use.
     """
+    if workers < 1:
+        raise ValueError(f"worker count {workers} is below 1")
     t0 = time.perf_counter()
     locks = {}
     for ls in wl.locksets:
@@ -276,7 +278,7 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
                 for lk in reversed(held):
                     lk.release()
 
-    threads = [threading.Thread(target=work) for _ in range(max(workers, 1))]
+    threads = [threading.Thread(target=work) for _ in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
@@ -358,6 +360,8 @@ def main(argv=None) -> int:
     ap.add_argument("--verify", action="store_true",
                     help="check repair result against the serial oracle")
     args = ap.parse_args(argv)
+    if args.workers < 1:
+        ap.error(f"worker count {args.workers} is below 1")
 
     cfg = WorkloadConfig(name=args.workload, n=args.n, alpha=args.alpha,
                          txns=args.txns, seed=args.seed, variant=args.variant)

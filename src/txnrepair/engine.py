@@ -11,6 +11,12 @@ its subtree. Priority mode "inverted" keys on the latest transaction
 feeding an operator instead, which is the pathological schedule for
 long dependency chains.
 
+The calling thread is one of the workers. Each enters the queue once per
+refresh, and only through a non-blocking acquire, so that no worker hands
+the queue lock to a thread still waiting for CPython's GIL: that hand-off
+makes every refresh alternate threads, a lock convoy (see `_Queue`).
+Workers are no faster than one, since the GIL runs one refresh at a time.
+
 The fixpoint of the circuit is schedule independent, so the committed
 state is identical for any worker count or tie-breaking choice. At the
 fixpoint, the root's delta merge holds the net writes of the epoch's
@@ -44,6 +50,7 @@ import heapq
 import itertools
 import random
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,60 +94,85 @@ class EngineReport:
 
 
 class _Queue:
-    """Priority refresh queue; an op is never queued or run twice at once."""
+    """Priority refresh queue; an op is never queued or run twice at once.
 
-    def __init__(self, prio, tie):
+    Hand-off rule: a worker enters the queue once per refresh (`step`) and
+    only through a non-blocking acquire, yielding the interpreter between
+    attempts. Under CPython's GIL, a blocking acquire of a contended lock
+    hands the lock to a thread that must then wait for the GIL; the
+    running worker blocks on the lock at its next refresh, so every
+    refresh would alternate threads (a lock convoy). An idle worker waits
+    on the condition and is notified only when the queued ops outnumber
+    the awake workers, each of which, this one included, takes one at its
+    next step; with no idle worker no condition method is called."""
+
+    def __init__(self, prio, tie, workers):
         self._heap: list = []
         self._prio = prio  # op -> priority tuple
         self._tie = tie  # op -> tie-break key factory
         self._state: dict = {}  # op -> "queued" | "running" | "rerun"
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
-        self._active = 0
+        self._workers = workers
+        self._waiting = 0  # workers in the idle wait not yet notified
+        self._active = 0  # ops running
         self._stopped = False
 
-    def stop(self):
-        with self._lock:
-            self._stopped = True
-            self._cv.notify_all()
+    def _enter(self):
+        while not self._lock.acquire(False):
+            time.sleep(0)
 
     def push(self, op):
-        with self._lock:
-            st = self._state.get(op)
-            if st == "queued":
-                return
-            if st in ("running", "rerun"):
-                self._state[op] = "rerun"
-                return
-            self._state[op] = "queued"
-            heapq.heappush(self._heap, (self._prio[op], self._tie(), op))
-            self._cv.notify()
+        """Queue op, or mark it to run once more if it runs; outside `step`,
+        only before the workers start."""
+        st = self._state.get(op)
+        if st == "queued":
+            return
+        if st in ("running", "rerun"):
+            self._state[op] = "rerun"
+            return
+        self._state[op] = "queued"
+        heapq.heappush(self._heap, (self._prio[op], self._tie(), op))
 
-    def pop(self):
-        """Next op, or None when the fixpoint is reached."""
-        with self._lock:
-            while True:
-                if self._stopped:
-                    return None
+    def stop(self):
+        self._enter()
+        self._stopped = True
+        self._wake(self._waiting)
+        self._lock.release()
+
+    def _wake(self, n):
+        if n > 0:
+            self._waiting -= n
+            self._cv.notify(n)
+
+    def step(self, done=None, woken=()):
+        """Queue the readers `done`'s refresh woke, finish `done`, and take
+        the next op: None when stopped or at the fixpoint, where nothing is
+        queued or running."""
+        self._enter()
+        try:
+            for op in woken:
+                self.push(op)
+            if done is not None:
+                self._active -= 1
+                if self._state.pop(done) == "rerun":
+                    self.push(done)
+            while not self._stopped:
                 if self._heap:
                     _, _, op = heapq.heappop(self._heap)
                     self._state[op] = "running"
                     self._active += 1
+                    awake = self._workers - self._waiting
+                    self._wake(min(self._waiting, len(self._heap) - awake))
                     return op
                 if self._active == 0:
-                    self._cv.notify_all()
-                    return None
+                    break
+                self._waiting += 1
                 self._cv.wait()
-
-    def done(self, op):
-        with self._lock:
-            self._active -= 1
-            if self._state.get(op) == "rerun":
-                self._state[op] = "queued"
-                heapq.heappush(self._heap, (self._prio[op], self._tie(), op))
-            else:
-                self._state.pop(op, None)
-            self._cv.notify_all()
+            self._wake(self._waiting)
+            return None
+        finally:
+            self._lock.release()
 
 
 def _op_priorities(ops, height, n, mode):
@@ -213,6 +245,8 @@ class Engine:
             raise ValueError(f"unknown priority mode {self.config.priority_mode!r}")
         if self.config.height < 0:
             raise ValueError(f"negative tree height {self.config.height}")
+        if self.config.workers < 1:
+            raise ValueError(f"worker count {self.config.workers} is below 1")
         self.metrics = EngineMetrics()
         self._decomp = None
         self._decomp_count = None  # the store's record count when it was built
@@ -280,7 +314,7 @@ class Engine:
             tie = lambda: (rng.random(), next(seq))
         else:
             tie = lambda: (0.0, next(seq))
-        queue = _Queue(prio, tie)
+        queue = _Queue(prio, tie, cfg.workers)
         readers = circ.readers
 
         errors: list = []
@@ -288,8 +322,9 @@ class Engine:
 
         def work():
             op_refreshes = txn_refreshes = 0
+            op, woken = None, ()
             while True:
-                op = queue.pop()
+                op = queue.step(op, woken)
                 if op is None:
                     counts.append((op_refreshes, txn_refreshes))
                     return
@@ -299,24 +334,20 @@ class Engine:
                     op_refreshes += 1
                     if isinstance(op, TxnOp):
                         txn_refreshes += 1
-                    for reader in op.woken(versions, readers):
-                        queue.push(reader)
-                except BaseException as exc:  # keep done() paired with pop()
+                    woken = op.woken(versions, readers)
+                except BaseException as exc:  # the next step still finishes op
                     errors.append(exc)
+                    woken = ()
                     queue.stop()
-                finally:
-                    queue.done(op)
 
         for op in txn_ops:
             queue.push(op)
-        if cfg.workers <= 1:
-            work()
-        else:
-            threads = [threading.Thread(target=work) for _ in range(cfg.workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        threads = [threading.Thread(target=work) for _ in range(cfg.workers - 1)]
+        for t in threads:
+            t.start()
+        work()  # the calling thread is one of the workers
+        for t in threads:
+            t.join()
         for op_refreshes, txn_refreshes in counts:
             self.metrics.op_refreshes += op_refreshes
             self.metrics.txn_refreshes += txn_refreshes

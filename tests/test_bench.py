@@ -17,6 +17,7 @@ from txnrepair.bench import (
     run_repair,
     run_serial,
 )
+from txnrepair.engine import Engine, EngineConfig
 from txnrepair.pstore import DbVersion, record_count, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED
@@ -162,6 +163,29 @@ def test_cli_writes_csv(tmp_path):
     for r in rows:
         assert float(r["seconds"]) >= 0
         assert int(r["txns"]) == 8
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("entry", ["engine", "run_lock", "cli"])
+def test_worker_count_below_one_is_rejected(monkeypatch, capsys, entry, workers):
+    """No executor silently runs one worker in place of a count below 1;
+    the CLI rejects it before it builds a workload."""
+    wl = make_workload(WorkloadConfig(name="sku", n=50, txns=2, seed=1))
+    if entry == "engine":
+        with pytest.raises(ValueError, match=f"worker count {workers} is below 1"):
+            Engine(wl.schema, wl.db, EngineConfig(workers=workers))
+    elif entry == "run_lock":
+        with pytest.raises(ValueError, match=f"worker count {workers} is below 1"):
+            run_lock(wl, workers=workers)
+    else:
+        def no_workload(cfg):
+            raise AssertionError("the CLI built a workload")
+
+        monkeypatch.setattr(bench, "make_workload", no_workload)
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", str(workers)])
+        assert exc.value.code == 2
+        assert f"worker count {workers} is below 1" in capsys.readouterr().err
 
 
 def test_cli_modes_subset(tmp_path):

@@ -2,11 +2,14 @@
 
 import dataclasses
 import gc
+import itertools
 import random
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -501,6 +504,150 @@ def test_refresh_metrics_count_every_refresh(monkeypatch, workers):
         sys.setswitchinterval(interval)
     assert eng.metrics.op_refreshes == sum(counts.values())
     assert eng.metrics.txn_refreshes == counts["txn"]
+
+
+def make_queue(*ops, workers):
+    """A queue over stand-in ops, prioritized in the order given."""
+    seq = itertools.count()
+    return engine._Queue({op: (i, 0) for i, op in enumerate(ops)},
+                         lambda: (0.0, next(seq)), workers)
+
+
+def until_waiting(queue, n):
+    deadline = time.monotonic() + 10
+    while queue._waiting < n:
+        assert time.monotonic() < deadline, "no worker went idle"
+        time.sleep(0.001)
+
+
+def stepped(queue, *args):
+    """A thread taking one step on queue; the op it took lands in .got."""
+    t = threading.Thread(target=lambda: t.got.append(queue.step(*args)), daemon=True)
+    t.got = []
+    t.start()
+    return t
+
+
+def test_queue_reruns_an_op_woken_while_it_runs_once_after_it():
+    q = make_queue("a", "b", workers=2)
+    q.push("a")
+    q.push("b")
+    assert q.step() == "a"
+    assert q.step() == "b"
+    other = stepped(q, "b", ["a", "a"])  # b's refresh woke a, which still runs
+    until_waiting(q, 1)  # so the other worker goes idle instead of taking it
+    assert other.got == []
+    assert q.step("a") == "a"  # a runs once more, after it finished
+    assert q.step("a") is None
+    other.join(10)
+    assert other.got == [None]
+
+
+def test_queue_reports_the_fixpoint_only_when_nothing_is_queued_or_running():
+    q = make_queue("a", "b", "c", workers=2)
+    q.push("a")
+    q.push("b")
+    assert q.step() == "a"
+    assert q.step() == "b"
+    other = stepped(q, "a")  # nothing queued, but b runs: not yet the fixpoint
+    until_waiting(q, 1)
+    assert q.step("b", ["c"]) == "c"  # the one queued op is this worker's next
+    assert q._waiting == 1 and other.got == []
+    assert q.step("c") is None
+    other.join(10)
+    assert other.got == [None]
+    one = make_queue("a", workers=1)
+    one.push("a")
+    assert one.step() == "a"
+    assert one.step("a", ["a"]) == "a"
+    assert one.step("a") is None
+
+
+def settled(eng, txns):
+    """eng.run(txns) on a thread of its own, so that a lost wake-up fails
+    the join instead of hanging the suite."""
+    reports = []
+    t = threading.Thread(target=lambda: reports.append(eng.run(txns)), daemon=True)
+    t.start()
+    t.join(60)
+    assert not t.is_alive(), "the engine never reached its fixpoint"
+    return reports[0]
+
+
+def test_fan_out_at_four_workers_settles_under_fast_switching():
+    """Each transaction writes keys spread over the domain, so a refresh
+    wakes several readers at once."""
+    wl = make_workload(WorkloadConfig(name="sku", n=400, alpha=0.5, txns=64, seed=11))
+    want = run_serial(wl)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rep = settled(Engine(wl.schema, wl.db, EngineConfig(workers=4)), wl.txns)
+    finally:
+        sys.setswitchinterval(interval)
+    assert state_hash(rep.db, wl.schema) == want.hash(wl.schema)
+    assert rep.statuses == want.statuses
+
+
+class WatchedLock:
+    """A queue lock that records each blocking acquire made outside the
+    queue's idle wait."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.idle = threading.local()
+        self.blocking = []
+
+    def acquire(self, blocking=True, timeout=-1):
+        if blocking and not getattr(self.idle, "waiting", False):
+            self.blocking.append(threading.current_thread().name)
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def test_workers_never_block_on_the_queue_lock_outside_the_idle_wait(monkeypatch):
+    """A blocking acquire of a contended lock hands it to a thread still
+    waiting for the GIL, which convoys the workers: every worker enters
+    the queue through a non-blocking acquire."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import SPECS
+
+    locks = []
+    init = engine._Queue.__init__
+
+    def watched(queue, *args):
+        init(queue, *args)
+        lock = WatchedLock()
+        cv = threading.Condition(lock)
+        wait = cv.wait
+
+        def idle_wait():
+            lock.idle.waiting = True
+            try:
+                return wait()
+            finally:
+                lock.idle.waiting = False
+
+        cv.wait = idle_wait
+        queue._lock, queue._cv = lock, cv
+        locks.append(lock)
+
+    monkeypatch.setattr(engine._Queue, "__init__", watched)
+    wl = SPECS["transfer_mix"].generate(5, 128)
+    rep = settled(Engine(wl.schema, wl.db, EngineConfig(workers=2)), wl.txns)
+    want = run_serial(wl)
+    assert state_hash(rep.db, wl.schema) == want.hash(wl.schema)
+    assert rep.statuses == want.statuses
+    assert len(locks) == 4  # one queue per epoch
+    assert [lock.blocking for lock in locks] == [[]] * 4
 
 
 class Boom(RuntimeError):
