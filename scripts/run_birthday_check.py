@@ -11,7 +11,7 @@ Usage: python3 scripts/run_birthday_check.py [--n 10000] [--alpha 10]
 import argparse
 from itertools import combinations
 
-from txnrepair.bench import WorkloadConfig, gen_sku_keysets
+from txnrepair.bench import WorkloadConfig, gen_sku
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
 
     cfg = WorkloadConfig(name="sku", n=args.n, alpha=args.alpha,
                          txns=args.txns, seed=args.seed)
-    key_sets = [set(s) for s in gen_sku_keysets(cfg)]
+    key_sets = [set(s) for s in gen_sku(cfg).locksets]
     overlaps = [len(a & b) for a, b in combinations(key_sets, 2)]
     mean = sum(overlaps) / len(overlaps)
     print(f"n={args.n} alpha={args.alpha} txns={args.txns} "

@@ -19,7 +19,6 @@ import argparse
 import csv
 import hashlib
 import itertools
-import json
 import sys
 import threading
 import time
@@ -70,18 +69,6 @@ def _bump_rules(schema, pred, key, delta):
         schema,
         params={"k": key, "d": delta},
     )
-
-
-def gen_sku_keysets(cfg: WorkloadConfig) -> list:
-    """Just the per-transaction sku sets (for contention statistics);
-    skips database and rule construction."""
-    rng = np.random.default_rng(cfg.seed)
-    p = min(1.0, cfg.alpha / cfg.n**0.5)
-    out = []
-    for _ in range(cfg.txns):
-        count = int(rng.binomial(cfg.n, p))
-        out.append(sorted(int(s) for s in rng.choice(cfg.n, size=count, replace=False)))
-    return out
 
 
 def gen_sku(cfg: WorkloadConfig) -> Workload:
@@ -289,21 +276,11 @@ def run_lock(wl: Workload, workers: int = 1) -> RunReport:
                      txn_refreshes=len(wl.txns))
 
 
-def run_repair(wl: Workload, workers=1, height=5, priority_mode="earliest", seed=0,
-               randomize_ties=False) -> RunReport:
+def run_repair(wl: Workload, **config) -> RunReport:
+    """One engine over the whole workload; `config` takes `EngineConfig`'s
+    fields."""
     t0 = time.perf_counter()
-    eng = Engine(
-        wl.schema,
-        wl.db,
-        EngineConfig(
-            workers=workers,
-            height=height,
-            priority_mode=priority_mode,
-            seed=seed,
-            randomize_ties=randomize_ties,
-        ),
-    )
-    rep = eng.run(wl.txns)
+    rep = Engine(wl.schema, wl.db, EngineConfig(**config)).run(wl.txns)
     return RunReport(
         "repair",
         rep.db,
@@ -356,7 +333,6 @@ def main(argv=None) -> int:
     ap.add_argument("--modes", default="serial,lock,repair",
                     help="comma list of executors to run")
     ap.add_argument("--csv", metavar="PATH", default=None)
-    ap.add_argument("--json", metavar="PATH", default=None)
     ap.add_argument("--verify", action="store_true",
                     help="check repair result against the serial oracle")
     args = ap.parse_args(argv)
@@ -377,10 +353,8 @@ def main(argv=None) -> int:
         elif mode == "lock":
             reports[mode] = run_lock(wl, workers=args.workers)
         elif mode == "repair":
-            reports[mode] = run_repair(
-                wl, workers=args.workers, height=args.height,
-                priority_mode=args.priority_mode, seed=args.seed,
-            )
+            reports[mode] = run_repair(wl, workers=args.workers, height=args.height,
+                                       priority_mode=args.priority_mode)
         else:
             ap.error(f"unknown mode {mode}")
 
@@ -437,9 +411,6 @@ def main(argv=None) -> int:
             if new:
                 w.writeheader()
             w.writerows(rows)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(rows, f, indent=2)
     return rc
 
 

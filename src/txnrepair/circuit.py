@@ -54,7 +54,7 @@ skipped. Sensitivity only grows and an empty input meets none of it, so
 the sleep is safe at any worker count.
 
 A wired circuit is reused: `Op.reset` empties its outputs and rewinds
-its cursors, so one wiring serves every epoch over one decomposition.
+its cursors, so one wiring serves every epoch.
 """
 
 from __future__ import annotations

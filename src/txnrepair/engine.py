@@ -25,19 +25,16 @@ committed transactions in serial order; the engine commits them with one
 
 An epoch's fixed cost follows its change volume:
 
-  - The domain decomposition is kept with the store's record count and
-    rebuilt from a full scan only when that count changes. A commit
-    never removes a key, so an equal count means an equal key set, equal
-    samples and identical splits. Correctness never depends on the
-    splits: any decomposition partitions the domain.
-  - The circuit (tree, operators, a `TxnOp` for every leaf and the
-    signal -> readers map) is kept with the decomposition it was wired
-    for, and built and wired again only when `_decomposition` returns a
-    new one. Each epoch starts by resetting it: every signal emptied,
-    every cursor rewound, every transaction slot cleared, so an epoch
-    that raised leaves nothing behind for the next. No signal links to
-    its readers, so dropping the engine frees the circuit by reference
-    counting.
+  - The circuit (a domain decomposition from one full scan of the store,
+    the tree, its operators, a `TxnOp` for every leaf and the signal ->
+    readers map) is built and wired once, at the engine's first epoch,
+    and kept for the engine's life. Correctness never depends on the
+    splits: any decomposition partitions the domain, so keys that later
+    commits add still land in exactly one subdomain. Each epoch starts by
+    resetting the circuit: every signal emptied, every cursor rewound,
+    every transaction slot cleared, so an epoch that raised leaves
+    nothing behind for the next. No signal links to its readers, so
+    dropping the engine frees the circuit by reference counting.
   - A refresh wakes only the readers of the outputs it published to
     whose output the publish can change (`Op.woken`): a correction
     operator sleeps through sensitivity growth while its correction
@@ -55,14 +52,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .circuit import CorrOp, DeltaMergeOp, TxnOp, TreeNode, build_tree, labels, wire_tree
-from .domain import DomainDecomposition, build_decomposition
-from .pstore import DbVersion, Schema, apply_deltas, full_scan, record_count
+from .domain import build_decomposition
+from .pstore import DbVersion, Schema, apply_deltas, full_scan
 from .txn import EVALUATED, PlanCache, TxnExec
 
 EARLIEST = "earliest"
 INVERTED = "inverted"
 FAR = 1 << 30  # priority of ops that serve no admitted transaction
-DECOMP_SAMPLES = 256  # store points sampled per epoch to split the domain
+DECOMP_SAMPLES = 256  # store points sampled to split the domain
 
 
 @dataclass
@@ -70,8 +67,7 @@ class EngineConfig:
     workers: int = 1
     height: int = 5  # leaf capacity per epoch = 2**height
     priority_mode: str = EARLIEST
-    randomize_ties: bool = False
-    seed: int = 0
+    tie_seed: Optional[int] = None  # None breaks ties in queue order
 
 
 @dataclass
@@ -226,9 +222,8 @@ def _op_priorities(ops, height, n, mode):
 
 @dataclass
 class _Circuit:
-    """One wiring of the circuit, kept while its decomposition is."""
+    """The engine's one wiring of the circuit."""
 
-    decomp: DomainDecomposition
     root: TreeNode
     ops: list
     readers: dict  # signal -> the ops that read it
@@ -248,24 +243,8 @@ class Engine:
         if self.config.workers < 1:
             raise ValueError(f"worker count {self.config.workers} is below 1")
         self.metrics = EngineMetrics()
-        self._decomp = None
-        self._decomp_count = None  # the store's record count when it was built
         self._circuit: Optional[_Circuit] = None
         self._plans = PlanCache()  # shared by every transaction the engine runs
-
-    def _decomposition(self):
-        """The decomposition of the store's key set, rebuilt only when the
-        record count moved: no commit removes a key, so an equal count is
-        an equal key set."""
-        count = record_count(self.db)
-        if count != self._decomp_count:
-            pts = [(pred_id, key) for pred_id, key, _value in full_scan(self.db, self.schema)]
-            if len(pts) > DECOMP_SAMPLES:
-                stride = len(pts) / DECOMP_SAMPLES
-                pts = [pts[int(i * stride)] for i in range(DECOMP_SAMPLES)]
-            self._decomp = build_decomposition(pts, self.config.height)
-            self._decomp_count = count
-        return self._decomp
 
     def run(self, txns) -> EngineReport:
         """txns: list of parsed rule lists, in serial order; no
@@ -279,16 +258,18 @@ class Engine:
         return EngineReport(db=self.db, statuses=statuses, metrics=self.metrics)
 
     def _wired(self) -> _Circuit:
-        """The circuit for the current decomposition, reset for an epoch:
-        wired again only when the decomposition is a new one."""
-        decomp = self._decomposition()
+        """The circuit, reset for an epoch; the first epoch wires it over a
+        decomposition of the store's key set, sampled from one scan."""
         circ = self._circuit
-        if circ is None or circ.decomp is not decomp:
-            self._circuit = None  # free the old wiring before building
+        if circ is None:
+            pts = [(pred_id, key) for pred_id, key, _value in full_scan(self.db, self.schema)]
+            if len(pts) > DECOMP_SAMPLES:
+                stride = len(pts) / DECOMP_SAMPLES
+                pts = [pts[int(i * stride)] for i in range(DECOMP_SAMPLES)]
             root = build_tree(self.config.height)
-            ops, readers = wire_tree(root, decomp)
+            ops, readers = wire_tree(root, build_decomposition(pts, self.config.height))
             txn_ops = [op for op in ops if isinstance(op, TxnOp)]
-            circ = self._circuit = _Circuit(decomp, root, ops, readers, txn_ops)
+            circ = self._circuit = _Circuit(root, ops, readers, txn_ops)
         for op in circ.ops:
             op.reset()
         for op in circ.txn_ops:
@@ -309,8 +290,8 @@ class Engine:
             prio = circ.prio[len(chunk)] = _op_priorities(
                 circ.ops, cfg.height, len(chunk), cfg.priority_mode)
         seq = itertools.count()
-        if cfg.randomize_ties:
-            rng = random.Random(cfg.seed * 1_000_003 + first_id)
+        if cfg.tie_seed is not None:
+            rng = random.Random(cfg.tie_seed * 1_000_003 + first_id)
             tie = lambda: (rng.random(), next(seq))
         else:
             tie = lambda: (0.0, next(seq))

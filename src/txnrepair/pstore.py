@@ -119,11 +119,6 @@ def full_scan(db: DbVersion, schema: Schema) -> Iterator[tuple]:
             yield sig.pred_id, key, value
 
 
-def record_count(db: DbVersion) -> int:
-    """Number of records in db, from the trees' stored sizes."""
-    return sum(ptree.size(root) for root in db.roots.values())
-
-
 def apply_deltas(db: DbVersion, schema: Schema, changes) -> DbVersion:
     """Upsert each `((pred_id, key), value)` of `changes` into a branch of
     db, checking key and value against the predicate's signature. Every

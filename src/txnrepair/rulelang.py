@@ -116,9 +116,6 @@ class HeadAtom:
 class Rule:
     head: tuple  # () for a constraint
     body: tuple
-    is_constraint: bool = False
-    exists_vars: tuple = ()
-    span: tuple = (0, 0)  # (line, col) of the rule start
     args: tuple = ()  # ((param name, value), ...) bound to its Param slots
 
 
@@ -198,12 +195,9 @@ class _Parser:
         return rules
 
     def parse_rule(self):
-        span = self.peek()[2:4]
-        is_constraint = False
         head = []
         if self.at("false"):
             self.take()
-            is_constraint = True
         else:
             head.append(self.parse_head_atom())
             while self.at(","):
@@ -212,18 +206,7 @@ class _Parser:
         self.take("arrow")
         disjuncts = self.parse_body_disjunction()
         self.take("punct", ".")
-        out = []
-        for exists_vars, body in disjuncts:
-            out.append(
-                Rule(
-                    head=tuple(head),
-                    body=tuple(body),
-                    is_constraint=is_constraint,
-                    exists_vars=tuple(exists_vars),
-                    span=span,
-                )
-            )
-        return out
+        return [Rule(tuple(head), tuple(body)) for body in disjuncts]
 
     def parse_head_atom(self):
         is_upsert = self.at("^")
@@ -246,20 +229,21 @@ class _Parser:
         return disjuncts
 
     def parse_conj(self):
-        exists_vars = []
+        """One conjunction; an `exists x, y .` prefix is read and dropped,
+        since a variable only the body binds is existential anyway."""
         if self.at("exists"):
             self.take()
-            exists_vars.append(self.take("ident")[1])
+            self.take("ident")
             while self.at(","):
                 self.take()
-                exists_vars.append(self.take("ident")[1])
+                self.take("ident")
             self.take("punct", ".")
         body = []
         body.extend(self.parse_dform())
         while self.at(","):
             self.take()
             body.extend(self.parse_dform())
-        return exists_vars, body
+        return body
 
     def parse_dform(self):
         if self.at("!"):
@@ -277,7 +261,7 @@ class _Parser:
                     tok[2],
                     tok[3],
                 )
-            _, inner = self.parse_conj()
+            inner = self.parse_conj()
             self.take("punct", ")")
             if len(inner) != 1:
                 raise ParseError("negation is restricted to a single atom", tok[2], tok[3])
@@ -462,8 +446,7 @@ def parse_rules(text: str, schema: Optional[Schema] = None, params=None):
             # an untyped or mistyped slot: check as if the values were literals
             typecheck_rule(rule, schema, {n: tags[n] for n, _ in slot_tags})
         args = tuple((n, values[n]) for n, _ in slot_tags)
-        out.append(Rule(rule.head, rule.body, rule.is_constraint, rule.exists_vars,
-                        rule.span, args))
+        out.append(Rule(rule.head, rule.body, args))
     return out
 
 
@@ -624,12 +607,11 @@ def print_rule(rule: Rule) -> str:
             return f"{term(x)} {cmp_sym[a.op]} {term(y)}"
         raise TypeError(a)
 
-    head = "false" if rule.is_constraint else ", ".join(
+    head = "false" if not rule.head else ", ".join(
         ("^" if h.is_upsert else "") + atom(h.atom) for h in rule.head
     )
     body = ", ".join(("!" + atom(a.atom)) if isinstance(a, NegAtom) else atom(a) for a in rule.body)
-    ex = f"exists {', '.join(rule.exists_vars)} . " if rule.exists_vars else ""
-    return f"{head} <- {ex}{body}."
+    return f"{head} <- {body}."
 
 
 def print_rules(rules) -> str:

@@ -18,7 +18,7 @@ from helpers import stab_linear
 
 from txnrepair.bench import (
     WorkloadConfig,
-    gen_sku_keysets,
+    gen_sku,
     make_workload,
     run_lock,
     run_repair,
@@ -70,7 +70,7 @@ def test_criterion_2_schedule_independence():
                               (4, True), (8, True)):
             eng = Engine(wl.schema, wl.db,
                          EngineConfig(workers=workers, height=3,
-                                      randomize_ties=ties, seed=seed))
+                                      tie_seed=seed if ties else None))
             rep = eng.run(wl.txns)
             hashes.add((state_hash(rep.db, wl.schema), tuple(rep.statuses)))
         if len(hashes) != 1:
@@ -181,7 +181,7 @@ def test_criterion_5_contention_statistic():
     """sku workload at n=10000, alpha=10: mean pairwise shared-sku count
     within 10% of alpha^2 = 100."""
     cfg = WorkloadConfig(name="sku", n=10000, alpha=10.0, txns=80, seed=0)
-    sets = [set(s) for s in gen_sku_keysets(cfg)]
+    sets = [set(s) for s in gen_sku(cfg).locksets]
     overlaps = [len(a & b) for a, b in combinations(sets, 2)]
     mean = sum(overlaps) / len(overlaps)
     ok = 90.0 <= mean <= 110.0

@@ -10,7 +10,7 @@ from txnrepair.bench import (
     WorkloadConfig,
     first_divergence,
     first_status_divergence,
-    gen_sku_keysets,
+    gen_sku,
     main,
     make_workload,
     run_lock,
@@ -18,7 +18,7 @@ from txnrepair.bench import (
     run_serial,
 )
 from txnrepair.engine import Engine, EngineConfig
-from txnrepair.pstore import DbVersion, record_count, store_upsert
+from txnrepair.pstore import DbVersion, full_scan, store_upsert
 from txnrepair.rulelang import parse_rules
 from txnrepair.txn import EVALUATED, FAILED
 from txnrepair.values import SchemaError
@@ -55,7 +55,7 @@ def test_generators_build_the_store_of_per_record_upserts(monkeypatch, name, var
 
     monkeypatch.setattr(bench, "apply_deltas", upsert_each)
     each = make_workload(cfg)
-    assert len(calls) == 1 and calls[0] == record_count(bulk.db) > 0
+    assert len(calls) == 1 and calls[0] == sum(1 for _ in full_scan(bulk.db, bulk.schema)) > 0
     assert bench.state_hash(bulk.db, bulk.schema) == bench.state_hash(each.db, each.schema)
     assert [[str(r) for r in rs] for rs in bulk.txns] == [[str(r) for r in rs] for rs in each.txns]
     assert bulk.locksets == each.locksets
@@ -78,7 +78,7 @@ def test_locksets_sorted():
 def test_sku_overlap_statistic():
     # mean pairwise sku overlap concentrates near alpha^2
     cfg = WorkloadConfig(name="sku", n=4000, alpha=4.0, txns=40, seed=0)
-    sets = [set(s) for s in gen_sku_keysets(cfg)]
+    sets = [set(s) for s in gen_sku(cfg).locksets]
     overlaps = [len(a & b) for a, b in combinations(sets, 2)]
     mean = sum(overlaps) / len(overlaps)
     assert 0.75 * 16 <= mean <= 1.25 * 16

@@ -23,7 +23,7 @@ from txnrepair.bench import (
 )
 from txnrepair.circuit import CorrOp, DeltaMergeOp, SensMergeOp, TxnOp, build_tree, wire_tree
 from txnrepair.domain import build_decomposition
-from txnrepair import engine, pstore
+from txnrepair import engine
 from txnrepair import txn as txn_module
 from txnrepair.engine import EARLIEST, FAR, INVERTED, Engine, EngineConfig, _op_priorities
 from txnrepair.pstore import (
@@ -208,7 +208,7 @@ def test_schedule_independence(workers):
         eng = Engine(
             wl.schema,
             wl.db,
-            EngineConfig(workers=workers, height=3, randomize_ties=ties, seed=5),
+            EngineConfig(workers=workers, height=3, tie_seed=5 if ties else None),
         )
         rep = eng.run(wl.txns)
         assert state_hash(rep.db, wl.schema) == want.hash(wl.schema)
@@ -285,57 +285,44 @@ def test_value_only_epochs_scan_once(monkeypatch):
     assert len(scans) == 1
 
 
-def test_new_key_triggers_rescan(monkeypatch):
-    scans = _count_scans(monkeypatch)
-    insert = parse_rules("^cnt[5] = v <- v = 0.", SCHEMA)
-    eng = Engine(SCHEMA, base_db(), EngineConfig(height=2))
-    rep = eng.run([bump(0)] * 4 + [bump(0), insert] + [bump(0)] * 4)
-    assert eng.metrics.epochs == 3
-    # the epoch after the insert sees a grown store; the one before does not
-    assert len(scans) == 2
-    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (5,)) == (0,)
-    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (9,)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_reused_decomposition_equals_a_fresh_one(monkeypatch, seed):
-    """Whatever each epoch inserts or bumps, the engine wires the circuit
-    exactly when its decomposition changes: on the first epoch, and on
-    an epoch whose store an insert grew. Each wiring uses the
-    decomposition a fresh scan of that epoch's base store builds."""
+@pytest.mark.parametrize("seed", range(7))
+def test_one_wiring_per_engine_as_commits_add_keys(monkeypatch, seed):
+    """An engine scans the store, splits the domain, builds the tree and
+    wires it once, at its first epoch, even when later commits add keys
+    the split never sampled. Bumps also read those new keys. State and
+    statuses still equal the serial oracle's at 1 and 2 workers."""
+    calls = Counter()
+    for name in ("full_scan", "build_decomposition", "build_tree", "wire_tree"):
+        fn = getattr(engine, name)
+        monkeypatch.setattr(engine, name,
+                            lambda *args, _n=name, _fn=fn: calls.update([_n]) or _fn(*args))
     rnd = random.Random(seed)
-    wired = []
-    wire = engine.wire_tree
-
-    def capture(root, decomp):
-        wired.append((decomp, eng.db))
-        return wire(root, decomp)
-
-    monkeypatch.setattr(engine, "wire_tree", capture)
-    eng = Engine(SCHEMA, base_db(nkeys=4), EngineConfig(height=2))
-    assert wired == []  # nothing is wired before the first run
-    grown = []  # per epoch: whether its base store has keys its predecessor's lacked
-    count = None
-    run_epoch = eng._run_epoch
-
-    def epoch(chunk, first_id=0):
-        nonlocal count
-        grown.append(count != pstore.record_count(eng.db))
-        count = pstore.record_count(eng.db)
-        return run_epoch(chunk, first_id)
-
-    monkeypatch.setattr(eng, "_run_epoch", epoch)
-    for _ in range(4):
+    runs = []
+    for i in range(4):
         txns = [
-            parse_rules(f"^cnt[{rnd.randrange(40)}] = v <- v = 1.", SCHEMA)
-            if rnd.random() < 0.2 else bump(rnd.randrange(4))
+            parse_rules(f"^cnt[{rnd.randrange(4, 40)}] = v <- v = {i}.", SCHEMA)
+            if rnd.random() < 0.3 else bump(rnd.randrange(8), rnd.randrange(-3, 4))
             for _ in range(rnd.randrange(1, 10))
         ]
-        eng.run(txns)
-    assert len(grown) == eng.metrics.epochs and grown[0]
-    assert len(wired) == sum(grown)
-    for decomp, db in wired:
-        assert decomp == Engine(SCHEMA, db, EngineConfig(height=2))._decomposition()
+        if i:  # a key no earlier epoch has
+            new_key = parse_rules(f"^cnt[{40 + i}] = v <- v = 0.", SCHEMA)
+            txns.insert(rnd.randrange(len(txns) + 1), new_key)
+        runs.append(txns)
+    base = base_db(nkeys=4)
+    want = run_serial(Workload(SCHEMA, base, [t for txns in runs for t in txns], []))
+    for workers in (1, 2):
+        calls.clear()
+        eng = Engine(SCHEMA, base, EngineConfig(workers=workers, height=2))
+        statuses = []
+        for txns in runs:
+            statuses += eng.run(txns).statuses
+        assert eng.metrics.epochs > 4
+        assert dict(calls) == {"full_scan": 1, "build_decomposition": 1,
+                               "build_tree": 1, "wire_tree": 1}, workers
+        assert statuses == want.statuses, workers
+        assert state_hash(eng.db, SCHEMA) == want.hash(SCHEMA), workers
+    keys = lambda db: {key for _, key, _ in full_scan(db, SCHEMA)}
+    assert keys(want.db) > keys(base)
 
 
 def test_settled_circuit_is_freed_without_the_cycle_collector(monkeypatch):
@@ -441,9 +428,8 @@ def test_quiet_corrections_match_serial(cfg, workers):
     under both priority modes and random tie-breaking."""
     wl = make_workload(cfg)
     want = run_serial(wl)
-    for mode, randomize in ((EARLIEST, False), (INVERTED, False), (EARLIEST, True)):
-        got = run_repair(wl, workers=workers, height=3, priority_mode=mode,
-                         randomize_ties=randomize, seed=cfg.seed)
+    for mode, tie_seed in ((EARLIEST, None), (INVERTED, None), (EARLIEST, cfg.seed)):
+        got = run_repair(wl, workers=workers, height=3, priority_mode=mode, tie_seed=tie_seed)
         assert got.statuses == want.statuses, mode
         assert got.hash(wl.schema) == want.hash(wl.schema), mode
 

@@ -101,7 +101,7 @@ def test_disjunction_splits():
 
 def test_constraint_head(schema):
     (r,) = parse_rules("false <- bal[k] = v, v < 0.", schema)
-    assert r.is_constraint and r.head == ()
+    assert r.head == () and len(r.body) == 2
 
 
 def test_negation_single_atom():
@@ -127,6 +127,7 @@ def test_print_round_trip(schema):
         "false <- bal[k] = v, v < 0.",
         "p(x) <- edge(x, y), !edge(y, x).",
         "p(x) <- edge@start(x, y), !edge@start(y, x).",
+        "p(x) <- exists y . edge(x, y).",
     ]
     for text in corpus:
         rules = parse_rules(text, schema)
