@@ -6,10 +6,12 @@ ROOT, so the same script fingerprints any checkout (a clone of the parent
 commit, say). For each workload and priority mode it runs the repair
 engine at 1 worker and prints one line: the refresh count, the refresh
 count of each operator kind (txn, dmerge, smerge, corr), a hash of the
-ordered (op_id, changed) refresh list, the count of transactions that
-committed and the committed state hash. Two checkouts with the same
-schedule and results print the same lines; when a change moves the
-schedule, the per-kind counts show which operators it moved.
+ordered (op_id, changed) refresh list, the join's seeks and bindings
+summed over every transaction's `TxnExec.stats`, the count of
+transactions that committed and the committed state hash. Two checkouts
+with the same schedule and results print the same lines; when a change
+moves the schedule, the per-kind counts show which operators it moved,
+and when it moves the join's work, the seek and binding counts show it.
 
 With --against PARENT it fingerprints both checkouts, each in its own
 subprocess, and prints per line `same` or each field that moved as
@@ -35,31 +37,41 @@ KINDS = ("txn", "dmerge", "smerge", "corr")
 
 def fingerprint(name, seed, txns, mode):
     from perfbench.workloads import SPECS
-    from txnrepair import bench, circuit
+    from txnrepair import bench, circuit, txn
     from txnrepair.txn import EVALUATED
 
     wl = SPECS[name].generate(seed, txns)
     log = []
-    originals = []
+    execs = []  # every TxnExec the run builds
+    init = txn.TxnExec.__dict__["__init__"]
+
+    def tracked_init(t, *args, **kwargs):
+        init(t, *args, **kwargs)
+        execs.append(t)
+
+    originals = [(txn.TxnExec, "__init__", init)]
+    txn.TxnExec.__init__ = tracked_init
     for cls in (circuit.DeltaMergeOp, circuit.SensMergeOp, circuit.CorrOp, circuit.TxnOp):
         def refresh(op, _fn=cls.__dict__["refresh"]):
             changed = _fn(op)
             log.append((op.op_id, bool(changed)))
             return changed
 
-        originals.append((cls, cls.__dict__["refresh"]))
+        originals.append((cls, "refresh", cls.__dict__["refresh"]))
         cls.refresh = refresh
     try:
         rep = bench.run_repair(wl, workers=1, priority_mode=mode)
     finally:
-        for cls, fn in originals:
-            cls.refresh = fn
+        for cls, attr, fn in originals:
+            setattr(cls, attr, fn)
     schedule = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
     committed = sum(1 for s in rep.statuses if s == EVALUATED)
     per_kind = Counter(op_id.split(":")[0] for op_id, _changed in log)
     kinds = " ".join(f"{k}={per_kind[k]}" for k in KINDS)
+    seeks = sum(t.stats.seeks for t in execs)
+    bindings = sum(t.stats.bindings for t in execs)
     return (f"{name} seed={seed} txns={txns} {mode}: refreshes={len(log)} {kinds} "
-            f"schedule={schedule} committed={committed} "
+            f"schedule={schedule} seeks={seeks} bindings={bindings} committed={committed} "
             f"state={rep.hash(wl.schema)[:16]}")
 
 

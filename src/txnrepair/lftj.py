@@ -9,6 +9,15 @@ they been present (or absent), would have changed what the operation
 returned. The union of recorded intervals therefore covers every
 database change that could alter the rule's output.
 
+A predicate is functional (`p[k] = v`): one key holds one value. So an
+atom whose key the variables before a level already fix has at most one
+candidate there, and its joiner is compiled as a lookup: one `ptree.get`
+of the key, its value compared with the prefix's value components. The
+lookup lands and records exactly as the sorted cursor would on the same
+root: the same landings, the same `SensEntry` intervals, the same seek
+count. A level whose only joiner is a lookup takes its one candidate
+directly, without the leapfrog loop.
+
 A compiled rule is a plan for its template: a `$param` slot stays a
 slot, and each `eval_rule` call reads the rule's bound `args`, so one
 compilation serves every binding of the template. One call may also
@@ -70,9 +79,10 @@ class CompiledAtom:
 @dataclass
 class _LevelPlan:
     var: str
-    joiners: list = field(default_factory=list)  # (atom_idx, position)
+    joiners: list = field(default_factory=list)  # (iterator class, atom_idx, position)
     compute: list = field(default_factory=list)  # PrimAtoms producing this var
     checks: list = field(default_factory=list)  # ("prim", p) | ("neg", i) | ("complete", i)
+    lookup: bool = False  # the one joiner is a key-bound atom's, and nothing computes var
 
 
 @dataclass
@@ -137,14 +147,16 @@ def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
             if isinstance(t, Var) and t.name not in bound_positive:
                 raise SchemaError(f"negation variable {t.name} is not bound positively")
 
-    # joiner positions: first occurrence of each variable within the atom
+    # joiner positions: first occurrence of each variable within the atom;
+    # past the key, the prefix fixes the key, so the joiner is a lookup
     for idx, ca in enumerate(atoms):
         seen = set()
         last_joiner_pos = -1
         for pos, t in enumerate(ca.pattern):
             if isinstance(t, Var) and t.name not in seen:
                 seen.add(t.name)
-                plans[level_of[t.name]].joiners.append((idx, pos))
+                cls = _PointIter if pos >= ca.karity else _LevelIter
+                plans[level_of[t.name]].joiners.append((cls, idx, pos))
                 last_joiner_pos = pos
         lvl = max_level(ca.pattern)
         if lvl < 0:
@@ -185,6 +197,8 @@ def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
     for plan in plans:
         if not plan.joiners and not plan.compute:
             raise SchemaError(f"variable {plan.var} has no enumerable source")
+        plan.lookup = (not plan.compute and len(plan.joiners) == 1
+                       and plan.joiners[0][0] is _PointIter)
 
     return CompiledRule(
         heads=tuple(atom_terms(h.atom) for h in rule.head),
@@ -200,7 +214,9 @@ class _LevelIter:
     """Distinct-component iterator of one atom's root under a fixed tuple
     prefix; records each landing's sensitivity under `ctx` when collecting.
     A target is padded to the atom's arity and sought by its key part; one
-    key holds one value, so a matched key with a lower value steps on."""
+    key holds one value, so a matched key with a lower value steps on.
+    Where the prefix holds the whole key, `_PointIter` stands in for it:
+    a lookup, with no cursor, that lands and records the same."""
 
     __slots__ = ("cur", "karity", "p", "q", "lows", "highs", "key", "stats", "collector",
                  "vertex", "ctx")
@@ -254,6 +270,57 @@ class _LevelIter:
             self.stats.seeks += 1
             self.cur.next()
             self._land(lo)
+
+
+class _PointIter:
+    """`_LevelIter` at a position past the atom's key, so the prefix fixes
+    the key and the root holds at most one candidate: the key's value,
+    if its components before the position agree with the prefix. A target
+    at or below the candidate's component lands on its tuple; any other
+    target, and every `next`, leaves the key for good, recording the same
+    miss interval `p + (TOP,) + highs` as the cursor, and one seek."""
+
+    __slots__ = ("rest", "p", "lows", "highs", "key", "stats", "collector", "vertex", "ctx")
+
+    def __init__(self, root, atom: CompiledAtom, p: tuple, stats, collector, ctx):
+        karity = atom.karity
+        v = ptree.get(root, p[:karity])
+        q = len(p) - karity  # the component's index in the value
+        # the candidate tuple from the component on, None when there is none
+        self.rest = rest = v[q:] if v is not None and v[:q] == p[karity:] else None
+        self.p = p
+        n = len(atom.pattern) - len(p) - 1
+        self.lows = (MINK,) * n
+        self.highs = (TOP,) * n
+        self.stats = stats
+        self.collector = collector
+        self.vertex = atom.vertex
+        self.ctx = ctx
+        stats.seeks += 1
+        self.key = None if rest is None else rest[0]
+        if collector is not None:
+            self._record(p + (MINK,) + self.lows)
+
+    def _record(self, lo):
+        p = self.p
+        hi = p + (TOP,) + self.highs if self.key is None else p + self.rest
+        self.collector.append(SensEntry(self.vertex, lo, hi, self.ctx))
+
+    def seek(self, c):
+        key = self.key
+        if key is not None and key >= c:
+            return
+        self.stats.seeks += 1
+        self.key = None
+        if self.collector is not None:
+            self._record(self.p + (c,) + self.lows)
+
+    def next(self):
+        self.stats.seeks += 1
+        lo = self.p + (self.key,) + self.highs
+        self.key = None
+        if self.collector is not None:
+            self._record(lo)
 
 
 _by_key = operator.attrgetter("key")
@@ -380,18 +447,18 @@ class _Evaluator:
             t = tuple(self.val(x) for x in terms)
             counts[t] = counts.get(t, 0) + 1
 
-    def try_value(self, plan, level, iters, c):
-        """Accept a pinned or computed value if every iterator holds it."""
+    @staticmethod
+    def holds(iters, c) -> bool:
+        """Whether every iterator holds a pinned or computed value."""
         for it in iters:
             it.seek(c)
             if it.key != c:
-                return
-        self.accept(plan, level, c)
+                return False
+        return True
 
     def accept(self, plan, level, c):
         self.binding[plan.var] = c
-        # once the value is set, computes degenerate to checks
-        if all(self.prim_holds(p) for p in plan.compute) and self.run_checks(plan.checks, level):
+        if self.run_checks(plan.checks, level):
             self.enum(level + 1)
         del self.binding[plan.var]
 
@@ -403,9 +470,9 @@ class _Evaluator:
         plan = compiled.plans[level]
         ctx = self.ctx(level) if self.collector is not None else None
         iters = []
-        for ai, q in plan.joiners:
+        for cls, ai, q in plan.joiners:
             atom = compiled.atoms[ai]
-            iters.append(_LevelIter(
+            iters.append(cls(
                 self.views[atom.vertex],
                 atom,
                 tuple(self.val(t) for t in atom.pattern[:q]),
@@ -414,10 +481,23 @@ class _Evaluator:
                 ctx,
             ))
         if plan.var in self.fixed:
-            self.try_value(plan, level, iters, self.fixed[plan.var])
+            c = self.fixed[plan.var]
+            # a pinned value must also be the one the level's compute gives
+            if self.holds(iters, c) and (
+                    not plan.compute or self.compute_value(plan.compute[0], plan.var) == c):
+                self.accept(plan, level, c)
             return
         if plan.compute:
-            self.try_value(plan, level, iters, self.compute_value(plan.compute[0], plan.var))
+            c = self.compute_value(plan.compute[0], plan.var)
+            if self.holds(iters, c):
+                self.accept(plan, level, c)
+            return
+        if plan.lookup:
+            # one candidate: accept it, then step past it as the loop would
+            (it,) = iters
+            if it.key is not None:
+                self.accept(plan, level, it.key)
+                it.next()
             return
         # leapfrog intersection over distinct component values
         for it in iters:

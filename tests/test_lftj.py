@@ -4,13 +4,16 @@ soundness."""
 import gc
 import random
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txnrepair import ptree
-from txnrepair.lftj import CompiledAtom, SensEntry, Stats, _LevelIter, compile_rule, eval_rule
+from txnrepair import bench, ptree, txn
+from txnrepair.lftj import (
+    CompiledAtom, SensEntry, Stats, _LevelIter, _PointIter, compile_rule, eval_rule,
+)
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import Var, parse_rules
 from txnrepair.values import INT64, MINK, TOP
@@ -98,6 +101,10 @@ def test_fixed_prefix(golden_db=None):
     views = views_of(db)
     assert set(eval_rule(COMPILED, views, fixed={"x": 5}).head_counts[0]) == {(5, 101)}
     assert not eval_rule(COMPILED, views, fixed={"x": 2}).head_counts[0]
+    # a pinned value of a computed variable must be the computed one
+    computed = compile_rule(parse_rules("D(x, y) <- A(x), y = x + 1.")[0], SCHEMA)
+    assert eval_rule(computed, views, fixed={"x": 5, "y": 6}).head_counts == [{(5, 6): 1}]
+    assert eval_rule(computed, views, fixed={"x": 5, "y": 7}).head_counts == [{}]
 
 
 def test_constraint_and_negation():
@@ -212,6 +219,128 @@ def test_level_iter_seeks_match_bisect(entries, k0, ops):
             continue
         want.append(entry)
     assert it.key == key and [(e.lo, e.hi) for e in col] == want
+
+
+def entry_fields(col):
+    return [(e.vertex, e.lo, e.hi, e.ctx) for e in col]
+
+
+@st.composite
+def key_bound_walks(draw):
+    """A root of key arity 1-2 and value arity 1-3, a prefix that fixes
+    the key (often one the root holds) and maybe part of the value (often
+    as the root holds it), and a walk: a seek to a component, or None for
+    next."""
+    karity, varity = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    comp = st.integers(0, 4)
+    entries = draw(st.dictionaries(st.tuples(*[comp] * karity), st.tuples(*[comp] * varity),
+                                   max_size=12))
+    key = draw(st.sampled_from(sorted(entries)) if entries and draw(st.booleans())
+               else st.tuples(*[comp] * karity))
+    j = draw(st.integers(0, varity - 1))  # value components in the prefix
+    held = entries.get(key)
+    if held is not None and draw(st.booleans()):
+        vpart = held[:j]
+    else:
+        vpart = draw(st.tuples(*[comp] * j))
+    ops = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=8))
+    return karity, varity, entries, key + vpart, ops
+
+
+@given(key_bound_walks())
+@settings(max_examples=300)
+def test_point_iter_matches_level_iter(walk):
+    """Where the prefix fixes the key, the lookup lands and records as the
+    cursor does on the same root: the same key after every operation, the
+    same (lo, hi, ctx) entries and the same seek count. A walk goes on
+    seeking after a miss, and steps with next only from a landing."""
+    karity, varity, entries, p, ops = walk
+    atom = CompiledAtom("db:F", tuple(Var(f"t{i}") for i in range(karity + varity)), karity)
+    root = ptree.from_sorted(sorted(entries.items()))
+    runs = []
+    for cls in (_LevelIter, _PointIter):
+        stats, col = Stats(), []
+        runs.append((cls(root, atom, p, stats, col, ("ctx",)), stats, col))
+    (lev, lev_stats, lev_col), (pt, pt_stats, pt_col) = runs
+
+    def same():
+        assert pt.key == lev.key
+        assert entry_fields(pt_col) == entry_fields(lev_col)
+        assert pt_stats.seeks == lev_stats.seeks
+
+    same()
+    for c in ops:
+        if c is None:
+            if lev.key is None:
+                continue
+            lev.next()
+            pt.next()
+        else:
+            lev.seek(c)
+            pt.seek(c)
+        same()
+
+
+def level_iters_only(compiled):
+    """`compiled` as planned without lookups: every joiner a `_LevelIter`."""
+    for plan in compiled.plans:
+        plan.joiners = [(_LevelIter, ai, q) for _, ai, q in plan.joiners]
+        plan.lookup = False
+    return compiled
+
+
+def joiner_classes(compiled):
+    return [cls for plan in compiled.plans for cls, _, _ in plan.joiners]
+
+
+def template_txns(monkeypatch):
+    """Transactions of each template the perfbench pools run: an sku bump
+    and transfer_mix's transfer (two upserts and a guard), bump and
+    `probe(v)`, plus a `probe(v)` reader of the derived relation."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import gen_transfer_mix
+
+    sku = bench.gen_sku(bench.WorkloadConfig(n=400, alpha=2, txns=4, seed=1))
+    mix = gen_transfer_mix(seed=1, txns=24)
+    yield sku, sku.txns
+    yield mix, mix.txns
+    reader = parse_rules("seen(w) <- probe(w), w > 10.", mix.schema)
+    yield mix, [rules + reader for rules in mix.txns if rules[0].head[0].atom.pred == "probe"]
+
+
+def test_key_bound_atoms_compile_to_lookups(monkeypatch):
+    """Every atom of the pools' templates is read at a bound key, so each
+    of its joiners is a lookup and the level takes the lookup path; the
+    golden join's `B(x, y)`, whose key is the whole tuple, and a derived
+    `out:` relation keep the cursor. Evaluation with lookups gives the
+    same head counts, entries and stats as with the cursor everywhere."""
+    assert set(joiner_classes(COMPILED)) == {_LevelIter}
+    assert not any(plan.lookup for plan in COMPILED.plans)
+    seen_out = 0
+    for wl, txns in template_txns(monkeypatch):
+        for rules in txns:
+            t = txn.TxnExec(wl.schema, rules)
+            for compiled in t.compiled:
+                for plan in compiled.plans:
+                    for cls, ai, _ in plan.joiners:
+                        out = compiled.atoms[ai].vertex.startswith("out:")
+                        seen_out += out
+                        assert cls is (_LevelIter if out else _PointIter)
+                        assert plan.lookup == (not out)
+            t.evaluate(wl.db)
+            with monkeypatch.context() as m:
+                m.setattr(txn, "compile_rule",
+                          lambda *a, **kw: level_iters_only(compile_rule(*a, **kw)))
+                forced = txn.TxnExec(wl.schema, rules)
+                assert set(joiner_classes(forced.compiled[0])) == {_LevelIter}
+                forced.evaluate(wl.db)
+            assert forced.stats == t.stats
+            assert forced.status == t.status
+            for m_pt, m_lev in zip(t.maintainers, forced.maintainers):
+                assert m_pt.head_counts == m_lev.head_counts
+                assert m_pt.constraint_hits == m_lev.constraint_hits
+                assert m_pt.entries == m_lev.entries
+    assert seen_out
 
 
 rels = st.sets(st.integers(0, 19), max_size=8)

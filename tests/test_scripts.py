@@ -21,9 +21,10 @@ def test_schedule_fingerprint_is_reproducible():
     for line in lines:
         fields = dict(f.split("=") for f in line.split(": ")[1].split())
         assert list(fields) == ["refreshes", "txn", "dmerge", "smerge", "corr",
-                                "schedule", "committed", "state"]
+                                "schedule", "seeks", "bindings", "committed", "state"]
         kinds = [int(fields[k]) for k in ("txn", "dmerge", "smerge", "corr")]
         assert sum(kinds) == int(fields["refreshes"]) and min(kinds) > 0
+        assert int(fields["seeks"]) > 0 and int(fields["bindings"]) > 0
 
 
 def test_schedule_fingerprint_against_itself_is_same():
