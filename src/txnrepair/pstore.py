@@ -1,10 +1,10 @@
 """Persistent, versioned predicate storage.
 
 A DbVersion is an immutable snapshot mapping each predicate to the root
-of a persistent ordered tree from key tuple to value tuple (`()` for a
-relation). Branching is O(1) (reuse the snapshot); updates path-copy and
-return a new DbVersion, so any previously obtained version replays to
-identical scans forever. The commit, `apply_deltas`, takes changes in
+of a persistent B-tree (`ptree`) from key tuple to value tuple (`()` for
+a relation). Branching is O(1) (reuse the snapshot); updates copy the
+nodes they touch and return a new DbVersion, so any previously obtained
+version replays to identical scans forever. The commit, `apply_deltas`, takes changes in
 the signal format, `((pred_id, key), value)`, and checks each against
 its predicate's signature.
 """
@@ -39,11 +39,19 @@ class PredicateSig:
     def arity(self) -> int:
         return len(self.key_types)
 
+    # Both checks run on every upsert, so the predicate's name is put
+    # into the message only when one raises.
     def check_key(self, key) -> tuple:
-        return validate_tuple(self.key_types, key, f"{self.name} key")
+        try:
+            return validate_tuple(self.key_types, key, "key")
+        except SchemaError as e:
+            raise SchemaError(f"{self.name} {e}") from None
 
     def check_value(self, value) -> tuple:
-        return validate_tuple(self.value_types, value, f"{self.name} value")
+        try:
+            return validate_tuple(self.value_types, value, "value")
+        except SchemaError as e:
+            raise SchemaError(f"{self.name} {e}") from None
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,7 @@ def apply_deltas(db: DbVersion, schema: Schema, changes) -> DbVersion:
     """Upsert each `((pred_id, key), value)` of `changes` into a branch of
     db, checking key and value against the predicate's signature. Every
     change is checked before any is applied; then each predicate takes
-    its upserts in one `ptree.update` walk, a later upsert of a key
+    its upserts in one `ptree.update` descent, a later upsert of a key
     winning. It never removes a key, so the key set only grows."""
     upserts = defaultdict(dict)  # pred_id -> {key: value}
     for (pred_id, key), value in changes:

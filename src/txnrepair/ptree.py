@@ -1,310 +1,368 @@
-"""Persistent weight-balanced search tree.
+"""Persistent B-tree of sorted Python lists.
 
-Path-copying ordered map used for predicate storage and signal contents.
-Every update returns a new root; old roots stay valid forever. Cursors
-keep a finger (ancestor stack) so a forward seek costs time proportional
-to the log of the distance travelled, which is what gives the
-O(m log(n/m)) bound for visiting m of n records via seeks.
+Path-copying ordered map used for predicate storage, transaction views
+and signal contents. `None` is the empty tree; every write returns a new
+root and old roots stay valid forever. A node's lists are never mutated
+once the node is reachable from a returned root, so any number of
+threads may read any root while another writes.
 
-Writes of many records go through one bulk `update`, built on Adams'
-join (`_link`): it applies m sorted upserts and removals to a tree of n
-records in one walk, in O(m log(n/m + 1)) time, and reports each key
-whose value moved.
+Layout. A leaf holds its keys in one sorted list and their values in a
+parallel list. A branch holds the least key of each child in one sorted
+list and the children in a parallel list. Every leaf sits at the same
+depth, and every node but the root holds between `_WIDTH // 2` and
+`_WIDTH` entries.
+
+Width. `_WIDTH` is 64. A write copies a touched node's lists whole, a C
+copy that is cheap at this size, while each level of the tree costs a
+Python-level step; at 64 the stores met here (2 000 to 20 000 records)
+are 2 or 3 levels deep. In interleaved passes over the sku_dense pool,
+widths of 32 and 128 ran within noise of 64.
+
+Costs, for n records. A lookup, a cursor seek or the start of a range
+scan bisects one list per level: O(log_B n) node steps, each a C
+`bisect`. A forward seek from a cursor's finger climbs only as far as
+the distance travelled needs. A write of m sorted pairs descends once,
+touching each node whose range holds a pair, and copies one list pair
+per touched node; nodes that overflow split and nodes that underflow
+merge with a neighbour, so a write never rebuilds more than the nodes
+it touches and their siblings.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Optional
 
-# Weight-balance parameters (delta, gamma) = (3, 2): a classic valid pair.
-_DELTA = 3
-_GAMMA = 2
+_WIDTH = 64
+_MIN = _WIDTH // 2
 
 _first = itemgetter(0)
 
 
 class Node:
-    __slots__ = ("key", "val", "left", "right", "size")
+    """A leaf maps `keys[i]` to `vals[i]`; a branch's `vals[i]` is the
+    child whose least key is `keys[i]`."""
 
-    def __init__(self, key, val, left, right):
-        self.key = key
-        self.val = val
-        self.left = left
-        self.right = right
-        self.size = 1 + size(left) + size(right)
+    __slots__ = ("keys", "vals", "leaf")
 
-
-def size(node: Optional[Node]) -> int:
-    return node.size if node is not None else 0
+    def __init__(self, keys: list, vals: list, leaf: bool):
+        self.keys = keys
+        self.vals = vals
+        self.leaf = leaf
 
 
-def _single_left(n: Node) -> Node:
-    r = n.right
-    return Node(r.key, r.val, Node(n.key, n.val, n.left, r.left), r.right)
+def _spans(n: int) -> list:
+    """Bounds of the fewest near-equal parts of n entries that each fit
+    one node; every part of n > _WIDTH entries holds at least _MIN."""
+    k = -(-n // _WIDTH)
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def _single_right(n: Node) -> Node:
-    l = n.left
-    return Node(l.key, l.val, l.left, Node(n.key, n.val, l.right, n.right))
+def _branches(nodes: list) -> list:
+    """Branches over the same-height `nodes`, split as `_spans` does."""
+    return [
+        Node([n.keys[0] for n in nodes[a:b]], nodes[a:b], False) for a, b in _spans(len(nodes))
+    ]
 
 
-def _double_left(n: Node) -> Node:
-    r = n.right
-    rl = r.left
-    return Node(
-        rl.key,
-        rl.val,
-        Node(n.key, n.val, n.left, rl.left),
-        Node(r.key, r.val, rl.right, r.right),
-    )
+def _root(nodes: list) -> Optional[Node]:
+    """One root over the same-height `nodes`, in order."""
+    while len(nodes) > 1:
+        nodes = _branches(nodes)
+    if not nodes:
+        return None
+    root = nodes[0]
+    while not root.leaf and len(root.vals) == 1:
+        root = root.vals[0]
+    return root
 
 
-def _double_right(n: Node) -> Node:
-    l = n.left
-    lr = l.right
-    return Node(
-        lr.key,
-        lr.val,
-        Node(l.key, l.val, l.left, lr.left),
-        Node(n.key, n.val, lr.right, n.right),
-    )
+def _merge(a: Node, b: Node) -> list:
+    """One or two nodes holding a's entries then b's, its same-height
+    right neighbour; the children of merged branches are merged in turn
+    where either is underfull."""
+    if a.leaf:
+        keys, vals = a.keys + b.keys, a.vals + b.vals
+    else:
+        vals = _fix(a.vals + b.vals)
+        keys = [n.keys[0] for n in vals]
+    if len(keys) <= _WIDTH:
+        return [Node(keys, vals, a.leaf)]
+    h = len(keys) // 2
+    return [Node(keys[:h], vals[:h], a.leaf), Node(keys[h:], vals[h:], a.leaf)]
 
 
-def _balance(key, val, left, right) -> Node:
-    ls, rs = size(left), size(right)
-    if ls + rs <= 1:
-        return Node(key, val, left, right)
-    if rs > _DELTA * ls:
-        if size(right.left) < _GAMMA * size(right.right):
-            return _single_left(Node(key, val, left, right))
-        return _double_left(Node(key, val, left, right))
-    if ls > _DELTA * rs:
-        if size(left.right) < _GAMMA * size(left.left):
-            return _single_right(Node(key, val, left, right))
-        return _double_right(Node(key, val, left, right))
-    return Node(key, val, left, right)
+def _fix(nodes: list) -> list:
+    """The same-height `nodes` with each underfull one merged into a
+    neighbour; only a lone node may stay underfull."""
+    out = []
+    for n in nodes:
+        # out[-1] is underfull only while it is out's one node, so a
+        # merge that leaves it underfull leaves it alone in out
+        if out and (len(n.keys) < _MIN or len(out[-1].keys) < _MIN):
+            out[-1:] = _merge(out[-1], n)
+        else:
+            out.append(n)
+    return out
 
 
-def _link(key, val, left, right) -> Node:
-    """Adams' join: one tree of `left`, then (key, val), then `right`,
-    whose keys are all below and all above key. It descends the larger
-    side until the two sides balance, so it costs O(|log(l/r)|) for
-    sides of l and r records."""
-    ls, rs = size(left), size(right)
-    if _DELTA * ls < rs:
-        return _balance(right.key, right.val, _link(key, val, left, right.left), right.right)
-    if _DELTA * rs < ls:
-        return _balance(left.key, left.val, left.left, _link(key, val, left.right, right))
-    return Node(key, val, left, right)
-
-
-def _delete_min(node: Node):
-    if node.left is None:
-        return node.key, node.val, node.right
-    k, v, new_left = _delete_min(node.left)
-    return k, v, _balance(node.key, node.val, new_left, node.right)
-
-
-def _join2(left, right):
-    """`_link` without a middle key: the least key of `right` stands in."""
-    if left is None:
-        return right
-    if right is None:
-        return left
-    k, v, rest = _delete_min(right)
-    return _link(k, v, left, rest)
-
-
-def _build(pairs, lo, hi) -> Node:
-    """Perfectly balanced tree of the sorted pairs[lo:hi], lo < hi."""
-    mid = (lo + hi) // 2
-    k, v = pairs[mid]
-    left = _build(pairs, lo, mid) if lo < mid else None
-    right = _build(pairs, mid + 1, hi) if mid + 1 < hi else None
-    return Node(k, v, left, right)
-
-
-def _put(node, key, val, changed):
-    """One path-copying descent: `node` with key mapped to val, or without
-    key when val is None; returns `node` itself when nothing moved."""
-    if node is None:
-        if val is None:
+def _update(node: Node, pairs: list, lo: int, hi: int, changed: list) -> Optional[list]:
+    """The nodes, of node's height and in order, that hold node's entries
+    with pairs[lo:hi] applied, or None when nothing moved. There may be
+    none, or one underfull; the caller merges those into neighbours."""
+    keys = node.keys
+    if node.leaf:
+        vals = node.vals
+        own_keys = own_vals = False
+        i = 0
+        for k, v in islice(pairs, lo, hi):
+            i = bisect_left(keys, k, i)
+            if i < len(keys) and keys[i] == k:
+                old = vals[i]
+                if v == old:
+                    continue
+                changed.append((k, old))
+                if not own_vals:
+                    vals, own_vals = vals[:], True
+                if v is None:
+                    if not own_keys:
+                        keys, own_keys = keys[:], True
+                    del keys[i], vals[i]
+                else:
+                    vals[i] = v
+            elif v is not None:
+                changed.append((k, None))
+                if not own_keys:
+                    keys, own_keys = keys[:], True
+                if not own_vals:
+                    vals, own_vals = vals[:], True
+                keys.insert(i, k)
+                vals.insert(i, v)
+        if not own_vals:
             return None
-        changed.append((key, None))
-        return Node(key, val, None, None)
-    k = node.key
-    if key < k:
-        left = _put(node.left, key, val, changed)
-        return node if left is node.left else _balance(k, node.val, left, node.right)
-    if key > k:
-        right = _put(node.right, key, val, changed)
-        return node if right is node.right else _balance(k, node.val, node.left, right)
-    if val == node.val:
-        return node
-    changed.append((key, node.val))
-    if val is None:
-        return _join2(node.left, node.right)
-    return Node(key, val, node.left, node.right)
+        if len(keys) <= _WIDTH:
+            return [Node(keys, vals, True)] if keys else []
+        return [Node(keys[a:b], vals[a:b], True) for a, b in _spans(len(keys))]
+
+    kids = node.vals
+    last = len(keys) - 1
+    moved = []  # (child index, its replacement nodes)
+    c = max(bisect_right(keys, pairs[lo][0]) - 1, 0)
+    while True:
+        end = hi if c == last else bisect_left(pairs, keys[c + 1], lo, hi, key=_first)
+        res = _update(kids[c], pairs, lo, end, changed)
+        if res is not None:
+            moved.append((c, res))
+        if end == hi:
+            break
+        lo = end
+        c = bisect_right(keys, pairs[lo][0], c + 1) - 1
+    if not moved:
+        return None
+    kids = kids[:]
+    if all(len(res) == 1 and len(res[0].keys) >= _MIN for _c, res in moved):
+        # each touched child is one node in bounds: patch the copies
+        own_keys = False
+        for c, (new,) in moved:
+            kids[c] = new
+            if new.keys[0] is not keys[c]:
+                if not own_keys:
+                    keys, own_keys = keys[:], True
+                keys[c] = new.keys[0]
+        return [Node(keys, kids, False)]
+    for c, res in reversed(moved):
+        kids[c : c + 1] = res
+    kids = _fix(kids)
+    if len(kids) <= _WIDTH:
+        return [Node([n.keys[0] for n in kids], kids, False)] if kids else []
+    return _branches(kids)
+
+
+def update(root: Optional[Node], pairs) -> tuple:
+    """Apply the sorted, distinct `(key, value)` pairs in one descent, a
+    value of None removing its key. Returns the new root and, in key
+    order, `(key, old value or None)` for every key whose value moved;
+    when none moved the root is `root` itself."""
+    changed: list = []
+    if root is None:
+        keys, vals = [], []
+        for k, v in pairs:
+            if v is not None:
+                keys.append(k)
+                vals.append(v)
+                changed.append((k, None))
+        return _build(keys, vals), changed
+    if not pairs:
+        return root, changed
+    nodes = _update(root, pairs, 0, len(pairs), changed)
+    return (root if nodes is None else _root(nodes)), changed
 
 
 def insert(node: Optional[Node], key, val) -> Node:
     """Insert or replace; returns a new root (the same tree when key
     already maps to val)."""
-    return _put(node, key, val, [])
+    return update(node, [(key, val)])[0]
 
 
 def remove(node: Optional[Node], key) -> Optional[Node]:
     """Remove key if present; returns a new root (or the same tree)."""
-    return _put(node, key, None, [])
+    return update(node, [(key, None)])[0]
 
 
-def update(root: Optional[Node], pairs) -> tuple:
-    """Apply the sorted, distinct `(key, value)` pairs in one walk, a
-    value of None removing its key. Returns the new root and, in key
-    order, `(key, old value or None)` for every key whose value moved;
-    when none moved the root is `root` itself.
-
-    At each node the run of pairs is bisected at the node's key, both
-    halves recurse, and `_link` rejoins them (`_join2` when the node's
-    own key is removed). An empty subtree takes its run as a balanced
-    build, and a single pair is one `_put` descent. m pairs into n
-    records cost O(m log(n/m + 1)) (Blelloch, Ferizovic & Sun, "Just
-    Join for Parallel Ordered Sets", SPAA 2016).
-    """
-    changed: list = []
-    return _update(root, pairs, 0, len(pairs), changed), changed
+def _build(keys: list, vals: list) -> Optional[Node]:
+    """A tree of the sorted `keys` mapped to `vals`, its leaves as full
+    as `_spans` makes them; it takes ownership of both lists."""
+    if len(keys) <= _WIDTH:
+        return Node(keys, vals, True) if keys else None
+    return _root([Node(keys[a:b], vals[a:b], True) for a, b in _spans(len(keys))])
 
 
-def _update(node, pairs, lo, hi, changed):
-    if lo == hi:
-        return node
-    if hi - lo == 1:
-        key, val = pairs[lo]
-        return _put(node, key, val, changed)
-    if node is None:
-        run = [p for p in pairs[lo:hi] if p[1] is not None]
-        changed += [(k, None) for k, _v in run]
-        return _build(run, 0, len(run)) if run else None
-    key = node.key
-    i = bisect_left(pairs, key, lo, hi, key=_first)
-    j = i + 1 if i < hi and pairs[i][0] == key else i
-    left = _update(node.left, pairs, lo, i, changed)
-    val = node.val
-    if i < j and pairs[i][1] != val:
-        changed.append((key, val))
-        val = pairs[i][1]
-    right = _update(node.right, pairs, j, hi, changed)
-    if val is None:
-        return _join2(left, right)
-    if left is node.left and right is node.right and val is node.val:
-        return node
-    return _link(key, val, left, right)
+def from_sorted(pairs) -> Optional[Node]:
+    """Build a tree from sorted (key, val) pairs."""
+    pairs = list(pairs)
+    return _build([k for k, _v in pairs], [v for _k, v in pairs])
 
 
 def get(node: Optional[Node], key):
     """Value at key, or None when absent."""
-    while node is not None:
-        if key < node.key:
-            node = node.left
-        elif key > node.key:
-            node = node.right
-        else:
-            return node.val
+    if node is None:
+        return None
+    while not node.leaf:
+        i = bisect_right(node.keys, key) - 1
+        if i < 0:
+            return None
+        node = node.vals[i]
+    keys = node.keys
+    i = bisect_left(keys, key)
+    if i < len(keys) and keys[i] == key:
+        return node.vals[i]
     return None
 
 
-def items(node: Optional[Node]) -> Iterator[tuple]:
-    stack = []
-    while node is not None or stack:
-        while node is not None:
-            stack.append(node)
-            node = node.left
+def _walk(stack: list) -> Iterator[tuple]:
+    """The (k, v) pairs of the subtrees on `stack`, the last one first."""
+    while stack:
         node = stack.pop()
-        yield node.key, node.val
-        node = node.right
+        if node.leaf:
+            yield from zip(node.keys, node.vals)
+        else:
+            stack += node.vals[::-1]
+
+
+def items(node: Optional[Node]) -> Iterator[tuple]:
+    if node is None:
+        return iter(())
+    if node.leaf:
+        return zip(node.keys, node.vals)
+    return _walk([node])
 
 
 def items_from(node: Optional[Node], key) -> Iterator[tuple]:
     """Iterate (k, v) pairs with k >= key, in order."""
-    stack = []
-    while node is not None:
-        if node.key < key:
-            node = node.right
-        else:
-            stack.append(node)
-            node = node.left
-    while stack:
-        node = stack.pop()
-        yield node.key, node.val
-        node = node.right
-        while node is not None:
-            stack.append(node)
-            node = node.left
+    if node is None:
+        return
+    path = []  # (branch, index of the child descended into)
+    while not node.leaf:
+        i = max(bisect_right(node.keys, key) - 1, 0)
+        path.append((node, i))
+        node = node.vals[i]
+    keys, vals = node.keys, node.vals
+    for i in range(bisect_left(keys, key), len(keys)):
+        yield keys[i], vals[i]
+    while path:
+        node, i = path.pop()
+        for kid in node.vals[i + 1 :]:
+            yield from items(kid)
+
+
+def size(node: Optional[Node]) -> int:
+    """Number of records under the root."""
+    if node is None:
+        return 0
+    if node.leaf:
+        return len(node.keys)
+    return sum(size(kid) for kid in node.vals)
 
 
 class Cursor:
     """Seekable forward cursor with a finger.
 
-    The stack holds the pending in-order positions: the current node on
-    top, below it every ancestor whose key (and right subtree) is still
-    ahead of the cursor. seek(k) advances to the least key >= k and never
-    moves backward; its cost is proportional to the log of the distance
-    travelled.
+    `_path` holds `(branch, child index)` from the root down to the
+    current leaf, whose lists and position are `_keys`, `_vals` and `_i`;
+    `key` and `val` are the current record's. seek(k) advances to the
+    least key >= k and never moves backward. It bisects the current leaf
+    when the target is in it, and otherwise climbs only until a branch's
+    next child starts at or past the target, so a short hop costs a few
+    comparisons whatever the tree's size.
     """
 
-    __slots__ = ("_stack", "at_end")
+    __slots__ = ("_path", "_keys", "_vals", "_i", "key", "val", "at_end")
 
     def __init__(self, root: Optional[Node]):
-        self._stack: list = []
-        self._push_left(root)
-        self.at_end = not self._stack
+        self._path: list = []
+        self.at_end = root is None
+        if root is not None:
+            self._leftmost(root)
 
-    @property
-    def key(self):
-        return self._stack[-1].key
+    def _leftmost(self, node: Node) -> None:
+        while not node.leaf:
+            self._path.append((node, 0))
+            node = node.vals[0]
+        self._land(node, 0)
 
-    @property
-    def val(self):
-        return self._stack[-1].val
-
-    def _push_left(self, node):
-        while node is not None:
-            self._stack.append(node)
-            node = node.left
+    def _land(self, leaf: Node, i: int) -> None:
+        self._keys, self._vals, self._i = leaf.keys, leaf.vals, i
+        self.key, self.val = leaf.keys[i], leaf.vals[i]
 
     def next(self) -> None:
         if self.at_end:
             return
-        node = self._stack.pop()
-        self._push_left(node.right)
-        self.at_end = not self._stack
+        i = self._i + 1
+        if i < len(self._keys):
+            self._i, self.key, self.val = i, self._keys[i], self._vals[i]
+            return
+        path = self._path
+        while path:
+            node, j = path.pop()
+            if j + 1 < len(node.keys):
+                path.append((node, j + 1))
+                self._leftmost(node.vals[j + 1])
+                return
+        self.at_end = True
 
     def seek(self, key) -> None:
         """Advance to the least record with key >= `key`."""
-        if self.at_end:
+        if self.at_end or not self.key < key:
             return
-        s = self._stack
-        if s[-1].key >= key:
+        keys = self._keys
+        if not keys[-1] < key:
+            i = bisect_left(keys, key, self._i + 1)
+            self._i, self.key, self.val = i, keys[i], self._vals[i]
             return
-        # Pending entries are increasing from top to bottom. While the entry
-        # *below* the top is still < key, everything reachable from the top
-        # entry (its key and right subtree) is < key too, so drop it.
-        while len(s) >= 2 and s[-2].key < key:
-            s.pop()
-        node = s.pop()  # node.key < key; answer may be in its right subtree
-        sub = node.right
-        while sub is not None:
-            if sub.key < key:
-                sub = sub.right
-            else:
-                s.append(sub)
-                sub = sub.left
-        self.at_end = not s
-
-
-def from_sorted(pairs) -> Optional[Node]:
-    """Build a perfectly balanced tree from sorted (key, val) pairs."""
-    pairs = list(pairs)
-    return _build(pairs, 0, len(pairs)) if pairs else None
+        # Every key under the deepest frame's child is below the target;
+        # climbing past a branch's last child keeps that true one level up.
+        path = self._path
+        while path:
+            node, j = path.pop()
+            bk = node.keys
+            j += 1
+            if j == len(bk):
+                continue
+            if not bk[j] < key:
+                path.append((node, j))
+                self._leftmost(node.vals[j])
+                return
+            j = bisect_right(bk, key, j + 1) - 1
+            path.append((node, j))
+            node = node.vals[j]
+            while not node.leaf:
+                i = bisect_right(node.keys, key) - 1
+                path.append((node, i))
+                node = node.vals[i]
+            i = bisect_left(node.keys, key)
+            if i < len(node.keys):
+                self._land(node, i)
+                return
+        self.at_end = True

@@ -7,16 +7,17 @@ interval `(pred_id, lo, hi)` of one predicate's keys to `()`, just as a
 relation maps a key to `()`; the endpoints are padded to full key arity
 with MINK/TOP sentinels, so tuple comparison decides membership.
 
-A signal holds its content as one persistent tree, plus a log of the
+A signal holds its content as one persistent B-tree, plus a log of the
 identities each publish changed. A publish folds its removals and
-insertions into one sorted run and applies it in one tree walk
-(`ptree.update`), which reports the identities it changed. A reader
-keeps its offset into the log and the root it took at its last pull; a
-pull takes the current root and returns the identities logged since,
-even one changed back, since every reader compares with its own output
-anyway. A relation's value is `()`, which is falsy, so absence is
-always tested with `is None`. Sensitivity signals are monotone:
-publishing a removal or a replacement on one is a contract error.
+insertions into one sorted run and applies it in one descent
+(`ptree.update`), which copies only the nodes the run lands in and
+reports the identities it changed. A reader keeps its offset into the
+log and the root it took at its last pull; a pull takes the current
+root and returns the identities logged since, even one changed back,
+since every reader compares with its own output anyway. A relation's
+value is `()`, which is falsy, so absence is always tested with
+`is None`. Sensitivity signals are monotone: publishing a removal or a
+replacement on one is a contract error.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ MINK = _Sentinel("MINK", low=True)
 TOP = _Sentinel("TOP", low=False)
 
 
-def _check_tag(tag: str, payload) -> None:
+def _check_tag(tag: str, payload, what: str) -> None:
     if tag == INT64:
         ok = (
             isinstance(payload, int)
@@ -68,7 +68,7 @@ def _check_tag(tag: str, payload) -> None:
     else:
         raise SchemaError(f"unknown type tag {tag!r}")
     if not ok:
-        raise SchemaError(f"value {payload!r} is not of type {tag}")
+        raise SchemaError(f"{what} component {payload!r} is not of type {tag}")
 
 
 def validate_tuple(tags, values, what: str) -> tuple:
@@ -79,7 +79,7 @@ def validate_tuple(tags, values, what: str) -> tuple:
             f"{what} arity mismatch: expected {len(tags)} elements, got {len(values)}"
         )
     for tag, v in zip(tags, values):
-        _check_tag(tag, v)
+        _check_tag(tag, v, what)
     return values
 
 

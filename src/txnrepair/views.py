@@ -3,8 +3,9 @@
 A view is one persistent `ptree` root mapping a predicate's keys to its
 value tuples; the join (`lftj`) reads it as the sorted full tuples, key
 components followed by value components. A changed copy of a view is a
-path copy of its root (`patch_tree`), never a layer over it, so a root
-stays a snapshot while its holder moves on.
+path copy of its root (`patch_tree`): new copies of the B-tree nodes the
+patch lands in, sharing every other node, never a layer over it, so a
+root stays a snapshot while its holder moves on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import ptree
 
 def patch_tree(entries, root=None):
     """`root` with every entry of {key: value_tuple} applied in one
-    `ptree.update` walk; a value of None removes its key."""
+    `ptree.update` descent; a value of None removes its key."""
     return ptree.update(root, sorted(entries.items()))[0]
 
 

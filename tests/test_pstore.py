@@ -64,6 +64,21 @@ def test_type_checks(schema):
         store_upsert(DbVersion(), schema.sig("bal"), (1,), ("x",))
 
 
+@pytest.mark.parametrize("key,value,message", [
+    (("x",), (1,), r"^bal key component 'x' is not of type int64$"),
+    ((1, 2), (1,), r"^bal key arity mismatch: expected 1 elements, got 2$"),
+    ((1,), ("x",), r"^bal value component 'x' is not of type int64$"),
+    ((1,), (), r"^bal value arity mismatch: expected 1 elements, got 0$"),
+], ids=["key_type", "key_arity", "value_type", "value_arity"])
+def test_schema_errors_name_the_predicate_and_part(schema, key, value, message):
+    """A bad key or value names its predicate and which part is bad, at
+    an upsert and at a commit alike."""
+    with pytest.raises(SchemaError, match=message):
+        store_upsert(DbVersion(), schema.sig("bal"), key, value)
+    with pytest.raises(SchemaError, match=message):
+        apply_deltas(DbVersion(), schema, [((0, key), value)])
+
+
 def test_relation_records_have_empty_value(schema):
     db = store_upsert(DbVersion(), schema.sig("tag"), ("a",))
     assert store_lookup(db, schema.sig("tag"), ("a",)) == ()
