@@ -16,7 +16,6 @@ divergence of each.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import itertools
 import sys
@@ -311,12 +310,6 @@ def first_status_divergence(want: list, got: list):
 
 # ---- CLI ----
 
-CSV_FIELDS = [
-    "workload", "alpha", "workers", "txns", "seconds",
-    "throughput", "speedup", "txn_refreshes", "op_refreshes",
-]
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="txnrepair-bench",
                                  description="transaction repair benchmark")
@@ -332,7 +325,6 @@ def main(argv=None) -> int:
     ap.add_argument("--height", type=int, default=5, help="circuit tree height")
     ap.add_argument("--modes", default="serial,lock,repair",
                     help="comma list of executors to run")
-    ap.add_argument("--csv", metavar="PATH", default=None)
     ap.add_argument("--verify", action="store_true",
                     help="check repair result against the serial oracle")
     args = ap.parse_args(argv)
@@ -359,7 +351,6 @@ def main(argv=None) -> int:
             ap.error(f"unknown mode {mode}")
 
     base = reports.get("serial")
-    rows = []
     for mode, rep in reports.items():
         speedup = base.seconds / rep.seconds if base and rep.seconds > 0 else 0.0
         row = {
@@ -373,8 +364,7 @@ def main(argv=None) -> int:
             "txn_refreshes": rep.txn_refreshes,
             "op_refreshes": rep.op_refreshes,
         }
-        rows.append(row)
-        print("  ".join(f"{k}={row[k]}" for k in CSV_FIELDS))
+        print("  ".join(f"{k}={v}" for k, v in row.items()))
 
     rc = 0
     if args.verify:
@@ -399,18 +389,6 @@ def main(argv=None) -> int:
             else:
                 rc = 1
 
-    if args.csv:
-        new = True
-        try:
-            with open(args.csv) as f:
-                new = not f.readline()
-        except FileNotFoundError:
-            pass
-        with open(args.csv, "a", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=CSV_FIELDS)
-            if new:
-                w.writeheader()
-            w.writerows(rows)
     return rc
 
 

@@ -43,6 +43,7 @@ from .rulelang import (
     atom_terms,
     atom_vertex,
     choose_variable_order,
+    typecheck_rule,
 )
 from . import ptree
 from .values import MINK, TOP, SchemaError
@@ -97,8 +98,11 @@ class CompiledRule:
 
 def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
     """Plan `rule`; atoms of `upserted` predicates read their end state.
-    Rejects a variable that no positive atom enumerates and no primitive
-    computes, whatever the data."""
+    The rule first passes `typecheck_rule` against `schema`, as a parsed
+    one does; planning adds one check of its own, rejecting a variable
+    that no positive atom enumerates and no primitive computes at its
+    level, whatever the data."""
+    typecheck_rule(rule, schema)
     var_order = tuple(choose_variable_order(rule))
     level_of = {v: i for i, v in enumerate(var_order)}
 
@@ -131,21 +135,6 @@ def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
 
     plans = [_LevelPlan(v) for v in var_order]
     pre_checks = []
-
-    bound_positive = set()
-    for ca in atoms:
-        for t in ca.pattern:
-            if isinstance(t, Var):
-                bound_positive.add(t.name)
-    for p in prims:
-        if p.op in ARITH_OPS or p.op == "eq":
-            for t in p.args:
-                if isinstance(t, Var):
-                    bound_positive.add(t.name)
-    for ca in neg_atoms:
-        for t in ca.pattern:
-            if isinstance(t, Var) and t.name not in bound_positive:
-                raise SchemaError(f"negation variable {t.name} is not bound positively")
 
     # joiner positions: first occurrence of each variable within the atom;
     # past the key, the prefix fixes the key, so the joiner is a lookup

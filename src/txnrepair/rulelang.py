@@ -19,11 +19,22 @@ hold `Param` slots, then binds the values of one call into each rule's
 `args`; the template's head and body are shared by every binding, so a
 transaction compiles each distinct template once and the join reads
 the bound values at evaluation.
+
+What a rule binds is decided once, by `binding_analysis`: its sourced
+set is the one meaning of "bound positively", and its ordering edges
+give the variable order. `typecheck_rule` checks arity and types
+against a schema and reads the sourced set for range restriction: each
+head variable and each variable of a negated atom must be sourced.
+`parse_rules` runs it when given a schema, and `lftj.compile_rule` runs
+it on every template it plans, whatever schema the rule was parsed
+against; the plan adds only its check that each variable has a source at
+its own level.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -488,8 +499,9 @@ def atom_terms(atom):
 
 
 def typecheck_rule(rule: Rule, schema: Schema, known=None):
-    """Arity/type check and range-restriction check; returns the type of
-    each variable and `$param` slot, with `known` ({name: tag}) given."""
+    """Arity/type check and range-restriction check (head and negated
+    variables sourced, per `binding_analysis`); returns the type of each
+    variable and `$param` slot, with `known` ({name: tag}) given."""
     var_tags: dict = dict(known or {})
 
     def note(term, tag, where):
@@ -522,53 +534,46 @@ def typecheck_rule(rule: Rule, schema: Schema, known=None):
             for t, tag in zip(atom.value_args, sig.value_types):
                 note(t, tag, atom.pred)
 
-    # repeat until no tag is learnt, so comparisons pass tags along in any order
+    # db atoms and arithmetic fix their terms' types; comparisons pass
+    # types along, repeated until none is learnt, so in any order
+    comparisons = []
+    for atom in rule.body:
+        target = atom.atom if isinstance(atom, NegAtom) else atom
+        if isinstance(target, (RelAtom, FunAtom)):
+            check_db_atom(target)
+        elif target.op in ARITH_OPS:
+            for t in target.args:
+                note(t, INT64, f"primitive {target.op}")
+        else:
+            comparisons.append(target)
     learnt = None
-    while learnt != len(var_tags):
+    while comparisons and learnt != len(var_tags):
         learnt = len(var_tags)
-        for atom in rule.body:
-            target = atom.atom if isinstance(atom, NegAtom) else atom
-            if isinstance(target, (RelAtom, FunAtom)):
-                check_db_atom(target)
-            elif isinstance(target, PrimAtom):
-                if target.op in ARITH_OPS:
-                    for t in target.args:
-                        note(t, INT64, f"primitive {target.op}")
-                else:
-                    tags = [
-                        (t.tag if isinstance(t, Const) else var_tags.get(t.name))
-                        for t in target.args
-                    ]
-                    known = [t for t in tags if t is not None]
-                    if len(set(known)) > 1:
-                        raise SchemaError(f"mixed types in comparison {target}")
-                    if known:
-                        for t in target.args:
-                            note(t, known[0], f"primitive {target.op}")
+        for target in comparisons:
+            tags = [
+                (t.tag if isinstance(t, Const) else var_tags.get(t.name))
+                for t in target.args
+            ]
+            known = [t for t in tags if t is not None]
+            if len(set(known)) > 1:
+                raise SchemaError(f"mixed types in comparison {target}")
+            if known:
+                for t in target.args:
+                    note(t, known[0], f"primitive {target.op}")
     for h in rule.head:
         check_db_atom(h.atom)
 
-    # range restriction: head variables must be bound positively in the body
-    bound = set()
-    for atom in rule.body:
-        if isinstance(atom, NegAtom):
-            continue
-        if isinstance(atom, (RelAtom, FunAtom)):
-            for t in atom_terms(atom):
-                if isinstance(t, Var):
-                    bound.add(t.name)
-        elif isinstance(atom, PrimAtom) and atom.op in ARITH_OPS:
-            t = atom.args[2]
-            if isinstance(t, Var):
-                bound.add(t.name)
-        elif isinstance(atom, PrimAtom) and atom.op == "eq":
-            for t in atom.args:
-                if isinstance(t, Var):
-                    bound.add(t.name)
+    # range restriction: head and negated variables must be bound positively
+    sourced = binding_analysis(rule.body)[1]
     for h in rule.head:
         for t in atom_terms(h.atom):
-            if isinstance(t, Var) and t.name not in bound:
+            if isinstance(t, Var) and t.name not in sourced:
                 raise SchemaError(f"head variable {t.name} is not range-restricted")
+    for atom in rule.body:
+        if isinstance(atom, NegAtom):
+            for t in atom_terms(atom.atom):
+                if isinstance(t, Var) and t.name not in sourced:
+                    raise SchemaError(f"negation variable {t.name} is not bound positively")
     return var_tags
 
 
@@ -618,65 +623,50 @@ def print_rules(rules) -> str:
     return "\n".join(print_rule(r) for r in rules) + "\n"
 
 
-def choose_variable_order(rule: Rule):
-    """Variable order compatible with every atom's key-prefix pattern.
-
-    Each db atom chains its variables in argument order (first
-    occurrences); arithmetic primitives schedule outputs after inputs,
-    and an equality between two variables schedules the side with a
-    source (a positive db atom, an arithmetic output, or a chain of such
-    equalities) before the side without one. Deterministic tie-break:
-    first appearance in the body. Rules with no consistent order are
-    rejected.
-    """
-    appearance: dict = {}
+@functools.lru_cache(maxsize=1024)
+def binding_analysis(body: tuple):
+    """What a rule body binds, and the order it binds in: returns
+    (edges, sourced). `edges` maps each body variable, keyed in order of
+    first appearance, to the variables that must come after it: each
+    positive db atom chains its variables in argument order (first
+    occurrences), arithmetic schedules outputs after inputs, and an
+    equality between two variables schedules its sourced side before the
+    other. `sourced` holds the variables bound positively: by a positive
+    db atom, a positive arithmetic output, an equality with a constant or
+    parameter, or a chain of equalities with one of these. It is the one
+    definition of bound that every check reads. Computed once per body
+    value, as parsing, type checking and planning each ask for it; the
+    result is shared, so it holds frozensets and no caller may change it."""
     edges: dict = {}
-    sourced: set = set()  # variables a positive db atom or a compute binds
+    sourced: set = set()
     var_eqs = []  # (a, b) of each positive equality between two variables
 
-    def seen(v):
-        if v not in appearance:
-            appearance[v] = len(appearance)
+    for atom in body:
+        positive = not isinstance(atom, NegAtom)
+        target = atom if positive else atom.atom
+        names = list(dict.fromkeys(t.name for t in atom_terms(target) if isinstance(t, Var)))
+        for v in names:
             edges.setdefault(v, set())
-
-    def chain(terms):
-        prev = None
-        done = set()
-        for t in terms:
-            if not isinstance(t, Var) or t.name in done:
-                continue
-            done.add(t.name)
-            seen(t.name)
-            sourced.add(t.name)
-            if prev is not None:
-                edges[prev].add(t.name)
-            prev = t.name
-
-    for atom in rule.body:
-        target = atom.atom if isinstance(atom, NegAtom) else atom
-        if isinstance(target, (RelAtom, FunAtom)) and not isinstance(atom, NegAtom):
-            chain(atom_terms(target))
-        elif isinstance(target, PrimAtom) and target.op in ARITH_OPS:
+        if isinstance(target, (RelAtom, FunAtom)):
+            if positive:
+                sourced.update(names)
+                for v, w in zip(names, names[1:]):
+                    edges[v].add(w)
+        elif target.op in ARITH_OPS:
+            # a negated one binds nothing, but is ordered all the same
             x, y, out = target.args
-            for t in (x, y):
-                if isinstance(t, Var):
-                    seen(t.name)
             if isinstance(out, Var):
-                seen(out.name)
-                sourced.add(out.name)
                 for t in (x, y):
                     if isinstance(t, Var):
                         edges[t.name].add(out.name)
-        else:
-            for t in atom_terms(target):
-                if isinstance(t, Var):
-                    seen(t.name)
-            if target is atom and target.op == "eq":
-                a, b = target.args
-                if isinstance(a, Var) and isinstance(b, Var):
-                    var_eqs.append((a.name, b.name))
-                else:  # one side is a constant or a parameter
-                    sourced.update(t.name for t in (a, b) if isinstance(t, Var))
+                if positive:
+                    sourced.add(out.name)
+        elif positive and target.op == "eq":
+            a, b = target.args
+            if isinstance(a, Var) and isinstance(b, Var):
+                var_eqs.append((a.name, b.name))
+            else:  # one side is a constant or a parameter
+                sourced.update(names)
 
     # the sourced side of an equality goes first; a side it orders becomes sourced
     grew = True
@@ -688,26 +678,38 @@ def choose_variable_order(rule: Rule):
                 edges[src].add(dst)
                 sourced.add(dst)
                 grew = True
+    return {v: frozenset(ws) for v, ws in edges.items()}, frozenset(sourced)
 
-    # Kahn's algorithm with first-appearance tie-break
-    indeg = {v: 0 for v in appearance}
-    for v, outs in edges.items():
+
+def topological_order(edges):
+    """Kahn's algorithm over `edges` ({node: successors}, every node a key):
+    each step takes the ready node that comes first in `edges`. Returns
+    the nodes in that order, or None if they form a cycle."""
+    nodes = list(edges)
+    rank = {v: i for i, v in enumerate(nodes)}
+    indeg = dict.fromkeys(nodes, 0)
+    for outs in edges.values():
         for w in outs:
             indeg[w] += 1
-    ready = sorted((v for v, d in indeg.items() if d == 0), key=appearance.get)
+    ready = [rank[v] for v in nodes if not indeg[v]]  # sorted, so a heap
     order = []
-    import heapq
-
-    heap = [(appearance[v], v) for v in ready]
-    heapq.heapify(heap)
-    while heap:
-        _, v = heapq.heappop(heap)
+    while ready:
+        v = nodes[heapq.heappop(ready)]
         order.append(v)
-        for w in sorted(edges[v], key=appearance.get):
+        for w in edges[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, (appearance[w], w))
-    if len(order) != len(appearance):
+            if not indeg[w]:
+                heapq.heappush(ready, rank[w])
+    return order if len(order) == len(nodes) else None
+
+
+def choose_variable_order(rule: Rule):
+    """Variable order compatible with every atom's key-prefix pattern:
+    `topological_order` over the edges of `binding_analysis`, ties broken by
+    first appearance in the body. Rules with no consistent order are
+    rejected."""
+    order = topological_order(binding_analysis(rule.body)[0])
+    if order is None:
         raise SchemaError(
             f"no trie-compatible variable ordering for rule {print_rule(rule)!r}"
         )

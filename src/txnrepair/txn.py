@@ -64,8 +64,6 @@ recover when later corrections restore consistency.
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,7 +71,7 @@ from . import ptree
 from .inclftj import IntervalIndex, RuleMaintainer
 from .lftj import Stats, compile_rule
 from .pstore import DbVersion, PredicateSig, Schema
-from .rulelang import atom_terms
+from .rulelang import atom_terms, topological_order
 from .values import SchemaError
 from .views import patch_tree, view_lookup
 
@@ -426,9 +424,11 @@ def _note_arity(derived, pred, n):
 
 def _order_groups(heads, compiled, derived):
     """Each group's distinct read vertices, from its plan, and the group
-    indexes in dependency order (Kahn's algorithm, ties broken by index,
-    which follows each group's first rule). Rejects a read of an undefined
-    predicate or of a derived one at another arity, and a cycle."""
+    indexes in dependency order: `rulelang.topological_order` over the
+    edges from each group writing a vertex to each group reading it, ties
+    broken by index, which follows each group's first rule. Rejects a read
+    of an undefined predicate or of a derived one at another arity, and a
+    cycle."""
     reads = []
     for plan in compiled:
         atoms = plan.atoms + plan.neg_atoms
@@ -439,27 +439,16 @@ def _order_groups(heads, compiled, derived):
             if kind == "out":
                 _note_arity(derived, pred, len(a.pattern))
         reads.append(tuple(dict.fromkeys(a.vertex for a in atoms)))
-    writes = [{("end:" if h.is_upsert else "out:") + h.atom.pred for h in head} for head in heads]
-    left = Counter(v for ws in writes for v in ws)  # vertex -> writers yet to run
-    readers: dict = {}  # vertex -> the groups that read it
-    waiting = [0] * len(heads)  # per group, its reads with writers yet to run
-    for i, vertices in enumerate(reads):
+    writers: dict = {}  # vertex -> the groups that write it
+    for i, head in enumerate(heads):
+        for h in head:
+            writers.setdefault(("end:" if h.is_upsert else "out:") + h.atom.pred, []).append(i)
+    edges = {i: set() for i in range(len(heads))}
+    for j, vertices in enumerate(reads):
         for v in vertices:
-            if v in left:
-                readers.setdefault(v, []).append(i)
-                waiting[i] += 1
-    ready = [i for i, n in enumerate(waiting) if not n]  # sorted, so a heap
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for v in writes[i]:
-            left[v] -= 1
-            if not left[v]:
-                for j in readers.get(v, ()):
-                    waiting[j] -= 1
-                    if not waiting[j]:
-                        heapq.heappush(ready, j)
-    if len(order) != len(heads):
+            for i in writers.get(v, ()):
+                edges[i].add(j)
+    order = topological_order(edges)
+    if order is None:
         raise SchemaError("cyclic rule dependencies: recursion is not supported")
     return reads, order

@@ -1,6 +1,5 @@
 """Workload generators and the benchmark CLI."""
 
-import csv
 from itertools import combinations
 
 import pytest
@@ -18,10 +17,10 @@ from txnrepair.bench import (
     run_serial,
 )
 from txnrepair.engine import Engine, EngineConfig
-from txnrepair.pstore import DbVersion, full_scan, store_upsert
+from txnrepair.pstore import DbVersion, PredicateSig, Schema, full_scan, store_upsert
 from txnrepair.rulelang import parse_rules
-from txnrepair.txn import EVALUATED, FAILED
-from txnrepair.values import SchemaError
+from txnrepair.txn import EVALUATED, FAILED, TxnExec
+from txnrepair.values import INT64, SchemaError
 
 
 def test_generators_deterministic():
@@ -148,18 +147,48 @@ def test_first_status_divergence():
     assert first_status_divergence(ok, ok[:2]) == (2, EVALUATED, None)
 
 
-def test_cli_writes_csv(tmp_path):
-    out = tmp_path / "rows.csv"
+@pytest.mark.parametrize("text, message", [
+    ("out(x) <- r(y).", "head variable x is not range-restricted"),
+    ("out(x) <- r(x, y).", "r arity mismatch"),
+    ("out(x) <- b(x).", "b arity mismatch"),
+])
+def test_schemaless_rule_fails_before_anything_commits(text, message):
+    """A rule parsed without a schema, reading its relation r at the wrong
+    arity or its function b as a relation, or heading an unbound variable,
+    once crashed at evaluation (KeyError, IndexError) or read nothing. A
+    plan runs `typecheck_rule` whatever schema its rule was parsed
+    against, so the rule raises when its transaction is built: the serial
+    run raises, and an engine raises before its epoch commits the valid
+    transaction before it."""
+    schema = Schema.from_sigs([
+        PredicateSig("r", 0, (INT64,)),
+        PredicateSig("b", 1, (INT64,), (INT64,)),
+    ])
+    db = store_upsert(store_upsert(DbVersion(), schema.sig("r"), (1,)), schema.sig("b"), (1,), (2,))
+    good = parse_rules("^b[$k] = v <- v = b@start[$k] + 1.", schema, params={"k": 1})
+    bad = parse_rules(text)
+    with pytest.raises(SchemaError, match=message):
+        TxnExec(schema, bad)
+    wl = bench.Workload(schema, db, [good, bad], locksets=[])
+    with pytest.raises(SchemaError, match=message):
+        run_serial(wl)
+    engine = Engine(schema, db, EngineConfig(workers=1))
+    with pytest.raises(SchemaError, match=message):
+        engine.run(wl.txns)
+    assert engine.db is db and engine.metrics.txns == 0
+
+
+def test_cli_prints_one_row_per_executor(capsys):
     rc = main([
-        "--workload", "counter_chain", "--txns", "8", "--height", "3",
-        "--csv", str(out), "--verify",
+        "--workload", "counter_chain", "--txns", "8", "--height", "3", "--verify",
     ])
     assert rc == 0
-    with open(out) as f:
-        rows = list(csv.DictReader(f))
-    assert {r["workload"] for r in rows} == {
+    rows = [dict(f.split("=") for f in line.split())
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("workload=")]
+    assert [r["workload"] for r in rows] == [
         "counter_chain:serial", "counter_chain:lock", "counter_chain:repair"
-    }
+    ]
     for r in rows:
         assert float(r["seconds"]) >= 0
         assert int(r["txns"]) == 8

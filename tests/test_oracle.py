@@ -6,9 +6,10 @@ repair engine at 1 and 2 workers; all must agree on every transaction's
 status and on the final state. Each transaction binds a few templates,
 often one template several times: an identical binding twice, and two
 bindings that write different values to one key. The templates cover
-multi-predicate joins, negation, constraints, derived predicates, both
-orders of an equality, int64 edge values, and `@start` as well as
-end-state reads. Reads of another predicate's end state go from a
+multi-predicate joins, negation of atoms and of primitives, constraints,
+derived predicates, both orders of an equality, a head of two atoms, a
+function value inside an expression, parentheses, int64 edge values, and
+`@start` as well as end-state reads. Reads of another predicate's end state go from a
 higher-numbered predicate to a lower one, so no program has a cycle.
 A second family, guarded transfers between three keys, makes repairs
 flip reads: a correction moves a balance across a guard's threshold.
@@ -53,6 +54,11 @@ TEMPLATES = (
     "^F{i}[x] = y <- R(x, y), !d(x, y), x = $k.",
     "false <- F{i}[$k] = v, v > $d.",
     "false <- R(x, y), F{i}[x] = y, x = $k.",
+    "^F{i}[$k] = v <- F{j}@start[$s] = y, !(y < $t), v = y + 1.",
+    "^F{i}[$k] = v <- F{j}@start[$s] = y, F{i}@start[$k] = v, !(v = y * $d).",
+    "^F{i}[x] = y, ^F{j}[x] = y <- R(x, y).",
+    "^F{i}[$k] = v <- F{j}@start[$s] + 1 > $t, v = $d.",
+    "^F{i}[$k] = v <- F{j}@start[$s] = y, v = (y - $d) * 2.",
 )
 
 # a guarded transfer, whose repairs flip reads: $m moves from F0[$s] to

@@ -114,6 +114,25 @@ def test_quantified_negation_rejected():
         parse_rules("p(x) <- q(x), !(exists y . r(x, y)).")
 
 
+def test_negation_of_two_atoms_rejected():
+    with pytest.raises(ParseError, match="negation is restricted to a single atom"):
+        parse_rules("p(x) <- q(x), !(r(x), s(x)).")
+
+
+def test_exists_prefix_is_dropped():
+    (r,) = parse_rules("p(x) <- exists y, z . q(x, y), s(y, z).")
+    assert r == parse_rules("p(x) <- q(x, y), s(y, z).")[0]
+
+
+def test_boolean_literals():
+    (r,) = parse_rules("p(x) <- q(x, b), b = true, !(b = false).")
+    assert r.body[1:] == (
+        PrimAtom("eq", (Var("b"), Const(True))),
+        NegAtom(PrimAtom("eq", (Var("b"), Const(False)))),
+    )
+    assert parse_rules(print_rule(r)) == [r]
+
+
 def test_parse_error_has_position():
     with pytest.raises(ParseError) as ei:
         parse_rules("p(x) <- q(x,.")
@@ -174,6 +193,22 @@ def test_typecheck_rejects_unbound_head():
         typecheck_rule(r, Schema.from_sigs([]))
 
 
+def test_equality_of_two_unsourced_variables_binds_neither(schema):
+    """Range restriction reads what the planner can enumerate: `x = z`
+    with neither side sourced leaves head variable x unbound."""
+    with pytest.raises(SchemaError, match="head variable x is not range-restricted"):
+        parse_rules("p(x) <- q(y), x = z.", schema)
+
+
+def test_negated_variable_must_be_sourced(schema):
+    with pytest.raises(SchemaError, match="negation variable z is not bound positively"):
+        parse_rules("p(x) <- edge(x, x), !bal[x] = z.", schema)
+    # an arithmetic input binds nothing; a plan runs the same check
+    rules = parse_rules("p(x) <- edge(x, x), !edge(x, z), y = z + 1.")
+    with pytest.raises(SchemaError, match="negation variable z is not bound positively"):
+        TxnExec(schema, rules)
+
+
 def test_typecheck_skips_derived_preds(schema):
     (r,) = parse_rules("p(x) <- helper(x), edge(x, x).")
     typecheck_rule(r, schema)  # helper not in schema: fine
@@ -189,6 +224,14 @@ def test_variable_order_deterministic():
     (r,) = parse_rules("p(x, y, z) <- q(x, y), r(y, z).")
     assert choose_variable_order(r) == choose_variable_order(r)
     assert list(choose_variable_order(r)) == ["x", "y", "z"]
+
+
+def test_no_consistent_order_rejected():
+    """R(x, y) orders x before y and R(y, x) y before x: no trie level
+    order serves both, so the sort finds a cycle."""
+    (r,) = parse_rules("p(x) <- R(x, y), R(y, x).")
+    with pytest.raises(SchemaError, match="no trie-compatible variable ordering"):
+        choose_variable_order(r)
 
 
 class TestRewrite:

@@ -56,12 +56,3 @@ def test_birthday_check_script_reports_overlap():
     assert line.startswith("n=1000 alpha=2.0 txns=60 pairs=1770 mean_common_skus=")
     assert line.endswith("(expected 4.0)")
 
-
-def test_speedup_sweep_script_verifies(tmp_path):
-    out = tmp_path / "sweep.csv"
-    lines = _run_script("run_speedup_sweep.py", "--txns", "4", "--n", "100", "--out", str(out))
-    runs = 3 * 4  # alphas x worker counts
-    assert sum(line.startswith("verify ok (repair)") for line in lines) == runs
-    assert sum(line.startswith("verify ok (lock)") for line in lines) == runs
-    assert lines[-1] == f"wrote {out}"
-    assert len(out.read_text().splitlines()) == 1 + 3 * runs  # header, then 3 modes a run
