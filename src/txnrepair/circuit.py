@@ -4,7 +4,7 @@ Transactions sit at the leaves of a binary tree in serial order. Requested
 deltas and sensitivities merge upward; corrections flow downward:
 
   - delta merge at a group node: per key, the later (right) child wins;
-  - sensitivity merge: interval union, clipped to the node's subdomain;
+  - sensitivity merge: interval union;
   - corrections into a left child: the parent's corrections, filtered to
     the child's sensitivity;
   - corrections into a right child: the parent's corrections overridden
@@ -23,9 +23,13 @@ At the fixpoint, the root's delta merge holds, per key, the write of the
 latest transaction that committed: the net effect of running the
 transactions serially. Those records are the epoch's commit.
 
-Signals at a node of height h are partitioned into 2^h subdomains of the
-global domain decomposition, so independent key regions refresh in
-parallel. Each signal maps an identity to a value: a record identity
+Only delta signals are split by key region: the deltas of a node of
+height h are partitioned into 2^h subdomains of the global domain
+decomposition, each merged by its own operator, and the commit reads the
+root's. A node off the spine has one sensitivity and one correction
+signal, so an interval is stored once, unclipped; the correction into a
+right child reads every subdomain signal of its left sibling's deltas.
+Each signal maps an identity to a value: a record identity
 `(pred_id, key)` to its value for deltas and corrections, a key interval
 `(pred_id, lo, hi)` to `()` for sensitivity. Every operator pulls, per
 input signal, the identities logged since its last pull, reads their
@@ -67,7 +71,6 @@ from .inclftj import CoverageSet
 from .pstore import DbVersion
 from .signal import CORR, DELTA, SENS, SignalCursor, VersionedSignal
 from .txn import UNEVALUATED, TxnExec
-from .values import MINK, TOP
 
 
 def labels(h: int):
@@ -82,12 +85,12 @@ class TreeNode:
         self.right: Optional[TreeNode] = None
         self.txn: Optional[TxnExec] = None
         self.delta = {d: VersionedSignal(DELTA) for d in labels(height)}
-        # corrections INTO this node, produced by the parent's corr ops,
+        # corrections INTO this node, produced by the parent's corr op,
         # and the sensitivity that filters them; nothing precedes the
         # transactions under a spine node, so it has neither
         off_spine = "1" in label
-        self.sens = {d: VersionedSignal(SENS) for d in labels(height) if off_spine}
-        self.corr = {d: VersionedSignal(CORR) for d in labels(height) if off_spine}
+        self.sens = VersionedSignal(SENS) if off_spine else None
+        self.corr = VersionedSignal(CORR) if off_spine else None
 
     def __repr__(self):
         return f"<node {self.label!r} h={self.height}>"
@@ -119,27 +122,6 @@ def build_tree(height: int, label: str = "") -> TreeNode:
 
 def _in_interval(lo_pt: tuple, hi_pt: tuple, pred_id: int, key: tuple) -> bool:
     return lo_pt <= (pred_id, tuple(key)) < hi_pt
-
-
-def clip_sens(interval: tuple, lo_pt: tuple, hi_pt: tuple):
-    """Closed clip of a key interval (pred_id, lo, hi) to a subdomain, or
-    None when they do not meet; both subdomains keep the boundary point,
-    which preserves covering."""
-    pred_id, lo, hi = interval
-    arity = len(lo)
-    a = (pred_id, lo)
-    b = (pred_id, hi)
-    nlo = max(a, lo_pt)
-    nhi = min(b, hi_pt)
-    if nlo > nhi:
-        return None
-    if nlo != a:
-        lo = (nlo[1] + (MINK,) * arity)[:arity]
-    if nhi != b:
-        hi = (nhi[1] + (TOP,) * arity)[:arity]
-    if not lo <= hi:
-        return None
-    return (pred_id, lo, hi)
 
 
 def _first(cursors, ident: tuple):
@@ -174,7 +156,7 @@ class Op:
 
     kind = "op"
 
-    def __init__(self, node_label: str, domain_label: str):
+    def __init__(self, node_label: str, domain_label: str = ""):
         self.node_label = node_label
         self.op_id = f"{self.kind}:{node_label or 'root'}:{domain_label or '*'}"
         self.cursors: list = []
@@ -249,21 +231,19 @@ class DeltaMergeOp(Op):
 class SensMergeOp(Op):
     kind = "smerge"
 
-    def __init__(self, group: TreeNode, d: str, decomp: DomainDecomposition):
-        super().__init__(group.label, d)
-        self.interval = decomp.subdomain_interval(d)
-        self.out = group.sens[d]
-        self.cur_l = self._cursor(group.left.sens[d[:-1]])
-        self.cur_r = self._cursor(group.right.sens[d[:-1]])
+    def __init__(self, group: TreeNode):
+        super().__init__(group.label)
+        self.out = group.sens
+        self.cur_l = self._cursor(group.left.sens)
+        self.cur_r = self._cursor(group.right.sens)
         self.output_signals = [self.out]
 
     def refresh(self) -> bool:
-        lo_pt, hi_pt = self.interval
-        inserts = []
-        for interval in self.cur_l.pull() + self.cur_r.pull():  # only grows: all present
-            clipped = clip_sens(interval, lo_pt, hi_pt)
-            if clipped is not None and self.out.get(clipped) is None:
-                inserts.append((clipped, ()))
+        inserts = [
+            (interval, ())
+            for interval in self.cur_l.pull() + self.cur_r.pull()  # only grows: all present
+            if self.out.get(interval) is None
+        ]
         if not inserts:
             return False
         v0 = self.out.latest
@@ -271,16 +251,17 @@ class SensMergeOp(Op):
 
 
 class CorrOp(Op):
-    """Produces the corrections INTO one child of a group node."""
+    """Produces the corrections INTO one child of a group node; into the
+    right child, the left sibling's deltas (every key region) too."""
 
     kind = "corr"
 
-    def __init__(self, group: TreeNode, child: TreeNode, e: str, with_delta: bool):
-        super().__init__(child.label, e)
-        self.out = child.corr[e]
-        parents = [self._cursor(group.corr[e + b]) for b in "01"] if group.corr else []
-        delta = [self._cursor(group.left.delta[e])] if with_delta else []
-        self.cur_sens = self._cursor(child.sens[e])
+    def __init__(self, group: TreeNode, child: TreeNode):
+        super().__init__(child.label)
+        self.out = child.corr
+        parents = [self._cursor(group.corr)] if group.corr is not None else []
+        delta = [self._cursor(s) for s in group.left.delta.values()] if child is group.right else []
+        self.cur_sens = self._cursor(child.sens)
         self._inputs = parents + delta
         # the left sibling's writes are later than the parent's corrections
         self._by_precedence = delta + parents
@@ -321,13 +302,13 @@ class TxnOp(Op):
     kind = "txn"
 
     def __init__(self, leaf: TreeNode, base: Optional[DbVersion] = None):
-        super().__init__(leaf.label, "")
+        super().__init__(leaf.label)
         self.leaf = leaf
         self.base = base
         # the first leaf receives no corrections and reports no sensitivity
-        self.cur_corr = self._cursor(leaf.corr[""]) if leaf.corr else None
+        self.cur_corr = self._cursor(leaf.corr) if leaf.corr is not None else None
         self.out_delta = leaf.delta[""]
-        self.out_sens = leaf.sens.get("")
+        self.out_sens = leaf.sens
         self.output_signals = [s for s in (self.out_delta, self.out_sens) if s is not None]
 
     def refresh(self) -> bool:
@@ -353,12 +334,11 @@ def wire_group(group: TreeNode, decomp: DomainDecomposition):
     """All merge/corr operators owned by one internal node: no sensitivity
     merge at a spine node, and no correction into a spine child."""
     ops = [DeltaMergeOp(group, d, decomp) for d in labels(group.height)]
-    if group.sens:
-        ops += [SensMergeOp(group, d, decomp) for d in labels(group.height)]
-    for e in labels(group.height - 1):
-        if group.left.corr:
-            ops.append(CorrOp(group, group.left, e, with_delta=False))
-        ops.append(CorrOp(group, group.right, e, with_delta=True))
+    if group.sens is not None:
+        ops.append(SensMergeOp(group))
+    if group.left.corr is not None:
+        ops.append(CorrOp(group, group.left))
+    ops.append(CorrOp(group, group.right))
     return ops
 
 

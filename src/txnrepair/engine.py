@@ -28,9 +28,11 @@ An epoch's fixed cost follows its change volume:
   - The circuit (a domain decomposition from one full scan of the store,
     the tree, its operators, a `TxnOp` for every leaf and the signal ->
     readers map) is built and wired once, at the engine's first epoch,
-    and kept for the engine's life. Correctness never depends on the
-    splits: any decomposition partitions the domain, so keys that later
-    commits add still land in exactly one subdomain. Each epoch starts by
+    and kept for the engine's life. The decomposition splits only delta
+    signals by key region; sensitivity and corrections have one signal
+    per node. Correctness never depends on the splits: any decomposition
+    partitions the domain, so keys that later commits add still land in
+    exactly one subdomain. Each epoch starts by
     resetting the circuit: every signal emptied, every cursor rewound,
     every transaction slot cleared, so an epoch that raised leaves
     nothing behind for the next. No signal links to its readers, so

@@ -2,6 +2,7 @@
 filtering and idempotence, schedule-independent fixpoint."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from txnrepair.circuit import (
     TxnOp,
     _in_interval,
     build_tree,
-    clip_sens,
     labels,
     wire_tree,
 )
@@ -27,6 +27,7 @@ from txnrepair.pstore import (
     store_upsert,
 )
 from txnrepair.rulelang import parse_rules
+from txnrepair.signal import CORR, SENS, VersionedSignal
 from txnrepair.txn import EVALUATED, TxnExec
 from txnrepair.values import INT64, MINK, TOP
 
@@ -101,85 +102,40 @@ def test_delta_merge_incremental_update(samples, lrecs, rrecs, later):
 ivals = st.tuples(keys, keys).map(lambda t: (0, (min(t),), (max(t),)))
 
 
-@given(st.lists(keys, max_size=8), st.lists(ivals, max_size=6),
-       st.lists(ivals, max_size=6), keys)
+@given(st.lists(ivals, max_size=6), st.lists(ivals, max_size=6), keys)
 @settings(max_examples=250)
-def test_sens_merge_preserves_covering(samples, lrecs, rrecs, probe):
-    decomp = build_decomposition([point(0, (k,)) for k in samples], 1)
+def test_sens_merge_preserves_covering(lrecs, rrecs, probe):
+    """The merge is the plain union of its children's intervals, so it
+    covers exactly the keys they cover."""
     group = build_tree(1, label="1")  # off the spine: it merges sensitivity
-    ops = [SensMergeOp(group, d, decomp) for d in ("0", "1")]
-    group.left.sens[""].publish(inserts=_units(lrecs))
-    group.right.sens[""].publish(inserts=_units(rrecs))
-    for op in ops:
-        op.refresh()
+    op = SensMergeOp(group)
+    group.left.sens.publish(inserts=_units(lrecs))
+    group.right.sens.publish(inserts=_units(rrecs))
+    op.refresh()
+    assert {i for i, _unit in group.sens.items()} == set(lrecs + rrecs)
     covered_in = any(_covers(i, (probe,)) for i in lrecs + rrecs)
-    covered_out = any(
-        _covers(i, (probe,))
-        for d in ("0", "1")
-        for i, _unit in group.sens[d].items()
-    )
+    covered_out = any(_covers(i, (probe,)) for i, _unit in group.sens.items())
     assert covered_in == covered_out
-
-
-@given(ivals, keys, keys)
-@settings(max_examples=200)
-def test_clip_covering(rec, split_key, probe):
-    lo, hi = build_decomposition([point(0, (split_key,))], 1).subdomain_interval("")
-    split = point(0, (split_key,))
-    left = clip_sens(rec, lo, split)
-    right = clip_sens(rec, split, hi)
-    before = _covers(rec, (probe,))
-    after = any(c is not None and _covers(c, (probe,)) for c in (left, right))
-    assert before == after
+    assert op.refresh() is False
 
 
 ends = st.one_of(st.just(MINK), keys, st.just(TOP))
-any_ivals = st.tuples(st.integers(0, 3), ends, ends).map(
-    lambda t: (t[0], (min(t[1:]),), (max(t[1:]),))
-)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), keys), max_size=10), st.integers(1, 3),
-       any_ivals, st.lists(st.tuples(st.integers(0, 3), ends), min_size=1, max_size=8))
+       st.lists(st.tuples(st.integers(0, 3), ends), min_size=1, max_size=8))
 @settings(max_examples=250)
-def test_interval_ops_across_predicates_and_ends(samples, height, rec, probes):
+def test_interval_ops_across_predicates_and_ends(samples, height, probes):
     """With splits on predicates 0-2, or none at all (one split at
     (0, (MINK,))): every point, the domain's ends included, lies in exactly
-    one leaf, and a sensitivity interval on any predicate clips to pieces
-    inside their closed leaves that cover the keys it covers, each in the
-    piece of its own leaf."""
+    one leaf under `_in_interval`, so each delta record has one owning
+    delta merge at every height."""
     decomp = build_decomposition([point(p, (k,)) for p, k in samples], height)
     leaves = [decomp.subdomain_interval(d) for d in labels(height)]
-    pieces = [clip_sens(rec, lo, hi) for lo, hi in leaves]
-    rec_pred, rec_lo, rec_hi = rec
-    for (lo, hi), c in zip(leaves, pieces):
-        if c is not None:
-            c_pred, c_lo, c_hi = c
-            assert c_pred == rec_pred
-            assert rec_lo <= c_lo <= c_hi <= rec_hi
-            assert lo <= (c_pred, c_lo) and (c_pred, c_hi) <= hi
     for pred_id, k in probes:
         key = (k,)
         owners = [i for i, (lo, hi) in enumerate(leaves) if _in_interval(lo, hi, pred_id, key)]
         assert len(owners) == 1, (pred_id, key, owners)
-        if pred_id == rec_pred:
-            covered = any(c is not None and _covers(c, key) for c in pieces)
-            assert covered == _covers(rec, key)
-            if covered:
-                assert _covers(pieces[owners[0]], key)
-
-
-def test_clip_pads_short_split_keys():
-    """A split point shorter than the key arity, such as the empty-sample
-    split (0, (MINK,)), pads a clipped lo with MINK and a clipped hi with
-    TOP, so both pieces keep every key that extends the split."""
-    rec = (0, (1, MINK), (5, TOP))
-    split = point(0, (3,))
-    left = clip_sens(rec, point(0, (MINK,)), split)
-    right = clip_sens(rec, split, point(1, (MINK,)))
-    assert left == (0, (1, MINK), (3, TOP))
-    assert right == (0, (3, MINK), (5, TOP))
-    assert _covers(left, (3, 0)) and _covers(right, (3, 0))
 
 
 corr_recs = st.lists(
@@ -195,30 +151,30 @@ def test_corr_filtering_and_idempotence(sens, corr0, corr1):
     of identical upstream content leaves the output version unchanged."""
     group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.left
-    op = CorrOp(group, child, "", with_delta=False)
-    child.sens[""].publish(inserts=_units(sens))
-    group.corr["0"].publish(inserts=corr0)
-    group.corr["1"].publish(inserts=corr1)
+    op = CorrOp(group, child)
+    child.sens.publish(inserts=_units(sens))
+    group.corr.publish(inserts=corr0)
+    group.corr.publish(inserts=corr1)
     op.refresh()
-    got = dict(child.corr[""].items())
-    want = {**dict(corr1), **dict(corr0)}  # first half of the parent's corrections wins
+    got = dict(child.corr.items())
+    want = {**dict(corr0), **dict(corr1)}  # the later publish replaces
     want = {i: v for i, v in want.items() if any(_covers(s, i[1]) for s in sens)}
     assert got == want
     # idempotence: nothing new upstream -> refresh is a no-op
-    v = child.corr[""].latest
+    v = child.corr.latest
     assert op.refresh() is False
-    assert child.corr[""].latest == v
+    assert child.corr.latest == v
     # republishing identical records is version-neutral, hence a no-op too
-    group.corr["0"].publish(inserts=corr0)
+    group.corr.publish(inserts=list(group.corr.items()))
     assert op.refresh() is False
-    assert child.corr[""].latest == v
+    assert child.corr.latest == v
 
 
 corr_steps = st.lists(st.one_of(
     st.tuples(st.just("sens"), st.lists(st.tuples(
         st.integers(0, 1), st.one_of(keys, st.just(MINK)), st.one_of(keys, st.just(TOP)),
     ).filter(lambda t: t[1] <= t[2]), min_size=1, max_size=3)),
-    st.tuples(st.integers(0, 2), st.lists(st.tuples(st.integers(0, 1), keys, st.integers(0, 5)),
+    st.tuples(st.integers(0, 1), st.lists(st.tuples(st.integers(0, 1), keys, st.integers(0, 5)),
                                           max_size=4),
               st.lists(st.tuples(st.integers(0, 1), keys), max_size=3)),
     st.just(("reset",)),
@@ -230,23 +186,23 @@ corr_steps = st.lists(st.one_of(
 def test_corr_output_tracks_inputs_and_sensitivity(steps):
     """Interleaved sensitivity and input publishes, refreshed after each:
     the output is always the precedence-merged inputs (the left sibling's
-    deltas over the parent's first half over its second) filtered by all
-    the sensitivity published so far; after a reset, no earlier
-    sensitivity covers anything."""
+    deltas over the parent's corrections) filtered by all the sensitivity
+    published so far; after a reset, no earlier sensitivity covers
+    anything."""
     group = build_tree(1, label="1")  # off the spine: both kinds of input
     child = group.right
-    op = CorrOp(group, child, "", with_delta=True)
-    inputs = [group.corr["1"], group.corr["0"], group.left.delta[""]]  # low to high precedence
+    op = CorrOp(group, child)
+    inputs = [group.corr, group.left.delta[""]]  # low to high precedence
     sens = []
     for step in steps:
         if step[0] == "reset":
             op.reset()
-            for sig in inputs + [child.sens[""]]:
+            for sig in inputs + [child.sens]:
                 sig.reset()
             sens = []
         elif step[0] == "sens":
             batch = [(p, (lo,), (hi,)) for p, lo, hi in step[1]]
-            child.sens[""].publish(inserts=_units(batch))
+            child.sens.publish(inserts=_units(batch))
             sens += batch
         else:
             which, ups, rems = step
@@ -258,32 +214,91 @@ def test_corr_output_tracks_inputs_and_sensitivity(steps):
             merged.update(sig.items())
         want = {i: v for i, v in merged.items()
                 if any(p == i[0] and lo <= i[1] <= hi for p, lo, hi in sens)}
-        assert dict(child.corr[""].items()) == want
+        assert dict(child.corr.items()) == want
+        assert op.refresh() is False
+
+
+region_steps = st.lists(st.one_of(
+    st.tuples(st.just("sens"), st.lists(st.tuples(
+        st.integers(0, 1), st.one_of(keys, st.just(MINK)), st.one_of(keys, st.just(TOP)),
+    ).filter(lambda t: t[1] <= t[2]), min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(("corr", "delta")),
+              st.lists(st.tuples(st.integers(0, 1), keys, st.integers(0, 5)), max_size=4),
+              st.lists(st.tuples(st.integers(0, 1), keys), max_size=3)),
+), max_size=12)
+
+
+@given(st.integers(0, 1), keys, region_steps)
+@settings(max_examples=200)
+def test_corr_into_right_child_reads_every_delta_region(split_pred, split_key, steps):
+    """The correction operator into the right child of a height-2 group
+    reads the parent's corrections, the child's sensitivity and both delta
+    subdomain signals of its left sibling, each record in the one region
+    that owns it. After every refresh its output is the dict model: the
+    sibling's deltas over the parent's corrections, filtered by the
+    child's sensitivity."""
+    group = build_tree(2, label="1")  # off the spine: it receives corrections
+    child, sibling = group.right, group.left
+    op = CorrOp(group, child)
+    assert {id(s) for s in op.input_signals} == {
+        id(s) for s in (group.corr, child.sens, sibling.delta["0"], sibling.delta["1"])}
+    regions = build_decomposition([point(split_pred, (split_key,))], 1)
+    owner = {d: regions.subdomain_interval(d) for d in ("0", "1")}
+
+    def region(ident):
+        (d,) = [d for d, (lo, hi) in owner.items() if _in_interval(lo, hi, *ident)]
+        return d
+
+    parent, deltas, sens = {}, {}, []
+    for step in steps:
+        if step[0] == "sens":
+            batch = [(p, (lo,), (hi,)) for p, lo, hi in step[1]]
+            child.sens.publish(inserts=_units(batch))
+            sens += batch
+        else:
+            kind, ups, rems = step
+            ups = dict(((p, (k,)), (v,)) for p, k, v in ups)
+            rems = [(p, (k,)) for p, k in rems]
+            model = parent if kind == "corr" else deltas
+            for ident in rems:
+                model.pop(ident, None)
+            model.update(ups)
+            if kind == "corr":
+                group.corr.publish(inserts=ups.items(), removes=rems)
+            else:
+                for d in owner:
+                    sibling.delta[d].publish(
+                        inserts=[(i, v) for i, v in ups.items() if region(i) == d],
+                        removes=[i for i in rems if region(i) == d])
+        op.refresh()
+        want = {i: v for i, v in {**parent, **deltas}.items()
+                if any(p == i[0] and lo <= i[1] <= hi for p, lo, hi in sens)}
+        assert dict(child.corr.items()) == want
         assert op.refresh() is False
 
 
 def test_corr_delta_supersedes_parent():
     group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.right
-    op = CorrOp(group, child, "", with_delta=True)
-    child.sens[""].publish(inserts=_units([(0, (0,), (99,))]))
-    group.corr["0"].publish(inserts=[((0, (1,)), (10,))])
+    op = CorrOp(group, child)
+    child.sens.publish(inserts=_units([(0, (0,), (99,))]))
+    group.corr.publish(inserts=[((0, (1,)), (10,))])
     group.left.delta[""].publish(inserts=[((0, (1,)), (42,))])
     op.refresh()
     # the left sibling's write is serially later
-    assert list(child.corr[""].items()) == [((0, (1,)), (42,))]
+    assert list(child.corr.items()) == [((0, (1,)), (42,))]
 
 
 def test_sens_growth_pulls_existing_corrections():
     group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.left
-    op = CorrOp(group, child, "", with_delta=False)
-    group.corr["0"].publish(inserts=[((0, (5,)), (1,))])
+    op = CorrOp(group, child)
+    group.corr.publish(inserts=[((0, (5,)), (1,))])
     op.refresh()
-    assert list(child.corr[""].items()) == []  # not sensitive yet
-    child.sens[""].publish(inserts=_units([(0, (0,), (9,))]))
+    assert list(child.corr.items()) == []  # not sensitive yet
+    child.sens.publish(inserts=_units([(0, (0,), (9,))]))
     assert op.refresh() is True
-    assert list(child.corr[""].items()) == [((0, (5,)), (1,))]
+    assert list(child.corr.items()) == [((0, (5,)), (1,))]
 
 
 def test_corr_sleeps_through_sensitivity_while_inputs_are_empty():
@@ -293,23 +308,23 @@ def test_corr_sleeps_through_sensitivity_while_inputs_are_empty():
     sleep, wakes it; that refresh pulls the skipped interval and corrects."""
     group = build_tree(1, label="1")  # off the spine: it receives corrections
     child = group.right
-    op = CorrOp(group, child, "", with_delta=True)
-    sens, delta = child.sens[""], group.left.delta[""]
+    op = CorrOp(group, child)
+    sens, delta = child.sens, group.left.delta[""]
     sens.publish(inserts=_units([(0, (0,), (9,))]))
     assert not op.wakes_on(sens)
     delta.publish(inserts=[((0, (5,)), (7,))])
     assert op.wakes_on(delta)
     assert op.refresh() is True
-    assert list(child.corr[""].items()) == [((0, (5,)), (7,))]
+    assert list(child.corr.items()) == [((0, (5,)), (7,))]
     sens.publish(inserts=_units([(0, (20,), (29,))]))
     assert op.wakes_on(sens)  # an input record is present now
     delta.publish(removes=[(0, (5,))])
-    assert op.refresh() is True and child.corr[""].empty
+    assert op.refresh() is True and child.corr.empty
     sens.publish(inserts=_units([(0, (30,), (39,))]))
     assert not op.wakes_on(sens)  # asleep again once the input is empty
-    group.corr["1"].publish(inserts=[((0, (33,)), (1,))])  # a parent input
+    group.corr.publish(inserts=[((0, (33,)), (1,))])  # a parent input
     assert op.refresh() is True
-    assert list(child.corr[""].items()) == [((0, (33,)), (1,))]
+    assert list(child.corr.items()) == [((0, (33,)), (1,))]
 
 
 def _publish_after_pull(cursor, sig, **publish):
@@ -349,16 +364,16 @@ def test_corr_ranges_over_the_roots_it_pulled():
     """The same for the records a correction operator finds inside a new
     sensitivity interval."""
     group = build_tree(1, label="0")
-    op = CorrOp(group, group.right, "", with_delta=True)
+    op = CorrOp(group, group.right)
     delta = group.left.delta[""]
     k = (0, (3,))
-    group.right.sens[""].publish(inserts=_units([(0, (0,), (9,))]))
+    group.right.sens.publish(inserts=_units([(0, (0,), (9,))]))
     _publish_after_pull(op._inputs[-1], delta, inserts=[(k, (7,))])
     op.refresh()
-    assert list(group.right.corr[""].items()) == []
+    assert list(group.right.corr.items()) == []
     delta.publish(removes=[k])
     op.refresh()
-    assert list(group.right.corr[""].items()) == []
+    assert list(group.right.corr.items()) == []
 
 
 # ---- whole-circuit fixpoint vs the serial oracle ----
@@ -390,7 +405,7 @@ def test_refresh_wakes_only_readers_of_what_it_published():
     op.base = store_upsert(DbVersion(), SCHEMA.sig("bal"), (3,), (1,))
     versions = [sig.latest for sig in op.output_signals]
     assert op.refresh() is True
-    assert leaf.delta[""].empty and not leaf.sens[""].empty
+    assert leaf.delta[""].empty and not leaf.sens.empty
     smerges = {r for r in ops if isinstance(r, SensMergeOp)}
     assert {r.node_label for r in smerges} == {"1"}  # none on the spine
     assert set(op.woken(versions, readers)) == smerges
@@ -413,7 +428,7 @@ def test_net_out_correction_reruns_no_group_and_builds_no_index(monkeypatch):
     no group and publishes nothing, and, before its first real repair,
     builds no sensitivity index."""
     leaf, op = _transfer_leaf()
-    corr, txn = leaf.corr[""], leaf.txn
+    corr, txn = leaf.corr, leaf.txn
     assert op.refresh() is True  # evaluated: deltas and sensitivity published
     reruns = []  # the maintainers a repair re-ran
     for m in txn.maintainers:
@@ -448,8 +463,8 @@ def test_correction_withdrawn_before_first_refresh_leaves_snapshot_value():
     refreshes is named by that first pull with no value: the db: root
     keeps the snapshot's value, not an absent key."""
     leaf, op = _transfer_leaf()
-    leaf.corr[""].publish(inserts=[((0, (1,)), (50,))])
-    leaf.corr[""].publish(removes=[(0, (1,))])
+    leaf.corr.publish(inserts=[((0, (1,)), (50,))])
+    leaf.corr.publish(removes=[(0, (1,))])
     assert op.refresh() is True
     assert ptree.get(leaf.txn._db_root["bal"], (1,)) == (100,)
     assert dict(leaf.delta[""].items()) == {(0, (1,)): (70,), (0, (2,)): (35,)}
@@ -518,16 +533,25 @@ def test_fixpoint_matches_serial_oracle_under_random_schedules():
 def test_every_input_signal_has_a_producer():
     """No operator pulls on a signal that nothing publishes; in particular
     no node on the leftmost spine (no "1" in its label, the root included)
-    has correction or sensitivity signals, and every node off it has
-    both."""
-    for height in range(1, 5):
+    has correction or sensitivity signals, and every node off it has one
+    of each, published by one operator. Only deltas are split by region:
+    2^h signals at height h. Height 5 wires 160 delta merges, 26
+    sensitivity merges (one per internal node off the spine), 57
+    correction operators (one per node off the spine) and 32 leaves."""
+    for height in range(1, 6):
         root = build_tree(height)
-        for node in [*root.internal(), *root.leaves()]:
-            off_spine = "1" in node.label
-            assert bool(node.corr) == bool(node.sens) == off_spine, node
         ops, readers = wire_tree(root, build_decomposition([point(0, (k,)) for k in range(8)], height))
+        producers = Counter(id(sig) for op in ops for sig in op.output_signals)
+        for node in [*root.internal(), *root.leaves()]:
+            assert len(node.delta) == 2**node.height
+            for sig, kind in ((node.sens, SENS), (node.corr, CORR)):
+                if "1" in node.label:
+                    assert isinstance(sig, VersionedSignal) and sig.kind == kind, node
+                    assert producers[id(sig)] == 1, node
+                else:
+                    assert sig is None, node
         assert sum(isinstance(op, TxnOp) for op in ops) == 2**height
         assert {id(s) for s in readers} == {id(s) for op in ops for s in op.input_signals}
-        produced = {id(sig) for op in ops for sig in op.output_signals}
-        unproduced = [(op, s) for op in ops for s in op.input_signals if id(s) not in produced]
+        unproduced = [(op, s) for op in ops for s in op.input_signals if id(s) not in producers]
         assert unproduced == [], height
+    assert Counter(op.kind for op in ops) == {"dmerge": 160, "smerge": 26, "corr": 57, "txn": 32}

@@ -115,8 +115,12 @@ def test_quantified_negation_rejected():
 
 
 def test_negation_of_two_atoms_rejected():
-    with pytest.raises(ParseError, match="negation is restricted to a single atom"):
-        parse_rules("p(x) <- q(x), !(r(x), s(x)).")
+    """A parenthesised conjunction, and an unparenthesised comparison that
+    lowers to two atoms (`F[x] = _t, _t < 3`), both fail at the negation."""
+    for text, col in (("p(x) <- q(x), !(r(x), s(x)).", 16), ("p(x) <- q(x), !F[x] < 3.", 24)):
+        with pytest.raises(ParseError, match="negation is restricted to a single atom") as ei:
+            parse_rules(text)
+        assert f"line 1, col {col}" in str(ei.value)
 
 
 def test_exists_prefix_is_dropped():

@@ -1,6 +1,5 @@
 """Smoke tests of the scripts under scripts/."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,24 +34,4 @@ def test_schedule_fingerprint_against_itself_is_same():
     assert done.stdout.splitlines() == [
         "transfer_mix seed=3 txns=16 earliest: same", "transfer_mix seed=3 txns=16 inverted: same"
     ]
-
-
-def _run_script(name, *args):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
-
-
-def test_counter_chain_script_verifies():
-    lines = _run_script("run_counter_chain.py", "--k", "8")
-    assert [line.split()[0] for line in lines] == ["earliest", "inverted"]
-    assert all(line.endswith("verified=True") for line in lines)
-
-
-def test_birthday_check_script_reports_overlap():
-    (line,) = _run_script("run_birthday_check.py", "--n", "1000", "--alpha", "2")
-    assert line.startswith("n=1000 alpha=2.0 txns=60 pairs=1770 mean_common_skus=")
-    assert line.endswith("(expected 4.0)")
 
