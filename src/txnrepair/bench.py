@@ -74,6 +74,8 @@ def gen_sku(cfg: WorkloadConfig) -> Workload:
     """Inventory adjustments: each transaction touches every sku
     independently with probability alpha/sqrt(n), so two transactions
     share alpha**2 skus in expectation."""
+    if cfg.n < 1:
+        raise ValueError(f"sku needs n >= 1 keys, got {cfg.n}")
     rng = np.random.default_rng(cfg.seed)
     schema = Schema.from_sigs([PredicateSig("inventory", 0, (INT64,), (INT64,))])
     db = apply_deltas(
@@ -330,12 +332,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.workers < 1:
         ap.error(f"worker count {args.workers} is below 1")
+    if args.n < 1:
+        ap.error(f"key-space size {args.n} is below 1")
+    if not args.alpha >= 0:
+        ap.error(f"contention knob {args.alpha} is not a number >= 0")
+    if args.txns < 0:
+        ap.error(f"transaction count {args.txns} is below 0")
+    if args.height < 0:
+        ap.error(f"tree height {args.height} is below 0")
+    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    unknown = [m for m in modes if m not in ("serial", "lock", "repair")]
+    if unknown:
+        ap.error(f"unknown mode {unknown[0]}")
 
     cfg = WorkloadConfig(name=args.workload, n=args.n, alpha=args.alpha,
                          txns=args.txns, seed=args.seed, variant=args.variant)
     wl = make_workload(cfg)
 
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if args.verify and "serial" not in modes:
         modes.insert(0, "serial")
     reports = {}
@@ -344,11 +357,9 @@ def main(argv=None) -> int:
             reports[mode] = run_serial(wl)
         elif mode == "lock":
             reports[mode] = run_lock(wl, workers=args.workers)
-        elif mode == "repair":
+        else:
             reports[mode] = run_repair(wl, workers=args.workers, height=args.height,
                                        priority_mode=args.priority_mode)
-        else:
-            ap.error(f"unknown mode {mode}")
 
     base = reports.get("serial")
     for mode, rep in reports.items():

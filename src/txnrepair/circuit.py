@@ -34,8 +34,9 @@ Each signal maps an identity to a value: a record identity
 `(pred_id, lo, hi)` to `()` for sensitivity. Every operator pulls, per
 input signal, the identities logged since its last pull, reads their
 values from the roots it pulled (never a signal's newer content, which
-its next pull names again), and republishes only what differs from its
-output: a change is detected once, and refresh cost follows it.
+its next pull names again), and publishes every value it computed: the
+tree write of the publish (`ptree.update`) finds the ones that moved, so
+a change is detected once, and a refresh returns the outputs it changed.
 
 The wiring returns the operators, a `TxnOp` per leaf among them, with a
 map from each signal to the operators that read it; signals keep no links to their readers. The
@@ -48,8 +49,8 @@ A correction operator only asks whether any interval of its child's
 sensitivity covers a record, so it keeps them merged (`CoverageSet`).
 The records a new interval's range scan finds are covered unchecked.
 
-A refresh wakes only the readers of the outputs it published to, and of
-those only the ones whose output the publish can change (`Op.woken`,
+A refresh wakes only the readers of the outputs it changed, and of
+those only the ones whose output that change can change (`woken_by`,
 `Op.wakes_on`). A correction operator's output depends on sensitivity
 only where it meets an input record, so it sleeps through sensitivity
 growth while every correction input is empty; the input publish that
@@ -134,21 +135,29 @@ def _first(cursors, ident: tuple):
     return None
 
 
-def _publish_winners(out: VersionedSignal, winners) -> bool:
+def _publish(out: VersionedSignal, inserts, removes=()) -> list:
+    """Publish to `out`; `[out]` when that changed its content, else `[]`."""
+    v0 = out.latest
+    return [out] if out.publish(inserts, removes) != v0 else []
+
+
+def _publish_winners(out: VersionedSignal, winners) -> list:
     """Make `out` hold each winning value, None meaning no value, at its
-    identity; True when that changed `out`."""
+    identity; `[out]` when that changed `out`, else `[]`."""
     inserts, removes = [], []
     for ident, winner in winners:
-        cur = out.get(ident)
         if winner is None:
-            if cur is not None:
-                removes.append(ident)
-        elif winner != cur:
+            removes.append(ident)
+        else:
             inserts.append((ident, winner))
-    if not inserts and not removes:
-        return False
-    v0 = out.latest
-    return out.publish(inserts, removes) != v0
+    return _publish(out, inserts, removes)
+
+
+def woken_by(changed, readers) -> list:
+    """The readers a refresh wakes, given the outputs it changed and the
+    wiring's signal -> readers map: the readers of each whose output that
+    publish can change."""
+    return [reader for sig in changed for reader in readers.get(sig, ()) if reader.wakes_on(sig)]
 
 
 class Op:
@@ -178,26 +187,14 @@ class Op:
         for cur in self.cursors:
             cur.reset()
 
-    def refresh(self) -> bool:
+    def refresh(self) -> list:
+        """Pull the inputs and publish; returns the output signals whose
+        content that changed."""
         raise NotImplementedError
 
     def wakes_on(self, signal: VersionedSignal) -> bool:
         """Whether a publish to input `signal` can change this op's output."""
         return True
-
-    def woken(self, versions, readers):
-        """The readers a refresh wakes, given the `latest` of each output
-        signal before it and the wiring's signal -> readers map: the
-        readers of each output it published to whose output that publish
-        can change. An op is the only publisher of its outputs, so a
-        moved version is its own publish."""
-        return [
-            reader
-            for sig, v0 in zip(self.output_signals, versions)
-            if sig.latest != v0
-            for reader in readers.get(sig, ())
-            if reader.wakes_on(sig)
-        ]
 
     def __repr__(self):
         return f"<{self.op_id}>"
@@ -215,7 +212,7 @@ class DeltaMergeOp(Op):
         self._by_precedence = (self.cur_r, self.cur_l)  # later wins
         self.output_signals = [self.out]
 
-    def refresh(self) -> bool:
+    def refresh(self) -> list:
         lo_pt, hi_pt = self.interval
         idents = dict.fromkeys(
             ident
@@ -238,16 +235,10 @@ class SensMergeOp(Op):
         self.cur_r = self._cursor(group.right.sens)
         self.output_signals = [self.out]
 
-    def refresh(self) -> bool:
-        inserts = [
-            (interval, ())
-            for interval in self.cur_l.pull() + self.cur_r.pull()  # only grows: all present
-            if self.out.get(interval) is None
-        ]
-        if not inserts:
-            return False
-        v0 = self.out.latest
-        return self.out.publish(inserts) != v0
+    def refresh(self) -> list:
+        # sensitivity only grows: re-inserting an interval already merged
+        # changes nothing
+        return _publish(self.out, [(i, ()) for i in self.cur_l.pull() + self.cur_r.pull()])
 
 
 class CorrOp(Op):
@@ -278,7 +269,7 @@ class CorrOp(Op):
             cur.signal.empty for cur in self._inputs
         )
 
-    def refresh(self) -> bool:
+    def refresh(self) -> list:
         new_sens = self.cur_sens.pull()
         idents = {ident for cur in self._inputs for ident in cur.pull()}
         inside = set()  # present in an input and inside a new interval: covered
@@ -311,22 +302,21 @@ class TxnOp(Op):
         self.out_sens = leaf.sens
         self.output_signals = [s for s in (self.out_delta, self.out_sens) if s is not None]
 
-    def refresh(self) -> bool:
+    def refresh(self) -> list:
         txn = self.leaf.txn
         cur = self.cur_corr
         changes = [(i, cur.get(i)) for i in cur.pull()] if cur is not None else []
         if txn is None:
-            return False
+            return []
         if txn.status == UNEVALUATED:
             out = txn.evaluate(self.base, changes)
         elif changes:
             out = txn.repair(changes)
         else:
-            return False
+            return []
         changed = _publish_winners(self.out_delta, out.deltas)
         if out.sens and self.out_sens is not None:  # only intervals not reported before
-            v0 = self.out_sens.latest
-            changed |= self.out_sens.publish([(i, ()) for i in out.sens]) != v0
+            changed += _publish(self.out_sens, [(i, ()) for i in out.sens])
         return changed
 
 

@@ -37,10 +37,10 @@ An epoch's fixed cost follows its change volume:
     every transaction slot cleared, so an epoch that raised leaves
     nothing behind for the next. No signal links to its readers, so
     dropping the engine frees the circuit by reference counting.
-  - A refresh wakes only the readers of the outputs it published to
-    whose output the publish can change (`Op.woken`): a correction
-    operator sleeps through sensitivity growth while its correction
-    inputs are empty.
+  - A refresh returns the outputs its publish changed, and wakes only
+    their readers whose output that change can change (`circuit.woken_by`):
+    a correction operator sleeps through sensitivity growth while its
+    correction inputs are empty.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .circuit import CorrOp, DeltaMergeOp, TxnOp, TreeNode, build_tree, labels, wire_tree
+from .circuit import CorrOp, DeltaMergeOp, TxnOp, TreeNode, build_tree, labels, wire_tree, woken_by
 from .domain import build_decomposition
 from .pstore import DbVersion, Schema, apply_deltas, full_scan
 from .txn import EVALUATED, PlanCache, TxnExec
@@ -312,12 +312,11 @@ class Engine:
                     counts.append((op_refreshes, txn_refreshes))
                     return
                 try:
-                    versions = [sig.latest for sig in op.output_signals]
-                    op.refresh()
+                    changed = op.refresh()
                     op_refreshes += 1
                     if isinstance(op, TxnOp):
                         txn_refreshes += 1
-                    woken = op.woken(versions, readers)
+                    woken = woken_by(changed, readers)
                 except BaseException as exc:  # the next step still finishes op
                     errors.append(exc)
                     woken = ()

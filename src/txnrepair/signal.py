@@ -14,10 +14,10 @@ insertions into one sorted run and applies it in one descent
 reports the identities it changed. A reader keeps its offset into the
 log and the root it took at its last pull; a pull takes the current
 root and returns the identities logged since, even one changed back,
-since every reader compares with its own output anyway. A relation's
-value is `()`, which is falsy, so absence is always tested with
-`is None`. Sensitivity signals are monotone: publishing a removal or a
-replacement on one is a contract error.
+since a reader's own publish drops what does not move its output. A
+relation's value is `()`, which is falsy, so absence is always tested
+with `is None`. Sensitivity signals are monotone: publishing a removal
+or a replacement on one is a contract error.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ class VersionedSignal:
     def empty(self) -> bool:
         """True when the signal holds no identity."""
         return self._root is None
-
-    def get(self, ident: tuple):
-        """Value stored at this identity, or None."""
-        return ptree.get(self._root, ident)
 
     def items(self):
         """(identity, value) pairs, in identity order."""

@@ -41,8 +41,8 @@ reads each root directly:
   transaction upserts ignores corrections, and shows the `db:` value
   again when its upsert leaves;
 - `out:q` is the set of live tuples of derived predicate q.
-A separate tree of the transaction's own upserts is what the drain
-walks. The `end:` and `out:` contents are derived from support counts.
+The `end:` and `out:` contents, and a key's own value (its single live
+upserted value, which the drain reports), come from support counts.
 A group's output, and a repair's correction pull, path-copies each root
 it changes in one `patch_tree` write, so building a group's views costs
 O(predicates), and a view a maintainer keeps as its old inputs stays a
@@ -110,7 +110,6 @@ class TxnExec:
         self._heads = [r.head for r in firsts]
         self._bindings = [[self.rules[i].args for i in g] for g in self.groups]
         self.upserted, self._derived_arity = rewrite_for_txn(firsts, schema)
-        self._upserted_ids = sorted((schema.sig(p).pred_id, p) for p in self.upserted)
         plans = plans if plans is not None else PlanCache()
         upserted = frozenset(self.upserted)
         self.compiled = [plans.plan(r, schema, upserted) for r in firsts]
@@ -123,16 +122,17 @@ class TxnExec:
         # the predicates with a db: root
         self._db_preds = sorted({p for kind, _, p in read if kind != "out"} | set(self.upserted))
         self.base: Optional[DbVersion] = None
-        # delta support: pred name -> {key: {value: count}}
-        self._delta_support: dict = {}
+        # delta support, by upserted pred name and by pred id in id order:
+        # {key: {value: count}}
+        self._delta_support = {p: {} for p in self.upserted}
+        self._support_by_id = dict(sorted(  # pred ids are distinct: no dict compared
+            (schema.sig(p).pred_id, s) for p, s in self._delta_support.items()))
         # out predicate support: pred name -> {tuple: count}
         self._out_support: dict = {}
-        # roots per pred name: the db: and end: views, and, derived from
-        # the two dicts above, single-live-value own upserts (the drain
-        # walks them) and live out: tuples
+        # roots per pred name: the db: and end: views, and the live out:
+        # tuples derived from the support above
         self._db_root: dict = {}
         self._end_full: dict = {}
-        self._own_root: dict = {}
         self._out_root: dict = {}
         self._out_of_range = 0  # live upserted tuples failing their signature
         self._conflicted = 0  # upserted keys with more than one live value
@@ -143,11 +143,11 @@ class TxnExec:
         # recorded before it, so a transaction never repaired builds no index
         self._sens_index: dict = {}
         self._unindexed: list = []
-        # drain state: identities whose own-upsert entry moved, the own
-        # roots the last drain reported (None when it reported no deltas),
-        # the key intervals first recorded since then and every one recorded
-        self._moved: set = set()
-        self._reported: Optional[dict] = None
+        # drain state: identity whose own value moved since the last drain
+        # -> its own value then, whether that drain reported deltas, the key
+        # intervals first recorded since then and every one recorded
+        self._moved: dict = {}
+        self._live = False
         self._sens_new: list = []
         self._sens_seen: set = set()
 
@@ -226,12 +226,12 @@ class TxnExec:
             if h.is_upsert:
                 sig = self.schema.sig(pred)
                 karity = sig.arity
-                support = self._delta_support.setdefault(pred, {})
+                support = self._delta_support[pred]
                 touched = pending.setdefault(f"end:{pred}", [])
                 for t, (old_c, new_c) in diffs.items():
                     key, value = t[:karity], t[karity:]
                     vals = support.setdefault(key, {})
-                    before = next(iter(vals)) if len(vals) == 1 else None
+                    before = _single(vals)
                     was_live = value in vals
                     conflicted = len(vals) > 1
                     vals[value] = vals.get(value, 0) + (new_c - old_c)
@@ -240,19 +240,17 @@ class TxnExec:
                     if was_live != (value in vals) and not _in_signature(sig, key, value):
                         self._out_of_range += 1 if not was_live else -1
                     self._conflicted += (len(vals) > 1) - conflicted
-                    # conflicting keys stay out of the own-upsert tree and
-                    # show their db: value at end:; the conflict fails the txn
-                    after = next(iter(vals)) if len(vals) == 1 else None
+                    # a conflicting key has no own value and shows its db:
+                    # value at end:; the conflict fails the txn
+                    after = _single(vals)
                     if after != before:
                         moves[key] = after
+                        self._moved.setdefault((sig.pred_id, key), before)
                     touched.append(t)
-                if moves:
-                    self._own_root[pred] = patch_tree(moves, self._own_root.get(pred))
-                    self._moved.update((sig.pred_id, key) for key in moves)
-                    if pred in self._end_full:
-                        db = self._db_root[pred]
-                        shown = {k: ptree.get(db, k) if v is None else v for k, v in moves.items()}
-                        self._end_full[pred] = patch_tree(shown, self._end_full[pred])
+                if moves and pred in self._end_full:
+                    db = self._db_root[pred]
+                    shown = {k: ptree.get(db, k) if v is None else v for k, v in moves.items()}
+                    self._end_full[pred] = patch_tree(shown, self._end_full[pred])
             else:
                 support = self._out_support.setdefault(pred, {})
                 touched = pending.setdefault(f"out:{pred}", [])
@@ -295,7 +293,7 @@ class TxnExec:
             db_moves.setdefault(pred, {})[key] = value
             pts = [key + v for v in (old_val, value) if v is not None]
             stabs.append((f"db:{pred}", pts))
-            if pred in self._end_full and ptree.get(self._own_root.get(pred), key) is None:
+            if pred in self._end_full and _single(self._delta_support[pred].get(key, ())) is None:
                 end_moves.setdefault(pred, {})[key] = value
                 stabs.append((f"end:{pred}", pts))
         for pred, moves in db_moves.items():
@@ -339,26 +337,28 @@ class TxnExec:
         return TxnOutputs(self.status, self._delta_changes(), sens)
 
     def _delta_changes(self):
-        old = self._reported
-        new = dict(self._own_root) if self.status == EVALUATED else None
-        self._reported = new
-        moved, self._moved = self._moved, set()
+        live, was_live = self.status == EVALUATED, self._live
+        self._live = live
+        moved, self._moved = self._moved, {}
+        by_id = self._support_by_id
+        if live and was_live:
+            idents = sorted(moved)  # no other own value moved
+        elif live or was_live:  # a status flip, the first drain included
+            idents = [(i, key) for i, support in by_id.items() for key in sorted(support)]
+        else:
+            return []
         out = []
-        if old is None or new is None:
-            # first drain or a status flip: every key of the side that
-            # holds deltas changes; walk its roots in identity order
-            live = new is not None
-            roots = new if live else old or {}
-            for pred_id, pred in self._upserted_ids:
-                for key, value in ptree.items(roots.get(pred)):
-                    out.append(((pred_id, key), value if live else None))
-            return out
-        for pred_id, key in sorted(moved):
-            pred = self.schema.sig_by_id(pred_id).name
-            cur = ptree.get(new.get(pred), key)
-            if cur != ptree.get(old.get(pred), key):
-                out.append(((pred_id, key), cur))
+        for ident in idents:
+            now = _single(by_id[ident[0]][ident[1]])
+            new = now if live else None
+            if new != (moved.get(ident, now) if was_live else None):  # the value reported then
+                out.append((ident, new))
         return out
+
+
+def _single(vals):
+    """The one live value of a key's `{value: count}` support, or None."""
+    return next(iter(vals)) if len(vals) == 1 else None
 
 
 def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:

@@ -217,6 +217,34 @@ def test_worker_count_below_one_is_rejected(monkeypatch, capsys, entry, workers)
         assert f"worker count {workers} is below 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0"], "key-space size 0 is below 1"),
+    (["--n", "-4"], "key-space size -4 is below 1"),
+    (["--alpha", "-1"], "contention knob -1.0 is not a number >= 0"),
+    (["--alpha", "nan"], "contention knob nan is not a number >= 0"),
+    (["--txns", "-3"], "transaction count -3 is below 0"),
+    (["--height", "-1"], "tree height -1 is below 0"),
+    (["--modes", "serial,lock,repiar"], "unknown mode repiar"),
+])
+def test_cli_rejects_bad_workload_input_before_any_executor(monkeypatch, capsys, args, message):
+    """Bad workload input is a usage error, raised before the CLI builds a
+    workload or runs an executor."""
+    def no_workload(cfg):
+        raise AssertionError("the CLI built a workload")
+
+    monkeypatch.setattr(bench, "make_workload", no_workload)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_gen_sku_rejects_an_empty_key_space(n):
+    with pytest.raises(ValueError, match=f"n >= 1 keys, got {n}"):
+        gen_sku(WorkloadConfig(name="sku", n=n, txns=2))
+
+
 def test_cli_modes_subset(tmp_path):
     rc = main(["--workload", "sku", "--n", "50", "--txns", "4",
                "--modes", "repair", "--verify"])

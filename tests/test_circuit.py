@@ -14,9 +14,11 @@ from txnrepair.circuit import (
     SensMergeOp,
     TxnOp,
     _in_interval,
+    _publish_winners,
     build_tree,
     labels,
     wire_tree,
+    woken_by,
 )
 from txnrepair.domain import build_decomposition, point
 from txnrepair.pstore import (
@@ -27,7 +29,7 @@ from txnrepair.pstore import (
     store_upsert,
 )
 from txnrepair.rulelang import parse_rules
-from txnrepair.signal import CORR, SENS, VersionedSignal
+from txnrepair.signal import CORR, SENS, SignalCursor, VersionedSignal
 from txnrepair.txn import EVALUATED, TxnExec
 from txnrepair.values import INT64, MINK, TOP
 
@@ -106,7 +108,8 @@ ivals = st.tuples(keys, keys).map(lambda t: (0, (min(t),), (max(t),)))
 @settings(max_examples=250)
 def test_sens_merge_preserves_covering(lrecs, rrecs, probe):
     """The merge is the plain union of its children's intervals, so it
-    covers exactly the keys they cover."""
+    covers exactly the keys they cover; an interval pulled again changes
+    nothing."""
     group = build_tree(1, label="1")  # off the spine: it merges sensitivity
     op = SensMergeOp(group)
     group.left.sens.publish(inserts=_units(lrecs))
@@ -116,7 +119,13 @@ def test_sens_merge_preserves_covering(lrecs, rrecs, probe):
     covered_in = any(_covers(i, (probe,)) for i in lrecs + rrecs)
     covered_out = any(_covers(i, (probe,)) for i, _unit in group.sens.items())
     assert covered_in == covered_out
-    assert op.refresh() is False
+    assert op.refresh() == []
+    # each child sends the other's intervals, all merged already: the merge
+    # publishes them, which changes nothing and raises no contract error
+    v = group.sens.latest
+    group.left.sens.publish(inserts=_units(rrecs))
+    group.right.sens.publish(inserts=_units(lrecs))
+    assert op.refresh() == [] and group.sens.latest == v
 
 
 ends = st.one_of(st.just(MINK), keys, st.just(TOP))
@@ -162,12 +171,28 @@ def test_corr_filtering_and_idempotence(sens, corr0, corr1):
     assert got == want
     # idempotence: nothing new upstream -> refresh is a no-op
     v = child.corr.latest
-    assert op.refresh() is False
+    assert op.refresh() == []
     assert child.corr.latest == v
     # republishing identical records is version-neutral, hence a no-op too
     group.corr.publish(inserts=list(group.corr.items()))
-    assert op.refresh() is False
+    assert op.refresh() == []
     assert child.corr.latest == v
+
+
+@given(corr_recs, st.lists(keys, max_size=6))
+@settings(max_examples=100)
+def test_publish_winners_of_what_out_holds_changes_nothing(held, absent):
+    """Winners equal to the values `out` holds, and None winners where it
+    holds none, leave `latest` unmoved and log nothing: the publish's tree
+    write is the only compare."""
+    out = VersionedSignal(CORR)
+    out.publish(inserts=held)
+    reader = SignalCursor(out)
+    reader.pull()
+    v, held = out.latest, dict(out.items())
+    winners = [*held.items(), *(((0, (k,)), None) for k in absent if (0, (k,)) not in held)]
+    assert _publish_winners(out, winners) == []
+    assert out.latest == v and reader.pull() == [] and dict(out.items()) == held
 
 
 corr_steps = st.lists(st.one_of(
@@ -215,7 +240,7 @@ def test_corr_output_tracks_inputs_and_sensitivity(steps):
         want = {i: v for i, v in merged.items()
                 if any(p == i[0] and lo <= i[1] <= hi for p, lo, hi in sens)}
         assert dict(child.corr.items()) == want
-        assert op.refresh() is False
+        assert op.refresh() == []
 
 
 region_steps = st.lists(st.one_of(
@@ -274,7 +299,7 @@ def test_corr_into_right_child_reads_every_delta_region(split_pred, split_key, s
         want = {i: v for i, v in {**parent, **deltas}.items()
                 if any(p == i[0] and lo <= i[1] <= hi for p, lo, hi in sens)}
         assert dict(child.corr.items()) == want
-        assert op.refresh() is False
+        assert op.refresh() == []
 
 
 def test_corr_delta_supersedes_parent():
@@ -297,7 +322,7 @@ def test_sens_growth_pulls_existing_corrections():
     op.refresh()
     assert list(child.corr.items()) == []  # not sensitive yet
     child.sens.publish(inserts=_units([(0, (0,), (9,))]))
-    assert op.refresh() is True
+    assert op.refresh() == [child.corr]
     assert list(child.corr.items()) == [((0, (5,)), (1,))]
 
 
@@ -314,16 +339,16 @@ def test_corr_sleeps_through_sensitivity_while_inputs_are_empty():
     assert not op.wakes_on(sens)
     delta.publish(inserts=[((0, (5,)), (7,))])
     assert op.wakes_on(delta)
-    assert op.refresh() is True
+    assert op.refresh() == [child.corr]
     assert list(child.corr.items()) == [((0, (5,)), (7,))]
     sens.publish(inserts=_units([(0, (20,), (29,))]))
     assert op.wakes_on(sens)  # an input record is present now
     delta.publish(removes=[(0, (5,))])
-    assert op.refresh() is True and child.corr.empty
+    assert op.refresh() == [child.corr] and child.corr.empty
     sens.publish(inserts=_units([(0, (30,), (39,))]))
     assert not op.wakes_on(sens)  # asleep again once the input is empty
     group.corr.publish(inserts=[((0, (33,)), (1,))])  # a parent input
-    assert op.refresh() is True
+    assert op.refresh() == [child.corr]
     assert list(child.corr.items()) == [((0, (33,)), (1,))]
 
 
@@ -403,12 +428,12 @@ def test_refresh_wakes_only_readers_of_what_it_published():
     leaf.txn = TxnExec(SCHEMA, parse_rules("probe(v) <- bal[3] = v.", SCHEMA), txn_id=0)
     (op,) = [op for op in ops if isinstance(op, TxnOp) and op.leaf is leaf]
     op.base = store_upsert(DbVersion(), SCHEMA.sig("bal"), (3,), (1,))
-    versions = [sig.latest for sig in op.output_signals]
-    assert op.refresh() is True
+    changed = op.refresh()
+    assert changed == [leaf.sens]
     assert leaf.delta[""].empty and not leaf.sens.empty
     smerges = {r for r in ops if isinstance(r, SensMergeOp)}
     assert {r.node_label for r in smerges} == {"1"}  # none on the spine
-    assert set(op.woken(versions, readers)) == smerges
+    assert set(woken_by(changed, readers)) == smerges
 
 
 def _transfer_leaf():
@@ -429,7 +454,7 @@ def test_net_out_correction_reruns_no_group_and_builds_no_index(monkeypatch):
     builds no sensitivity index."""
     leaf, op = _transfer_leaf()
     corr, txn = leaf.corr, leaf.txn
-    assert op.refresh() is True  # evaluated: deltas and sensitivity published
+    assert op.refresh() == [leaf.delta[""], leaf.sens]  # evaluated: both published
     reruns = []  # the maintainers a repair re-ran
     for m in txn.maintainers:
         rerun = lambda *args, m=m, f=m.apply_changes, **kw: reruns.append(m) or f(*args, **kw)
@@ -444,17 +469,17 @@ def test_net_out_correction_reruns_no_group_and_builds_no_index(monkeypatch):
     versions = latest()
     corr.publish(inserts=[((0, (1,)), (60,))])
     corr.publish(removes=[(0, (1,))])  # back to the snapshot's value
-    assert op.refresh() is False
+    assert op.refresh() == []
     assert reruns == [] and latest() == versions and not indexed()
     corr.publish(inserts=[((0, (1,)), (50,))])
-    assert op.refresh() is True  # repaired: bal[1] reads 50
+    assert op.refresh() == [leaf.delta[""]]  # repaired: bal[1] reads 50
     assert dict(leaf.delta[""].items()) == {(0, (1,)): (20,), (0, (2,)): (35,)}
     assert reruns and indexed()
     reruns.clear()
     versions = latest()
     corr.publish(inserts=[((0, (1,)), (60,))])
     corr.publish(inserts=[((0, (1,)), (50,))])
-    assert op.refresh() is False
+    assert op.refresh() == []
     assert reruns == [] and latest() == versions
 
 
@@ -465,7 +490,7 @@ def test_correction_withdrawn_before_first_refresh_leaves_snapshot_value():
     leaf, op = _transfer_leaf()
     leaf.corr.publish(inserts=[((0, (1,)), (50,))])
     leaf.corr.publish(removes=[(0, (1,))])
-    assert op.refresh() is True
+    assert op.refresh() == [leaf.delta[""], leaf.sens]
     assert ptree.get(leaf.txn._db_root["bal"], (1,)) == (100,)
     assert dict(leaf.delta[""].items()) == {(0, (1,)): (70,), (0, (2,)): (35,)}
 
@@ -487,10 +512,12 @@ def run_fixpoint(base, txn_rules, height, rnd):
         assert steps < 20000, "no fixpoint"
         op = dirty.pop(rnd.randrange(len(dirty)))
         versions = [sig.latest for sig in op.output_signals]
-        if op.refresh():
-            for reader in op.woken(versions, readers):
-                if reader not in dirty:
-                    dirty.append(reader)
+        changed = op.refresh()
+        # the engine wakes readers from the returned list alone
+        assert changed == [s for s, v0 in zip(op.output_signals, versions) if s.latest != v0]
+        for reader in woken_by(changed, readers):
+            if reader not in dirty:
+                dirty.append(reader)
     # the root's delta merge is the commit
     changes = [item for d in labels(height) for item in root.delta[d].items()]
     db = apply_deltas(base, SCHEMA, changes)

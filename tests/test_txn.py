@@ -211,6 +211,18 @@ def test_end_view_keeps_own_upserts_over_corrections():
     assert list(view_scan(start_views["end:bal"])) == [(1, 5), (2, 5), (3, 7)]
 
 
+def test_correction_under_an_own_upsert_stays_out_of_end():
+    """A correction that moves the db: value of a key the transaction
+    upserts, while its own value stays, leaves that key's end: value, so
+    a constraint reading it does not fire."""
+    rules = parse_rules("^bal[1] = v <- v = 7.\nfalse <- bal[1] = w, w > 10.", SCHEMA)
+    txn = TxnExec(SCHEMA, rules)
+    got = Folded(txn.evaluate(make_db({1: 3})))
+    got.fold(txn.repair(pulled((1,), (50,))))
+    assert got.status == EVALUATED and got.values() == {(1,): (7,)}
+    assert view_lookup(txn._build_views()["end:bal"], (1,)) == (7,)
+
+
 def test_repair_matches_fresh_eval_fuzz():
     """Random correction streams: incremental repair must agree with a
     fresh evaluation given the final corrections."""
