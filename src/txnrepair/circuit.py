@@ -46,8 +46,12 @@ the transaction reads), so links between operators would keep a circuit
 alive after its owner drops it, until the cyclic collector runs.
 
 A correction operator only asks whether any interval of its child's
-sensitivity covers a record, so it keeps them merged (`CoverageSet`).
-The records a new interval's range scan finds are covered unchecked.
+sensitivity covers a record, so it keeps them merged (`CoverageSet`),
+and a refresh merges the intervals it pulled in one pass. The records
+those intervals newly cover are found by one forward cursor walk per
+input through the pulled intervals, in order (`SignalCursor.within`),
+which also reads each one's winning value; only a pulled record outside
+them is checked against the coverage and looked up again.
 
 A refresh wakes only the readers of the outputs it changed, and of
 those only the ones whose output that change can change (`woken_by`,
@@ -243,7 +247,14 @@ class SensMergeOp(Op):
 
 class CorrOp(Op):
     """Produces the corrections INTO one child of a group node; into the
-    right child, the left sibling's deltas (every key region) too."""
+    right child, the left sibling's deltas (every key region) too.
+
+    A refresh publishes, at its winning value, every input record inside
+    an interval of the sensitivity it pulled, found by walking each input
+    in precedence order, the first value found per identity winning; and,
+    for each identity an input pull named outside those records, the
+    winning value when the coverage held before covers it, else none.
+    """
 
     kind = "corr"
 
@@ -270,20 +281,23 @@ class CorrOp(Op):
         )
 
     def refresh(self) -> list:
-        new_sens = self.cur_sens.pull()
-        idents = {ident for cur in self._inputs for ident in cur.pull()}
-        inside = set()  # present in an input and inside a new interval: covered
-        for pred_id, lo, hi in new_sens:
-            lo_ident, hi_ident = (pred_id, lo), (pred_id, hi)
-            self._cover.add(lo_ident, hi_ident)
-            for cur in self._inputs:
+        bounds = [((pred_id, lo), (pred_id, hi)) for pred_id, lo, hi in self.cur_sens.pull()]
+        pulled = [cur.pull() for cur in self._inputs]  # first: the walk reads their roots
+        # every input record inside a new interval, at its winning value
+        winners = {}
+        if bounds:
+            for cur in self._by_precedence:
                 if cur.root is not None:
-                    inside.update(cur.range_idents(lo_ident, hi_ident))
-        return _publish_winners(self.out, (
-            (i, _first(self._by_precedence, i)
-             if i in inside or self._cover.covers(i) else None)
-            for i in idents | inside
-        ))
+                    for ident, value in cur.within(bounds):
+                        winners.setdefault(ident, value)
+        cover = self._cover
+        for idents in pulled:
+            for i in idents:
+                if i not in winners:
+                    winners[i] = _first(self._by_precedence, i) if cover.covers(i) else None
+        if bounds:
+            cover.merge(bounds)
+        return _publish_winners(self.out, winners.items())
 
 
 class TxnOp(Op):

@@ -100,12 +100,30 @@ class CoverageSet:
     def __init__(self):
         self._bounds = []
 
-    def add(self, lo: tuple, hi: tuple):
-        """Cover the identities in [lo, hi]."""
-        bounds, end = self._bounds, hi + (MINK,)
-        i, j = bisect_left(bounds, lo), bisect_right(bounds, end)
-        # an odd i (j) falls inside an interval, whose start (end) stays
-        bounds[i:j] = [b for k, b in ((i, lo), (j, end)) if not k & 1]
+    def merge(self, bounds):
+        """Cover the identities in each closed interval `(lo, hi)` of
+        `bounds`, which are sorted by `lo`, in one pass over `_bounds`."""
+        spans = []  # the batch's own union: [lo, end) each, disjoint and in order
+        for lo, hi in bounds:
+            end = hi + (MINK,)
+            if spans and lo < spans[-1][1]:
+                if spans[-1][1] < end:
+                    spans[-1][1] = end
+            else:
+                spans.append([lo, end])
+        old, out, pos = self._bounds, [], 0
+        for lo, end in spans:
+            i = bisect_left(old, lo, pos)
+            j = bisect_right(old, end, i)
+            out += old[pos:i]
+            # an odd i (j) falls inside an interval, whose start (end) stays
+            if not i & 1:
+                out.append(lo)
+            if not j & 1:
+                out.append(end)
+            pos = j
+        out += old[pos:]
+        self._bounds = out
 
     def covers(self, ident: tuple) -> bool:
         return bisect_right(self._bounds, ident) & 1 == 1

@@ -11,13 +11,16 @@ A signal holds its content as one persistent B-tree, plus a log of the
 identities each publish changed. A publish folds its removals and
 insertions into one sorted run and applies it in one descent
 (`ptree.update`), which copies only the nodes the run lands in and
-reports the identities it changed. A reader keeps its offset into the
-log and the root it took at its last pull; a pull takes the current
-root and returns the identities logged since, even one changed back,
-since a reader's own publish drops what does not move its output. A
-relation's value is `()`, which is falsy, so absence is always tested
-with `is None`. Sensitivity signals are monotone: publishing a removal
-or a replacement on one is a contract error.
+reports, in identity order, the identities it changed; the log keeps
+that list as one run. A reader keeps the number of runs it has read and
+the root it took at its last pull; a pull takes the current root and
+returns the identities logged since, in order and each once, even one
+changed back, since a reader's own publish drops what does not move its
+output. A pull that spans one run returns a copy of it, and only a pull
+over several runs sorts. A relation's value is `()`, which is falsy, so
+absence is always tested with `is None`. Sensitivity signals are
+monotone: publishing a removal or a replacement on one is a contract
+error.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ class VersionedSignal:
     """Persistent map from identity to value, with a change log.
 
     A reader's snapshot is just the root it saw. Each publish that
-    changes the content appends the identities it changed to the log;
-    `latest` is the log length, which moves exactly when the content
-    changes.
+    changes the content appends the identities it changed to the log, as
+    one sorted run; `latest` counts the logged identities, so it moves
+    exactly when the content changes.
     """
 
     def __init__(self, kind: str):
@@ -49,7 +52,8 @@ class VersionedSignal:
             raise ValueError(f"unknown signal kind {kind!r}")
         self.kind = kind
         self._root = None
-        self._log = []  # identities changed, publish after publish
+        self._runs = []  # per publish that changed the content: what it changed, in order
+        self._count = 0  # identities in the runs
         self._lock = threading.Lock()
 
     def __repr__(self):
@@ -57,12 +61,13 @@ class VersionedSignal:
 
     @property
     def latest(self) -> int:
-        return len(self._log)
+        return self._count
 
     def reset(self):
         """Drop the content and the log; readers must reset too."""
         self._root = None
-        self._log = []
+        self._runs = []
+        self._count = 0
 
     def publish(self, inserts=(), removes=()) -> int:
         """Atomically set each `(identity, value)` of `inserts`, after
@@ -83,8 +88,9 @@ class VersionedSignal:
                 if self.kind == SENS and any(old is not None for _i, old in changed):
                     raise SignalContractError("sensitivity signals are monotone; cannot replace")
                 self._root = root
-                self._log += [ident for ident, _old in changed]
-            return len(self._log)
+                self._runs.append([ident for ident, _old in changed])
+                self._count += len(changed)
+            return self._count
 
     @property
     def empty(self) -> bool:
@@ -97,16 +103,16 @@ class VersionedSignal:
 
 
 class SignalCursor:
-    """One reader's position in a signal: a log offset and the root it
-    took at its last pull.
+    """One reader's position in a signal: the number of log runs read
+    and the root it took at its last pull.
 
     pull() returns the identities logged since the previous pull, in
     identity order, so refresh cost tracks the change volume, not signal
-    size. A reader reads values from the pulled root (`get`,
-    `range_idents`), never from the signal's current content, so a
-    refresh computes from one version of each input: a value read past
-    that root belongs to a publish the next pull names again, so reading
-    it early saves no work and can mix two versions of one input.
+    size. A reader reads values from the pulled root (`get`, `within`),
+    never from the signal's current content, so a refresh computes from
+    one version of each input: a value read past that root belongs to a
+    publish the next pull names again, so reading it early saves no work
+    and can mix two versions of one input.
     """
 
     def __init__(self, signal: VersionedSignal):
@@ -117,23 +123,35 @@ class SignalCursor:
         self.offset = 0
         self.root = None
 
-    def pull(self):
+    def pull(self) -> list:
+        """The identities changed since the last pull, each once and in
+        order, as a list the caller owns."""
         sig = self.signal
-        if len(sig._log) == self.offset:
+        if len(sig._runs) == self.offset:
             return []
         with sig._lock:  # a new offset must never pair with an old root
             self.root = sig._root
-            idents = set(sig._log[self.offset :])
-            self.offset = len(sig._log)
-        return sorted(idents)
+            runs = sig._runs[self.offset :]
+            self.offset = len(sig._runs)
+        if len(runs) == 1:
+            return runs[0][:]  # the log's run stays as it was
+        return sorted(set().union(*runs))
 
     def get(self, ident: tuple):
         """Value at this identity in the pulled root, or None."""
         return ptree.get(self.root, ident)
 
-    def range_idents(self, lo_ident, hi_ident):
-        """Identities in [lo_ident, hi_ident] of the pulled root, in order."""
-        for ident, _value in ptree.items_from(self.root, lo_ident):
-            if ident > hi_ident:
-                break
-            yield ident
+    def within(self, bounds):
+        """The (identity, value) pairs of the pulled root inside any
+        closed interval `(lo, hi)` of `bounds`, which are sorted by `lo`:
+        each once, in order. One cursor walks forward through them and
+        never moves back, so overlapping and nested intervals cost no
+        second scan."""
+        cur = ptree.Cursor(self.root)
+        for lo, hi in bounds:
+            cur.seek(lo)
+            while not cur.at_end and cur.key <= hi:
+                yield cur.key, cur.val
+                cur.next()
+            if cur.at_end:
+                return

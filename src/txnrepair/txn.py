@@ -144,10 +144,11 @@ class TxnExec:
         self._sens_index: dict = {}
         self._unindexed: list = []
         # drain state: identity whose own value moved since the last drain
-        # -> its own value then, whether that drain reported deltas, the key
-        # intervals first recorded since then and every one recorded
+        # -> its own value then, whether that drain reported deltas (None
+        # before the first), the key intervals first recorded since then
+        # and every one recorded
         self._moved: dict = {}
-        self._live = False
+        self._live: Optional[bool] = None
         self._sens_new: list = []
         self._sens_seen: set = set()
 
@@ -341,9 +342,11 @@ class TxnExec:
         self._live = live
         moved, self._moved = self._moved, {}
         by_id = self._support_by_id
-        if live and was_live:
-            idents = sorted(moved)  # no other own value moved
-        elif live or was_live:  # a status flip, the first drain included
+        if live and was_live is not False:
+            # no other own value moved since the last drain, nor, at the
+            # first drain, from none since evaluate
+            idents = sorted(moved)
+        elif live or was_live:  # a later status flip
             idents = [(i, key) for i, support in by_id.items() for key in sorted(support)]
         else:
             return []

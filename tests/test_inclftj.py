@@ -55,16 +55,46 @@ def test_interval_index_vs_linear(steps):
                 max_size=5))
 @settings(max_examples=200)
 def test_coverage_set_vs_linear(steps):
-    """Identity intervals of two predicates added in batches: an identity
-    is covered exactly when one of the intervals so far holds it."""
+    """Identity intervals of two predicates merged in batches: an
+    identity is covered exactly when one of the intervals so far holds
+    it."""
     cover, ivals = CoverageSet(), []
     for batch, probes in steps:
-        for pred_id, (lo, hi) in batch:
-            cover.add((pred_id, lo), (pred_id, hi))
+        cover.merge(sorted(((pred_id, lo), (pred_id, hi)) for pred_id, (lo, hi) in batch))
         ivals += batch
         for ident in probes:
             want = any(p == ident[0] and lo <= ident[1] <= hi for p, (lo, hi) in ivals)
             assert cover.covers(ident) == want
+
+
+# one-column keys on a small line, so that many intervals touch: a batch
+# strings some end to end (one's hi is the next one's lo)
+line = st.integers(0, 9)
+touching = st.lists(st.tuples(line, st.integers(0, 3)), max_size=6).map(
+    lambda xs: [((lo,), (lo + w,)) for lo, w in xs] + [((lo + w,), (lo + w + 1,)) for lo, w in xs]
+)
+
+
+@given(st.lists(st.tuples(touching, st.lists(st.tuples(line, line).map(sorted), max_size=4)),
+                min_size=1, max_size=6))
+@settings(max_examples=300)
+def test_coverage_merge_of_touching_batches_vs_membership(steps):
+    """After any sequence of batches, where intervals touch, nest, repeat
+    and meet the intervals of earlier batches at an end, `covers` agrees
+    with membership in some interval merged so far, at every key of the
+    line and at both padded ends of each."""
+    cover, ivals = CoverageSet(), []
+    for chained, more in steps:
+        batch = sorted(((0, lo), (0, hi)) for lo, hi in chained + [((a,), (b,)) for a, b in more])
+        cover.merge(batch)
+        ivals += batch
+        for k in range(-1, 15):
+            for key in ((k,), (k, MINK), (k, TOP)):
+                ident = (0, key)
+                assert cover.covers(ident) == any(lo <= ident <= hi for lo, hi in ivals)
+        assert not cover.covers((1, (0,)))
+        bounds = cover._bounds
+        assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
 
 
 def test_one_wide_interval_among_many_narrow():

@@ -1,5 +1,6 @@
 """Signal properties: pull composition and monotonicity."""
 
+import random
 import sys
 import threading
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txnrepair.signal import SignalContractError, SignalCursor, VersionedSignal
+from txnrepair.values import MINK, TOP
 
 # batches of delta publishes over a small identity space; a value of ()
 # is a relation record, which is falsy but present
@@ -246,13 +248,82 @@ class TestCursor:
         assert cur.pull() == [(0, (2,))] and cur.get((0, (2,))) == (5,)
 
 
-def test_range_idents():
-    """A cursor ranges and reads over the root it pulled, not over what
-    was published since."""
+def test_within_reads_the_pulled_root():
+    """A cursor walks and reads the root it pulled, not what was
+    published since."""
     sig = VersionedSignal("corr")
     cur = SignalCursor(sig)
     sig.publish(inserts=[((0, (k,)), (k,)) for k in (1, 4, 7)])
     cur.pull()
     sig.publish(inserts=[((0, (5,)), (5,)), ((0, (4,)), (40,))])
-    assert list(cur.range_idents((0, (2,)), (0, (7,)))) == [(0, (4,)), (0, (7,))]
+    assert list(cur.within([((0, (2,)), (0, (7,)))])) == [((0, (4,)), (4,)), ((0, (7,)), (7,))]
     assert cur.get((0, (4,))) == (4,) and cur.get((0, (5,))) is None
+
+
+# two-column keys, padded as the join pads interval ends: exact, MINK/TOP
+# after the first column, or MINK/TOP throughout
+col = st.integers(0, 40)
+walk_key = st.one_of(
+    st.tuples(col, col),
+    st.tuples(col, st.sampled_from([MINK, TOP])),
+    st.sampled_from([(MINK, MINK), (TOP, TOP)]),
+)
+walk_bound = st.builds(
+    lambda p, a, b, point: ((p, min(a, b)), (p, a if point else max(a, b))),
+    st.integers(0, 1), walk_key, walk_key, st.booleans(),
+)
+
+
+@given(
+    st.integers(0, 2**32), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+    # some bounds start where another ends
+    st.lists(walk_bound, max_size=12).map(lambda bs: sorted(bs + [(hi, hi) for _lo, hi in bs[:3]])),
+)
+@settings(max_examples=300)
+def test_within_matches_brute_force(seed, density, bounds):
+    """The walk names exactly the (identity, value) pairs of the pulled
+    root inside some bound, each once and in order: overlapping, nested,
+    adjacent and point bounds, over multi-column keys padded with MINK
+    and TOP, in trees of up to 3 362 records, three levels deep, where a
+    seek climbs branch nodes."""
+    rnd = random.Random(seed)
+    sig = VersionedSignal("corr")
+    cur = SignalCursor(sig)
+    sig.publish(inserts=[((p, (a, b)), (a * 100 + b,)) for p in range(2) for a in range(41)
+                         for b in range(41) if rnd.random() < density])
+    cur.pull()
+    want = [(ident, value) for ident, value in sig.items()
+            if any(lo <= ident <= hi for lo, hi in bounds)]
+    assert list(cur.within(bounds)) == want
+
+
+@given(publish_batches, st.lists(st.integers(0, 10), max_size=4))
+@settings(max_examples=200)
+def test_pull_over_runs_names_each_identity_once_in_order(batches, pull_after):
+    """A pull after several publishes names each changed identity once,
+    in order. A pull is the caller's own list: mutating one, before or
+    after another cursor pulls the same publish, or keeping one, changes
+    nothing another cursor on the signal pulls."""
+    sig = VersionedSignal("delta")
+    first, keeper, last, reader = (SignalCursor(sig) for _ in range(4))
+    kept, runs, logged = [], [], set()
+    for n, (inserts, removes) in enumerate(batches):
+        before = _content(sig)
+        sig.publish(inserts, removes)
+        after = _content(sig)
+        moved = {i for i in set(before) | set(after) if before.get(i) != after.get(i)}
+        runs.append(sorted(moved))
+        logged |= moved
+        for cur in (first, keeper, last):
+            pulled = cur.pull()
+            assert pulled == runs[-1]
+            if cur is keeper:
+                kept.append(pulled)
+            else:
+                pulled.reverse()
+                pulled.append((9, (9,)))
+        if n in pull_after:
+            assert reader.pull() == sorted(logged)
+            logged.clear()
+    assert reader.pull() == sorted(logged)
+    assert kept == runs
