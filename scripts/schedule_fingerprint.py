@@ -5,18 +5,21 @@ Imports `txnrepair` from ROOT/src and `perfbench.workloads.SPECS` from
 ROOT, so the same script fingerprints any checkout (a clone of the parent
 commit, say). For each workload and priority mode it runs the repair
 engine at 1 worker and prints one line: the refresh count, the refresh
-count of each operator kind (txn, dmerge, smerge, corr), a hash of the
-ordered (op_id, changed) refresh list, the join's seeks and bindings
-summed over every transaction's `TxnExec.stats`, the count of
-transactions that committed and the committed state hash. Two checkouts
-with the same schedule and results print the same lines; when a change
-moves the schedule, the per-kind counts show which operators it moved,
-and when it moves the join's work, the seek and binding counts show it.
+count of each operator kind (txn, dmerge, smerge, corr), the refreshes
+of each kind that changed no output (`idle`), a hash of the ordered
+(op_id, changed) refresh list, the join's seeks and bindings summed
+over every transaction's `TxnExec.stats`, the count of transactions that
+committed and the committed state hash. Two checkouts with the same
+schedule and results print the same lines; when a change moves the
+schedule, the per-kind counts show which operators it moved, and when
+it moves the join's work, the seek and binding counts show it.
 
 With --against PARENT it fingerprints both checkouts, each in its own
 subprocess, and prints per line `same` or each field that moved as
-`field=parent->root`. It exits 1 when a line's `committed` or `state`
-differs, or the two checkouts print different lines.
+`field=parent->root`, then ROOT's `idle` counts unless they moved, so
+idle traffic shows in every comparison. It exits 1 when a line's
+`committed` or `state` differs, or the two checkouts print different
+lines.
 
 Usage: python3 scripts/schedule_fingerprint.py ROOT [--against PARENT]
            [--workloads a,b] [--txns N]
@@ -68,6 +71,8 @@ def fingerprint(name, seed, txns, mode):
     committed = sum(1 for s in rep.statuses if s == EVALUATED)
     per_kind = Counter(op_id.split(":")[0] for op_id, _changed in log)
     kinds = " ".join(f"{k}={per_kind[k]}" for k in KINDS)
+    idle = Counter(op_id.split(":")[0] for op_id, changed in log if not changed)
+    kinds += " idle=" + ",".join(f"{k}:{idle[k]}" for k in KINDS)
     seeks = sum(t.stats.seeks for t in execs)
     bindings = sum(t.stats.bindings for t in execs)
     return (f"{name} seed={seed} txns={txns} {mode}: refreshes={len(log)} {kinds} "
@@ -97,7 +102,8 @@ def compare(root, parent, passthrough):
     for label, was in old.items():
         now = new[label]
         moved = [f"{k}={was[k]}->{now[k]}" for k in was if was[k] != now[k]]
-        print(f"{label}: {' '.join(moved) or 'same'}", flush=True)
+        idle = [f"idle={now['idle']}"] if was.get("idle", now["idle"]) == now["idle"] else []
+        print(f"{label}: {' '.join(moved) or 'same'}", *idle, flush=True)
         if was["committed"] != now["committed"] or was["state"] != now["state"]:
             status = 1
     return status

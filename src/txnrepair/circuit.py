@@ -160,8 +160,10 @@ def _publish_winners(out: VersionedSignal, winners) -> list:
 def woken_by(changed, readers) -> list:
     """The readers a refresh wakes, given the outputs it changed and the
     wiring's signal -> readers map: the readers of each whose output that
-    publish can change."""
-    return [reader for sig in changed for reader in readers.get(sig, ()) if reader.wakes_on(sig)]
+    publish can change; `wakes_on` is asked only of readers that define
+    it."""
+    return [reader for sig in changed for reader in readers.get(sig, ())
+            if reader.wakes_on is None or reader.wakes_on(sig)]
 
 
 class Op:
@@ -196,9 +198,9 @@ class Op:
         content that changed."""
         raise NotImplementedError
 
-    def wakes_on(self, signal: VersionedSignal) -> bool:
-        """Whether a publish to input `signal` can change this op's output."""
-        return True
+    # (signal) -> whether a publish to input `signal` can change this op's
+    # output; None when every publish can
+    wakes_on = None
 
     def __repr__(self):
         return f"<{self.op_id}>"

@@ -9,7 +9,10 @@ off the tree position: a transaction at leaf i has m = i, a correction
 into node X the first leaf under X, a delta merge the first leaf after
 its subtree. Priority mode "inverted" keys on the latest transaction
 feeding an operator instead, which is the pathological schedule for
-long dependency chains.
+long dependency chains. The queue compares one int per op, the pair
+packed as m * K + d with K above every d, which orders ops exactly as
+the pair does; it is packed once per transaction count and kept with
+the circuit.
 
 The calling thread is one of the workers. Each enters the queue once per
 refresh, and only through a non-blocking acquire, so that no worker hands
@@ -102,12 +105,17 @@ class _Queue:
     refresh would alternate threads (a lock convoy). An idle worker waits
     on the condition and is notified only when the queued ops outnumber
     the awake workers, each of which, this one included, takes one at its
-    next step; with no idle worker no condition method is called."""
+    next step; with no idle worker no condition method is called.
+
+    A heap entry is `(key, tie, op)`: the op's packed priority, then the
+    tie-break key `tie()` makes at each push: the push's sequence number,
+    or with a tie seed a random draw paired with it. Without a tie seed
+    both are ints, so ordering two entries compares ints only."""
 
     def __init__(self, prio, tie, workers):
         self._heap: list = []
-        self._prio = prio  # op -> priority tuple
-        self._tie = tie  # op -> tie-break key factory
+        self._prio = prio  # op -> packed priority
+        self._tie = tie  # tie-break key factory
         self._state: dict = {}  # op -> "queued" | "running" | "rerun"
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
@@ -222,6 +230,13 @@ def _op_priorities(ops, height, n, mode):
     return out
 
 
+def _packed(prio):
+    """Each op's (m, d) as one int, m * k + d with k above every d: ints
+    compare as their pairs do, whatever the sign of m."""
+    k = 1 + max((d for _m, d in prio.values()), default=0)
+    return {op: m * k + d for op, (m, d) in prio.items()}
+
+
 @dataclass
 class _Circuit:
     """The engine's one wiring of the circuit."""
@@ -230,7 +245,7 @@ class _Circuit:
     ops: list
     readers: dict  # signal -> the ops that read it
     txn_ops: list  # one per leaf, in leaf order
-    prio: dict = field(default_factory=dict)  # transaction count -> priorities
+    prio: dict = field(default_factory=dict)  # transaction count -> packed priorities
 
 
 class Engine:
@@ -289,14 +304,14 @@ class Engine:
 
         prio = circ.prio.get(len(chunk))
         if prio is None:
-            prio = circ.prio[len(chunk)] = _op_priorities(
-                circ.ops, cfg.height, len(chunk), cfg.priority_mode)
+            prio = circ.prio[len(chunk)] = _packed(_op_priorities(
+                circ.ops, cfg.height, len(chunk), cfg.priority_mode))
         seq = itertools.count()
         if cfg.tie_seed is not None:
             rng = random.Random(cfg.tie_seed * 1_000_003 + first_id)
             tie = lambda: (rng.random(), next(seq))
         else:
-            tie = lambda: (0.0, next(seq))
+            tie = seq.__next__
         queue = _Queue(prio, tie, cfg.workers)
         readers = circ.readers
 

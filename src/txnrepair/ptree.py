@@ -259,24 +259,6 @@ def items(node: Optional[Node]) -> Iterator[tuple]:
     return _walk([node])
 
 
-def items_from(node: Optional[Node], key) -> Iterator[tuple]:
-    """Iterate (k, v) pairs with k >= key, in order."""
-    if node is None:
-        return
-    path = []  # (branch, index of the child descended into)
-    while not node.leaf:
-        i = max(bisect_right(node.keys, key) - 1, 0)
-        path.append((node, i))
-        node = node.vals[i]
-    keys, vals = node.keys, node.vals
-    for i in range(bisect_left(keys, key), len(keys)):
-        yield keys[i], vals[i]
-    while path:
-        node, i = path.pop()
-        for kid in node.vals[i + 1 :]:
-            yield from items(kid)
-
-
 def size(node: Optional[Node]) -> int:
     """Number of records under the root."""
     if node is None:

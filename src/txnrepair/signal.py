@@ -71,8 +71,11 @@ class VersionedSignal:
 
     def publish(self, inserts=(), removes=()) -> int:
         """Atomically set each `(identity, value)` of `inserts`, after
-        dropping each identity of `removes`; returns `latest`."""
+        dropping each identity of `removes`; returns `latest`. A publish
+        handed nothing changes nothing, so it returns at once."""
         inserts, removes = list(inserts), list(removes)
+        if not inserts and not removes:
+            return self._count
         if self.kind == SENS:
             if removes:
                 raise SignalContractError("sensitivity signals are monotone; cannot remove")

@@ -14,8 +14,10 @@ call that binds each rule's `$param` values (`Rule.args`) in turn, and
 one write per changed root for the group's head transitions. Every
 recorded context starts with its binding's index, so a changed record
 re-runs only the bindings that read it. Transactions built with one
-`PlanCache` (the engine keeps one) share plans too: plans are keyed by
-template and upserted set.
+`PlanCache` (the engine keeps one) share plans too, keyed by template
+and upserted set, and transactions bound from the same templates share
+one `Shape`: the upserted set, plans, group order and read lists,
+derived once.
 
 Evaluation materializes every group and indexes the sensitivity
 intervals it records, one `IntervalIndex` per read vertex over every
@@ -106,27 +108,22 @@ class TxnExec:
         for i, r in enumerate(self.rules):
             groups.setdefault((id(r.head), id(r.body)), []).append(i)
         self.groups = list(groups.values())
-        firsts = [self.rules[g[0]] for g in self.groups]
-        self._heads = [r.head for r in firsts]
         self._bindings = [[self.rules[i].args for i in g] for g in self.groups]
-        self.upserted, self._derived_arity = rewrite_for_txn(firsts, schema)
-        plans = plans if plans is not None else PlanCache()
-        upserted = frozenset(self.upserted)
-        self.compiled = [plans.plan(r, schema, upserted) for r in firsts]
-        reads, self._order = _order_groups(self._heads, self.compiled, self._derived_arity)
-        read = {v.partition(":") for rs in reads for v in rs}
-        self._db_reads = sorted(p for kind, _, p in read if kind == "db")
-        self._end_reads = sorted(p for kind, _, p in read if kind == "end")
-        # db: and end: vertex -> its predicate's signature
-        self._db_sigs = {f"{kind}:{p}": schema.sig(p) for kind, _, p in read if kind != "out"}
-        # the predicates with a db: root
-        self._db_preds = sorted({p for kind, _, p in read if kind != "out"} | set(self.upserted))
+        shape = (plans if plans is not None else PlanCache()).shape(
+            [self.rules[g[0]] for g in self.groups], schema)
+        self.upserted = shape.upserted
+        self.compiled = shape.compiled
+        self._heads = shape.heads
+        self._order = shape.order
+        self._db_reads = shape.db_reads
+        self._end_reads = shape.end_reads
+        self._db_sigs = shape.db_sigs
+        self._db_preds = shape.db_preds
         self.base: Optional[DbVersion] = None
         # delta support, by upserted pred name and by pred id in id order:
         # {key: {value: count}}
         self._delta_support = {p: {} for p in self.upserted}
-        self._support_by_id = dict(sorted(  # pred ids are distinct: no dict compared
-            (schema.sig(p).pred_id, s) for p, s in self._delta_support.items()))
+        self._support_by_id = {pred_id: self._delta_support[p] for pred_id, p in shape.upserted_ids}
         # out predicate support: pred name -> {tuple: count}
         self._out_support: dict = {}
         # roots per pred name: the db: and end: views, and the live out:
@@ -373,30 +370,90 @@ def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:
     return True
 
 
+@dataclass
+class Shape:
+    """What a transaction derives from its templates alone, whatever
+    their bindings: shared, never changed, by every transaction built
+    from the same templates with one `PlanCache`."""
+
+    upserted: list  # the upserted predicates, sorted
+    heads: list  # per group: its template's head
+    compiled: list  # per group: its plan
+    order: list  # the group indexes in dependency order
+    db_reads: list  # the predicates read at db:, sorted
+    end_reads: list  # the predicates read at end:, sorted
+    db_sigs: dict  # db: and end: vertex -> its predicate's signature
+    db_preds: list  # the predicates with a db: root, sorted
+    upserted_ids: list  # (pred_id, pred) per upserted predicate, by id
+
+
 class PlanCache:
-    """Compiled plans, shared by the transactions built with one cache.
+    """Compiled plans and transaction shapes, shared by the transactions
+    built with one cache.
 
     A compiled rule reads its bindings at evaluation, and the rules bound
     from one template share its head and body objects, so a plan is
     keyed by their identities (cheaper than hashing the ASTs), the
-    schema's and the upserted set. Each entry holds the objects whose ids
-    key it, so no id is reused while its entry lives; once `size` entries
-    are held, the oldest leaves first. Not for concurrent use."""
+    schema's and the upserted set. A transaction's `Shape` depends only
+    on its groups' templates, in order, so it is keyed by the identities
+    of each group's head and body and the schema's: transactions bound
+    from the same templates derive it once. A program that raises caches
+    no shape, so it raises again at every construction. Each entry holds
+    the objects whose ids key it, so no id is reused while its entry
+    lives; once `size` entries of a kind are held, the oldest leaves
+    first. Not for concurrent use."""
 
     size = 1024
 
     def __init__(self):
         self._plans: dict = {}
+        self._shapes: dict = {}
 
     def plan(self, rule, schema: Schema, upserted: frozenset):
         key = (id(rule.head), id(rule.body), id(schema), upserted)
         entry = self._plans.get(key)
         if entry is None:
             entry = (rule.head, rule.body, schema, compile_rule(rule, schema, upserted))
-            if len(self._plans) >= self.size:
-                del self._plans[next(iter(self._plans))]
-            self._plans[key] = entry
+            _bounded_put(self._plans, key, entry, self.size)
         return entry[3]
+
+    def shape(self, firsts, schema: Schema) -> Shape:
+        """The shape of a transaction whose groups' first rules are
+        `firsts`, in group order; raises on a program no binding makes
+        valid. Derived arities only validate the program, so the shape
+        drops them."""
+        key = (id(schema), *[(id(r.head), id(r.body)) for r in firsts])
+        entry = self._shapes.get(key)
+        if entry is not None:
+            return entry[2]
+        upserted, derived = rewrite_for_txn(firsts, schema)
+        frozen = frozenset(upserted)
+        heads = [r.head for r in firsts]
+        compiled = [self.plan(r, schema, frozen) for r in firsts]
+        reads, order = _order_groups(heads, compiled, derived)
+        read = {v.partition(":") for rs in reads for v in rs}
+        shape = Shape(
+            upserted=upserted,
+            heads=heads,
+            compiled=compiled,
+            order=order,
+            db_reads=sorted(p for kind, _, p in read if kind == "db"),
+            end_reads=sorted(p for kind, _, p in read if kind == "end"),
+            db_sigs={f"{kind}:{p}": schema.sig(p) for kind, _, p in read if kind != "out"},
+            db_preds=sorted({p for kind, _, p in read if kind != "out"} | frozen),
+            upserted_ids=sorted((schema.sig(p).pred_id, p) for p in upserted),
+        )
+        templates = [(r.head, r.body) for r in firsts]
+        _bounded_put(self._shapes, key, (templates, schema, shape), self.size)
+        return shape
+
+
+def _bounded_put(cache: dict, key, entry, size: int):
+    """Put `entry` at `key`, first dropping the oldest entry when `cache`
+    holds `size`."""
+    if len(cache) >= size:
+        del cache[next(iter(cache))]
+    cache[key] = entry
 
 
 def rewrite_for_txn(rules, schema: Schema):

@@ -464,6 +464,21 @@ def test_priorities_solve_the_walk_equations(height, mode):
                 assert m == min((prio[p][0] for p in producers), default=0), (n, op)
 
 
+@pytest.mark.parametrize("mode", [EARLIEST, INVERTED])
+@pytest.mark.parametrize("height", range(7))
+def test_packed_priorities_order_ops_as_their_pairs(height, mode):
+    """The queue's one int per op orders every op exactly as its (m, d)
+    does, ties included, at every fill of the tree."""
+    ops, _readers = wire_tree(build_tree(height), build_decomposition([], height))
+    for n in range(1, 2**height + 1):
+        prio = _op_priorities(ops, height, n, mode)
+        packed = engine._packed(prio)
+        by_pair = sorted(ops, key=prio.__getitem__)
+        for a, b in zip(by_pair, by_pair[1:]):
+            assert (packed[a] < packed[b]) == (prio[a] < prio[b]), (n, a, b)
+            assert (packed[a] == packed[b]) == (prio[a] == prio[b]), (n, a, b)
+
+
 @pytest.mark.parametrize("workers", [2, 4])
 def test_refresh_metrics_count_every_refresh(monkeypatch, workers):
     """Refresh counters lose no increment to concurrent workers and keep
@@ -494,9 +509,7 @@ def test_refresh_metrics_count_every_refresh(monkeypatch, workers):
 
 def make_queue(*ops, workers):
     """A queue over stand-in ops, prioritized in the order given."""
-    seq = itertools.count()
-    return engine._Queue({op: (i, 0) for i, op in enumerate(ops)},
-                         lambda: (0.0, next(seq)), workers)
+    return engine._Queue({op: i for i, op in enumerate(ops)}, itertools.count().__next__, workers)
 
 
 def until_waiting(queue, n):

@@ -120,16 +120,6 @@ def test_narrow_trees_grow_deep():
         assert depth(build([(k, k) for k in range(60)])) >= 3
 
 
-@given(st.lists(st.tuples(keys, st.integers()), max_size=40), keys, widths)
-def test_items_from(pairs, start, w):
-    with width(w):
-        root = build(pairs)
-        model = dict(pairs)
-        assert list(ptree.items_from(root, start)) == [
-            (k, v) for k, v in sorted(model.items()) if k >= start
-        ]
-
-
 # Two-component keys sought by targets padded the way signal interval
 # endpoints and join seeks are: a prefix, then MINK or TOP.
 pair_keys = st.tuples(st.integers(0, 12), st.integers(0, 4))
@@ -138,13 +128,6 @@ padded = st.one_of(
     st.tuples(st.integers(0, 13), st.sampled_from([MINK, TOP])),
     st.sampled_from([(MINK, MINK), (TOP, TOP)]),
 )
-
-
-@given(st.sets(pair_keys, max_size=40), padded, widths)
-def test_items_from_padded_targets(ks, start, w):
-    with width(w):
-        root = ptree.from_sorted([(k, ()) for k in sorted(ks)])
-        assert [k for k, _v in ptree.items_from(root, start)] == [k for k in sorted(ks) if k >= start]
 
 
 @given(st.sets(keys, max_size=40), widths)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from txnrepair import signal
 from txnrepair.signal import SignalContractError, SignalCursor, VersionedSignal
 from txnrepair.values import MINK, TOP
 
@@ -188,6 +189,44 @@ def test_noop_publish_keeps_version():
     sig = VersionedSignal("delta")
     v1 = sig.publish(inserts=[((0, (1,)), (10,))])
     assert sig.publish(inserts=[((0, (1,)), (10,))]) == v1
+
+
+class _NoLock:
+    def __enter__(self):
+        raise AssertionError("an empty publish took the lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("kind", ["delta", "sens", "corr"])
+def test_empty_publish_is_free(kind, monkeypatch):
+    """A publish handed nothing takes no lock and makes no tree write: it
+    logs no run and leaves `latest` where it was, so a cursor then pulls
+    nothing; a non-empty publish after it still runs the contract checks."""
+    item = ((0, (1,), (2,)), ()) if kind == "sens" else ((0, (1,)), (10,))
+    sig = VersionedSignal(kind)
+    cur = SignalCursor(sig)
+    v = sig.publish([item])
+    assert cur.pull() == [item[0]]
+    root, lock = sig._root, sig._lock
+
+    def no_update(*args):
+        raise AssertionError("an empty publish wrote the tree")
+
+    monkeypatch.setattr(signal.ptree, "update", no_update)
+    sig._lock = _NoLock()
+    for args in ((), ([], []), (iter(()), iter(()))):
+        assert sig.publish(*args) == v
+    assert sig.latest == v and len(sig._runs) == 1 and sig._root is root
+    assert cur.pull() == [] and cur.root is root
+    monkeypatch.undo()
+    sig._lock = lock
+    if kind == "sens":
+        with pytest.raises(SignalContractError):
+            sig.publish([((0, (5,), (1,)), ())])
+        with pytest.raises(SignalContractError):
+            sig.publish(removes=[item[0]])
 
 
 def test_interval_lo_gt_hi_rejected():

@@ -570,19 +570,75 @@ def test_transactions_share_plans_per_template_and_upserted_set(monkeypatch):
     assert outs[2].values() == {(3,): (31,)}
 
 
+def _count_rewrites(monkeypatch):
+    """Record each rewrite_for_txn call: one per shape derived."""
+    calls = []
+    rewrite = txn_module.rewrite_for_txn
+    monkeypatch.setattr(txn_module, "rewrite_for_txn",
+                        lambda rules, schema: calls.append(rules) or rewrite(rules, schema))
+    return calls
+
+
+def test_transactions_of_one_template_set_share_one_shape(monkeypatch):
+    """Transactions bound from the same templates, in the same order,
+    derive their shape once and share it; other templates, or the same
+    ones first bound in another order, make another shape."""
+    rewrites = _count_rewrites(monkeypatch)
+    plans = txn_module.PlanCache()
+    probe = "probe(v) <- bal[$k] = v."
+
+    def build(*texts, k):
+        params = {"k": k, "d": k}
+        rules = [r for t in texts
+                 for r in parse_rules(t, SCHEMA, {n: params[n] for n in re.findall(r"\$(\w+)", t)})]
+        return TxnExec(SCHEMA, rules, plans=plans)
+
+    t1, t2 = build(BUMP, probe, k=1), build(BUMP, probe, k=2)
+    assert len(rewrites) == 1 and len(plans._shapes) == 1
+    for attr in ("upserted", "compiled", "_heads", "_order", "_db_reads", "_end_reads",
+                 "_db_sigs", "_db_preds"):
+        assert getattr(t1, attr) is getattr(t2, attr), attr
+    assert t1._delta_support is not t2._delta_support  # per transaction
+    t3 = build(probe, BUMP, k=3)
+    assert len(rewrites) == 2 and t3.compiled == t1.compiled[::-1]
+    build(probe, k=4)
+    assert len(rewrites) == 3 and len(plans._shapes) == 3
+    db = make_db({1: 10, 2: 20, 3: 30})
+    outs = [Folded(t.evaluate(db)) for t in (t1, t2, t3)]
+    assert [out.values() for out in outs] == [{(1,): (11,)}, {(2,): (22,)}, {(3,): (33,)}]
+
+
 def test_plan_cache_is_bounded(monkeypatch):
-    """The oldest plan leaves once the cache is full."""
+    """The oldest plan, and the oldest shape, leave once the cache is full."""
     calls = _count_compilations(monkeypatch)
+    rewrites = _count_rewrites(monkeypatch)
     plans = txn_module.PlanCache()
     plans.size = 2
     texts = [f"probe(v) <- bal[{k}] = v." for k in range(3)]
     for text in texts:
         TxnExec(SCHEMA, parse_rules(text, SCHEMA), plans=plans)
     assert len(plans._plans) == 2 and len(calls) == 3
+    assert len(plans._shapes) == 2 and len(rewrites) == 3
     TxnExec(SCHEMA, parse_rules(texts[2], SCHEMA), plans=plans)  # still held
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(rewrites) == 3
     TxnExec(SCHEMA, parse_rules(texts[0], SCHEMA), plans=plans)  # evicted: compiled again
-    assert len(calls) == 4
+    assert len(calls) == 4 and len(rewrites) == 4
+    assert len(plans._plans) == 2 and len(plans._shapes) == 2
+
+
+@pytest.mark.parametrize("text, match", [
+    ("q(x) <- r(x).\nr(x) <- q(x).", "cyclic"),
+    ("^q[x] = y <- bal[x] = y.", "not a database predicate"),
+    ("q(x) <- bal[x] = y.\nq(x, y) <- bal[x] = y.", "arities"),
+])
+def test_rejected_program_raises_at_every_build(text, match):
+    """A program that raises caches no shape, so every transaction built
+    from it with one cache raises again."""
+    plans = txn_module.PlanCache()
+    for _ in range(3):
+        with pytest.raises(SchemaError, match=match):
+            TxnExec(SCHEMA, parse_rules(text, SCHEMA), plans=plans)
+    assert plans._shapes == {}
 
 
 @pytest.mark.parametrize("text", [
