@@ -8,11 +8,14 @@ engine at 1 worker and prints one line: the refresh count, the refresh
 count of each operator kind (txn, dmerge, smerge, corr), the refreshes
 of each kind that changed no output (`idle`), a hash of the ordered
 (op_id, changed) refresh list, the join's seeks and bindings summed
-over every transaction's `TxnExec.stats`, the count of transactions that
-committed and the committed state hash. Two checkouts with the same
-schedule and results print the same lines; when a change moves the
-schedule, the per-kind counts show which operators it moved, and when
-it moves the join's work, the seek and binding counts show it.
+over every transaction's `TxnExec.stats`, a hash of every sensitivity
+entry the join recorded (`recorded`: each `(txn_id, group, vertex, lo,
+hi, ctx)` handed to `TxnExec._record`, in order), the count of
+transactions that committed and the committed state hash. Two checkouts
+with the same schedule and results print the same lines; when a change
+moves the schedule, the per-kind counts show which operators it moved,
+and when it moves the join's work, the seek and binding counts and the
+recorded hash show it.
 
 With --against PARENT it fingerprints both checkouts, each in its own
 subprocess, and prints per line `same` or each field that moved as
@@ -52,8 +55,17 @@ def fingerprint(name, seed, txns, mode):
         init(t, *args, **kwargs)
         execs.append(t)
 
-    originals = [(txn.TxnExec, "__init__", init)]
+    recorded = hashlib.sha256()
+    record = txn.TxnExec.__dict__["_record"]
+
+    def tracked_record(t, group, entries):
+        for e in entries:
+            recorded.update(repr((t.txn_id, group, e.vertex, e.lo, e.hi, e.ctx)).encode())
+        record(t, group, entries)
+
+    originals = [(txn.TxnExec, "__init__", init), (txn.TxnExec, "_record", record)]
     txn.TxnExec.__init__ = tracked_init
+    txn.TxnExec._record = tracked_record
     for cls in (circuit.DeltaMergeOp, circuit.SensMergeOp, circuit.CorrOp, circuit.TxnOp):
         def refresh(op, _fn=cls.__dict__["refresh"]):
             changed = _fn(op)
@@ -76,7 +88,8 @@ def fingerprint(name, seed, txns, mode):
     seeks = sum(t.stats.seeks for t in execs)
     bindings = sum(t.stats.bindings for t in execs)
     return (f"{name} seed={seed} txns={txns} {mode}: refreshes={len(log)} {kinds} "
-            f"schedule={schedule} seeks={seeks} bindings={bindings} committed={committed} "
+            f"schedule={schedule} seeks={seeks} bindings={bindings} "
+            f"recorded={recorded.hexdigest()[:16]} committed={committed} "
             f"state={rep.hash(wl.schema)[:16]}")
 
 

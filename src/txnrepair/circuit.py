@@ -51,7 +51,8 @@ and a refresh merges the intervals it pulled in one pass. The records
 those intervals newly cover are found by one forward cursor walk per
 input through the pulled intervals, in order (`SignalCursor.within`),
 which also reads each one's winning value; only a pulled record outside
-them is checked against the coverage and looked up again.
+them is checked against the coverage and looked up again, and one the
+coverage misses is dropped: it was never published.
 
 A refresh wakes only the readers of the outputs it changed, and of
 those only the ones whose output that change can change (`woken_by`,
@@ -69,6 +70,7 @@ its cursors, so one wiring serves every epoch.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Optional
 
 from .domain import DomainDecomposition
@@ -123,10 +125,6 @@ def build_tree(height: int, label: str = "") -> TreeNode:
         node.left = build_tree(height - 1, label + "0")
         node.right = build_tree(height - 1, label + "1")
     return node
-
-
-def _in_interval(lo_pt: tuple, hi_pt: tuple, pred_id: int, key: tuple) -> bool:
-    return lo_pt <= (pred_id, tuple(key)) < hi_pt
 
 
 def _first(cursors, ident: tuple):
@@ -220,12 +218,11 @@ class DeltaMergeOp(Op):
 
     def refresh(self) -> list:
         lo_pt, hi_pt = self.interval
-        idents = dict.fromkeys(
-            ident
-            for cur in (self.cur_l, self.cur_r)
-            for ident in cur.pull()
-            if _in_interval(lo_pt, hi_pt, *ident)
-        )
+        idents = {}
+        for cur in (self.cur_l, self.cur_r):
+            pulled = cur.pull()  # sorted: the region [lo_pt, hi_pt) is a slice
+            lo = bisect_left(pulled, lo_pt)
+            idents.update(dict.fromkeys(pulled[lo : bisect_left(pulled, hi_pt, lo)]))
         return _publish_winners(
             self.out, ((i, _first(self._by_precedence, i)) for i in idents)
         )
@@ -254,8 +251,10 @@ class CorrOp(Op):
     A refresh publishes, at its winning value, every input record inside
     an interval of the sensitivity it pulled, found by walking each input
     in precedence order, the first value found per identity winning; and,
-    for each identity an input pull named outside those records, the
-    winning value when the coverage held before covers it, else none.
+    for each identity an input pull named outside those records that the
+    coverage held before covers, its winning value or none. An identity
+    that coverage misses was never published, so it is dropped: a
+    refresh whose pulls all lie outside the coverage publishes nothing.
     """
 
     kind = "corr"
@@ -292,11 +291,13 @@ class CorrOp(Op):
                 if cur.root is not None:
                     for ident, value in cur.within(bounds):
                         winners.setdefault(ident, value)
+        # a pulled identity the old coverage misses was never published
+        # (coverage only grows), so it needs no removal
         cover = self._cover
         for idents in pulled:
             for i in idents:
-                if i not in winners:
-                    winners[i] = _first(self._by_precedence, i) if cover.covers(i) else None
+                if i not in winners and cover.covers(i):
+                    winners[i] = _first(self._by_precedence, i)
         if bounds:
             cover.merge(bounds)
         return _publish_winners(self.out, winners.items())

@@ -25,13 +25,25 @@ evaluate a group of bindings (the rules of a transaction bound from one
 template): it runs them in turn, never joining the parameters against an
 atom, and each recorded context starts with the binding's index, so a
 changed record re-runs only the bindings that read it.
+
+A level reads its terms from one dict per call, the binding: a variable
+under its name, set when its level accepts a value; a `$param` under
+its name, set per binding; and each constant of the plan under a slot
+of its own, an int, which no name can be (`_Slots`). Compilation turns
+each term list a level reads (a joiner's prefix, the computed value, a
+check, a head) into one read of that dict, an `operator.itemgetter`
+where it can, so a level costs a few dict reads. The context a level
+records under, the binding index and the values of the variables
+before it, is passed down the levels, each accepted value extending it
+by one.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .rulelang import (
     ARITH_OPS,
@@ -49,7 +61,7 @@ from . import ptree
 from .values import MINK, TOP, SchemaError
 
 
-@dataclass
+@dataclass(slots=True)
 class SensEntry:
     """One recorded cursor operation: any record of `vertex` landing in
     [lo, hi] (full-tuple closed interval) invalidates the join step taken
@@ -75,25 +87,102 @@ class CompiledAtom:
     vertex: str  # view key this atom reads
     pattern: tuple  # terms: keys then value positions
     karity: int
+    # per position: the low and high padding of the positions after it
+    pads: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pads", _pads(len(self.pattern)))
+
+
+@functools.cache
+def _pads(width: int) -> tuple:
+    """Per position of a `width`-term pattern, the low and high padding of
+    the positions after it; one table per width, shared by its atoms."""
+    return tuple(((MINK,) * n, (TOP,) * n) for n in range(width - 1, -1, -1))
 
 
 @dataclass
 class _LevelPlan:
+    """One level of the join. Each read is a function of the binding dict
+    (`_Slots`)."""
+
     var: str
-    joiners: list = field(default_factory=list)  # (iterator class, atom_idx, position)
-    compute: list = field(default_factory=list)  # PrimAtoms producing this var
-    checks: list = field(default_factory=list)  # ("prim", p) | ("neg", i) | ("complete", i)
+    joiners: list = field(default_factory=list)  # (iterator class, atom_idx, prefix read)
+    value: Optional[Callable] = None  # the read computing var, when a primitive does
+    # (read, atom, want) per check: a primitive's read gives whether it
+    # holds, and atom is None; a probe's gives the probed tuple, which
+    # must be present in atom (want True) or absent (want False)
+    checks: list = field(default_factory=list)
     lookup: bool = False  # the one joiner is a key-bound atom's, and nothing computes var
 
 
 @dataclass
 class CompiledRule:
-    heads: tuple  # per head atom, its terms; none for a constraint
+    heads: tuple  # per head atom, the read of its tuple; none for a constraint
     var_order: tuple
     atoms: tuple  # positive CompiledAtoms
     neg_atoms: tuple  # negated CompiledAtoms
     plans: tuple  # _LevelPlan per var
-    pre_checks: tuple  # checks with no free variables
+    pre_checks: tuple  # checks with no free variables, as a level's
+    consts: dict  # the constants' slots of the binding dict, with their values
+
+
+class _Slots:
+    """Where a plan's terms live in the binding dict: a variable or
+    `$param` under its name, and each constant under a slot of its own,
+    an int, which no name can be."""
+
+    def __init__(self):
+        self.consts = {}
+
+    def key(self, t):
+        if t.__class__ is Const:
+            k = len(self.consts)
+            self.consts[k] = t.value
+            return k
+        return t.name
+
+    def tuple_read(self, terms):
+        keys = [self.key(t) for t in terms]
+        if len(keys) > 1:
+            return operator.itemgetter(*keys)
+        if keys:
+            (k,) = keys
+            return lambda b: (b[k],)
+        return _nothing
+
+    def value_read(self, p: PrimAtom, var: str):
+        """The read computing `var` from the other terms of `p`."""
+        if p.op in ARITH_OPS:
+            f = _ARITH[p.op]
+            x, y = self.key(p.args[0]), self.key(p.args[1])
+            return lambda b: f(b[x], b[y])
+        a, other = p.args  # eq: the other side is bound
+        return operator.itemgetter(self.key(other if isinstance(a, Var) and a.name == var else a))
+
+    def prim_read(self, p: PrimAtom):
+        """The read of whether `p` holds."""
+        neg = p.op.startswith("not:")
+        op = p.op[4:] if neg else p.op
+        keys = [self.key(t) for t in p.args]
+        if op in ARITH_OPS:
+            f = _ARITH[op]
+            x, y, out = keys
+            return lambda b: (f(b[x], b[y]) == b[out]) != neg
+        f = _COMPARE[op]
+        x, y = keys
+        return lambda b: f(b[x], b[y]) != neg
+
+
+def _nothing(_binding):
+    return ()
+
+
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_COMPARE = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
 
 
 def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
@@ -105,6 +194,7 @@ def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
     typecheck_rule(rule, schema)
     var_order = tuple(choose_variable_order(rule))
     level_of = {v: i for i, v in enumerate(var_order)}
+    slots = _Slots()
 
     def compiled(atom):
         terms = atom_terms(atom)
@@ -136,6 +226,9 @@ def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
     plans = [_LevelPlan(v) for v in var_order]
     pre_checks = []
 
+    def check(lvl, item):
+        (pre_checks if lvl < 0 else plans[lvl].checks).append(item)
+
     # joiner positions: first occurrence of each variable within the atom;
     # past the key, the prefix fixes the key, so the joiner is a lookup
     for idx, ca in enumerate(atoms):
@@ -145,57 +238,47 @@ def compile_rule(rule: Rule, schema, upserted=frozenset()) -> CompiledRule:
             if isinstance(t, Var) and t.name not in seen:
                 seen.add(t.name)
                 cls = _PointIter if pos >= ca.karity else _LevelIter
-                plans[level_of[t.name]].joiners.append((cls, idx, pos))
+                plans[level_of[t.name]].joiners.append(
+                    (cls, idx, slots.tuple_read(ca.pattern[:pos])))
                 last_joiner_pos = pos
         lvl = max_level(ca.pattern)
-        if lvl < 0:
-            pre_checks.append(("complete", idx))
-        elif last_joiner_pos != len(ca.pattern) - 1:
-            # trailing constants / repeated variables: exact-match probe
-            plans[lvl].checks.append(("complete", idx))
+        if lvl < 0 or last_joiner_pos != len(ca.pattern) - 1:
+            # no variable, or trailing constants / repeated variables:
+            # exact-match probe
+            check(lvl, (slots.tuple_read(ca.pattern), ca, True))
 
-    for idx, ca in enumerate(neg_atoms):
-        lvl = max_level(ca.pattern)
-        if lvl < 0:
-            pre_checks.append(("neg", idx))
-        else:
-            plans[lvl].checks.append(("neg", idx))
+    for ca in neg_atoms:
+        check(max_level(ca.pattern), (slots.tuple_read(ca.pattern), ca, False))
 
-    claimed = set()  # variables already produced by a compute
     for p in prims:
         lvl = max_level(p.args)
-        if lvl < 0:
-            pre_checks.append(("prim", p))
-            continue
-        out_var = None
-        if p.op in ARITH_OPS and isinstance(p.args[2], Var) and level_of[p.args[2].name] == lvl:
-            out_var = p.args[2].name
-            if max_level(p.args[:2]) < lvl and out_var not in claimed:
-                plans[lvl].compute.append(p)
-                claimed.add(out_var)
-                continue
-        if p.op == "eq":
-            vs = [t for t in p.args if isinstance(t, Var) and level_of[t.name] == lvl]
-            if len(vs) == 1 and max_level([t for t in p.args if t is not vs[0]]) < lvl:
-                if vs[0].name not in claimed:
-                    plans[lvl].compute.append(p)
-                    claimed.add(vs[0].name)
+        if lvl >= 0 and plans[lvl].value is None:
+            plan = plans[lvl]
+            if p.op in ARITH_OPS and isinstance(p.args[2], Var) and p.args[2].name == plan.var:
+                if max_level(p.args[:2]) < lvl:
+                    plan.value = slots.value_read(p, plan.var)
                     continue
-        plans[lvl].checks.append(("prim", p))
+            if p.op == "eq":
+                vs = [t for t in p.args if isinstance(t, Var) and t.name == plan.var]
+                if len(vs) == 1 and max_level([t for t in p.args if t is not vs[0]]) < lvl:
+                    plan.value = slots.value_read(p, plan.var)
+                    continue
+        check(lvl, (slots.prim_read(p), None, True))
 
     for plan in plans:
-        if not plan.joiners and not plan.compute:
+        if not plan.joiners and plan.value is None:
             raise SchemaError(f"variable {plan.var} has no enumerable source")
-        plan.lookup = (not plan.compute and len(plan.joiners) == 1
+        plan.lookup = (plan.value is None and len(plan.joiners) == 1
                        and plan.joiners[0][0] is _PointIter)
 
     return CompiledRule(
-        heads=tuple(atom_terms(h.atom) for h in rule.head),
+        heads=tuple(slots.tuple_read(atom_terms(h.atom)) for h in rule.head),
         var_order=var_order,
         atoms=tuple(atoms),
         neg_atoms=tuple(neg_atoms),
         plans=tuple(plans),
         pre_checks=tuple(pre_checks),
+        consts=slots.consts,
     )
 
 
@@ -216,9 +299,7 @@ class _LevelIter:
         self.p = p
         self.q = q = len(p)
         # padding of a target past its component, below or above every value
-        n = len(atom.pattern) - q - 1
-        self.lows = (MINK,) * n
-        self.highs = (TOP,) * n
+        self.lows, self.highs = atom.pads[q]
         self.stats = stats
         self.collector = collector
         self.vertex = atom.vertex
@@ -278,9 +359,7 @@ class _PointIter:
         # the candidate tuple from the component on, None when there is none
         self.rest = rest = v[q:] if v is not None and v[:q] == p[karity:] else None
         self.p = p
-        n = len(atom.pattern) - len(p) - 1
-        self.lows = (MINK,) * n
-        self.highs = (TOP,) * n
+        self.lows, self.highs = atom.pads[len(p)]
         self.stats = stats
         self.collector = collector
         self.vertex = atom.vertex
@@ -313,11 +392,6 @@ class _PointIter:
 
 
 _by_key = operator.attrgetter("key")
-_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-_COMPARE = {
-    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
-    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
-}
 
 
 @dataclass
@@ -350,90 +424,70 @@ def eval_rule(
     context starts with the binding's index, and `fixed` pins that index
     under `BINDING`, so re-running a context runs one binding.
     """
-    return _Evaluator(compiled, views, args, collector, fixed, stats, bindings).run()
+    indexed = bindings is not None
+    return _Evaluator(compiled, views, collector, fixed, stats).run(
+        bindings if indexed else [args], indexed)
 
 
 class _Evaluator:
     """The state of one `eval_rule` call. Its methods refer to each other
     only through the instance, which refers to none of them, so reference
-    counting frees everything a call allocates."""
+    counting frees everything a call allocates.
 
-    __slots__ = ("compiled", "views", "collector", "fixed", "stats", "bindings", "indexed",
-                 "binding", "prefix", "result")
+    One dict binds every name a read of the plan reads: the constants'
+    slots, the binding's `$param` slots and each variable from its level
+    on. A level's context, the values of the variables before it, is
+    passed down, each level adding its own."""
 
-    def __init__(self, compiled, views, args, collector, fixed, stats, bindings):
+    __slots__ = ("compiled", "views", "collector", "fixed", "stats", "binding", "result")
+
+    def __init__(self, compiled, views, collector, fixed, stats):
         self.compiled = compiled
         self.views = views
         self.collector = collector
         self.fixed = fixed or {}
         self.stats = stats if stats is not None else Stats()
-        self.indexed = bindings is not None
-        self.bindings = bindings if self.indexed else [args]
+        self.binding = dict(compiled.consts)
         self.result = RuleResult(head_counts=[{} for _ in compiled.heads])
 
-    def run(self) -> RuleResult:
+    def run(self, bindings, indexed) -> RuleResult:
         pinned = self.fixed.get(BINDING)
-        for i in range(len(self.bindings)) if pinned is None else (pinned,):
-            # variables and `$param` slots alike: a slot is a name bound throughout
-            self.binding = dict(self.bindings[i])
-            self.prefix = (i,) if self.indexed else ()
-            if self.run_checks(self.compiled.pre_checks, 0):
-                self.enum(0)
+        pre_checks = self.compiled.pre_checks
+        for i in range(len(bindings)) if pinned is None else (pinned,):
+            # a variable is set before any read of it, so one dict serves
+            # every binding
+            self.binding.update(bindings[i])
+            ctx = (i,) if indexed else ()
+            if not pre_checks or self.run_checks(pre_checks, ctx):
+                self.enum(0, ctx)
         return self.result
 
-    def val(self, t):
-        return t.value if t.__class__ is Const else self.binding[t.name]
-
-    def ctx(self, level):
+    def run_checks(self, checks, ctx) -> bool:
         binding = self.binding
-        return self.prefix + tuple(binding[v] for v in self.compiled.var_order[:level])
-
-    def probe(self, ca: CompiledAtom, level) -> bool:
-        """Exact-presence test with point sensitivity."""
-        t = tuple(self.val(x) for x in ca.pattern)
-        self.stats.seeks += 1
-        if self.collector is not None:
-            self.collector.append(SensEntry(ca.vertex, t, t, self.ctx(level)))
-        return ptree.get(self.views[ca.vertex], t[: ca.karity]) == t[ca.karity:]
-
-    def prim_holds(self, p: PrimAtom) -> bool:
-        neg = p.op.startswith("not:")
-        op = p.op[4:] if neg else p.op
-        if op in ARITH_OPS:
-            x, y, out = (self.val(t) for t in p.args)
-            ok = _ARITH[op](x, y) == out
-        else:
-            x, y = (self.val(t) for t in p.args)
-            ok = _COMPARE[op](x, y)
-        return (not ok) if neg else ok
-
-    def run_checks(self, items, level) -> bool:
-        for kind, payload in items:
-            if kind == "prim":
-                if not self.prim_holds(payload):
+        for read, atom, want in checks:
+            if atom is None:
+                if not read(binding):
                     return False
-            elif kind == "neg":
-                if self.probe(self.compiled.neg_atoms[payload], level):
-                    return False
-            else:  # complete
-                if not self.probe(self.compiled.atoms[payload], level):
+            else:
+                # an exact-presence probe, with point sensitivity
+                t = read(binding)
+                self.stats.seeks += 1
+                if self.collector is not None:
+                    self.collector.append(SensEntry(atom.vertex, t, t, ctx))
+                k = atom.karity
+                if (ptree.get(self.views[atom.vertex], t[:k]) == t[k:]) is not want:
                     return False
         return True
 
-    def compute_value(self, p: PrimAtom, var):
-        if p.op in ARITH_OPS:
-            return _ARITH[p.op](self.val(p.args[0]), self.val(p.args[1]))
-        # eq: the other side is bound
-        a, b = p.args
-        return self.val(b if (isinstance(a, Var) and a.name == var) else a)
-
     def emit_binding(self):
         self.stats.bindings += 1
-        if not self.compiled.heads:
+        heads = self.compiled.heads
+        if not heads:
             self.result.constraint_hits += 1
             return
-        for terms, counts in zip(self.compiled.heads, self.result.head_counts):
-            t = tuple(self.val(x) for x in terms)
+        binding = self.binding
+        for read, counts in zip(heads, self.result.head_counts):
+            t = read(binding)
             counts[t] = counts.get(t, 0) + 1
 
     @staticmethod
@@ -445,47 +499,39 @@ class _Evaluator:
                 return False
         return True
 
-    def accept(self, plan, level, c):
+    def accept(self, plan, level, c, ctx):
         self.binding[plan.var] = c
-        if self.run_checks(plan.checks, level):
-            self.enum(level + 1)
-        del self.binding[plan.var]
+        if not plan.checks or self.run_checks(plan.checks, ctx):
+            self.enum(level + 1, ctx + (c,))
 
-    def enum(self, level):
+    def enum(self, level, ctx):
         compiled = self.compiled
-        if level == len(compiled.var_order):
+        if level == len(compiled.plans):
             self.emit_binding()
             return
         plan = compiled.plans[level]
-        ctx = self.ctx(level) if self.collector is not None else None
+        binding, atoms, views = self.binding, compiled.atoms, self.views
         iters = []
-        for cls, ai, q in plan.joiners:
-            atom = compiled.atoms[ai]
-            iters.append(cls(
-                self.views[atom.vertex],
-                atom,
-                tuple(self.val(t) for t in atom.pattern[:q]),
-                self.stats,
-                self.collector,
-                ctx,
-            ))
+        for cls, ai, prefix in plan.joiners:
+            atom = atoms[ai]
+            iters.append(cls(views[atom.vertex], atom, prefix(binding), self.stats,
+                             self.collector, ctx))
         if plan.var in self.fixed:
             c = self.fixed[plan.var]
             # a pinned value must also be the one the level's compute gives
-            if self.holds(iters, c) and (
-                    not plan.compute or self.compute_value(plan.compute[0], plan.var) == c):
-                self.accept(plan, level, c)
+            if self.holds(iters, c) and (plan.value is None or plan.value(binding) == c):
+                self.accept(plan, level, c, ctx)
             return
-        if plan.compute:
-            c = self.compute_value(plan.compute[0], plan.var)
+        if plan.value is not None:
+            c = plan.value(binding)
             if self.holds(iters, c):
-                self.accept(plan, level, c)
+                self.accept(plan, level, c, ctx)
             return
         if plan.lookup:
             # one candidate: accept it, then step past it as the loop would
             (it,) = iters
             if it.key is not None:
-                self.accept(plan, level, it.key)
+                self.accept(plan, level, it.key, ctx)
                 it.next()
             return
         # leapfrog intersection over distinct component values
@@ -499,7 +545,7 @@ class _Evaluator:
         while True:
             it = iters[p_i]
             if it.key == max_key:
-                self.accept(plan, level, max_key)
+                self.accept(plan, level, max_key, ctx)
                 it.next()
             else:
                 it.seek(max_key)

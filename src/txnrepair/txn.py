@@ -74,7 +74,7 @@ from .inclftj import IntervalIndex, RuleMaintainer
 from .lftj import Stats, compile_rule
 from .pstore import DbVersion, PredicateSig, Schema
 from .rulelang import atom_terms, topological_order
-from .values import SchemaError
+from .values import SchemaError, conforms
 from .views import patch_tree, view_lookup
 
 UNEVALUATED = "unevaluated"
@@ -362,12 +362,7 @@ def _single(vals):
 
 
 def _in_signature(sig: PredicateSig, key: tuple, value: tuple) -> bool:
-    try:
-        sig.check_key(key)
-        sig.check_value(value)
-    except SchemaError:
-        return False
-    return True
+    return conforms(sig.key_types, key) and conforms(sig.value_types, value)
 
 
 @dataclass

@@ -54,33 +54,43 @@ MINK = _Sentinel("MINK", low=True)
 TOP = _Sentinel("TOP", low=False)
 
 
-def _check_tag(tag: str, payload, what: str) -> None:
-    if tag == INT64:
-        ok = (
-            isinstance(payload, int)
-            and not isinstance(payload, bool)
-            and -(2**63) <= payload < 2**63
-        )
-    elif tag == STRING:
-        ok = isinstance(payload, str)
-    elif tag == BOOL:
-        ok = isinstance(payload, bool)
-    else:
-        raise SchemaError(f"unknown type tag {tag!r}")
-    if not ok:
-        raise SchemaError(f"{what} component {payload!r} is not of type {tag}")
+_INT64_LO, _INT64_END = -(2**63), 2**63
+_TAGS = (INT64, STRING, BOOL)
+
+
+def conforms(tags, values: tuple) -> bool:
+    """Whether tuple `values` has one component per tag, each of its tag's
+    type: the one type rule. An int64 is an int in [-2^63, 2^63), never a
+    bool; an unknown tag admits nothing."""
+    if len(values) != len(tags):
+        return False
+    for tag, v in zip(tags, values):
+        if tag == INT64:
+            if v.__class__ is bool or not isinstance(v, int) or not _INT64_LO <= v < _INT64_END:
+                return False
+        elif tag == STRING:
+            if not isinstance(v, str):
+                return False
+        elif tag != BOOL or not isinstance(v, bool):
+            return False
+    return True
 
 
 def validate_tuple(tags, values, what: str) -> tuple:
-    """Validate raw payloads against a list of type tags; returns a tuple."""
+    """Validate raw payloads against a list of type tags; returns a tuple,
+    or raises naming the first mismatch."""
     values = tuple(values)
+    if conforms(tags, values):
+        return values
     if len(values) != len(tags):
         raise SchemaError(
             f"{what} arity mismatch: expected {len(tags)} elements, got {len(values)}"
         )
     for tag, v in zip(tags, values):
-        _check_tag(tag, v, what)
-    return values
+        if tag not in _TAGS:
+            raise SchemaError(f"unknown type tag {tag!r}")
+        if not conforms((tag,), (v,)):
+            raise SchemaError(f"{what} component {v!r} is not of type {tag}")
 
 
 def literal_tag(value) -> str:

@@ -13,7 +13,6 @@ from txnrepair.circuit import (
     DeltaMergeOp,
     SensMergeOp,
     TxnOp,
-    _in_interval,
     _publish_winners,
     build_tree,
     labels,
@@ -39,6 +38,11 @@ keys = st.integers(0, 30)
 def _delta_batch(draw_keys, vals):
     # unique identities per child signal
     return [((0, (k,)), (v,)) for k, v in zip(sorted(set(draw_keys)), vals)]
+
+
+def _in_region(lo, hi, pred_id, key):
+    """Whether identity (pred_id, key) lies in the half-open region [lo, hi)."""
+    return lo <= (pred_id, key) < hi
 
 
 def _covers(interval, key):
@@ -73,7 +77,7 @@ def test_delta_merge_partition_and_precedence(samples, lrecs, rrecs):
         lo, hi = decomp.subdomain_interval(d)
         for ident, value in group.delta[d].items():
             assert ident not in merged  # no double ownership
-            assert _in_interval(lo, hi, *ident)
+            assert _in_region(lo, hi, *ident)
             merged[ident] = value
     want = {**dict(lrecs), **dict(rrecs)}  # right wins
     assert merged == want
@@ -99,6 +103,54 @@ def test_delta_merge_incremental_update(samples, lrecs, rrecs, later):
     for d in ("0", "1"):
         merged.update(group.delta[d].items())
     assert merged == want
+
+
+region_keys = st.one_of(keys, st.just(MINK), st.just(TOP))
+
+
+@st.composite
+def merge_rounds(draw):
+    """Split samples, a height, and rounds of child publishes whose
+    identities are often split points, and whose keys are often MINK or
+    TOP, the domain's ends."""
+    samples = draw(st.lists(st.tuples(st.integers(0, 2), keys), max_size=8))
+    height = draw(st.integers(1, 3))
+    decomp = build_decomposition([point(p, (k,)) for p, k in samples], height)
+    splits = [decomp.subdomain_interval(d)[0] for h in range(1, height + 1) for d in labels(h)]
+    idents = st.one_of(st.tuples(st.integers(0, 2), region_keys.map(lambda k: (k,))),
+                       st.sampled_from([s for s in splits if len(s) == 2]))
+    children = [(side, d) for side in ("left", "right") for d in labels(height - 1)]
+    rounds = draw(st.lists(st.lists(st.tuples(
+        st.sampled_from(children),
+        st.dictionaries(idents, st.integers(0, 5).map(lambda v: (v,)), max_size=6),
+        st.lists(idents, max_size=3)), max_size=4), min_size=1, max_size=3))
+    return decomp, height, rounds
+
+
+@given(merge_rounds())
+@settings(max_examples=200)
+def test_delta_merge_takes_its_region_as_a_slice(case):
+    """Over rounds of publishes to every child signal, each delta merge's
+    output is its children's records in its half-open region, the right
+    child's winning, as a brute-force filter finds them: identities equal
+    to a split point go to the region the split starts, and the ends
+    (MINK,) and (TOP,) bound the outermost regions."""
+    decomp, height, rounds = case
+    group = build_tree(height)
+    ops = [DeltaMergeOp(group, d, decomp) for d in labels(height)]
+    model = {}  # (side, child region) -> its signal's content
+    for batch in rounds:
+        for (side, d), ups, rems in batch:
+            sig = getattr(group, side).delta[d]
+            sig.publish(inserts=ups.items(), removes=rems)
+            model[side, d] = dict(sig.items())
+        for op in ops:
+            op.refresh()
+        for d in labels(height):
+            lo, hi = decomp.subdomain_interval(d)
+            merged = {**model.get(("left", d[:-1]), {}), **model.get(("right", d[:-1]), {})}
+            want = {i: v for i, v in merged.items() if _in_region(lo, hi, *i)}
+            assert dict(group.delta[d].items()) == want
 
 
 ivals = st.tuples(keys, keys).map(lambda t: (0, (min(t),), (max(t),)))
@@ -137,13 +189,13 @@ ends = st.one_of(st.just(MINK), keys, st.just(TOP))
 def test_interval_ops_across_predicates_and_ends(samples, height, probes):
     """With splits on predicates 0-2, or none at all (one split at
     (0, (MINK,))): every point, the domain's ends included, lies in exactly
-    one leaf under `_in_interval`, so each delta record has one owning
+    one leaf under `_in_region`, so each delta record has one owning
     delta merge at every height."""
     decomp = build_decomposition([point(p, (k,)) for p, k in samples], height)
     leaves = [decomp.subdomain_interval(d) for d in labels(height)]
     for pred_id, k in probes:
         key = (k,)
-        owners = [i for i, (lo, hi) in enumerate(leaves) if _in_interval(lo, hi, pred_id, key)]
+        owners = [i for i, (lo, hi) in enumerate(leaves) if _in_region(lo, hi, pred_id, key)]
         assert len(owners) == 1, (pred_id, key, owners)
 
 
@@ -271,7 +323,7 @@ def test_corr_into_right_child_reads_every_delta_region(split_pred, split_key, s
     owner = {d: regions.subdomain_interval(d) for d in ("0", "1")}
 
     def region(ident):
-        (d,) = [d for d, (lo, hi) in owner.items() if _in_interval(lo, hi, *ident)]
+        (d,) = [d for d, (lo, hi) in owner.items() if _in_region(lo, hi, *ident)]
         return d
 
     parent, deltas, sens = {}, {}, []
@@ -312,6 +364,27 @@ def test_corr_delta_supersedes_parent():
     op.refresh()
     # the left sibling's write is serially later
     assert list(child.corr.items()) == [((0, (1,)), (42,))]
+
+
+def test_idle_corr_refresh_publishes_nothing(monkeypatch):
+    """Input records outside the coverage, added or removed, were never
+    published, so the refresh that pulls them writes no tree and leaves
+    the output as it was."""
+    group = build_tree(1, label="1")  # off the spine: it receives corrections
+    child = group.right
+    op = CorrOp(group, child)
+    child.sens.publish(inserts=_units([(0, (0,), (9,))]))
+    group.corr.publish(inserts=[((0, (5,)), (1,))])
+    assert op.refresh() == [child.corr]
+    held, v = list(child.corr.items()), child.corr.latest
+    group.corr.publish(inserts=[((0, (20,)), (2,)), ((1, (5,)), (3,))])
+    group.left.delta[""].publish(inserts=[((0, (30,)), (4,))])
+    group.corr.publish(removes=[(0, (20,))])
+    updates = []
+    monkeypatch.setattr(ptree, "update", lambda *a: updates.append(a))
+    assert op.refresh() == []
+    assert updates == []
+    assert list(child.corr.items()) == held and child.corr.latest == v
 
 
 def test_sens_growth_pulls_existing_corrections():

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_oracle import SCHEMA as ORACLE_SCHEMA, bound, template
 from txnrepair import bench, ptree, txn
+from txnrepair.inclftj import minimal_contexts
 from txnrepair.lftj import (
-    CompiledAtom, SensEntry, Stats, _LevelIter, _PointIter, compile_rule, eval_rule,
+    BINDING, CompiledAtom, SensEntry, Stats, _LevelIter, _PointIter, compile_rule, eval_rule,
 )
 from txnrepair.pstore import DbVersion, PredicateSig, Schema, store_upsert
 from txnrepair.rulelang import Var, parse_rules
@@ -404,3 +406,66 @@ def test_eq_orders_its_bound_side_first(text):
     db = make_db((1, 3), (), ())
     compiled = compile_rule(parse_rules(text)[0], SCHEMA)
     assert eval_rule(compiled, views_of(db)).head_counts == [{(1,): 1, (3,): 1}]
+
+
+@st.composite
+def grouped_evaluations(draw):
+    """A plan of one rule of a `test_oracle.TEMPLATES` text, bound one to
+    four times, and random roots for every vertex it reads: function
+    vertices map a key to a value, relations (`R`, a derived `d`) hold
+    pairs."""
+    binds = draw(template().flatmap(lambda text: st.lists(bound(text), min_size=1, max_size=4)))
+    groups = [parse_rules(text, ORACLE_SCHEMA, params) for text, params in binds]
+    r = draw(st.integers(0, len(groups[0]) - 1))
+    rule = groups[0][r]
+    upserted = frozenset(h.atom.pred for g in groups[0] for h in g.head if h.is_upsert)
+    compiled = compile_rule(rule, ORACLE_SCHEMA, upserted)
+    comp = st.integers(-1, 3)
+    views = {}
+    for atom in compiled.atoms + compiled.neg_atoms:
+        if atom.karity < len(atom.pattern):
+            items = draw(st.dictionaries(st.tuples(comp), st.tuples(comp), max_size=4))
+        else:
+            items = dict.fromkeys(draw(st.sets(st.tuples(comp, comp), max_size=6)), ())
+        views.setdefault(atom.vertex, ptree.from_sorted(sorted(items.items())))
+    return compiled, views, [g[r].args for g in groups]
+
+
+def context_lengths(compiled):
+    """Each (vertex, context length) a grouped join step can record: the
+    joiners and probes of level L record the binding index and the values
+    of the L variables before it."""
+    steps = [(0, atom) for _read, atom, _want in compiled.pre_checks]
+    for level, plan in enumerate(compiled.plans):
+        steps += [(level, compiled.atoms[ai]) for _cls, ai, _prefix in plan.joiners]
+        steps += [(level, atom) for _read, atom, _want in plan.checks]
+    return {(atom.vertex, 1 + level) for level, atom in steps if atom is not None}
+
+
+@given(grouped_evaluations())
+@settings(max_examples=300)
+def test_reruns_record_the_contexts_they_were_passed(case):
+    """Each level passes down the values of the variables before it: every
+    entry a grouped evaluation records has the context length of a step
+    on its vertex, and is recorded again, equal, by the re-run pinned to
+    its context; the re-runs at the minimal contexts add up to the full
+    evaluation's head counts and hits."""
+    compiled, views, bindings = case
+    ctx_vars = (BINDING,) + compiled.var_order
+    entries = []
+    full = eval_rule(compiled, views, collector=entries, bindings=bindings)
+    assert {(e.vertex, len(e.ctx)) for e in entries} <= context_lengths(compiled)
+    for e in entries:
+        again = []
+        eval_rule(compiled, views, collector=again, fixed=dict(zip(ctx_vars, e.ctx)),
+                  bindings=bindings)
+        assert e in again
+    counts = [{} for _ in full.head_counts]
+    hits = 0
+    for ctx in minimal_contexts(entries):
+        part = eval_rule(compiled, views, fixed=dict(zip(ctx_vars, ctx)), bindings=bindings)
+        hits += part.constraint_hits
+        for total, got in zip(counts, part.head_counts):
+            for t, n in got.items():
+                total[t] = total.get(t, 0) + n
+    assert counts == full.head_counts and hits == full.constraint_hits

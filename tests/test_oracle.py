@@ -10,7 +10,8 @@ multi-predicate joins, negation of atoms and of primitives, constraints,
 derived predicates, both orders of an equality, a head of two atoms, a
 function value inside an expression, parentheses, a comparison of
 parameters and constants alone, int64 edge values, a read whose key
-comes from data (a value of one predicate used as a key of another), and
+comes from data (a value of one predicate used as a key of another), an
+atom its parameters bind wholly (a probe before any variable), and
 `@start` as well as end-state reads. Reads of another predicate's end state go from a
 higher-numbered predicate to a lower one, so no program has a cycle.
 A second family, guarded transfers between three keys, makes repairs
@@ -63,6 +64,7 @@ TEMPLATES = (
     "^F{i}[$k] = v <- F{j}@start[$s] = y, v = (y - $d) * 2.",
     "^F{i}[$k] = v <- F{j}@start[$s] = y, $t > 0, v = y + $d.",
     "^F{i}[$k] = v <- F{j}@start[$s] = x, F{i}@start[x] = y, v = y + $d.",
+    "^F{i}[$k] = v <- F{j}@start[$s] = $t, v = $d.",
 )
 
 # a guarded transfer, whose repairs flip reads: $m moves from F0[$s] to

@@ -20,7 +20,8 @@ def test_schedule_fingerprint_is_reproducible():
     for line in lines:
         fields = dict(f.split("=") for f in line.split(": ")[1].split())
         assert list(fields) == ["refreshes", "txn", "dmerge", "smerge", "corr", "idle",
-                                "schedule", "seeks", "bindings", "committed", "state"]
+                                "schedule", "seeks", "bindings", "recorded", "committed",
+                                "state"]
         kinds = [int(fields[k]) for k in ("txn", "dmerge", "smerge", "corr")]
         assert sum(kinds) == int(fields["refreshes"]) and min(kinds) > 0
         idle = dict(f.split(":") for f in fields["idle"].split(","))
@@ -28,6 +29,7 @@ def test_schedule_fingerprint_is_reproducible():
         assert all(0 <= int(idle[k]) <= int(fields[k]) for k in idle)
         assert int(idle["corr"]) > 0  # a correction refresh that changes nothing
         assert int(fields["seeks"]) > 0 and int(fields["bindings"]) > 0
+        int(fields["recorded"], 16)  # a hash of the recorded entries
 
 
 def test_schedule_fingerprint_against_itself_is_same():
