@@ -305,7 +305,12 @@ class CorrOp(Op):
 
 class TxnOp(Op):
     """Leaf operator: evaluates/repairs the transaction at a leaf and
-    publishes the changes to its outputs."""
+    publishes the changes to its outputs.
+
+    Only a leaf that holds a transaction is refreshed: the engine queues
+    those, and a leaf past the epoch's transactions publishes no
+    sensitivity, so the correction operator into it covers nothing,
+    publishes nothing and never wakes it."""
 
     kind = "txn"
 
@@ -323,8 +328,6 @@ class TxnOp(Op):
         txn = self.leaf.txn
         cur = self.cur_corr
         changes = [(i, cur.get(i)) for i in cur.pull()] if cur is not None else []
-        if txn is None:
-            return []
         if txn.status == UNEVALUATED:
             out = txn.evaluate(self.base, changes)
         elif changes:

@@ -145,8 +145,10 @@ def minimal_contexts(entries):
 
 @dataclass
 class MaintainReport:
+    """One `apply_changes` call: the contexts it re-ran and the count changes."""
+
     contexts: tuple
-    # per head atom: {tuple: (old_count, new_count)} for counts that changed
+    # per head atom: {tuple: change in its count}, for counts that changed
     head_diffs: list = field(default_factory=list)
     constraint_delta: int = 0
     entries: list = field(default_factory=list)  # recorded by the re-runs
@@ -196,8 +198,9 @@ class RuleMaintainer:
         stabbed_entries must hold each of the rule's recorded entries
         (`entries` or a report's) whose interval contains a record whose
         presence or payload differs between self.views and new_views
-        (stale extra entries are harmless). Returns the head-tuple count
-        transitions.
+        (stale extra entries are harmless). Returns the change in each
+        head tuple's count, which `head_counts` now holds added; raises
+        when a count would fall below zero.
         """
         contexts = minimal_contexts(stabbed_entries)
         report = MaintainReport(contexts=tuple(contexts))
@@ -218,11 +221,10 @@ class RuleMaintainer:
             diffs = {}
             for t, d in delta.items():
                 if d:
-                    old_c = counts.get(t, 0)
-                    new_c = old_c + d
+                    new_c = counts.get(t, 0) + d
                     if new_c < 0:
                         raise AssertionError(f"support count underflow for {t}")
-                    diffs[t] = (old_c, new_c)
+                    diffs[t] = d
                     if new_c:
                         counts[t] = new_c
                     else:

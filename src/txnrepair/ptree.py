@@ -259,15 +259,6 @@ def items(node: Optional[Node]) -> Iterator[tuple]:
     return _walk([node])
 
 
-def size(node: Optional[Node]) -> int:
-    """Number of records under the root."""
-    if node is None:
-        return 0
-    if node.leaf:
-        return len(node.keys)
-    return sum(size(kid) for kid in node.vals)
-
-
 class Cursor:
     """Seekable forward cursor with a finger.
 

@@ -11,13 +11,12 @@ The rules bound from one template (see `rulelang`: same head and body
 objects) form a group, evaluated set at a time: one compiled plan, one
 `RuleMaintainer` holding the summed result of every binding, one join
 call that binds each rule's `$param` values (`Rule.args`) in turn, and
-one write per changed root for the group's head transitions. Every
+one write per changed root for the group's head count changes. Every
 recorded context starts with its binding's index, so a changed record
 re-runs only the bindings that read it. Transactions built with one
-`PlanCache` (the engine keeps one) share plans too, keyed by template
-and upserted set, and transactions bound from the same templates share
-one `Shape`: the upserted set, plans, group order and read lists,
-derived once.
+`PlanCache` (the engine keeps one) from the same templates share one
+`Shape`: the upserted predicates, plans, group order and read lists,
+derived once, so each plan is compiled once per shape.
 
 Evaluation materializes every group and indexes the sensitivity
 intervals it records, one `IntervalIndex` per read vertex over every
@@ -109,21 +108,11 @@ class TxnExec:
             groups.setdefault((id(r.head), id(r.body)), []).append(i)
         self.groups = list(groups.values())
         self._bindings = [[self.rules[i].args for i in g] for g in self.groups]
-        shape = (plans if plans is not None else PlanCache()).shape(
+        self.shape = (plans if plans is not None else PlanCache()).shape(
             [self.rules[g[0]] for g in self.groups], schema)
-        self.upserted = shape.upserted
-        self.compiled = shape.compiled
-        self._heads = shape.heads
-        self._order = shape.order
-        self._db_reads = shape.db_reads
-        self._end_reads = shape.end_reads
-        self._db_sigs = shape.db_sigs
-        self._db_preds = shape.db_preds
         self.base: Optional[DbVersion] = None
-        # delta support, by upserted pred name and by pred id in id order:
-        # {key: {value: count}}
-        self._delta_support = {p: {} for p in self.upserted}
-        self._support_by_id = {pred_id: self._delta_support[p] for pred_id, p in shape.upserted_ids}
+        # delta support, by upserted pred id in id order: {key: {value: count}}
+        self._delta_support = {pred_id: {} for pred_id in self.shape.upserted_ids}
         # out predicate support: pred name -> {tuple: count}
         self._out_support: dict = {}
         # roots per pred name: the db: and end: views, and the live out:
@@ -152,8 +141,8 @@ class TxnExec:
     # ---- view construction ----
 
     def _build_views(self) -> dict:
-        views = {f"db:{pred}": self._db_root[pred] for pred in self._db_reads}
-        for pred in self._end_reads:
+        views = {f"db:{pred}": self._db_root[pred] for pred in self.shape.db_reads}
+        for pred in self.shape.end_reads:
             views[f"end:{pred}"] = self._end_full[pred]
         for pred, root in self._out_root.items():
             views[f"out:{pred}"] = root
@@ -168,22 +157,22 @@ class TxnExec:
         if self.status != UNEVALUATED:
             raise RuntimeError("evaluate twice")
         self.base = base
+        shape = self.shape
         patches: dict = {}  # pred_id -> {key: value}
         for (pred_id, key), value in corrections:
             if value is not None:
                 patches.setdefault(pred_id, {})[key] = value
-        for pred in self._db_preds:
+        for pred in shape.db_preds:
             pred_id = self.schema.sig(pred).pred_id
             self._db_root[pred] = patch_tree(patches.get(pred_id, {}), base.root(pred_id))
-        self._end_full = {pred: self._db_root[pred] for pred in self._end_reads}
-        for g in self._order:
-            m = RuleMaintainer(self.compiled[g], self._build_views(), stats=self.stats,
+        self._end_full = {pred: self._db_root[pred] for pred in shape.end_reads}
+        for g in shape.order:
+            m = RuleMaintainer(shape.compiled[g], self._build_views(), stats=self.stats,
                                bindings=self._bindings[g])
             self.maintainers[g] = m
             self._hits += m.constraint_hits
             self._record(g, m.entries)
-            self._apply_output(g, [{t: (0, c) for t, c in counts.items()}
-                                   for counts in m.head_counts])
+            self._apply_output(g, m.head_counts)  # its changes from none
         self._refresh_status()
         return self.outputs()
 
@@ -191,7 +180,7 @@ class TxnExec:
         """Keep one group's recorded entries for the index, and queue their
         key intervals over database predicates never queued before."""
         self._unindexed.append((group, entries))
-        db_sigs, seen = self._db_sigs, self._sens_seen
+        db_sigs, seen = self.shape.db_sigs, self._sens_seen
         for e in entries:
             sig = db_sigs.get(e.vertex)
             if sig is None:
@@ -213,26 +202,27 @@ class TxnExec:
                     hits.setdefault(g, []).append(e)
         return hits
 
-    def _apply_output(self, group: int, head_diffs) -> dict:
-        """Fold one group's head-count transitions into the shared vertex
-        contents, and each changed root in one `patch_tree` write; returns
-        pending changed points per downstream vertex."""
+    def _apply_output(self, group: int, head_changes) -> dict:
+        """Add one group's head count changes, `{tuple: change}` per head,
+        to the shared vertex contents, and write each changed root in one
+        `patch_tree` call; returns pending changed points per downstream
+        vertex."""
         pending: dict = {}
-        for h, diffs in zip(self._heads[group], head_diffs):
+        for h, changes in zip(self.shape.heads[group], head_changes):
             pred = h.atom.pred
             moves: dict = {}  # key or tuple -> its entry's new value, None to remove
             if h.is_upsert:
                 sig = self.schema.sig(pred)
                 karity = sig.arity
-                support = self._delta_support[pred]
+                support = self._delta_support[sig.pred_id]
                 touched = pending.setdefault(f"end:{pred}", [])
-                for t, (old_c, new_c) in diffs.items():
+                for t, change in changes.items():
                     key, value = t[:karity], t[karity:]
                     vals = support.setdefault(key, {})
                     before = _single(vals)
                     was_live = value in vals
                     conflicted = len(vals) > 1
-                    vals[value] = vals.get(value, 0) + (new_c - old_c)
+                    vals[value] = vals.get(value, 0) + change
                     if vals[value] <= 0:
                         del vals[value]
                     if was_live != (value in vals) and not _in_signature(sig, key, value):
@@ -252,9 +242,9 @@ class TxnExec:
             else:
                 support = self._out_support.setdefault(pred, {})
                 touched = pending.setdefault(f"out:{pred}", [])
-                for t, (old_c, new_c) in diffs.items():
+                for t, change in changes.items():
                     was_live = t in support
-                    count = support.get(t, 0) + (new_c - old_c)
+                    count = support.get(t, 0) + change
                     if count > 0:
                         support[t] = count
                     elif was_live:
@@ -291,7 +281,8 @@ class TxnExec:
             db_moves.setdefault(pred, {})[key] = value
             pts = [key + v for v in (old_val, value) if v is not None]
             stabs.append((f"db:{pred}", pts))
-            if pred in self._end_full and _single(self._delta_support[pred].get(key, ())) is None:
+            if (pred in self._end_full
+                    and _single(self._delta_support[pred_id].get(key, ())) is None):
                 end_moves.setdefault(pred, {})[key] = value
                 stabs.append((f"end:{pred}", pts))
         for pred, moves in db_moves.items():
@@ -310,7 +301,7 @@ class TxnExec:
         # a group's points stab only the groups after it in the order; its
         # re-runs record entries only on vertices no later group writes, so
         # the next repair indexes them in time
-        for g in self._order:
+        for g in self.shape.order:
             stabbed = hits.get(g)
             if stabbed is None:
                 continue
@@ -338,18 +329,18 @@ class TxnExec:
         live, was_live = self.status == EVALUATED, self._live
         self._live = live
         moved, self._moved = self._moved, {}
-        by_id = self._support_by_id
+        support = self._delta_support
         if live and was_live is not False:
             # no other own value moved since the last drain, nor, at the
             # first drain, from none since evaluate
             idents = sorted(moved)
         elif live or was_live:  # a later status flip
-            idents = [(i, key) for i, support in by_id.items() for key in sorted(support)]
+            idents = [(i, key) for i, keys in support.items() for key in sorted(keys)]
         else:
             return []
         out = []
         for ident in idents:
-            now = _single(by_id[ident[0]][ident[1]])
+            now = _single(support[ident[0]][ident[1]])
             new = now if live else None
             if new != (moved.get(ident, now) if was_live else None):  # the value reported then
                 out.append((ident, new))
@@ -371,7 +362,6 @@ class Shape:
     their bindings: shared, never changed, by every transaction built
     from the same templates with one `PlanCache`."""
 
-    upserted: list  # the upserted predicates, sorted
     heads: list  # per group: its template's head
     compiled: list  # per group: its plan
     order: list  # the group indexes in dependency order
@@ -379,38 +369,26 @@ class Shape:
     end_reads: list  # the predicates read at end:, sorted
     db_sigs: dict  # db: and end: vertex -> its predicate's signature
     db_preds: list  # the predicates with a db: root, sorted
-    upserted_ids: list  # (pred_id, pred) per upserted predicate, by id
+    upserted_ids: list  # the upserted predicates' ids, sorted
 
 
 class PlanCache:
-    """Compiled plans and transaction shapes, shared by the transactions
-    built with one cache.
+    """Transaction shapes, shared by the transactions built with one cache.
 
-    A compiled rule reads its bindings at evaluation, and the rules bound
-    from one template share its head and body objects, so a plan is
-    keyed by their identities (cheaper than hashing the ASTs), the
-    schema's and the upserted set. A transaction's `Shape` depends only
-    on its groups' templates, in order, so it is keyed by the identities
-    of each group's head and body and the schema's: transactions bound
-    from the same templates derive it once. A program that raises caches
-    no shape, so it raises again at every construction. Each entry holds
-    the objects whose ids key it, so no id is reused while its entry
-    lives; once `size` entries of a kind are held, the oldest leaves
-    first. Not for concurrent use."""
+    A transaction's `Shape` depends only on its groups' templates, in
+    order: a compiled plan reads its bindings at evaluation, and the rules
+    bound from one template share its head and body objects. So a shape
+    is keyed by the identities of each group's head and body (cheaper
+    than hashing the ASTs) and the schema's, and its plans are compiled
+    once, with it. A program that raises caches no shape, so it raises
+    again at every construction. Each entry holds the objects whose ids
+    key it, so no id is reused while it lives; once `size` entries are
+    held, the oldest leaves first. Not for concurrent use."""
 
     size = 1024
 
     def __init__(self):
-        self._plans: dict = {}
         self._shapes: dict = {}
-
-    def plan(self, rule, schema: Schema, upserted: frozenset):
-        key = (id(rule.head), id(rule.body), id(schema), upserted)
-        entry = self._plans.get(key)
-        if entry is None:
-            entry = (rule.head, rule.body, schema, compile_rule(rule, schema, upserted))
-            _bounded_put(self._plans, key, entry, self.size)
-        return entry[3]
 
     def shape(self, firsts, schema: Schema) -> Shape:
         """The shape of a transaction whose groups' first rules are
@@ -424,11 +402,10 @@ class PlanCache:
         upserted, derived = rewrite_for_txn(firsts, schema)
         frozen = frozenset(upserted)
         heads = [r.head for r in firsts]
-        compiled = [self.plan(r, schema, frozen) for r in firsts]
+        compiled = [compile_rule(r, schema, frozen) for r in firsts]
         reads, order = _order_groups(heads, compiled, derived)
         read = {v.partition(":") for rs in reads for v in rs}
         shape = Shape(
-            upserted=upserted,
             heads=heads,
             compiled=compiled,
             order=order,
@@ -436,19 +413,12 @@ class PlanCache:
             end_reads=sorted(p for kind, _, p in read if kind == "end"),
             db_sigs={f"{kind}:{p}": schema.sig(p) for kind, _, p in read if kind != "out"},
             db_preds=sorted({p for kind, _, p in read if kind != "out"} | frozen),
-            upserted_ids=sorted((schema.sig(p).pred_id, p) for p in upserted),
+            upserted_ids=sorted(schema.sig(p).pred_id for p in upserted),
         )
-        templates = [(r.head, r.body) for r in firsts]
-        _bounded_put(self._shapes, key, (templates, schema, shape), self.size)
+        if len(self._shapes) >= self.size:
+            del self._shapes[next(iter(self._shapes))]
+        self._shapes[key] = ([(r.head, r.body) for r in firsts], schema, shape)
         return shape
-
-
-def _bounded_put(cache: dict, key, entry, size: int):
-    """Put `entry` at `key`, first dropping the oldest entry when `cache`
-    holds `size`."""
-    if len(cache) >= size:
-        del cache[next(iter(cache))]
-    cache[key] = entry
 
 
 def rewrite_for_txn(rules, schema: Schema):

@@ -248,6 +248,48 @@ def test_engine_compiles_each_template_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_engine_pass_over_each_perfbench_pool_compiles_each_template_once(monkeypatch):
+    """Every transaction of one engine's pass over a perfbench pool is
+    built with its plan cache, so each distinct template the pool binds
+    is compiled once, however many shapes and epochs use it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import SPECS
+
+    calls = []
+    compile_rule = txn_module.compile_rule
+    monkeypatch.setattr(txn_module, "compile_rule",
+                        lambda *args: calls.append(args[0]) or compile_rule(*args))
+    for spec in SPECS.values():
+        wl = spec.build(1)
+        calls.clear()
+        Engine(wl.schema, wl.db, EngineConfig(workers=spec.workers)).run(wl.txns)
+        templates = {(id(r.head), id(r.body)) for rules in wl.txns for r in rules}
+        assert len(calls) == len(templates), spec.name
+        assert {(id(r.head), id(r.body)) for r in calls} == templates, spec.name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_partial_epoch_never_refreshes_an_empty_leaf(monkeypatch, workers):
+    """Five transactions at height 3 leave three leaves empty. The
+    correction operator into leaf 5 runs, since leaf 4's deltas change,
+    but an empty leaf publishes no sensitivity, so it publishes nothing
+    and no empty leaf's `TxnOp` is ever refreshed."""
+    refreshed = []
+    for cls in (TxnOp, CorrOp):
+        monkeypatch.setattr(cls, "refresh",
+                            lambda op, fn=cls.refresh: refreshed.append(op) or fn(op))
+    eng = Engine(SCHEMA, base_db(), EngineConfig(workers=workers, height=3))
+    rep = settled(eng, [bump(0) for _ in range(5)])
+    assert rep.statuses == [EVALUATED] * 5
+    assert store_lookup(rep.db, SCHEMA.sig("cnt"), (0,)) == (5,)
+    empty = [op.leaf for op in eng._circuit.txn_ops[5:]]
+    assert [leaf.txn for leaf in empty] == [None] * 3
+    txn_leaves = {id(op.leaf) for op in refreshed if isinstance(op, TxnOp)}
+    assert txn_leaves == {id(op.leaf) for op in eng._circuit.txn_ops[:5]}
+    assert any(op.out is empty[0].corr for op in refreshed if isinstance(op, CorrOp))
+    assert all(leaf.corr.empty for leaf in empty)
+
+
 def test_empty_run(monkeypatch):
     """No transactions run no epoch: no scan, no circuit, no commit."""
     def no_scan(*args):

@@ -1,6 +1,7 @@
 """Interval index and incremental rule maintenance vs full re-evaluation."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,39 @@ def run_group_trial(seed, rounds=3):
 def test_group_maintenance_vs_per_binding_evaluation():
     for seed in range(150):
         run_group_trial(seed)
+
+
+def test_group_count_changes_sum_to_its_counts():
+    """A group's evaluation head counts are its changes from none: added
+    to every later report's count changes, they give the maintainer's
+    head counts and a full re-evaluation's, through batches that add and
+    remove several records at once."""
+    for seed in range(100):
+        rnd = random.Random(seed)
+        sets = {"A": set(rnd.sample(range(6), 3)), "C": set(rnd.sample(range(6), 3)),
+                "B": {(rnd.randrange(6), rnd.randrange(6)) for _ in range(8)}}
+        bindings = [(("$x", rnd.randrange(6)),) for _ in range(rnd.randint(1, 4))]
+        m = RuleMaintainer(GROUP, make_views(sets["A"], sets["B"], sets["C"]), bindings=bindings)
+        summed = Counter(m.head_counts[0])
+        entries = list(m.entries)
+        for _ in range(4):
+            changed = {}
+            for name in rnd.sample("ABC", 2):
+                for _ in range(2):
+                    t = (rnd.randrange(6), rnd.randrange(6)) if name == "B" else (rnd.randrange(6),)
+                    sets[name] ^= {t if name == "B" else t[0]}
+                    changed.setdefault(f"db:{name}", []).append(t)
+            views = make_views(sets["A"], sets["B"], sets["C"])
+            stabbed = stab_linear(entries, changed)
+            if stabbed:
+                report = m.apply_changes(views, stabbed)
+                entries += report.entries
+                assert all(report.head_diffs[0].values())
+                summed.update(report.head_diffs[0])
+            want = Counter()
+            for args in bindings:
+                want.update(eval_rule(GROUP, views, args).head_counts[0])
+            assert {t: n for t, n in summed.items() if n} == m.head_counts[0] == want, seed
 
 
 def test_constraint_delta_tracks_hits():

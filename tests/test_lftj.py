@@ -322,7 +322,7 @@ def test_key_bound_atoms_compile_to_lookups(monkeypatch):
     for wl, txns in template_txns(monkeypatch):
         for rules in txns:
             t = txn.TxnExec(wl.schema, rules)
-            for compiled in t.compiled:
+            for compiled in t.shape.compiled:
                 for plan in compiled.plans:
                     for cls, ai, _ in plan.joiners:
                         out = compiled.atoms[ai].vertex.startswith("out:")
@@ -334,7 +334,7 @@ def test_key_bound_atoms_compile_to_lookups(monkeypatch):
                 m.setattr(txn, "compile_rule",
                           lambda *a, **kw: level_iters_only(compile_rule(*a, **kw)))
                 forced = txn.TxnExec(wl.schema, rules)
-                assert set(joiner_classes(forced.compiled[0])) == {_LevelIter}
+                assert set(joiner_classes(forced.shape.compiled[0])) == {_LevelIter}
                 forced.evaluate(wl.db)
             assert forced.stats == t.stats
             assert forced.status == t.status

@@ -66,7 +66,7 @@ def check_tree(root):
     walk(root, 0)
     assert len(depths) == 1
     assert all(a < b for a, b in zip(seen, seen[1:]))
-    assert ptree.size(root) == len(seen)
+    assert sum(1 for _ in ptree.items(root)) == len(seen)
     return len(seen)
 
 

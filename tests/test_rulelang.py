@@ -45,7 +45,7 @@ def reads(txn, i):
     """The vertices rule `i` of `txn` reads, from the compiled plan of
     its group (the rules bound from its template): positive atoms, then
     negated ones."""
-    (plan,) = [txn.compiled[g] for g, rules in enumerate(txn.groups) if i in rules]
+    (plan,) = [txn.shape.compiled[g] for g, rules in enumerate(txn.groups) if i in rules]
     return [a.vertex for a in plan.atoms + plan.neg_atoms]
 
 

@@ -366,10 +366,10 @@ def scratch_views(txn, model):
                        for (pid, key), value in model.content.items() if pid == pred_id)
         return content
 
-    views = {f"db:{pred}": view(db_content(pred)) for pred in txn._db_reads}
-    for pred in txn._end_reads:
+    views = {f"db:{pred}": view(db_content(pred)) for pred in txn.shape.db_reads}
+    for pred in txn.shape.end_reads:
         content = db_content(pred)
-        for key, vals in txn._delta_support.get(pred, {}).items():
+        for key, vals in txn._delta_support.get(txn.schema.sig(pred).pred_id, {}).items():
             live = [v for v, c in vals.items() if c > 0]
             if len(live) == 1:
                 content[key] = live[0]
@@ -523,15 +523,15 @@ def test_a_repeated_binding_supports_its_tuple_twice_through_repair():
     and one that restores it brings both back."""
     rules = [r for _ in range(2) for r in parse_rules(BUMP, SCHEMA, {"k": 1, "d": 1})]
     txn = TxnExec(SCHEMA, rules)
-    support = txn._delta_support  # pred -> {key: {value: supporting bindings}}
+    support = txn._delta_support[SCHEMA.sig("bal").pred_id]  # {key: {value: bindings}}
     got = Folded(txn.evaluate(make_db({}), pulled((1,), (10,))))
-    assert support["bal"] == {(1,): {(11,): 2}}
+    assert support == {(1,): {(11,): 2}}
     assert got.status == EVALUATED and got.values() == {(1,): (11,)}
     got.fold(txn.repair(withdrawn((1,))))
-    assert support["bal"] == {(1,): {}}
+    assert support == {(1,): {}}
     assert got.status == EVALUATED and got.values() == {}
     got.fold(txn.repair(pulled((1,), (10,))))
-    assert support["bal"] == {(1,): {(11,): 2}}
+    assert support == {(1,): {(11,): 2}}
     assert got.status == EVALUATED and got.values() == {(1,): (11,)}
 
 
@@ -552,18 +552,19 @@ def test_conflicting_bindings_of_one_template_fail_until_they_agree():
 
 def test_transactions_share_plans_per_template_and_upserted_set(monkeypatch):
     """Two transactions built from one template with one plan cache share
-    one plan object; a transaction whose upserted set differs gets its
-    own, since the set decides which atoms read the end state."""
+    one shape, so one plan object; a transaction whose upserted set
+    differs compiles its own, since the set decides which atoms read the
+    end state."""
     calls = _count_compilations(monkeypatch)
     plans = txn_module.PlanCache()
     probe = "probe(v) <- bal[$k] = v."
     t1 = TxnExec(SCHEMA, parse_rules(probe, SCHEMA, {"k": 1}), plans=plans)
     t2 = TxnExec(SCHEMA, parse_rules(probe, SCHEMA, {"k": 2}), plans=plans)
-    assert t1.compiled[0] is t2.compiled[0] and len(calls) == 1
+    assert t1.shape.compiled[0] is t2.shape.compiled[0] and len(calls) == 1
     rules = parse_rules(probe, SCHEMA, {"k": 3}) + parse_rules(BUMP, SCHEMA, {"k": 3, "d": 1})
     t3 = TxnExec(SCHEMA, rules, plans=plans)
-    assert t3.compiled[0] is not t1.compiled[0] and len(calls) == 3
-    assert t3.compiled[0].atoms[0].vertex != t1.compiled[0].atoms[0].vertex
+    assert t3.shape.compiled[0] is not t1.shape.compiled[0] and len(calls) == 3
+    assert t3.shape.compiled[0].atoms[0].vertex != t1.shape.compiled[0].atoms[0].vertex
     db = make_db({1: 10, 2: 20, 3: 30})
     outs = [Folded(t.evaluate(db)) for t in (t1, t2, t3)]
     assert [out.status for out in outs] == [EVALUATED] * 3
@@ -581,8 +582,10 @@ def _count_rewrites(monkeypatch):
 
 def test_transactions_of_one_template_set_share_one_shape(monkeypatch):
     """Transactions bound from the same templates, in the same order,
-    derive their shape once and share it; other templates, or the same
-    ones first bound in another order, make another shape."""
+    derive their shape once, compiling each template once, and share it;
+    other templates, or the same ones first bound in another order, make
+    another shape, which compiles its own plans."""
+    calls = _count_compilations(monkeypatch)
     rewrites = _count_rewrites(monkeypatch)
     plans = txn_module.PlanCache()
     probe = "probe(v) <- bal[$k] = v."
@@ -594,22 +597,22 @@ def test_transactions_of_one_template_set_share_one_shape(monkeypatch):
         return TxnExec(SCHEMA, rules, plans=plans)
 
     t1, t2 = build(BUMP, probe, k=1), build(BUMP, probe, k=2)
-    assert len(rewrites) == 1 and len(plans._shapes) == 1
-    for attr in ("upserted", "compiled", "_heads", "_order", "_db_reads", "_end_reads",
-                 "_db_sigs", "_db_preds"):
-        assert getattr(t1, attr) is getattr(t2, attr), attr
+    assert len(rewrites) == 1 and len(calls) == 2 and len(plans._shapes) == 1
+    assert t1.shape is t2.shape
     assert t1._delta_support is not t2._delta_support  # per transaction
     t3 = build(probe, BUMP, k=3)
-    assert len(rewrites) == 2 and t3.compiled == t1.compiled[::-1]
+    assert len(rewrites) == 2 and len(calls) == 4
+    assert [r.head for r in calls[2:]] == [r.head for r in calls[:2]][::-1]
     build(probe, k=4)
-    assert len(rewrites) == 3 and len(plans._shapes) == 3
+    assert len(rewrites) == 3 and len(calls) == 5 and len(plans._shapes) == 3
     db = make_db({1: 10, 2: 20, 3: 30})
     outs = [Folded(t.evaluate(db)) for t in (t1, t2, t3)]
     assert [out.values() for out in outs] == [{(1,): (11,)}, {(2,): (22,)}, {(3,): (33,)}]
 
 
 def test_plan_cache_is_bounded(monkeypatch):
-    """The oldest plan, and the oldest shape, leave once the cache is full."""
+    """The oldest shape leaves once the cache is full; built again, it
+    compiles its plan again."""
     calls = _count_compilations(monkeypatch)
     rewrites = _count_rewrites(monkeypatch)
     plans = txn_module.PlanCache()
@@ -617,13 +620,12 @@ def test_plan_cache_is_bounded(monkeypatch):
     texts = [f"probe(v) <- bal[{k}] = v." for k in range(3)]
     for text in texts:
         TxnExec(SCHEMA, parse_rules(text, SCHEMA), plans=plans)
-    assert len(plans._plans) == 2 and len(calls) == 3
-    assert len(plans._shapes) == 2 and len(rewrites) == 3
+    assert len(plans._shapes) == 2 and len(rewrites) == 3 and len(calls) == 3
     TxnExec(SCHEMA, parse_rules(texts[2], SCHEMA), plans=plans)  # still held
     assert len(calls) == 3 and len(rewrites) == 3
     TxnExec(SCHEMA, parse_rules(texts[0], SCHEMA), plans=plans)  # evicted: compiled again
     assert len(calls) == 4 and len(rewrites) == 4
-    assert len(plans._plans) == 2 and len(plans._shapes) == 2
+    assert len(plans._shapes) == 2
 
 
 @pytest.mark.parametrize("text, match", [

@@ -61,4 +61,4 @@ def test_patch_tree_bulk_build_matches_insert_loop(entries):
     bulk = ptree.from_sorted(sorted(entries.items()))
     patched_root = patch_tree(entries)
     assert list(ptree.items(patched_root)) == list(ptree.items(bulk))
-    assert ptree.size(patched_root) == len(entries)
+    assert sum(1 for _ in ptree.items(patched_root)) == len(entries)
